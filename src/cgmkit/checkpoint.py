@@ -10,10 +10,15 @@ Layout (documented here and in the README):
 The header is UTF-8 text; names contain no whitespace. Offsets are byte
 positions into the payload, which is the concatenation of all tensors as
 little-endian 64-bit floats in row-major order. Writing the same tensors
-twice produces byte-identical files.
+twice produces byte-identical files. Datasets, model checkpoints and
+matrix files all use this one format.
 """
 
+import math
+
 import numpy as np
+
+from .errors import ContainerError
 
 MAGIC = "CGMTENSORS 1"
 
@@ -40,25 +45,53 @@ def save_tensors(path, tensors):
 
 
 def load_tensors(path):
-    """Read a container back into an ordered dict of name -> float64 array."""
+    """Read a container back into an ordered dict of name -> float64 array.
+
+    The magic, every header line, each tensor's offset and extent and the
+    payload length are checked; the first defect raises ContainerError
+    naming the path."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    end_marker = b"\nend\n"
-    split = blob.find(end_marker)
-    if split < 0 or not blob.startswith(MAGIC.encode("utf-8")):
-        raise ValueError(f"{path}: not a tensor container")
-    header = blob[:split].decode("utf-8").splitlines()[1:]
-    payload = blob[split + len(end_marker):]
+
+    def defect(message):
+        return ContainerError(f"{path}: {message}")
+
+    magic = (MAGIC + "\n").encode("utf-8")
+    if not blob.startswith(magic):
+        raise defect("not a tensor container (bad magic)")
+    split = blob.find(b"\nend\n", len(magic) - 1)
+    if split < 0:
+        raise defect("header has no 'end' line (truncated?)")
+    try:
+        header = blob[len(magic):split + 1].decode("utf-8").split("\n")[:-1]
+    except UnicodeDecodeError:
+        raise defect("header is not UTF-8 text") from None
+    payload = memoryview(blob)[split + len(b"\nend\n"):]
     out = {}
+    expected = 0
     for line in header:
-        parts = line.split()
-        if parts[0] != "tensor" or len(parts) < 4:
-            raise ValueError(f"{path}: bad header line {line!r}")
+        parts = line.split(" ")
+        numbers = parts[2:]
+        if (parts[0] != "tensor" or len(parts) < 4 or not parts[1]
+                or not all(p.isascii() and p.isdigit() for p in numbers)
+                or int(numbers[0]) != len(numbers) - 2):
+            raise defect(f"bad header line {line!r}")
         name = parts[1]
-        ndim = int(parts[2])
-        shape = tuple(int(d) for d in parts[3:3 + ndim])
-        offset = int(parts[3 + ndim])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
+        shape = tuple(int(d) for d in numbers[1:-1])
+        offset = int(numbers[-1])
+        if name in out:
+            raise defect(f"duplicate tensor {name!r}")
+        if offset != expected:
+            raise defect(f"tensor {name!r} starts at byte {offset}, "
+                         f"expected {expected}")
+        end = offset + 8 * math.prod(shape)
+        if end > len(payload):
+            raise defect(f"tensor {name!r} needs payload bytes up to {end}, "
+                         f"file holds {len(payload)} (truncated?)")
+        arr = np.frombuffer(payload[offset:end], dtype="<f8")
         out[name] = arr.reshape(shape).astype(np.float64)
+        expected = end
+    if expected != len(payload):
+        raise defect(f"{len(payload) - expected} payload bytes left over "
+                     f"after the last tensor")
     return out

@@ -1,5 +1,5 @@
 """Pipeline command line: dataset generation, model training, sampling,
-validation, surrogate fitting and report collation.
+validation, surrogate fitting, STL export and report collation.
 
 Every command is deterministic given its config and seed, writes a copy of
 the resolved configuration into its output directory, and exits nonzero
@@ -19,7 +19,7 @@ from .constraints import (achieved_value, constraint_residual,
 from .errors import CgmError
 from .generative import MODEL_KINDS, load_model, save_model, train_model
 from .reduction import (as_fit, as_response_surface, fd_gradients,
-                        load_matrix, podi_fit, podi_predict, save_matrix)
+                        podi_fit, podi_predict, save_matrix)
 from .rng import Rng
 from .synthfield import snapshot_of
 from .validation import metric_report
@@ -74,12 +74,23 @@ def cmd_generate(config: PipelineConfig) -> int:
     return 0
 
 
-def _dataset_constraint(surfaces, rows):
+def _manifest_constraint(dataset, directory):
+    """(kind, target) that every manifest row of a dataset carries."""
+    if not dataset.rows:
+        raise CommandFailure(f"dataset {directory} holds no samples")
+    kind, target = dataset.rows[0]["constraint"], dataset.rows[0]["target"]
+    for i, row in enumerate(dataset.rows):
+        if row["constraint"] != kind or not np.array_equal(row["target"], target):
+            raise CommandFailure(f"dataset {directory} sample {i}: constraint "
+                                 f"differs from sample 0")
+    return kind, target
+
+
+def _dataset_constraint(dataset, directory):
     from .constraints import VolumeConstraint, barycenter_constraint
-    kind = rows[0]["constraint"]
-    target = rows[0]["target"]
+    kind, target = _manifest_constraint(dataset, directory)
     if kind == "barycenter":
-        return barycenter_constraint(surfaces[0].n_vertices, target)
+        return barycenter_constraint(dataset.surfaces[0].n_vertices, target)
     if kind == "volume":
         return VolumeConstraint(float(target[0]))
     raise CommandFailure(f"dataset carries unsupported constraint {kind!r}")
@@ -88,10 +99,9 @@ def _dataset_constraint(surfaces, rows):
 def cmd_train(config: PipelineConfig, kind, data_dir=None) -> int:
     out = _ensure_out(config)
     data_dir = data_dir or out
-    surfaces, rows = datasets.read_dataset(data_dir)
-    train_surfaces = surfaces[:config.n_train]
-    constraint = _dataset_constraint(surfaces, rows)
-    model = train_model(kind, train_surfaces, constraint,
+    dataset = datasets.read_dataset(data_dir)
+    constraint = _dataset_constraint(dataset, data_dir)
+    model = train_model(kind, dataset.surfaces[:config.n_train], constraint,
                         config.gm_config())
     path = os.path.join(out, f"model_{kind}.cgmt")
     save_model(model, path)
@@ -125,11 +135,20 @@ def cmd_sample(config: PipelineConfig, checkpoint, n, seed) -> int:
 
 def cmd_validate(config: PipelineConfig, reference_dir, generated_dir) -> int:
     out = _ensure_out(config)
-    reference, _ = datasets.read_dataset(reference_dir)
-    generated, _ = datasets.read_dataset(generated_dir)
-    base = config.base_shape()
-    constraint = config.constraint(base)
-    report = metric_report(reference, generated, constraint=constraint)
+    reference = datasets.read_dataset(reference_dir)
+    generated = datasets.read_dataset(generated_dir)
+    # the constraint travels with the data: both manifests must carry the
+    # same one, and the config plays no part
+    ref_kind, ref_target = _manifest_constraint(reference, reference_dir)
+    gen_kind, gen_target = _manifest_constraint(generated, generated_dir)
+    if gen_kind != ref_kind or not np.array_equal(gen_target, ref_target):
+        raise CommandFailure(
+            f"constraint mismatch: reference {reference_dir} carries "
+            f"{ref_kind} {ref_target.tolist()}, generated {generated_dir} "
+            f"carries {gen_kind} {gen_target.tolist()}")
+    constraint = _dataset_constraint(reference, reference_dir)
+    report = metric_report(reference.surfaces, generated.surfaces,
+                           constraint=constraint)
     report.write_tsv(os.path.join(out, "metrics.tsv"))
     report.write_histograms(os.path.join(out, "histograms"))
     for name, value in report.rows:
@@ -160,11 +179,11 @@ def cmd_surrogate(config: PipelineConfig, source, method, seed) -> int:
             raise CommandFailure(
                 "the as method needs a checkpoint (gradients are taken in "
                 "the model's latent space)")
-        surfaces, _ = datasets.read_dataset(source)
-        disp_path = os.path.join(source, "displacements.bin")
-        if not os.path.exists(disp_path):
-            raise CommandFailure(f"{source} has no displacements.bin")
-        latents = load_matrix(disp_path)
+        dataset = datasets.read_dataset(source)
+        if dataset.displacements is None:
+            raise CommandFailure(f"{source} stores no control-point "
+                                 f"displacements")
+        surfaces, latents = dataset.surfaces, dataset.displacements
         if len(surfaces) < n:
             raise CommandFailure(
                 f"dataset holds {len(surfaces)} samples, ROM split needs {n}")
@@ -225,6 +244,12 @@ def cmd_surrogate(config: PipelineConfig, source, method, seed) -> int:
         fh.write("\n".join(lines) + "\n")
     for line in lines[1:]:
         print("surrogate:", line.replace("\t", "  "))
+    return 0
+
+
+def cmd_export_stl(dataset_dir, out) -> int:
+    count = datasets.export_stl(dataset_dir, out)
+    print(f"export-stl: wrote {count} STL files to {out}")
     return 0
 
 
@@ -290,6 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sur.add_argument("--method", choices=("rbf", "gpr", "nn", "as"),
                        required=True)
 
+    p_exp = sub.add_parser("export-stl",
+                           help="write a dataset's samples as ASCII STL files")
+    p_exp.add_argument("dataset_dir")
+    p_exp.add_argument("--out", required=True, help="output directory")
+
     p_rep = sub.add_parser("report", help="summarize a run directory")
     p_rep.add_argument("run_dir")
     return parser
@@ -300,6 +330,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "report":
             return cmd_report(args.run_dir)
+        if args.command == "export-stl":
+            return cmd_export_stl(args.dataset_dir, args.out)
         overrides = {}
         if args.seed is not None:
             overrides["pipeline.seed"] = str(args.seed)

@@ -2,8 +2,9 @@
 
 Files hold `section.key = value` lines ('#' comments allowed). Environment
 variables prefixed CGM_ override file values: CGM_DATASET_N_TRAIN maps to
-dataset.n_train (first underscore-separated token is the section). Command
-line flags override both."""
+dataset.n_train (first underscore-separated token is the section); a
+variable naming an unknown key of a known section is rejected, variables of
+other sections are ignored. Command line flags override both."""
 
 import os
 from dataclasses import dataclass, field
@@ -94,9 +95,13 @@ def resolve_config(path=None, environ=None, overrides=None) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         values.update(file_values)
+    sections = {key.split(".", 1)[0] for key in DEFAULTS}
     for key, value in env_overrides(environ).items():
         if key in DEFAULTS:
             values[key] = value
+        elif key.split(".", 1)[0] in sections:
+            name = "CGM_" + key.replace(".", "_").upper()
+            raise ConfigError(f"unknown config key {key!r} (from {name})")
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
     return values

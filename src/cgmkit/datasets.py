@@ -1,20 +1,38 @@
 """On-disk dataset layout.
 
-A dataset directory holds `sample_00000.stl` ... plus `manifest.tsv` (one
-row per sample: file, seed, constraint kind, target value, achieved value,
+A dataset directory holds one tensor container `dataset.cgmt` with the
+shared connectivity `faces` (F, 3), every sample's cloud `vertices`
+(n, M, 3) and, when every sample carries one, its control-point
+`displacements` (n, 3 N_free). Beside it, `manifest.tsv` (one row per
+sample: file, seed, constraint kind, target value, achieved value,
 displacement norm) and `meta.txt` (key=value lines with the lattice spec,
-sigma_d, weld tolerance and constraint)."""
+sigma_d and constraint) are the human-readable index. The manifest's
+`file` cell names the STL file that `export_stl` writes for the sample."""
 
 import os
+from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import load_tensors, save_tensors
 from .constraints import target_value
-from .errors import ConfigError
-from .stl_io import WELD_TOL, stl_read, stl_write
+from .errors import ConfigError, ContainerError, EmptyInputError
+from .geometry import TriSurface
+from .stl_io import stl_write
 
+DATASET_FILE = "dataset.cgmt"
 MANIFEST_COLUMNS = ("file", "seed", "constraint", "target", "achieved",
                     "displacement_norm")
+
+
+@dataclass
+class Dataset:
+    """Samples as TriSurfaces sharing one face array, their manifest rows,
+    and the stored displacements (n, 3 N_free) or None."""
+
+    surfaces: list
+    rows: list
+    displacements: np.ndarray = None
 
 
 def _join_floats(values) -> str:
@@ -27,34 +45,35 @@ def _split_floats(cell: str) -> np.ndarray:
 
 def write_dataset(directory, samples, constraint, meta=None):
     """Write CffdSample-like records (surface, seed_tag, achieved,
-    displacement_norm) into a dataset directory. Samples carrying a
-    control-point displacement also get a row in displacements.bin."""
+    displacement_norm) into a dataset directory. When every sample carries
+    a control-point displacement they are stored too."""
+    samples = list(samples)
+    if not samples:
+        raise EmptyInputError("a dataset needs at least one sample")
     os.makedirs(directory, exist_ok=True)
-    rows = []
-    displacements = []
-    target = _join_floats(target_value(constraint))
-    for i, sample in enumerate(samples):
-        name = f"sample_{i:05d}.stl"
-        stl_write(sample.surface, os.path.join(directory, name))
-        if getattr(sample, "displacement", None) is not None:
-            displacements.append(np.reshape(sample.displacement, -1))
-        rows.append("\t".join([
-            name,
-            str(getattr(sample, "seed_tag", "")),
-            constraint.kind,
-            target,
-            _join_floats(sample.achieved),
-            format(float(sample.displacement_norm), ".17g"),
-        ]))
+    surfaces = [sample.surface for sample in samples]
+    clouds = cloud_matrix(surfaces)
+    tensors = {"faces": shared_faces(surfaces).astype(np.float64),
+               "vertices": clouds.reshape(len(surfaces), -1, 3)}
+    displacements = [np.reshape(s.displacement, -1) for s in samples
+                     if getattr(s, "displacement", None) is not None]
     if len(displacements) == len(samples):
-        from .reduction import save_matrix
-        save_matrix(os.path.join(directory, "displacements.bin"),
-                    np.stack(displacements))
+        tensors["displacements"] = np.stack(displacements)
+    save_tensors(os.path.join(directory, DATASET_FILE), tensors)
+    target = _join_floats(target_value(constraint))
+    rows = ["\t".join([
+        f"sample_{i:05d}.stl",
+        str(getattr(sample, "seed_tag", "")),
+        constraint.kind,
+        target,
+        _join_floats(sample.achieved),
+        format(float(sample.displacement_norm), ".17g"),
+    ]) for i, sample in enumerate(samples)]
     with open(os.path.join(directory, "manifest.tsv"), "w", newline="\n") as fh:
         fh.write("\t".join(MANIFEST_COLUMNS) + "\n")
         fh.write("\n".join(rows) + "\n")
     lines = {"constraint": constraint.kind, "target": target,
-             "weld_tol": format(WELD_TOL, ".17g"), "n_samples": str(len(samples))}
+             "n_samples": str(len(samples))}
     if meta:
         lines.update({k: str(v) for k, v in meta.items()})
     with open(os.path.join(directory, "meta.txt"), "w", newline="\n") as fh:
@@ -66,39 +85,71 @@ def read_manifest(directory):
     path = os.path.join(directory, "manifest.tsv")
     with open(path) as fh:
         lines = [l.rstrip("\n") for l in fh if l.strip()]
-    header = tuple(lines[0].split("\t"))
+    header = tuple(lines[0].split("\t")) if lines else ()
     if header != MANIFEST_COLUMNS:
-        raise ConfigError(f"unexpected manifest columns {header}")
+        raise ConfigError(f"{path}: unexpected manifest columns {header}")
     rows = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split("\t")
-        rows.append({
-            "file": cells[0],
-            "seed": cells[1],
-            "constraint": cells[2],
-            "target": _split_floats(cells[3]),
-            "achieved": _split_floats(cells[4]),
-            "displacement_norm": float(cells[5]),
-        })
+        try:
+            if len(cells) != len(MANIFEST_COLUMNS):
+                raise ValueError(f"{len(cells)} cells")
+            rows.append({
+                "file": cells[0],
+                "seed": cells[1],
+                "constraint": cells[2],
+                "target": _split_floats(cells[3]),
+                "achieved": _split_floats(cells[4]),
+                "displacement_norm": float(cells[5]),
+            })
+        except ValueError as err:
+            raise ConfigError(f"{path} line {lineno}: bad manifest row "
+                              f"({err})") from None
     return rows
 
 
-def read_meta(directory):
-    meta = {}
-    with open(os.path.join(directory, "meta.txt")) as fh:
-        for line in fh:
-            line = line.strip()
-            if line and "=" in line:
-                key, value = line.split("=", 1)
-                meta[key] = value
-    return meta
-
-
-def read_dataset(directory):
-    """Load all samples back as TriSurfaces, in manifest order."""
+def read_dataset(directory) -> Dataset:
+    """Load all samples, in manifest order, from the dataset container."""
     rows = read_manifest(directory)
-    surfaces = [stl_read(os.path.join(directory, row["file"])) for row in rows]
-    return surfaces, rows
+    path = os.path.join(directory, DATASET_FILE)
+    tensors = load_tensors(path)
+    if "faces" not in tensors or "vertices" not in tensors:
+        raise ContainerError(f"{path}: needs tensors 'faces' and 'vertices', "
+                             f"holds {list(tensors)}")
+    faces, vertices = tensors["faces"], tensors["vertices"]
+    if faces.ndim != 2 or faces.shape[1] != 3:
+        raise ContainerError(f"{path}: faces have shape {faces.shape}, "
+                             f"expected (F, 3)")
+    if vertices.ndim != 3 or vertices.shape[2] != 3:
+        raise ContainerError(f"{path}: vertices have shape {vertices.shape}, "
+                             f"expected (n, M, 3)")
+    index = faces.astype(np.int64)
+    if not np.array_equal(index, faces) or (
+            index.size and not 0 <= index.min() <= index.max() < vertices.shape[1]):
+        raise ContainerError(f"{path}: faces are not vertex indices in "
+                             f"[0, {vertices.shape[1]})")
+    if len(vertices) != len(rows):
+        raise ContainerError(f"{path}: holds {len(vertices)} samples, "
+                             f"manifest.tsv lists {len(rows)}")
+    displacements = tensors.get("displacements")
+    if displacements is not None and (displacements.ndim != 2
+                                      or len(displacements) != len(rows)):
+        raise ContainerError(f"{path}: displacements have shape "
+                             f"{displacements.shape}, expected ({len(rows)}, D)")
+    return Dataset([TriSurface(v, index) for v in vertices], rows, displacements)
+
+
+def export_stl(directory, out) -> int:
+    """Write each sample of a dataset as the ASCII STL file its manifest
+    row names; returns the number of files written."""
+    dataset = read_dataset(directory)
+    os.makedirs(out, exist_ok=True)
+    for surface, row in zip(dataset.surfaces, dataset.rows):
+        if os.path.basename(row["file"]) != row["file"]:
+            raise ConfigError(f"manifest file name {row['file']!r} is not "
+                              f"a plain file name")
+        stl_write(surface, os.path.join(out, row["file"]))
+    return len(dataset.rows)
 
 
 def cloud_matrix(surfaces) -> np.ndarray:

@@ -71,3 +71,7 @@ class DegenerateDistributionError(CgmError, ValueError):
 
 class ConfigError(CgmError, ValueError):
     """Invalid or inconsistent configuration."""
+
+
+class ContainerError(CgmError, ValueError):
+    """Tensor container file is malformed or truncated; names the path."""

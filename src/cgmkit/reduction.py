@@ -6,8 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConditioningError, ConfigError, DegenerateSitesError,
-                     DimensionError)
+from .checkpoint import load_tensors, save_tensors
+from .errors import (ConditioningError, ConfigError, ContainerError,
+                     DegenerateSitesError, DimensionError)
 from .linalg import eigh_symmetric, fix_eigvec_signs
 from .nn import AdamW, mlp_stack
 from .rng import Rng
@@ -370,22 +371,20 @@ def as_response_surface(subspace: AsSubspace, samples, values,
 
 
 def save_matrix(path, matrix):
-    """Plain binary matrix: text header 'CGMMAT rows cols' then row-major
-    little-endian float64 payload."""
+    """A 2-D float64 matrix as a one-tensor container (`matrix`)."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    with open(path, "wb") as fh:
-        fh.write(f"CGMMAT {matrix.shape[0]} {matrix.shape[1]}\n".encode("utf-8"))
-        fh.write(matrix.astype("<f8").tobytes(order="C"))
+    if matrix.ndim != 2:
+        raise DimensionError(f"a matrix file holds 2-D data, got {matrix.shape}")
+    save_tensors(path, {"matrix": matrix})
 
 
 def load_matrix(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("utf-8").split()
-        if len(header) != 3 or header[0] != "CGMMAT":
-            raise ConfigError(f"{path}: not a matrix file")
-        rows, cols = int(header[1]), int(header[2])
-        data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
-    return data.reshape(rows, cols).astype(np.float64)
+    tensors = load_tensors(path)
+    if list(tensors) != ["matrix"] or tensors["matrix"].ndim != 2:
+        shapes = {name: arr.shape for name, arr in tensors.items()}
+        raise ContainerError(f"{path}: not a matrix file (expected one 2-D "
+                             f"tensor named 'matrix', got {shapes})")
+    return tensors["matrix"]
 
 
 def fd_gradients(f, samples, h=1e-5) -> np.ndarray:

@@ -369,9 +369,10 @@ def test_criterion_8_determinism(tmp_path):
 
     r1, r2 = pipeline("one"), pipeline("two")
     compared = 0
-    for rel in ("data/manifest.tsv", "data/sample_00000.stl",
-                "data/sample_00019.stl", "run/model_ae.cgmt",
-                "run/model_ae.cgmt.txt", "gen/sample_00005.stl",
+    # each dataset.cgmt holds every sample's cloud of its directory
+    for rel in ("data/manifest.tsv", "data/dataset.cgmt",
+                "run/model_ae.cgmt", "run/model_ae.cgmt.txt",
+                "gen/manifest.tsv", "gen/dataset.cgmt",
                 "gen/latents.bin", "val/metrics.tsv", "sur/errors.tsv",
                 "sur/snapshots.bin"):
         b1 = (r1 / rel).read_bytes()

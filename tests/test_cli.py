@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from cgmkit.checkpoint import load_tensors
 from cgmkit.cli import main
 from cgmkit.datasets import read_manifest
 from cgmkit.reduction import load_matrix, save_matrix
@@ -44,7 +45,7 @@ def test_generate_deterministic(tmp_path, config_file):
                 "--out", out1]) == 0
     assert run(["generate", "--config", config_file, "--seed", "7",
                 "--out", out2]) == 0
-    for name in ("sample_00000.stl", "sample_00007.stl", "manifest.tsv"):
+    for name in ("dataset.cgmt", "manifest.tsv", "meta.txt"):
         assert (tmp_path / "d1" / name).read_bytes() == \
             (tmp_path / "d2" / name).read_bytes()
     assert (tmp_path / "d1" / "config.resolved.txt").exists()
@@ -108,8 +109,8 @@ def test_full_pipeline(tmp_path, config_file):
     for out in (gen1, gen2):
         assert run(["sample", ckpt, "--config", config_file, "--n", "8",
                     "--seed", "2", "--out", out]) == 0
-    assert (tmp_path / "g1" / "sample_00003.stl").read_bytes() == \
-        (tmp_path / "g2" / "sample_00003.stl").read_bytes()
+    assert (tmp_path / "g1" / "dataset.cgmt").read_bytes() == \
+        (tmp_path / "g2" / "dataset.cgmt").read_bytes()
     assert (tmp_path / "g1" / "latents.bin").read_bytes() == \
         (tmp_path / "g2" / "latents.bin").read_bytes()
     # validate
@@ -160,7 +161,8 @@ def test_surrogate_from_dataset_displacements(tmp_path, config_file):
     data = str(tmp_path / "data")
     assert run(["generate", "--config", config_file, "--seed", "21",
                 "--out", data]) == 0
-    assert (tmp_path / "data" / "displacements.bin").exists()
+    stored = load_tensors(tmp_path / "data" / "dataset.cgmt")
+    assert stored["displacements"].shape[0] == 20
     sur = str(tmp_path / "sur")
     assert run(["surrogate", data, "--config", config_file, "--seed", "4",
                 "--method", "gpr", "--out", sur]) == 0
@@ -203,3 +205,89 @@ def test_matrix_round_trip(tmp_path):
     path = tmp_path / "m.bin"
     save_matrix(path, m)
     assert np.array_equal(load_matrix(path), m)
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A generated dataset and an ae checkpoint trained on it."""
+    root = tmp_path_factory.mktemp("trained")
+    cfg = root / "pipeline.cfg"
+    cfg.write_text(DESK_CONFIG)
+    assert run(["generate", "--config", str(cfg), "--seed", "13",
+                "--out", str(root / "data")]) == 0
+    assert run(["train", "--config", str(cfg), "--seed", "13", "--kind", "ae",
+                "--data", str(root / "data"), "--out", str(root / "run")]) == 0
+    assert run(["sample", str(root / "run" / "model_ae.cgmt"), "--config",
+                str(cfg), "--n", "4", "--seed", "2",
+                "--out", str(root / "gen")]) == 0
+    return root
+
+
+def _truncate(path):
+    blob = path.read_bytes()
+    path.write_bytes(blob[:len(blob) // 2])
+
+
+def _copy_dir(src, dst):
+    dst.mkdir()
+    for item in src.iterdir():
+        (dst / item.name).write_bytes(item.read_bytes())
+    return dst
+
+
+@pytest.mark.parametrize("case", ["sample", "train", "validate-reference",
+                                  "validate-generated"])
+def test_truncated_container_exits_1_with_diagnostic(tmp_path, trained, case,
+                                                     capsys):
+    cfg = str(trained / "pipeline.cfg")
+    common = ["--config", cfg, "--out", str(tmp_path / "out")]
+    if case == "sample":
+        run_dir = _copy_dir(trained / "run", tmp_path / "run")
+        broken = run_dir / "model_ae.cgmt"
+        argv = ["sample", str(broken), "--n", "2", *common]
+    else:
+        source = trained / ("gen" if case == "validate-generated" else "data")
+        copy = _copy_dir(source, tmp_path / "broken")
+        broken = copy / "dataset.cgmt"
+        argv = {"train": ["train", "--kind", "ae", "--data", str(copy), *common],
+                "validate-reference": ["validate", str(copy),
+                                       str(trained / "gen"), *common],
+                "validate-generated": ["validate", str(trained / "data"),
+                                       str(copy), *common]}[case]
+    _truncate(broken)
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(broken) in err
+    assert "truncated" in err
+
+
+def test_bad_magic_dataset_exits_1(tmp_path, trained, capsys):
+    copy = _copy_dir(trained / "data", tmp_path / "broken")
+    (copy / "dataset.cgmt").write_bytes(b"CGMMAT 2 3\n")
+    capsys.readouterr()
+    assert run(["train", "--config", str(trained / "pipeline.cfg"), "--kind",
+                "ae", "--data", str(copy), "--out", str(tmp_path / "o")]) == 1
+    assert "bad magic" in capsys.readouterr().err
+
+
+def test_validate_takes_constraint_from_data(tmp_path, config_file, capsys):
+    # a volume dataset against itself, validated with the default config
+    # (whose constraint is a barycenter)
+    cfg = tmp_path / "volume.cfg"
+    cfg.write_text(DESK_CONFIG + "constraint.kind = volume\n")
+    vol = str(tmp_path / "vol")
+    assert run(["generate", "--config", str(cfg), "--seed", "1",
+                "--out", vol]) == 0
+    assert run(["validate", vol, vol, "--out", str(tmp_path / "val")]) == 0
+    rows = dict(line.split("\t") for line in
+                (tmp_path / "val" / "metrics.tsv").read_text().splitlines()[1:])
+    assert float(rows["max_constraint_residual"]) <= 1e-9
+    # datasets carrying different constraints are not compared
+    bary = str(tmp_path / "bary")
+    assert run(["generate", "--config", config_file, "--seed", "1",
+                "--out", bary]) == 0
+    capsys.readouterr()
+    assert run(["validate", bary, vol, "--out", str(tmp_path / "v2")]) == 1
+    err = capsys.readouterr().err
+    assert "constraint mismatch" in err and bary in err and vol in err

@@ -72,3 +72,11 @@ def test_volume_constraint_from_config():
     constraint = config.constraint(base)
     from cgmkit.geometry import volume_of
     assert constraint.target == pytest.approx(volume_of(base))
+
+
+def test_env_unknown_key_in_known_section_rejected():
+    with pytest.raises(ConfigError, match="CGM_GM_EPOCS"):
+        resolve_config(environ={"CGM_GM_EPOCS": "1"})
+    # variables of sections the config does not have are left alone
+    assert resolve_config(environ={"CGM_HOME_DIR": "/x"}) == \
+        resolve_config(environ={})

@@ -317,7 +317,7 @@ def test_dataset_deterministic_and_constrained(tmp_path, sphere):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     write_dataset(d1, samples1, c)
     write_dataset(d2, samples2, c)
-    for name in ("sample_00000.stl", "sample_00001.stl", "manifest.tsv"):
+    for name in ("dataset.cgmt", "manifest.tsv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 

@@ -1,0 +1,139 @@
+"""Dataset container: bit-exact round trip, STL export, and rejection of
+truncated or corrupted tensor containers."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from cgmkit.checkpoint import MAGIC, load_tensors, save_tensors
+from cgmkit.cli import main
+from cgmkit.constraints import VolumeConstraint, sample_cffd_dataset
+from cgmkit.datasets import DATASET_FILE, read_dataset, write_dataset
+from cgmkit.errors import ConfigError, ContainerError, DimensionError
+from cgmkit.geometry import FfdLattice, synth_shape, volume_of
+from cgmkit.reduction import load_matrix, save_matrix
+from cgmkit.rng import Rng
+from cgmkit.stl_io import stl_read
+
+
+@pytest.fixture(scope="module")
+def samples():
+    base = synth_shape("icosphere", 1)
+    lattice = FfdLattice.from_box((2, 2, 2), base.vertices.min(axis=0) - 0.05,
+                                  base.vertices.max(axis=0) + 0.05)
+    constraint = VolumeConstraint(volume_of(base))
+    return constraint, sample_cffd_dataset(lattice, base, constraint, 4, 0.03,
+                                           Rng(5))
+
+
+@pytest.fixture()
+def dataset_dir(tmp_path, samples):
+    constraint, records = samples
+    directory = tmp_path / "data"
+    write_dataset(directory, records, constraint)
+    return directory
+
+
+def test_dataset_round_trip_bit_exact(dataset_dir, samples):
+    _, records = samples
+    dataset = read_dataset(dataset_dir)
+    assert [row["file"] for row in dataset.rows] == \
+        [f"sample_{i:05d}.stl" for i in range(len(records))]
+    for surface, record in zip(dataset.surfaces, records):
+        assert surface.vertices.tobytes() == record.surface.vertices.tobytes()
+        assert surface.faces.dtype == np.int64
+        assert np.array_equal(surface.faces, record.surface.faces)
+    expected = np.stack([np.reshape(r.displacement, -1) for r in records])
+    assert dataset.displacements.tobytes() == expected.tobytes()
+    assert sorted(p.name for p in dataset_dir.iterdir()) == \
+        [DATASET_FILE, "manifest.tsv", "meta.txt"]
+    assert "weld_tol" not in (dataset_dir / "meta.txt").read_text()
+
+
+def test_export_stl_reads_back_container_arrays(dataset_dir, tmp_path):
+    out = tmp_path / "stl"
+    assert main(["export-stl", str(dataset_dir), "--out", str(out)]) == 0
+    dataset = read_dataset(dataset_dir)
+    assert sorted(p.name for p in out.iterdir()) == \
+        [row["file"] for row in dataset.rows]
+    for surface, row in zip(dataset.surfaces, dataset.rows):
+        back = stl_read(out / row["file"])
+        assert back.vertices.tobytes() == surface.vertices.tobytes()
+        assert np.array_equal(back.faces, surface.faces)
+
+
+def test_every_truncation_of_a_dataset_rejected(dataset_dir):
+    path = dataset_dir / DATASET_FILE
+    blob = path.read_bytes()
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ContainerError, match=DATASET_FILE):
+            read_dataset(dataset_dir)
+
+
+def test_dataset_rows_must_match_manifest(dataset_dir):
+    manifest = dataset_dir / "manifest.tsv"
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(ContainerError, match="manifest.tsv lists 3"):
+        read_dataset(dataset_dir)
+    manifest.write_text(lines[0] + "\n" + lines[1].split("\t", 1)[0] + "\n")
+    with pytest.raises(ConfigError, match="line 2"):
+        read_dataset(dataset_dir)
+
+
+def test_dataset_faces_must_be_vertex_indices(dataset_dir):
+    path = dataset_dir / DATASET_FILE
+    tensors = load_tensors(path)
+    for bad in (tensors["faces"] + 0.5, tensors["faces"] * 100.0):
+        save_tensors(path, dict(tensors, faces=bad))
+        with pytest.raises(ContainerError, match="vertex indices"):
+            read_dataset(dataset_dir)
+
+
+def test_matrix_file_is_one_tensor_container(tmp_path):
+    path = tmp_path / "m.bin"
+    save_matrix(path, np.arange(6.0).reshape(2, 3))
+    assert path.read_bytes().startswith(MAGIC.encode("utf-8"))
+    save_tensors(path, {"a": np.zeros(2), "b": np.zeros(2)})
+    with pytest.raises(ContainerError, match="not a matrix file"):
+        load_matrix(path)
+    with pytest.raises(DimensionError):
+        save_matrix(path, np.zeros((2, 3, 4)))
+
+
+names = st.from_regex(r"[a-z][a-z0-9._]{0,7}", fullmatch=True)
+shapes = st.lists(st.integers(0, 3), max_size=3).map(tuple)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(layout=st.dictionaries(names, shapes, max_size=4), data=st.data())
+def test_corrupt_container_raises_container_error(tmp_path, layout, data):
+    tensors = {name: np.arange(math.prod(shape), dtype=np.float64).reshape(shape)
+               for name, shape in layout.items()}
+    path = tmp_path / "c.cgmt"
+    save_tensors(path, tensors)
+    blob = path.read_bytes()
+    back = load_tensors(path)
+    assert list(back) == list(tensors)
+    assert all(np.array_equal(back[k], tensors[k]) for k in tensors)
+
+    cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+    path.write_bytes(blob[:cut])
+    with pytest.raises(ContainerError, match="c.cgmt"):
+        load_tensors(path)
+
+    flipped = bytearray(blob)
+    flipped[data.draw(st.integers(0, len(MAGIC) - 1), label="byte")] ^= \
+        1 << data.draw(st.integers(0, 7), label="bit")
+    path.write_bytes(bytes(flipped))
+    with pytest.raises(ContainerError, match="bad magic"):
+        load_tensors(path)
+
+    path.write_bytes(blob + b"\0" * data.draw(st.integers(1, 16), label="extra"))
+    with pytest.raises(ContainerError, match="left over"):
+        load_tensors(path)
