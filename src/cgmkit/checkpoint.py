@@ -95,3 +95,17 @@ def load_tensors(path):
         raise defect(f"{len(payload) - expected} payload bytes left over "
                      f"after the last tensor")
     return out
+
+
+def require_tensor(tensors, path, key, shape):
+    """tensors[key], checked to exist with the given shape, in which None
+    matches any extent; a defect raises ContainerError naming path and key."""
+    if key not in tensors:
+        raise ContainerError(f"{path}: missing tensor {key!r}")
+    arr = tensors[key]
+    if arr.ndim != len(shape) or any(
+            want not in (None, got) for want, got in zip(shape, arr.shape)):
+        want = ", ".join("*" if d is None else str(d) for d in shape)
+        raise ContainerError(f"{path}: tensor {key!r} has shape {arr.shape}, "
+                             f"expected ({want})")
+    return arr

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import datasets
 from .config import PipelineConfig, write_resolved
-from .constraints import (achieved_value, constraint_residual,
+from .constraints import (CffdSample, achieved_value, constraint_residual,
                           parallel_map, sample_cffd_dataset)
 from .errors import CgmError
 from .generative import MODEL_KINDS, load_model, save_model, train_model
@@ -116,15 +116,11 @@ def cmd_sample(config: PipelineConfig, checkpoint, n, seed) -> int:
     rng = Rng(seed, ("sample",))
     surfaces, latents = model.sample(n, rng)
     _check_residuals(model.constraint, surfaces, "sampled")
-
-    class _Record:
-        def __init__(self, surface, i):
-            self.surface = surface
-            self.seed_tag = f"{seed}:sample:{i}"
-            self.achieved = achieved_value(model.constraint, surface)
-            self.displacement_norm = 0.0
-
-    records = [_Record(s, i) for i, s in enumerate(surfaces)]
+    records = [CffdSample(surface=s, displacement=None, index=i,
+                          seed_tag=f"{seed}:sample:{i}",
+                          achieved=achieved_value(model.constraint, s),
+                          displacement_norm=0.0)
+               for i, s in enumerate(surfaces)]
     datasets.write_dataset(out, records, model.constraint,
                            meta={"checkpoint": str(checkpoint), "seed": seed,
                                  "kind": model.kind})

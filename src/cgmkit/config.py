@@ -186,7 +186,7 @@ class PipelineConfig:
             return VolumeConstraint(value)
         raise ConfigError(f"unknown constraint kind {kind!r}")
 
-    def gm_config(self, seed=None) -> GmConfig:
+    def gm_config(self) -> GmConfig:
         g = lambda k: self.values[f"gm.{k}"]
         return GmConfig(
             latent_dim=int(g("latent_dim")), pca_modes=int(g("pca_modes")),
@@ -197,7 +197,7 @@ class PipelineConfig:
             weight_decay=float(g("weight_decay")), alpha=float(g("alpha")),
             sigma=float(g("sigma")), gamma=float(g("gamma")),
             k_gain=float(g("k_gain")), k0=float(g("k0")),
-            seed=self.seed if seed is None else seed)
+            seed=self.seed)
 
     def field_spec(self) -> FieldSpec:
         return FieldSpec(self.values["field.kind"])

@@ -116,41 +116,6 @@ def volume_constraint_row(surface: TriSurface, component: str):
     return row, offset
 
 
-def enforce_on_cloud(cloud, constraint: LinearConstraint):
-    """Minimum-norm correction onto the affine feasible set A_c x = c.
-
-    Returns (corrected cloud, correction) both shaped (M, 3)."""
-    cloud = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
-    if constraint.space != "cloud":
-        raise DimensionError("constraint does not target cloud coordinates")
-    if constraint.dim != cloud.size:
-        raise DimensionError(
-            f"constraint dim {constraint.dim} != cloud size {cloud.size}")
-    delta = lstsq_min_norm(constraint.matrix, -constraint.residual(cloud))
-    delta = delta.reshape(-1, 3)
-    return cloud + delta, delta
-
-
-def enforce_volume(surface: TriSurface, target: float,
-                   order=("x", "y", "z"), split="first-pass") -> TriSurface:
-    """Deform vertex coordinates so the enclosed volume equals target.
-
-    Each pass freezes the other two components and solves the exactly
-    affine single-row constraint by minimum-norm projection in the pass
-    component."""
-    constraint = VolumeConstraint(target, order=order, split=split)
-    current = volume_of(surface)
-    vertices = surface.vertices.copy()
-    work = surface
-    for component, pass_target in constraint.pass_plan(current):
-        c = _COMPONENTS[component]
-        row, _ = volume_constraint_row(work, component)
-        deficit = pass_target - volume_of(work)
-        vertices[:, c] += row * (deficit / (row @ row))
-        work = TriSurface(vertices, surface.faces)
-    return work
-
-
 def constraint_residual(constraint, surface: TriSurface) -> float:
     """Scalar residual used in manifests and reports: max absolute row
     residual for linear constraints, relative volume error for volume."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import load_tensors, save_tensors
+from .checkpoint import load_tensors, require_tensor, save_tensors
 from .constraints import target_value
 from .errors import ConfigError, ContainerError, EmptyInputError
 from .geometry import TriSurface
@@ -44,9 +44,8 @@ def _split_floats(cell: str) -> np.ndarray:
 
 
 def write_dataset(directory, samples, constraint, meta=None):
-    """Write CffdSample-like records (surface, seed_tag, achieved,
-    displacement_norm) into a dataset directory. When every sample carries
-    a control-point displacement they are stored too."""
+    """Write CffdSample records into a dataset directory. When every sample
+    carries a control-point displacement they are stored too."""
     samples = list(samples)
     if not samples:
         raise EmptyInputError("a dataset needs at least one sample")
@@ -56,14 +55,14 @@ def write_dataset(directory, samples, constraint, meta=None):
     tensors = {"faces": shared_faces(surfaces).astype(np.float64),
                "vertices": clouds.reshape(len(surfaces), -1, 3)}
     displacements = [np.reshape(s.displacement, -1) for s in samples
-                     if getattr(s, "displacement", None) is not None]
+                     if s.displacement is not None]
     if len(displacements) == len(samples):
         tensors["displacements"] = np.stack(displacements)
     save_tensors(os.path.join(directory, DATASET_FILE), tensors)
     target = _join_floats(target_value(constraint))
     rows = ["\t".join([
         f"sample_{i:05d}.stl",
-        str(getattr(sample, "seed_tag", "")),
+        sample.seed_tag,
         constraint.kind,
         target,
         _join_floats(sample.achieved),
@@ -113,16 +112,8 @@ def read_dataset(directory) -> Dataset:
     rows = read_manifest(directory)
     path = os.path.join(directory, DATASET_FILE)
     tensors = load_tensors(path)
-    if "faces" not in tensors or "vertices" not in tensors:
-        raise ContainerError(f"{path}: needs tensors 'faces' and 'vertices', "
-                             f"holds {list(tensors)}")
-    faces, vertices = tensors["faces"], tensors["vertices"]
-    if faces.ndim != 2 or faces.shape[1] != 3:
-        raise ContainerError(f"{path}: faces have shape {faces.shape}, "
-                             f"expected (F, 3)")
-    if vertices.ndim != 3 or vertices.shape[2] != 3:
-        raise ContainerError(f"{path}: vertices have shape {vertices.shape}, "
-                             f"expected (n, M, 3)")
+    faces = require_tensor(tensors, path, "faces", (None, 3))
+    vertices = require_tensor(tensors, path, "vertices", (None, None, 3))
     index = faces.astype(np.int64)
     if not np.array_equal(index, faces) or (
             index.size and not 0 <= index.min() <= index.max() < vertices.shape[1]):
@@ -131,11 +122,10 @@ def read_dataset(directory) -> Dataset:
     if len(vertices) != len(rows):
         raise ContainerError(f"{path}: holds {len(vertices)} samples, "
                              f"manifest.tsv lists {len(rows)}")
-    displacements = tensors.get("displacements")
-    if displacements is not None and (displacements.ndim != 2
-                                      or len(displacements) != len(rows)):
-        raise ContainerError(f"{path}: displacements have shape "
-                             f"{displacements.shape}, expected ({len(rows)}, D)")
+    displacements = None
+    if "displacements" in tensors:
+        displacements = require_tensor(tensors, path, "displacements",
+                                       (len(rows), None))
     return Dataset([TriSurface(v, index) for v in vertices], rows, displacements)
 
 

@@ -6,18 +6,20 @@ with a final enforcing layer. The enforcing layer runs in training and in
 sampling, so every emitted sample satisfies the constraint exactly; its
 backward pass uses the projector (I - A^+ A) for linear constraints and
 treats the per-pass volume rows as constants (stop-gradient on the
-linearization)."""
+linearization). Every kind trains in one loop (`_fit`) over nets built
+from one layout table (`net_specs`), supplying only its per-batch step."""
 
 import ast
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
-from .checkpoint import load_tensors, save_tensors
+from .checkpoint import load_tensors, require_tensor, save_tensors
 from .constraints import (LinearConstraint, VolumeConstraint,
                           barycenter_constraint, volume_gradient)
 from .datasets import cloud_matrix, shared_faces
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, ContainerError, DimensionError, DivergenceError
 from .geometry import TriSurface, is_closed, volume_of
 from .nn import AdamW, mlp_stack
 from .reduction import PcaBasis, pca_fit
@@ -65,15 +67,21 @@ class GmConfig:
 # Enforcing layers (batched, with manual backward)
 
 class LinearEnforcer:
-    """x -> x + A^+ (c - A x), the minimum-norm projection onto A x = c."""
+    """x -> x + A^+ (c - A x), the minimum-norm projection of each row of a
+    (B, 3M) batch of vectorized clouds onto A x = c."""
 
     def __init__(self, constraint: LinearConstraint):
+        if constraint.space != "cloud":
+            raise DimensionError("constraint does not target cloud coordinates")
         self.constraint = constraint
         self.matrix = constraint.matrix
         self.target = constraint.target
         self.gain = np.linalg.pinv(self.matrix)  # A^T (A A^T)^-1 for full row rank
 
     def forward(self, clouds):
+        if np.shape(clouds)[-1] != self.constraint.dim:
+            raise DimensionError(f"constraint dim {self.constraint.dim} != "
+                                 f"cloud size {np.shape(clouds)[-1]}")
         residual = clouds @ self.matrix.T - self.target
         return clouds - residual @ self.gain.T, None
 
@@ -82,10 +90,10 @@ class LinearEnforcer:
 
 
 class VolumeEnforcer:
-    """Sequential per-component volume projection of each cloud in a batch.
-
-    The backward pass applies the transposed frozen-row projectors in
-    reverse pass order."""
+    """Sequential per-component volume projection of each cloud in a batch:
+    each pass freezes the other two components and solves the exactly
+    affine single-row constraint by minimum-norm projection. The backward
+    pass applies the transposed frozen-row projectors in reverse order."""
 
     def __init__(self, constraint: VolumeConstraint, faces):
         self.constraint = constraint
@@ -99,14 +107,13 @@ class VolumeEnforcer:
     def forward(self, clouds):
         clouds = np.array(clouds, dtype=np.float64)
         passes = []
-        comp_of = {"x": 0, "y": 1, "z": 2}
         for b in range(len(clouds)):
             vertices = clouds[b].reshape(-1, 3).copy()
             surf = TriSurface(vertices, self.faces)
             current = volume_of(surf, closed=False)
             sample_passes = []
             for component, pass_target in self.constraint.pass_plan(current):
-                c = comp_of[component]
+                c = "xyz".index(component)
                 row = volume_gradient(surf)[:, c]
                 if not np.any(row):
                     raise ConfigError("degenerate sample: all-zero volume row")
@@ -129,16 +136,43 @@ class VolumeEnforcer:
         return grad
 
 
-def build_enforcer(constraint, faces=None):
+def build_enforcer(constraint, faces):
     if isinstance(constraint, VolumeConstraint):
-        if faces is None:
-            raise ConfigError("volume enforcement needs the face connectivity")
         return VolumeEnforcer(constraint, faces)
     return LinearEnforcer(constraint)
 
 
 # ---------------------------------------------------------------------------
-# Model container
+# Architecture table and model container
+
+def net_specs(kind, config: GmConfig) -> dict:
+    """Net name -> `mlp_stack` keyword arguments for one model kind: the one
+    place a layout is written, read by training and by `load_model`."""
+    r, w, d, latent = (config.pca_modes, config.hidden_width,
+                       config.hidden_depth, config.latent_dim)
+    enc = dict(in_dim=r, out_dim=latent, hidden_width=w, hidden_depth=d,
+               dropout=config.dropout, final_batch_norm=True)
+    dec = dict(in_dim=latent, out_dim=r, hidden_width=w, hidden_depth=d,
+               dropout=config.dropout)
+    specs = {
+        "ae": {"enc": enc, "dec": dec},
+        "vae": {"enc_mean": enc, "enc_scale": dict(dec, in_dim=r, out_dim=latent),
+                "dec": dec},
+        "aae": {"enc": enc, "dec": dec,
+                "disc": dict(dec, out_dim=1, dropout=config.disc_dropout,
+                             final_activation="sigmoid")},
+        "began": {"disc_enc": enc, "disc_dec": dec, "gen": dec},
+    }
+    if kind not in specs:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    return specs[kind]
+
+
+def _build_nets(kind, config: GmConfig, rng: Rng) -> dict:
+    """Fresh nets of a kind, each drawn from its own derived stream."""
+    return {name: mlp_stack(rng=rng.derive(name.replace("_", "-")), **spec)
+            for name, spec in net_specs(kind, config).items()}
+
 
 @dataclass
 class GenerativeModel:
@@ -152,28 +186,33 @@ class GenerativeModel:
     sampler_mean: np.ndarray = None   # fitted latent normal (ae only)
     sampler_chol: np.ndarray = None
     epoch_losses: list = field(default_factory=list)
+    k_final: float = None             # last equilibrium k (trained began only)
 
     def eval(self):
         for net in self.nets.values():
             net.eval()
         return self
 
+    def emit(self, coeffs):
+        """PCA coefficients to enforced clouds: (clouds, enforcer cache)."""
+        return self.enforcer.forward(self.pca.reconstruct(coeffs))
+
+    def emit_backward(self, cache, grad):
+        """Gradient w.r.t. the enforced clouds to one w.r.t. the coefficients."""
+        return self.enforcer.backward(cache, grad) @ self.pca.modes
+
     def decode(self, latents) -> np.ndarray:
         """Latent batch to enforced cloud batch, eval mode."""
         self.eval()
         net = self.nets["gen"] if self.kind == "began" else self.nets["dec"]
         y, _ = net.forward(np.atleast_2d(latents))
-        out, _ = self.enforcer.forward(self.pca.reconstruct(y))
-        return out
+        return self.emit(y)[0]
 
     def encode(self, clouds) -> np.ndarray:
         self.eval()
         coords = self.pca.project(np.atleast_2d(clouds))
-        key = "enc_mean" if self.kind == "vae" else "enc"
-        if self.kind == "began":
-            key = "disc_enc"
-        z, _ = self.nets[key].forward(coords)
-        return z
+        key = {"vae": "enc_mean", "began": "disc_enc"}.get(self.kind, "enc")
+        return self.nets[key].forward(coords)[0]
 
     def draw_latents(self, n, rng: Rng) -> np.ndarray:
         eps = rng.normal((n, self.config.latent_dim))
@@ -190,9 +229,14 @@ class GenerativeModel:
 
 
 # ---------------------------------------------------------------------------
-# Shared training plumbing
+# Training: one shared loop, one step per model kind
 
-def _prepare(surfaces, constraint, config: GmConfig):
+def _fit(kind, surfaces, constraint, config, make_step) -> GenerativeModel:
+    """Fit the PCA basis, build the nets and run every epoch's batches.
+    `make_step(model, rng)` returns `step(x, coords, drop, tag)`, which
+    trains on one batch (clouds x and their PCA coordinates, dropout masks
+    from drop, other streams derived with tag) and returns the batch loss
+    followed by any further value that must stay finite."""
     clouds = cloud_matrix(surfaces)
     faces = shared_faces(surfaces)
     n, dim = clouds.shape
@@ -201,8 +245,24 @@ def _prepare(surfaces, constraint, config: GmConfig):
     if config.pca_modes > min(n, dim):
         raise ConfigError("more PCA modes than the dataset can support")
     pca = pca_fit(clouds, n_modes=config.pca_modes)
-    enforcer = build_enforcer(constraint, faces)
-    return clouds, faces, pca, enforcer
+    rng = Rng(config.seed, (f"train-{kind}",))
+    model = GenerativeModel(kind=kind, config=config, pca=pca,
+                            nets=_build_nets(kind, config, rng),
+                            enforcer=build_enforcer(constraint, faces),
+                            constraint=constraint, faces=faces)
+    step = make_step(model, rng)
+    coords = pca.project(clouds)
+    for epoch in range(config.epochs):
+        losses = []
+        for idx in _batches(n, config.batch_size, rng.derive("shuffle", epoch)):
+            tag = (epoch, int(idx[0]))
+            values = step(clouds[idx], coords[idx], rng.derive("drop", *tag), tag)
+            for value in values:
+                if not np.isfinite(value):
+                    raise DivergenceError(f"loss became {value}", epoch=epoch)
+            losses.append(values[0])
+        model.epoch_losses.append(float(np.mean(losses)))
+    return model
 
 
 def _batches(n, batch_size, rng: Rng):
@@ -215,13 +275,16 @@ def _batches(n, batch_size, rng: Rng):
         yield perm[start:]
 
 
-def _check_finite(value, epoch):
-    if not np.isfinite(value):
-        raise DivergenceError(f"loss became {value}", epoch=epoch)
+def _optimizer(config: GmConfig, *nets) -> AdamW:
+    """One AdamW over the parameters of nets, in net order."""
+    return AdamW([p for net in nets for p in net.parameters()], lr=config.lr,
+                 weight_decay=config.weight_decay)
 
 
-def _norm_rows(x):
-    return np.linalg.norm(x, axis=1)
+def _gaussian_term(resid, sigma):
+    """sum ||resid||^2 / (2 sigma^2 B) over a (B, D) batch, and its gradient."""
+    b = len(resid)
+    return float(np.sum(resid ** 2) / (2.0 * sigma ** 2 * b)), resid / (sigma ** 2 * b)
 
 
 def softplus(x):
@@ -241,68 +304,41 @@ def _fit_latent_normal(latents):
     jitter = 1e-12
     while True:
         try:
-            chol = np.linalg.cholesky(cov + jitter * np.eye(len(cov)))
-            return mean, chol
+            return mean, np.linalg.cholesky(cov + jitter * np.eye(len(cov)))
         except np.linalg.LinAlgError:
             jitter *= 10.0
             if jitter > 1e-3:
                 raise
 
 
-def _stack_params(*nets):
-    params = []
-    for net in nets:
-        params.extend(net.parameters())
-    return params
-
-
-# ---------------------------------------------------------------------------
-# Model-specific training loops
-
 def train_ae(surfaces, constraint, config: GmConfig) -> GenerativeModel:
     """Plain autoencoder on the L2 reconstruction loss, with the enforcing
     layer inside the reconstruction path. The latent sampler is a normal
     fitted to the encoded training set."""
-    clouds, faces, pca, enforcer = _prepare(surfaces, constraint, config)
-    coords = pca.project(clouds)
-    rng = Rng(config.seed, ("train-ae",))
-    enc = mlp_stack(config.pca_modes, config.latent_dim, config.hidden_width,
-                    config.hidden_depth, rng.derive("enc"),
-                    dropout=config.dropout, final_batch_norm=True)
-    dec = mlp_stack(config.latent_dim, config.pca_modes, config.hidden_width,
-                    config.hidden_depth, rng.derive("dec"),
-                    dropout=config.dropout)
-    opt = AdamW(_stack_params(enc, dec), lr=config.lr,
-                weight_decay=config.weight_decay)
-    epoch_losses = []
-    for epoch in range(config.epochs):
-        losses = []
-        for idx in _batches(len(clouds), config.batch_size,
-                            rng.derive("shuffle", epoch)):
-            drop = rng.derive("drop", epoch, int(idx[0]))
-            x = clouds[idx]
-            z, enc_cache = enc.forward(coords[idx], rng=drop)
+
+    def make_step(model, rng):
+        enc, dec = model.nets.values()
+        opt = _optimizer(config, enc, dec)
+
+        def step(x, coords, drop, tag):
+            z, enc_cache = enc.forward(coords, rng=drop)
             y, dec_cache = dec.forward(z, rng=drop)
-            out, enf_cache = enforcer.forward(pca.reconstruct(y))
+            out, enf_cache = model.emit(y)
             resid = out - x
-            norms = _norm_rows(resid)
-            loss = float(norms.mean())
-            _check_finite(loss, epoch)
-            losses.append(loss)
+            norms = np.linalg.norm(resid, axis=1)
             safe = np.maximum(norms, 1e-300)[:, None]
             g_out = np.where(norms[:, None] > 0, resid / safe, 0.0) / len(x)
-            g_y = enforcer.backward(enf_cache, g_out) @ pca.modes
-            dec_grads, g_z = dec.backward(dec_cache, g_y)
+            dec_grads, g_z = dec.backward(dec_cache,
+                                          model.emit_backward(enf_cache, g_out))
             enc_grads, _ = enc.backward(enc_cache, g_z)
             opt.step(enc_grads + dec_grads)
             enc.note_update()
             dec.note_update()
-        epoch_losses.append(float(np.mean(losses)))
-    model = GenerativeModel(kind="ae", config=config, pca=pca,
-                            nets={"enc": enc, "dec": dec}, enforcer=enforcer,
-                            constraint=constraint, faces=faces,
-                            epoch_losses=epoch_losses)
-    latents = model.encode(clouds)
+            return (float(norms.mean()),)
+        return step
+
+    model = _fit("ae", surfaces, constraint, config, make_step)
+    latents = model.encode(cloud_matrix(surfaces))
     model.sampler_mean, model.sampler_chol = _fit_latent_normal(latents)
     return model
 
@@ -311,46 +347,24 @@ def train_vae(surfaces, constraint, config: GmConfig) -> GenerativeModel:
     """Variational model: Gaussian posterior with encoder mean and
     softplus-positive scale, reparameterized sampling, closed-form KL
     weighted by alpha."""
-    clouds, faces, pca, enforcer = _prepare(surfaces, constraint, config)
-    coords = pca.project(clouds)
-    rng = Rng(config.seed, ("train-vae",))
-    enc_mean = mlp_stack(config.pca_modes, config.latent_dim,
-                         config.hidden_width, config.hidden_depth,
-                         rng.derive("enc-mean"), dropout=config.dropout,
-                         final_batch_norm=True)
-    enc_scale = mlp_stack(config.pca_modes, config.latent_dim,
-                          config.hidden_width, config.hidden_depth,
-                          rng.derive("enc-scale"), dropout=config.dropout)
-    dec = mlp_stack(config.latent_dim, config.pca_modes, config.hidden_width,
-                    config.hidden_depth, rng.derive("dec"),
-                    dropout=config.dropout)
-    opt = AdamW(_stack_params(enc_mean, enc_scale, dec), lr=config.lr,
-                weight_decay=config.weight_decay)
-    two_sigma_sq = 2.0 * config.sigma ** 2
-    epoch_losses = []
-    for epoch in range(config.epochs):
-        losses = []
-        for idx in _batches(len(clouds), config.batch_size,
-                            rng.derive("shuffle", epoch)):
-            drop = rng.derive("drop", epoch, int(idx[0]))
-            x = clouds[idx]
+
+    def make_step(model, rng):
+        enc_mean, enc_scale, dec = model.nets.values()
+        opt = _optimizer(config, enc_mean, enc_scale, dec)
+
+        def step(x, coords, drop, tag):
             b = len(x)
-            a, a_cache = enc_mean.forward(coords[idx], rng=drop)
-            raw, raw_cache = enc_scale.forward(coords[idx], rng=drop)
+            a, a_cache = enc_mean.forward(coords, rng=drop)
+            raw, raw_cache = enc_scale.forward(coords, rng=drop)
             scale = softplus(raw) + 1e-12  # floor keeps log and 1/scale finite
-            eps = rng.derive("reparam", epoch, int(idx[0])).normal(a.shape)
+            eps = rng.derive("reparam", *tag).normal(a.shape)
             z = a + scale * eps
             y, dec_cache = dec.forward(z, rng=drop)
-            out, enf_cache = enforcer.forward(pca.reconstruct(y))
-            resid = out - x
-            recon = float(np.sum(resid ** 2) / (two_sigma_sq * b))
+            out, enf_cache = model.emit(y)
+            recon, g_out = _gaussian_term(out - x, config.sigma)
             kl = float(kl_normal(a, scale).mean())
-            loss = recon + config.alpha * kl
-            _check_finite(loss, epoch)
-            losses.append(loss)
-            g_out = resid / (config.sigma ** 2 * b)
-            g_y = enforcer.backward(enf_cache, g_out) @ pca.modes
-            dec_grads, g_z = dec.backward(dec_cache, g_y)
+            dec_grads, g_z = dec.backward(dec_cache,
+                                          model.emit_backward(enf_cache, g_out))
             g_a = g_z + config.alpha * a / b
             g_scale = g_z * eps + config.alpha * (scale - 1.0 / scale) / b
             g_raw = g_scale / (1.0 + np.exp(-raw))
@@ -359,12 +373,10 @@ def train_vae(surfaces, constraint, config: GmConfig) -> GenerativeModel:
             opt.step(mean_grads + scale_grads + dec_grads)
             for net in (enc_mean, enc_scale, dec):
                 net.note_update()
-        epoch_losses.append(float(np.mean(losses)))
-    return GenerativeModel(kind="vae", config=config, pca=pca,
-                           nets={"enc_mean": enc_mean, "enc_scale": enc_scale,
-                                 "dec": dec},
-                           enforcer=enforcer, constraint=constraint,
-                           faces=faces, epoch_losses=epoch_losses)
+            return (recon + config.alpha * kl,)
+        return step
+
+    return _fit("vae", surfaces, constraint, config, make_step)
 
 
 def _bce_grad(outputs, want_real, b):
@@ -372,10 +384,7 @@ def _bce_grad(outputs, want_real, b):
     over the batch, zero where the clamp saturates."""
     clamped = np.clip(outputs, _CLAMP, 1.0 - _CLAMP)
     inside = (outputs > _CLAMP) & (outputs < 1.0 - _CLAMP)
-    if want_real:
-        g = -1.0 / clamped
-    else:
-        g = 1.0 / (1.0 - clamped)
+    g = -1.0 / clamped if want_real else 1.0 / (1.0 - clamped)
     return np.where(inside, g, 0.0) / b
 
 
@@ -390,65 +399,41 @@ def train_aae(surfaces, constraint, config: GmConfig) -> GenerativeModel:
     """Adversarial autoencoder: a latent discriminator learns to tell prior
     draws (real) from encodings (fake); the encoder fights back while the
     encoder/decoder pair minimizes the Gaussian reconstruction term."""
-    clouds, faces, pca, enforcer = _prepare(surfaces, constraint, config)
-    coords = pca.project(clouds)
-    rng = Rng(config.seed, ("train-aae",))
-    enc = mlp_stack(config.pca_modes, config.latent_dim, config.hidden_width,
-                    config.hidden_depth, rng.derive("enc"),
-                    dropout=config.dropout, final_batch_norm=True)
-    dec = mlp_stack(config.latent_dim, config.pca_modes, config.hidden_width,
-                    config.hidden_depth, rng.derive("dec"),
-                    dropout=config.dropout)
-    disc = mlp_stack(config.latent_dim, 1, config.hidden_width,
-                     config.hidden_depth, rng.derive("disc"),
-                     dropout=config.disc_dropout, final_activation="sigmoid")
-    opt_ae = AdamW(_stack_params(enc, dec), lr=config.lr,
-                   weight_decay=config.weight_decay)
-    opt_disc = AdamW(disc.parameters(), lr=config.lr,
-                     weight_decay=config.weight_decay)
-    epoch_losses = []
-    for epoch in range(config.epochs):
-        losses = []
-        for idx in _batches(len(clouds), config.batch_size,
-                            rng.derive("shuffle", epoch)):
-            drop = rng.derive("drop", epoch, int(idx[0]))
-            x = clouds[idx]
+
+    def make_step(model, rng):
+        enc, dec, disc = model.nets.values()
+        opt_ae = _optimizer(config, enc, dec)
+        opt_disc = _optimizer(config, disc)
+
+        def step(x, coords, drop, tag):
             b = len(x)
             # discriminator step: real = prior draws, fake = encodings
-            z_fake, _ = enc.forward(coords[idx], rng=drop)
-            z_real = rng.derive("prior", epoch, int(idx[0])).normal(z_fake.shape)
+            z_fake, _ = enc.forward(coords, rng=drop)
+            z_real = rng.derive("prior", *tag).normal(z_fake.shape)
             d_real, real_cache = disc.forward(z_real, rng=drop)
             d_fake, fake_cache = disc.forward(z_fake, rng=drop)
-            g_real = _bce_grad(d_real, True, b)
-            g_fake = _bce_grad(d_fake, False, b)
-            real_grads, _ = disc.backward(real_cache, g_real)
-            fake_grads, _ = disc.backward(fake_cache, g_fake)
+            real_grads, _ = disc.backward(real_cache, _bce_grad(d_real, True, b))
+            fake_grads, _ = disc.backward(fake_cache, _bce_grad(d_fake, False, b))
             opt_disc.step([a + c for a, c in zip(real_grads, fake_grads)])
             disc.note_update()
             # reconstruction + adversarial step for encoder/decoder
-            z, enc_cache = enc.forward(coords[idx], rng=drop)
+            z, enc_cache = enc.forward(coords, rng=drop)
             y, dec_cache = dec.forward(z, rng=drop)
-            out, enf_cache = enforcer.forward(pca.reconstruct(y))
-            resid = out - x
-            recon = float(np.sum(resid ** 2) / (2.0 * config.sigma ** 2 * b))
+            out, enf_cache = model.emit(y)
+            recon, g_out = _gaussian_term(out - x, config.sigma)
             d_adv, adv_cache = disc.forward(z, rng=drop)
             adv = float(-np.log(np.clip(d_adv, _CLAMP, 1.0 - _CLAMP)).mean())
-            loss = recon + adv
-            _check_finite(loss, epoch)
-            losses.append(loss)
-            g_out = resid / (config.sigma ** 2 * b)
-            g_y = enforcer.backward(enf_cache, g_out) @ pca.modes
-            dec_grads, g_z = dec.backward(dec_cache, g_y)
+            dec_grads, g_z = dec.backward(dec_cache,
+                                          model.emit_backward(enf_cache, g_out))
             _, g_z_adv = disc.backward(adv_cache, _bce_grad(d_adv, True, b))
             enc_grads, _ = enc.backward(enc_cache, g_z + g_z_adv)
             opt_ae.step(enc_grads + dec_grads)
             enc.note_update()
             dec.note_update()
-        epoch_losses.append(float(np.mean(losses)))
-    return GenerativeModel(kind="aae", config=config, pca=pca,
-                           nets={"enc": enc, "dec": dec, "disc": disc},
-                           enforcer=enforcer, constraint=constraint,
-                           faces=faces, epoch_losses=epoch_losses)
+            return (recon + adv,)
+        return step
+
+    return _fit("aae", surfaces, constraint, config, make_step)
 
 
 def began_k_update(k, gain, gamma, loss_real, loss_generated) -> float:
@@ -463,84 +448,57 @@ def train_began(surfaces, constraint, config: GmConfig) -> GenerativeModel:
     The discriminator is an autoencoder scored by f(u) = ||u - D(u)||; per
     batch it minimizes f(real) - k_t * f(G(Enc(real))), the generator
     minimizes f(G(z)), and k_t is updated by the proportional control rule
-    and clamped to [0, 1]."""
-    clouds, faces, pca, enforcer = _prepare(surfaces, constraint, config)
-    rng = Rng(config.seed, ("train-began",))
-    disc_enc = mlp_stack(config.pca_modes, config.latent_dim,
-                         config.hidden_width, config.hidden_depth,
-                         rng.derive("disc-enc"), dropout=config.dropout,
-                         final_batch_norm=True)
-    disc_dec = mlp_stack(config.latent_dim, config.pca_modes,
-                         config.hidden_width, config.hidden_depth,
-                         rng.derive("disc-dec"), dropout=config.dropout)
-    gen = mlp_stack(config.latent_dim, config.pca_modes, config.hidden_width,
-                    config.hidden_depth, rng.derive("gen"),
-                    dropout=config.dropout)
-    opt_disc = AdamW(_stack_params(disc_enc, disc_dec), lr=config.lr,
-                     weight_decay=config.weight_decay)
-    opt_gen = AdamW(gen.parameters(), lr=config.lr,
-                    weight_decay=config.weight_decay)
-    k = float(config.k0)
-    epoch_losses = []
+    and clamped to [0, 1]; the model keeps the last k_t as `k_final`."""
 
-    def disc_f(u, drop):
-        """f(u) = ||u - D(u)|| rowwise plus everything backward needs."""
-        pu = pca.project(u)
-        h, ce = disc_enc.forward(pu, rng=drop)
-        w, cd = disc_dec.forward(h, rng=drop)
-        du = pca.reconstruct(w)
-        resid = u - du
-        norms = np.maximum(_norm_rows(resid), 1e-300)
-        unit = resid / norms[:, None]
-        return norms, unit, ce, cd
+    def make_step(model, rng):
+        pca = model.pca
+        disc_enc, disc_dec, gen = model.nets.values()
+        opt_disc = _optimizer(config, disc_enc, disc_dec)
+        opt_gen = _optimizer(config, gen)
+        n_enc = len(disc_enc.parameters())
+        model.k_final = float(config.k0)
 
-    def f_input_grad(unit, ce, cd, coeff, accumulate):
-        """Gradient of coeff * mean f w.r.t. the f input, optionally
-        accumulating discriminator parameter gradients."""
-        b = len(unit)
-        g_du = -coeff * unit / b
-        dd_grads, g_h = disc_dec.backward(cd, g_du @ pca.modes)
-        de_grads, g_pu = disc_enc.backward(ce, g_h)
-        if accumulate is not None:
-            for total, g in zip(accumulate, de_grads + dd_grads):
-                total += g
-        return coeff * unit / b + g_pu @ pca.modes.T
+        def disc_f(u, drop):
+            """f(u) = ||u - D(u)|| rowwise plus everything backward needs,
+            and the discriminator's encoding of u."""
+            h, ce = disc_enc.forward(pca.project(u), rng=drop)
+            w, cd = disc_dec.forward(h, rng=drop)
+            resid = u - pca.reconstruct(w)
+            norms = np.maximum(np.linalg.norm(resid, axis=1), 1e-300)
+            unit = resid / norms[:, None]
+            return norms, unit, ce, cd, h
 
-    for epoch in range(config.epochs):
-        losses = []
-        for idx in _batches(len(clouds), config.batch_size,
-                            rng.derive("shuffle", epoch)):
-            drop = rng.derive("drop", epoch, int(idx[0]))
-            x = clouds[idx]
+        def f_input_grad(unit, ce, cd, coeff, accumulate):
+            """Gradient of coeff * mean f w.r.t. the f input, optionally
+            accumulating discriminator parameter gradients."""
+            b = len(unit)
+            dd_grads, g_h = disc_dec.backward(cd, (-coeff * unit / b) @ pca.modes)
+            de_grads, g_pu = disc_enc.backward(ce, g_h)
+            if accumulate is not None:
+                for total, g in zip(accumulate, de_grads + dd_grads):
+                    total += g
+            return coeff * unit / b + g_pu @ pca.modes.T
+
+        def step(x, coords, drop, tag):
+            k = model.k_final
             b = len(x)
-            n_enc = len(disc_enc.parameters())
-            disc_grads = [np.zeros_like(p) for _, p in
-                          _stack_params(disc_enc, disc_dec)]
-            # shared encoder pass feeds both the real reconstruction and the
-            # generator's fake input
-            px = pca.project(x)
-            h, ce = disc_enc.forward(px, rng=drop)
-            wx, cd = disc_dec.forward(h, rng=drop)
-            dx = pca.reconstruct(wx)
-            resid_x = x - dx
-            norms_x = np.maximum(_norm_rows(resid_x), 1e-300)
-            unit_x = resid_x / norms_x[:, None]
+            disc_grads = [np.zeros_like(p) for p in opt_disc.params]
+            # one encoder pass feeds both the real reconstruction and the
+            # generator's fake input G(Enc(x)), run through the enforcer
+            norms_x, unit_x, ce, cd, h = disc_f(x, drop)
             f_real = float(norms_x.mean())
-            # fake path G(Enc(x)) through the enforcing layer
             yg, cg = gen.forward(h, rng=drop)
-            fake, enf_cache = enforcer.forward(pca.reconstruct(yg))
-            norms_g, unit_g, ce2, cd2 = disc_f(fake, drop)
+            fake, enf_cache = model.emit(yg)
+            norms_g, unit_g, ce2, cd2, _ = disc_f(fake, drop)
             f_fake = float(norms_g.mean())
             loss_d = f_real - k * f_fake
-            _check_finite(loss_d, epoch)
             # discriminator gradients: real term output path
-            g_du = -unit_x / b
-            dd_grads, g_h_real = disc_dec.backward(cd, g_du @ pca.modes)
+            dd_grads, g_h_real = disc_dec.backward(cd, (-unit_x / b) @ pca.modes)
             for total, g in zip(disc_grads[n_enc:], dd_grads):
                 total += g
             # fake term: -k * mean f(fake), both through D and through Enc
             g_fake_input = f_input_grad(unit_g, ce2, cd2, -k, disc_grads)
-            g_yg = enforcer.backward(enf_cache, g_fake_input) @ pca.modes
+            g_yg = model.emit_backward(enf_cache, g_fake_input)
             _, g_h_fake = gen.backward(cg, g_yg)  # generator frozen here
             de_grads, _ = disc_enc.backward(ce, g_h_real + g_h_fake)
             for total, g in zip(disc_grads[:n_enc], de_grads):
@@ -549,28 +507,22 @@ def train_began(surfaces, constraint, config: GmConfig) -> GenerativeModel:
             disc_enc.note_update()
             disc_dec.note_update()
             # generator step on fresh prior draws
-            z = rng.derive("prior", epoch, int(idx[0])).normal(
-                (b, config.latent_dim))
+            z = rng.derive("prior", *tag).normal((b, config.latent_dim))
             yg2, cg2 = gen.forward(z, rng=drop)
-            gen_out, enf_cache2 = enforcer.forward(pca.reconstruct(yg2))
-            norms_z, unit_z, ce3, cd3 = disc_f(gen_out, drop)
+            gen_out, enf_cache2 = model.emit(yg2)
+            norms_z, unit_z, ce3, cd3, _ = disc_f(gen_out, drop)
             f_gen = float(norms_z.mean())
-            _check_finite(f_gen, epoch)
             g_gen_input = f_input_grad(unit_z, ce3, cd3, 1.0, None)
-            g_yg2 = enforcer.backward(enf_cache2, g_gen_input) @ pca.modes
-            gen_grads, _ = gen.backward(cg2, g_yg2)
+            gen_grads, _ = gen.backward(cg2, model.emit_backward(enf_cache2,
+                                                                 g_gen_input))
             opt_gen.step(gen_grads)
             gen.note_update()
-            k = began_k_update(k, config.k_gain, config.gamma, f_real, f_gen)
-            losses.append(loss_d)
-        epoch_losses.append(float(np.mean(losses)))
-    model = GenerativeModel(kind="began", config=config, pca=pca,
-                            nets={"disc_enc": disc_enc, "disc_dec": disc_dec,
-                                  "gen": gen},
-                            enforcer=enforcer, constraint=constraint,
-                            faces=faces, epoch_losses=epoch_losses)
-    model.k_final = k
-    return model
+            model.k_final = began_k_update(k, config.k_gain, config.gamma,
+                                           f_real, f_gen)
+            return loss_d, f_gen
+        return step
+
+    return _fit("began", surfaces, constraint, config, make_step)
 
 
 TRAINERS = {"ae": train_ae, "vae": train_vae, "aae": train_aae,
@@ -586,34 +538,12 @@ def train_model(kind, surfaces, constraint, config: GmConfig) -> GenerativeModel
 # ---------------------------------------------------------------------------
 # Checkpoints
 
-def _net_specs(kind, config: GmConfig):
-    r, w, d, latent = (config.pca_modes, config.hidden_width,
-                       config.hidden_depth, config.latent_dim)
-    enc = dict(in_dim=r, out_dim=latent, hidden_width=w, hidden_depth=d,
-               dropout=config.dropout, final_batch_norm=True)
-    dec = dict(in_dim=latent, out_dim=r, hidden_width=w, hidden_depth=d,
-               dropout=config.dropout)
-    if kind == "ae":
-        return {"enc": enc, "dec": dec}
-    if kind == "vae":
-        return {"enc_mean": enc, "enc_scale": dict(dec, in_dim=r, out_dim=latent),
-                "dec": dec}
-    if kind == "aae":
-        disc = dict(in_dim=latent, out_dim=1, hidden_width=w, hidden_depth=d,
-                    dropout=config.disc_dropout, final_activation="sigmoid")
-        return {"enc": enc, "dec": dec, "disc": disc}
-    return {"disc_enc": enc, "disc_dec": dec, "gen": dict(dec)}
-
-
 def save_model(model: GenerativeModel, path):
     """Checkpoint = tensor container plus a text sidecar (path + '.txt')
     recording kind, config and constraint."""
-    tensors = {
-        "pca.modes": model.pca.modes,
-        "pca.mean": model.pca.mean,
-        "pca.singular_values": model.pca.singular_values,
-        "faces": model.faces.astype(np.float64),
-    }
+    tensors = {"pca.modes": model.pca.modes, "pca.mean": model.pca.mean,
+               "pca.singular_values": model.pca.singular_values,
+               "faces": model.faces.astype(np.float64)}
     for net_name, net in model.nets.items():
         for tensor_name, arr in net.state_tensors():
             tensors[f"net.{net_name}.{tensor_name}"] = arr
@@ -621,63 +551,80 @@ def save_model(model: GenerativeModel, path):
         tensors["sampler.mean"] = model.sampler_mean
         tensors["sampler.chol"] = model.sampler_chol
     constraint = model.constraint
+    lines = [f"kind={model.kind}"] + [
+        f"config.{f.name}={getattr(model.config, f.name)!r}"
+        for f in fields(GmConfig)]
     if isinstance(constraint, VolumeConstraint):
         tensors["constraint.target"] = np.array([constraint.target])
+        lines += ["constraint.kind=volume",
+                  f"constraint.order={','.join(constraint.order)}",
+                  f"constraint.split={constraint.split}"]
     else:
         tensors["constraint.matrix"] = constraint.matrix
         tensors["constraint.target"] = constraint.target
-    save_tensors(path, tensors)
-    lines = [f"kind={model.kind}"]
-    for f in fields(GmConfig):
-        lines.append(f"config.{f.name}={getattr(model.config, f.name)!r}")
-    if isinstance(constraint, VolumeConstraint):
-        lines.append("constraint.kind=volume")
-        lines.append(f"constraint.order={','.join(constraint.order)}")
-        lines.append(f"constraint.split={constraint.split}")
-    else:
         lines.append(f"constraint.kind={constraint.kind}")
+    save_tensors(path, tensors)
     with open(str(path) + ".txt", "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_model(path) -> GenerativeModel:
+    """Read a checkpoint written by `save_model`. A malformed sidecar line,
+    a missing sidecar key or tensor, an unknown kind or a tensor whose shape
+    differs from the layout raises ContainerError naming the path and key."""
     tensors = load_tensors(path)
-    meta = {}
+
+    def defect(message):
+        return ContainerError(f"{path}: {message}")
+
     with open(str(path) + ".txt") as fh:
-        for line in fh:
-            key, value = line.strip().split("=", 1)
-            meta[key] = value
-    kind = meta["kind"]
-    kwargs = {}
-    for f in fields(GmConfig):
-        kwargs[f.name] = ast.literal_eval(meta[f"config.{f.name}"])
-    config = GmConfig(**kwargs)
-    pca = PcaBasis(modes=tensors["pca.modes"], mean=tensors["pca.mean"],
-                   singular_values=tensors["pca.singular_values"],
+        lines = [line.strip() for line in fh]
+    for line in lines:
+        if "=" not in line:
+            raise defect(f"sidecar line {line!r} is not key=value")
+    meta = dict(line.split("=", 1) for line in lines)
+
+    def entry(key):
+        if key not in meta:
+            raise defect(f"sidecar has no {key!r} entry")
+        return meta[key]
+
+    tensor = partial(require_tensor, tensors, path)  # None in a shape: any extent
+
+    kind = entry("kind")
+    if kind not in MODEL_KINDS:
+        raise defect(f"sidecar 'kind' names unknown model kind {kind!r}")
+    texts = {f.name: entry(f"config.{f.name}") for f in fields(GmConfig)}
+    try:
+        config = GmConfig(**{k: ast.literal_eval(v) for k, v in texts.items()})
+    except (ValueError, SyntaxError, TypeError) as err:
+        raise defect(f"sidecar config does not parse: {err}") from None
+    modes = tensor("pca.modes", (None, config.pca_modes))
+    dim = modes.shape[0]
+    pca = PcaBasis(modes=modes, mean=tensor("pca.mean", (dim,)),
+                   singular_values=tensor("pca.singular_values", (None,)),
                    tolerance=0.0, reconstruction_error=0.0)
-    faces = tensors["faces"].astype(np.int64)
-    if meta["constraint.kind"] == "volume":
-        constraint = VolumeConstraint(float(tensors["constraint.target"][0]),
-                                      order=tuple(meta["constraint.order"].split(",")),
-                                      split=meta["constraint.split"])
-    elif meta["constraint.kind"] == "barycenter":
-        constraint = barycenter_constraint(
-            tensors["constraint.matrix"].shape[1] // 3,
-            tensors["constraint.target"])
+    faces = tensor("faces", (None, 3)).astype(np.int64)
+    constraint_kind = entry("constraint.kind")
+    if constraint_kind == "volume":
+        order = tuple(entry("constraint.order").split(","))
+        constraint = VolumeConstraint(tensor("constraint.target", (1,))[0],
+                                      order=order, split=entry("constraint.split"))
     else:
-        constraint = LinearConstraint(tensors["constraint.matrix"],
-                                      tensors["constraint.target"])
-    nets = {}
-    init_rng = Rng(0, ("load",))
-    for net_name, spec in _net_specs(kind, config).items():
-        net = mlp_stack(rng=init_rng, **spec)
+        barycenter = constraint_kind == "barycenter"
+        matrix = tensor("constraint.matrix", (3 if barycenter else None, dim))
+        target = tensor("constraint.target", (len(matrix),))
+        constraint = (barycenter_constraint(dim // 3, target) if barycenter
+                      else LinearConstraint(matrix, target))
+    nets = _build_nets(kind, config, Rng(0, ("load",)))
+    for net_name, net in nets.items():
         for tensor_name, arr in net.state_tensors():
-            arr[...] = tensors[f"net.{net_name}.{tensor_name}"]
-        nets[net_name] = net.eval()
+            arr[...] = tensor(f"net.{net_name}.{tensor_name}", arr.shape)
+        net.eval()
     model = GenerativeModel(kind=kind, config=config, pca=pca, nets=nets,
                             enforcer=build_enforcer(constraint, faces),
                             constraint=constraint, faces=faces)
-    if "sampler.mean" in tensors:
-        model.sampler_mean = tensors["sampler.mean"]
-        model.sampler_chol = tensors["sampler.chol"]
+    if kind == "ae":
+        model.sampler_mean = tensor("sampler.mean", (config.latent_dim,))
+        model.sampler_chol = tensor("sampler.chol", (config.latent_dim,) * 2)
     return model

@@ -168,9 +168,6 @@ class FfdLattice:
         pts = np.stack([i / m, j / n, k / o], axis=-1)
         return pts.reshape(-1, 3)
 
-    def control_points_world(self) -> np.ndarray:
-        return self.control_points_local() @ self.a_phi.T + self.b_phi
-
     def to_local(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         return (points - self.b_phi) @ self._a_inv.T

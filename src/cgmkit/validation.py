@@ -37,10 +37,6 @@ def kde_fit(samples) -> KdeModel:
     return KdeModel(samples=samples, bandwidth=float(std * samples.size ** -0.2))
 
 
-def kde_eval(model: KdeModel, grid) -> np.ndarray:
-    return model(grid)
-
-
 def jsd(samples_x, samples_y) -> float:
     """Jensen-Shannon distance between two sample vectors.
 

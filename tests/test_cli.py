@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from cgmkit.checkpoint import load_tensors
+from cgmkit.checkpoint import load_tensors, save_tensors
 from cgmkit.cli import main
 from cgmkit.datasets import read_manifest
 from cgmkit.reduction import load_matrix, save_matrix
@@ -260,6 +260,56 @@ def test_truncated_container_exits_1_with_diagnostic(tmp_path, trained, case,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(broken) in err
     assert "truncated" in err
+
+
+def _without_line(prefix):
+    return lambda tensors, lines: (tensors, [l for l in lines
+                                             if not l.startswith(prefix)])
+
+
+def _without_tensor(key):
+    return lambda tensors, lines: (
+        {k: v for k, v in tensors.items() if k != key}, lines)
+
+
+# case -> (edit of the ae checkpoint's tensors and sidecar lines, the key
+# the diagnostic must name)
+CHECKPOINT_DEFECTS = {
+    "line-without-equals": (lambda t, lines: (t, lines + ["garbage"]),
+                            "garbage"),
+    "missing-kind": (_without_line("kind="), "kind"),
+    "missing-config": (_without_line("config.epochs="), "config.epochs"),
+    "missing-constraint": (_without_line("constraint.kind="),
+                           "constraint.kind"),
+    "unknown-kind": (lambda t, lines: (t, ["kind=gan" if l == "kind=ae" else l
+                                           for l in lines]), "kind"),
+    "missing-net": (_without_tensor("net.dec.layer0.bias"),
+                    "net.dec.layer0.bias"),
+    "missing-pca": (_without_tensor("pca.modes"), "pca.modes"),
+    "missing-faces": (_without_tensor("faces"), "faces"),
+    "bias-shape": (lambda t, lines: (
+        {**t, "net.dec.layer0.bias": t["net.dec.layer0.bias"][:1]}, lines),
+        "net.dec.layer0.bias"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECKPOINT_DEFECTS))
+def test_malformed_checkpoint_exits_1_naming_key(tmp_path, trained, case,
+                                                 capsys):
+    defect, key = CHECKPOINT_DEFECTS[case]
+    run_dir = _copy_dir(trained / "run", tmp_path / "run")
+    broken = run_dir / "model_ae.cgmt"
+    sidecar = run_dir / "model_ae.cgmt.txt"
+    tensors, lines = defect(load_tensors(broken),
+                            sidecar.read_text().splitlines())
+    save_tensors(broken, tensors)
+    sidecar.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["sample", str(broken), "--n", "2", "--config",
+                str(trained / "pipeline.cfg"), "--out",
+                str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {broken}") and repr(key) in err
 
 
 def test_bad_magic_dataset_exits_1(tmp_path, trained, capsys):

@@ -40,13 +40,13 @@ def test_resolution_order(tmp_path):
 
 
 def test_pipeline_builders():
-    config = PipelineConfig.load()
+    config = PipelineConfig.load(overrides={"pipeline.seed": "4"})
     base = config.base_shape()
     lattice = config.lattice(base)
     assert lattice.n_control == 27
     constraint = config.constraint(base)
     assert constraint.kind == "barycenter"
-    gm = config.gm_config(seed=4)
+    gm = config.gm_config()
     assert gm.seed == 4 and gm.latent_dim == 8
 
 

@@ -3,12 +3,12 @@ import pytest
 
 from cgmkit.constraints import (LinearConstraint, VolumeConstraint,
                                 barycenter_constraint, cffd_correct,
-                                enforce_on_cloud, enforce_volume,
                                 sample_cffd_dataset, volume_constraint_row,
                                 volume_gradient)
 from cgmkit.datasets import write_dataset
-from cgmkit.errors import (DegenerateSurfaceError,
+from cgmkit.errors import (DegenerateSurfaceError, DimensionError,
                            InfeasibleConstraintError)
+from cgmkit.generative import LinearEnforcer, VolumeEnforcer
 from cgmkit.geometry import (FfdLattice, TriSurface, barycenter_of, ffd_map,
                              synth_shape, volume_of)
 from cgmkit.rng import Rng
@@ -17,6 +17,21 @@ from cgmkit.rng import Rng
 @pytest.fixture(scope="module")
 def sphere():
     return synth_shape("icosphere", 2)
+
+
+def project_cloud(cloud, constraint):
+    """LinearEnforcer on one (M, 3) cloud: (corrected cloud, correction)."""
+    cloud = np.asarray(cloud, dtype=np.float64).reshape(1, -1)
+    out, _ = LinearEnforcer(constraint).forward(cloud)
+    return out.reshape(-1, 3), (out - cloud).reshape(-1, 3)
+
+
+def project_volume(surface, target, order=("x", "y", "z"), split="first-pass"):
+    """VolumeEnforcer on one closed surface."""
+    constraint = VolumeConstraint(target, order=order, split=split)
+    out, _ = VolumeEnforcer(constraint, surface.faces).forward(
+        surface.vertices.reshape(1, -1))
+    return surface.with_vertices(out.reshape(-1, 3))
 
 
 # --- barycenter constraint ---------------------------------------------------
@@ -36,7 +51,7 @@ def test_barycenter_matrix_recovers_mean(sphere):
 def test_enforce_already_feasible_is_noop(sphere):
     target = barycenter_of(sphere.vertices)
     c = barycenter_constraint(sphere.n_vertices, target)
-    corrected, delta = enforce_on_cloud(sphere.vertices, c)
+    corrected, delta = project_cloud(sphere.vertices, c)
     assert np.max(np.abs(delta)) < 1e-12
 
 
@@ -107,7 +122,7 @@ def test_enforce_mean_zero_hand_case():
     matrix = np.zeros((1, 6))
     matrix[0, 0] = matrix[0, 3] = 0.5
     c = LinearConstraint(matrix, np.zeros(1))
-    corrected, delta = enforce_on_cloud(cloud, c)
+    corrected, delta = project_cloud(cloud, c)
     assert np.allclose(corrected[:, 0], [-1.0, 1.0], atol=1e-12)
     assert np.allclose(delta[:, 1:], 0.0)
 
@@ -116,15 +131,15 @@ def test_barycenter_enforcement_is_rigid_translation(sphere):
     target = np.array([0.3, -0.4, 0.7])
     c = barycenter_constraint(sphere.n_vertices, target)
     shift = target - barycenter_of(sphere.vertices)
-    corrected, delta = enforce_on_cloud(sphere.vertices, c)
+    corrected, delta = project_cloud(sphere.vertices, c)
     assert np.max(np.abs(delta - shift)) < 1e-12
     assert np.max(np.abs(barycenter_of(corrected) - target)) < 1e-10
 
 
 def test_projection_idempotent(sphere):
     c = barycenter_constraint(sphere.n_vertices, np.array([1.0, 2.0, 3.0]))
-    once, _ = enforce_on_cloud(sphere.vertices, c)
-    twice, delta2 = enforce_on_cloud(once, c)
+    once, _ = project_cloud(sphere.vertices, c)
+    twice, delta2 = project_cloud(once, c)
     assert np.max(np.abs(twice - once)) <= 1e-12
     assert np.max(np.abs(delta2)) <= 1e-12
 
@@ -132,7 +147,7 @@ def test_projection_idempotent(sphere):
 def test_min_norm_optimality_against_random_feasible(sphere):
     rng = Rng(14)
     c = barycenter_constraint(sphere.n_vertices, np.array([0.5, 0.0, -0.5]))
-    _, delta = enforce_on_cloud(sphere.vertices, c)
+    _, delta = project_cloud(sphere.vertices, c)
     a = c.matrix
     null_proj = np.eye(a.shape[1]) - np.linalg.pinv(a) @ a
     base = delta.reshape(-1)
@@ -141,17 +156,25 @@ def test_min_norm_optimality_against_random_feasible(sphere):
         assert np.linalg.norm(base + noise) >= np.linalg.norm(base) - 1e-9
 
 
+def test_linear_enforcer_rejects_other_space_and_size(sphere):
+    c = barycenter_constraint(sphere.n_vertices, np.zeros(3))
+    with pytest.raises(DimensionError):
+        LinearEnforcer(LinearConstraint(c.matrix, c.target, space="displacement"))
+    with pytest.raises(DimensionError):
+        LinearEnforcer(c).forward(np.zeros((2, c.dim + 3)))
+
+
 # --- volume enforcement -------------------------------------------------------
 
 def test_enforce_volume_noop_at_target(sphere):
     v0 = volume_of(sphere)
-    out = enforce_volume(sphere, v0)
+    out = project_volume(sphere, v0)
     assert np.max(np.abs(out.vertices - sphere.vertices)) <= 1e-12
 
 
 def test_enforce_volume_first_pass(sphere):
     v0 = volume_of(sphere)
-    out = enforce_volume(sphere, 1.1 * v0, split="first-pass")
+    out = project_volume(sphere, 1.1 * v0, split="first-pass")
     assert abs(volume_of(out) - 1.1 * v0) <= 1e-9 * 1.1 * v0
     # only x coordinates moved
     assert np.allclose(out.vertices[:, 1:], sphere.vertices[:, 1:])
@@ -165,20 +188,20 @@ def test_enforce_volume_equal_thirds(sphere):
     achieved = []
     vertices = sphere.vertices.copy()
     for component, pass_target in plan:
-        work = enforce_volume(work, pass_target, order=(component,) + tuple(
+        work = project_volume(work, pass_target, order=(component,) + tuple(
             c for c in "xyz" if c != component), split="first-pass")
         achieved.append(volume_of(work))
     # each pass closes one third of the deficit
     thirds = [v0 + (target - v0) * (k + 1) / 3.0 for k in range(3)]
     assert np.allclose(achieved, thirds, rtol=1e-12)
-    out = enforce_volume(sphere, target, split="equal-thirds")
+    out = project_volume(sphere, target, split="equal-thirds")
     assert abs(volume_of(out) - target) <= 1e-9 * target
 
 
 @pytest.mark.parametrize("order", [("x", "y", "z"), ("z", "x", "y"), ("y", "z", "x")])
 def test_enforce_volume_any_order(sphere, order):
     v0 = volume_of(sphere)
-    out = enforce_volume(sphere, 0.9 * v0, order=order, split="equal-thirds")
+    out = project_volume(sphere, 0.9 * v0, order=order, split="equal-thirds")
     assert abs(volume_of(out) - 0.9 * v0) <= 1e-9 * v0
 
 

@@ -275,7 +275,7 @@ def test_all_kinds_satisfy_barycenter(kind):
     assert latents.shape == (10, model.config.latent_dim)
 
 
-@pytest.mark.parametrize("kind", ["ae", "began"])
+@pytest.mark.parametrize("kind", ["ae", "vae", "aae", "began"])
 def test_volume_models_satisfy_volume(kind):
     surfaces, constraint, _ = make_dataset(constraint_kind="volume")
     model = train_model(kind, surfaces, constraint, small_config(epochs=6))
@@ -306,9 +306,11 @@ def test_pca_round_trip_inside_model():
     assert np.max(np.abs(recon - direct)) < 1e-12
 
 
-@pytest.mark.parametrize("kind", ["ae", "vae", "aae", "began"])
-def test_checkpoint_round_trip(tmp_path, kind):
-    surfaces, constraint, _ = make_dataset()
+@pytest.mark.parametrize("kind, constraint_kind", [
+    pytest.param(kind, ck, id=kind if ck == "barycenter" else f"{kind}-{ck}")
+    for ck in ("barycenter", "volume") for kind in ("ae", "vae", "aae", "began")])
+def test_checkpoint_round_trip(tmp_path, kind, constraint_kind):
+    surfaces, constraint, _ = make_dataset(constraint_kind=constraint_kind)
     model = train_model(kind, surfaces, constraint, small_config(epochs=3))
     path = tmp_path / f"{kind}.cgmt"
     save_model(model, path)

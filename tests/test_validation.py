@@ -5,8 +5,7 @@ from cgmkit.errors import (ConfigError, DegenerateDistributionError,
                            EmptyInputError)
 from cgmkit.geometry import synth_shape
 from cgmkit.rng import Rng
-from cgmkit.validation import (jsd, kde_eval, kde_fit, metric_report,
-                               total_variance)
+from cgmkit.validation import jsd, kde_fit, metric_report, total_variance
 
 
 # --- KDE ----------------------------------------------------------------------
@@ -14,7 +13,7 @@ from cgmkit.validation import (jsd, kde_eval, kde_fit, metric_report,
 def test_kde_symmetric_samples():
     model = kde_fit(np.array([-1.0, 1.0]))
     grid = np.linspace(-4, 4, 201)
-    dens = kde_eval(model, grid)
+    dens = model(grid)
     assert np.max(np.abs(dens - dens[::-1])) < 1e-12
     assert np.all(dens >= 0)
 
@@ -25,7 +24,7 @@ def test_kde_integrates_to_one():
     model = kde_fit(samples)
     grid = np.linspace(samples.min() - 6 * model.bandwidth,
                        samples.max() + 6 * model.bandwidth, 2000)
-    integral = np.trapezoid(kde_eval(model, grid), grid)
+    integral = np.trapezoid(model(grid), grid)
     assert abs(integral - 1.0) <= 1e-3
 
 
@@ -156,9 +155,11 @@ def test_metric_report_constraint_residual():
     from cgmkit.constraints import barycenter_constraint
     data = jiggled_dataset(12, n=10)
     target = np.zeros(3)
-    from cgmkit.constraints import enforce_on_cloud
+    from cgmkit.generative import LinearEnforcer
     c = barycenter_constraint(data[0].n_vertices, target)
-    enforced = [s.with_vertices(enforce_on_cloud(s.vertices, c)[0]) for s in data]
+    enforcer = LinearEnforcer(c)
+    enforced = [s.with_vertices(enforcer.forward(s.vertices.reshape(1, -1))[0])
+                for s in data]
     report = metric_report(data, enforced, constraint=c)
     assert report.value("max_constraint_residual") <= 1e-9
 
