@@ -109,3 +109,14 @@ def require_tensor(tensors, path, key, shape):
         raise ContainerError(f"{path}: tensor {key!r} has shape {arr.shape}, "
                              f"expected ({want})")
     return arr
+
+
+def require_faces(tensors, path, n_vertices):
+    """tensors['faces'] as (F, 3) int64 vertex indices in [0, n_vertices),
+    checked like require_tensor."""
+    faces = require_tensor(tensors, path, "faces", (None, 3))
+    if not np.all((np.floor(faces) == faces) & (faces >= 0)
+                  & (faces < n_vertices)):
+        raise ContainerError(f"{path}: tensor 'faces' holds values that are "
+                             f"not vertex indices in [0, {n_vertices})")
+    return faces.astype(np.int64)

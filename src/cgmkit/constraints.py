@@ -6,7 +6,9 @@ Clouds are vectorized row-wise: vec(cloud) = (x1, y1, z1, x2, y2, z2, ...),
 matching a C-order reshape of an (M, 3) array. The enclosed volume of a
 closed triangulation is trilinear: linear-homogeneous in each coordinate
 component with the other two fixed, so volume is enforced exactly with one
-affine solve per component pass.
+affine solve per component pass. `project_volume` is the one implementation
+of that sequential projection, shared by constrained FFD and the generative
+models' enforcing layer.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +18,8 @@ import numpy as np
 from .errors import (DegenerateSurfaceError, DimensionError,
                      InfeasibleConstraintError)
 from .geometry import (FfdLattice, TriSurface, barycenter_of,
-                       check_displacement, ffd_map, volume_of)
+                       check_displacement, ffd_map, require_closed,
+                       volume_gradients, volume_of, volumes)
 from .linalg import RANK_TOL, lstsq_min_norm
 from .rng import Rng
 
@@ -70,8 +73,9 @@ class VolumeConstraint:
         if self.split not in ("first-pass", "equal-thirds"):
             raise DimensionError(f"unknown split mode {self.split!r}")
 
-    def pass_plan(self, current: float):
-        """(component, target volume after the pass) for each pass."""
+    def pass_plan(self, current):
+        """(component, target volume after the pass) for each pass, from the
+        current volume or an array of them (then the targets are arrays)."""
         if self.split == "first-pass":
             return [(self.order[0], self.target)]
         deficit = self.target - current
@@ -91,15 +95,8 @@ def barycenter_constraint(n_points: int, target) -> LinearConstraint:
 
 
 def volume_gradient(surface: TriSurface) -> np.ndarray:
-    """Analytic d(volume)/d(vertex coordinates), shape (M, 3).
-
-    For a face (a, b, c): dV/dv_a = (v_b x v_c) / 6 and cyclic."""
-    tri = surface.corners()
-    grad = np.zeros_like(surface.vertices)
-    np.add.at(grad, surface.faces[:, 0], np.cross(tri[:, 1], tri[:, 2]) / 6.0)
-    np.add.at(grad, surface.faces[:, 1], np.cross(tri[:, 2], tri[:, 0]) / 6.0)
-    np.add.at(grad, surface.faces[:, 2], np.cross(tri[:, 0], tri[:, 1]) / 6.0)
-    return grad
+    """Analytic d(volume)/d(vertex coordinates) of one surface, (M, 3)."""
+    return volume_gradients(surface.vertices[None], surface.faces)[0]
 
 
 def volume_constraint_row(surface: TriSurface, component: str):
@@ -114,6 +111,37 @@ def volume_constraint_row(surface: TriSurface, component: str):
         raise DegenerateSurfaceError("all-zero volume row (degenerate surface)")
     offset = volume_of(surface) - row @ surface.vertices[:, c]
     return row, offset
+
+
+def project_volume(clouds, faces, constraint: VolumeConstraint, basis=None,
+                   weights=None):
+    """Sequential volume projection of a (B, M, 3) batch of clouds on closed
+    faces (the caller checks closedness): each pass freezes two components,
+    so the volume is affine in component c with row r, and the pass deficit
+    d is closed by the minimum-norm step. The vertices move by r d / (r . r),
+    or with a basis (M, F) by basis @ p, p = (a / w^2) d / (a . a / w^2),
+    a = r @ basis. Returns (clouds, passes), passes holding (c, rows (B, M),
+    p) each (p is the vertex step without a basis)."""
+    clouds = np.array(clouds, dtype=np.float64)
+    passes = []
+    for component, pass_target in constraint.pass_plan(volumes(clouds, faces)):
+        c = _COMPONENTS[component]
+        rows = volume_gradients(clouds, faces)[:, :, c]
+        if not np.all(np.any(rows, axis=1)):
+            raise DegenerateSurfaceError(
+                "all-zero volume row (degenerate surface)")
+        # per-cloud products (a stack of 1-row matmuls) keep each cloud's
+        # result independent of the batch size
+        a = rows if basis is None else (rows[:, None] @ basis)[:, 0]
+        aw = a if weights is None else a / weights ** 2
+        norm = np.vecdot(a, aw)
+        if not np.all(norm):
+            raise InfeasibleConstraintError(
+                "volume row is zero on every free control point")
+        p = aw * ((pass_target - volumes(clouds, faces)) / norm)[:, None]
+        clouds[:, :, c] += p if basis is None else (p[:, None] @ basis.T)[:, 0]
+        passes.append((c, rows, p))
+    return clouds, passes
 
 
 def constraint_residual(constraint, surface: TriSurface) -> float:
@@ -185,20 +213,15 @@ def cffd_correct(lattice: FfdLattice, displacement, surface: TriSurface,
                 "component-wise volume enforcement needs an axis-aligned lattice")
         if subset is not None and len(idx) != len(points):
             raise DimensionError("volume constraint requires the full cloud")
+        require_closed(surface)
         deformed, _ = ffd_map(lattice, dp, points)
-        work = TriSurface(deformed, surface.faces)
-        for component, pass_target in constraint.pass_plan(volume_of(work)):
-            c = _COMPONENTS[component]
-            row, _ = volume_constraint_row(work, component)
-            deficit = pass_target - volume_of(work)
-            # deformed component coords are affine in the component of the
-            # free displacements: x_c += influence @ (a_cc * delta_c)
-            a = (row @ influence * lattice.a_phi[c, c])[None, :]
-            w = None if weights is None else weights[free]
-            delta_c = lstsq_min_norm(a, np.array([deficit]), weights=w)
-            delta[free, c] += delta_c
-            deformed, _ = ffd_map(lattice, dp + delta, points)
-            work = TriSurface(deformed, surface.faces)
+        # deformed component coords are affine in the component of the free
+        # displacements: x_c += influence @ (a_cc * delta_c)
+        _, passes = project_volume(
+            deformed[None], surface.faces, constraint, basis=influence,
+            weights=None if weights is None else weights[free])
+        for c, _, p in passes:
+            delta[free, c] += p[0] / lattice.a_phi[c, c]
         return delta
 
     if constraint.space != "cloud":

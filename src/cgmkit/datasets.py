@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import load_tensors, require_tensor, save_tensors
+from .checkpoint import (load_tensors, require_faces, require_tensor,
+                         save_tensors)
 from .constraints import target_value
 from .errors import ConfigError, ContainerError, EmptyInputError
 from .geometry import TriSurface
@@ -112,13 +113,8 @@ def read_dataset(directory) -> Dataset:
     rows = read_manifest(directory)
     path = os.path.join(directory, DATASET_FILE)
     tensors = load_tensors(path)
-    faces = require_tensor(tensors, path, "faces", (None, 3))
     vertices = require_tensor(tensors, path, "vertices", (None, None, 3))
-    index = faces.astype(np.int64)
-    if not np.array_equal(index, faces) or (
-            index.size and not 0 <= index.min() <= index.max() < vertices.shape[1]):
-        raise ContainerError(f"{path}: faces are not vertex indices in "
-                             f"[0, {vertices.shape[1]})")
+    faces = require_faces(tensors, path, vertices.shape[1])
     if len(vertices) != len(rows):
         raise ContainerError(f"{path}: holds {len(vertices)} samples, "
                              f"manifest.tsv lists {len(rows)}")
@@ -126,7 +122,7 @@ def read_dataset(directory) -> Dataset:
     if "displacements" in tensors:
         displacements = require_tensor(tensors, path, "displacements",
                                        (len(rows), None))
-    return Dataset([TriSurface(v, index) for v in vertices], rows, displacements)
+    return Dataset([TriSurface(v, faces) for v in vertices], rows, displacements)
 
 
 def export_stl(directory, out) -> int:

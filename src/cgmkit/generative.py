@@ -6,7 +6,9 @@ with a final enforcing layer. The enforcing layer runs in training and in
 sampling, so every emitted sample satisfies the constraint exactly; its
 backward pass uses the projector (I - A^+ A) for linear constraints and
 treats the per-pass volume rows as constants (stop-gradient on the
-linearization). Every kind trains in one loop (`_fit`) over nets built
+linearization). The volume layer is a batched call of the one sequential
+volume projection, `constraints.project_volume`, which constrained FFD
+also uses. Every kind trains in one loop (`_fit`) over nets built
 from one layout table (`net_specs`), supplying only its per-batch step."""
 
 import ast
@@ -15,12 +17,13 @@ from functools import partial
 
 import numpy as np
 
-from .checkpoint import load_tensors, require_tensor, save_tensors
+from .checkpoint import (load_tensors, require_faces, require_tensor,
+                         save_tensors)
 from .constraints import (LinearConstraint, VolumeConstraint,
-                          barycenter_constraint, volume_gradient)
+                          barycenter_constraint, project_volume)
 from .datasets import cloud_matrix, shared_faces
 from .errors import ConfigError, ContainerError, DimensionError, DivergenceError
-from .geometry import TriSurface, is_closed, volume_of
+from .geometry import TriSurface, is_closed
 from .nn import AdamW, mlp_stack
 from .reduction import PcaBasis, pca_fit
 from .rng import Rng
@@ -90,49 +93,33 @@ class LinearEnforcer:
 
 
 class VolumeEnforcer:
-    """Sequential per-component volume projection of each cloud in a batch:
-    each pass freezes the other two components and solves the exactly
-    affine single-row constraint by minimum-norm projection. The backward
-    pass applies the transposed frozen-row projectors in reverse order."""
+    """The batched layer of `constraints.project_volume` over a (B, 3M)
+    batch of vectorized clouds: each pass freezes the other two components
+    and takes the minimum-norm step onto the exactly affine single-row
+    constraint. The cache is the kernel's passes; the backward pass applies
+    the transposed frozen-row projectors in reverse order."""
 
     def __init__(self, constraint: VolumeConstraint, faces):
         self.constraint = constraint
         self.faces = np.asarray(faces, dtype=np.int64)
         # closedness depends only on the connectivity, so it is checked once
-        # here and skipped in the per-sample hot path
-        probe = TriSurface(np.zeros((int(self.faces.max()) + 1, 3)), self.faces)
-        if not is_closed(probe):
+        # here and skipped in the per-batch hot path
+        if not self.faces.size or not is_closed(TriSurface(
+                np.zeros((int(self.faces.max()) + 1, 3)), self.faces)):
             raise ConfigError("volume enforcement needs closed connectivity")
 
     def forward(self, clouds):
-        clouds = np.array(clouds, dtype=np.float64)
-        passes = []
-        for b in range(len(clouds)):
-            vertices = clouds[b].reshape(-1, 3).copy()
-            surf = TriSurface(vertices, self.faces)
-            current = volume_of(surf, closed=False)
-            sample_passes = []
-            for component, pass_target in self.constraint.pass_plan(current):
-                c = "xyz".index(component)
-                row = volume_gradient(surf)[:, c]
-                if not np.any(row):
-                    raise ConfigError("degenerate sample: all-zero volume row")
-                deficit = pass_target - current
-                vertices[:, c] += row * (deficit / (row @ row))
-                surf = TriSurface(vertices, self.faces)
-                current = volume_of(surf, closed=False)
-                sample_passes.append((c, row))
-            clouds[b] = vertices.reshape(-1)
-            passes.append(sample_passes)
-        return clouds, passes
+        clouds = np.asarray(clouds, dtype=np.float64)
+        out, passes = project_volume(clouds.reshape(len(clouds), -1, 3),
+                                     self.faces, self.constraint)
+        return out.reshape(clouds.shape), passes
 
     def backward(self, passes, grad):
         grad = np.array(grad, dtype=np.float64)
-        for b, sample_passes in enumerate(passes):
-            g = grad[b].reshape(-1, 3)
-            for c, row in reversed(sample_passes):
-                g[:, c] -= row * (row @ g[:, c]) / (row @ row)
-            grad[b] = g.reshape(-1)
+        g = grad.reshape(len(grad), -1, 3)
+        for c, rows, _ in reversed(passes):
+            g[:, :, c] -= (rows * np.vecdot(rows, g[:, :, c])[:, None]
+                           / np.vecdot(rows, rows)[:, None])
         return grad
 
 
@@ -604,7 +591,7 @@ def load_model(path) -> GenerativeModel:
     pca = PcaBasis(modes=modes, mean=tensor("pca.mean", (dim,)),
                    singular_values=tensor("pca.singular_values", (None,)),
                    tolerance=0.0, reconstruction_error=0.0)
-    faces = tensor("faces", (None, 3)).astype(np.int64)
+    faces = require_faces(tensors, path, dim // 3)
     constraint_kind = entry("constraint.kind")
     if constraint_kind == "volume":
         order = tuple(entry("constraint.order").split(","))

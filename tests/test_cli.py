@@ -290,6 +290,11 @@ CHECKPOINT_DEFECTS = {
     "bias-shape": (lambda t, lines: (
         {**t, "net.dec.layer0.bias": t["net.dec.layer0.bias"][:1]}, lines),
         "net.dec.layer0.bias"),
+    "faces-non-integral": (lambda t, lines: ({**t, "faces": t["faces"] + 0.5},
+                                             lines), "faces"),
+    "faces-out-of-range": (lambda t, lines: (
+        {**t, "faces": np.where(t["faces"] == 0, 1e6, t["faces"])}, lines),
+        "faces"),
 }
 
 

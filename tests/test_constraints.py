@@ -112,6 +112,10 @@ def test_degenerate_surface_rejected():
                       np.array([[0, 1, 2], [0, 2, 1]]))
     with pytest.raises(DegenerateSurfaceError):
         volume_constraint_row(flat, "x")
+    # the same error from the enforcing layer
+    enforcer = VolumeEnforcer(VolumeConstraint(1.0), flat.faces)
+    with pytest.raises(DegenerateSurfaceError):
+        enforcer.forward(flat.vertices.reshape(1, -1))
 
 
 # --- cloud enforcement --------------------------------------------------------
@@ -311,6 +315,15 @@ def test_cffd_all_pinned_infeasible(sphere):
     with pytest.raises(InfeasibleConstraintError):
         cffd_correct(lattice, lattice.zero_displacement(), sphere, c,
                      weights=np.zeros(lattice.n_control))
+
+
+def test_cffd_volume_immovable_infeasible(sphere):
+    # a lattice beside the surface: no control point moves any vertex
+    lo = sphere.vertices.max(axis=0) + 1.0
+    lattice = FfdLattice.from_box((2, 2, 2), lo, lo + 1.0)
+    with pytest.raises(InfeasibleConstraintError):
+        cffd_correct(lattice, lattice.zero_displacement(), sphere,
+                     VolumeConstraint(1.1 * volume_of(sphere)))
 
 
 def test_cffd_volume(sphere):

@@ -54,14 +54,18 @@ def test_volume_enforcer_equal_thirds():
     for row in out:
         v = volume_of(TriSurface(row.reshape(-1, 3), base.faces))
         assert abs(v - constraint.target) <= 1e-9 * constraint.target
-    assert all(len(p) == 3 for p in cache)  # one pass per component
+    # one pass per component, each holding the frozen rows of every cloud
+    assert [c for c, _, _ in cache] == [0, 1, 2]
+    assert all(rows.shape == (3, base.n_vertices) for _, rows, _ in cache)
     back = enforcer.backward(cache, rng.normal(out.shape))
     assert np.all(np.isfinite(back))
 
 
 def test_volume_enforcer_rejects_open_connectivity():
-    with pytest.raises(ConfigError):
-        VolumeEnforcer(VolumeConstraint(1.0), np.array([[0, 1, 2]]))
+    # one open triangle, and no faces at all (a (0, 3) checkpoint tensor)
+    for faces in (np.array([[0, 1, 2]]), np.zeros((0, 3), dtype=np.int64)):
+        with pytest.raises(ConfigError, match="closed connectivity"):
+            VolumeEnforcer(VolumeConstraint(1.0), faces)
 
 
 def test_morph_mesh_shape_mismatch():

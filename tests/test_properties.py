@@ -1,0 +1,150 @@
+"""Property tests of constrained FFD and of the one sequential volume
+projection (`constraints.project_volume`): cFFD meets its exactness bound
+and leaves pinned control points exactly still over random lattices,
+weights and displacements, and the batched volume kernel matches
+single-cloud calls bit for bit and a per-sample reference to roundoff."""
+
+import itertools
+
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
+
+from cgmkit.constraints import (VolumeConstraint, barycenter_constraint,
+                                cffd_correct, project_volume, volume_gradient)
+from cgmkit.generative import VolumeEnforcer
+from cgmkit.geometry import (FfdLattice, TriSurface, barycenter_of, ffd_map,
+                             synth_shape, volume_of)
+from cgmkit.rng import Rng
+
+BASE = synth_shape("icosphere", 1)
+V0 = volume_of(BASE)
+ORDERS = list(itertools.permutations(("x", "y", "z")))
+SPLITS = ("first-pass", "equal-thirds")
+PROPERTY = settings(max_examples=30, deadline=None)
+
+
+lattices = st.tuples(*[st.integers(1, 3)] * 3)
+pin_lists = st.lists(st.sampled_from(("free", "free", "zero", "inf")),
+                     min_size=64, max_size=64)
+
+
+def pinned_setup(grid, pins, sigma, seed):
+    """Lattice around the base shape, weights with pinned control points
+    (weight 0 or +inf), the pinned mask and a displacement that leaves the
+    pinned points still."""
+    lattice = FfdLattice.from_box(grid, BASE.vertices.min(axis=0) - 0.05,
+                                  BASE.vertices.max(axis=0) + 0.05)
+    pins = np.array(pins[:lattice.n_control])
+    pinned = pins != "free"
+    assume(not pinned.all())
+    rng = Rng(seed)
+    weights = 0.5 + 2.0 * rng.derive("weights").uniform(lattice.n_control)
+    weights[pins == "zero"] = 0.0
+    weights[pins == "inf"] = np.inf
+    dp = sigma * rng.derive("dp").normal((lattice.n_control, 3))
+    dp[pinned] = 0.0
+    return lattice, weights, pinned, dp
+
+
+@PROPERTY
+@given(grid=lattices, sigma=st.floats(0.0, 0.08), pins=pin_lists,
+       order=st.sampled_from(ORDERS), split=st.sampled_from(SPLITS),
+       scale=st.floats(0.9, 1.1), seed=st.integers(0, 2 ** 16))
+def test_cffd_volume_exact_and_pinned_rows_zero(grid, sigma, pins, order,
+                                                split, scale, seed):
+    lattice, weights, pinned, dp = pinned_setup(grid, pins, sigma, seed)
+    constraint = VolumeConstraint(scale * V0, order=order, split=split)
+    delta = cffd_correct(lattice, dp, BASE, constraint, weights=weights)
+    deformed, _ = ffd_map(lattice, dp + delta, BASE.vertices)
+    achieved = volume_of(TriSurface(deformed, BASE.faces))
+    assert abs(achieved - constraint.target) <= 1e-9 * constraint.target
+    assert np.all(delta[pinned] == 0.0)
+
+
+@PROPERTY
+@given(grid=lattices, sigma=st.floats(0.0, 0.08), pins=pin_lists,
+       shift=st.tuples(*[st.floats(-0.05, 0.05)] * 3),
+       seed=st.integers(0, 2 ** 16))
+def test_cffd_barycenter_exact_and_pinned_rows_zero(grid, sigma, pins, shift,
+                                                    seed):
+    lattice, weights, pinned, dp = pinned_setup(grid, pins, sigma, seed)
+    target = barycenter_of(BASE.vertices) + np.array(shift)
+    constraint = barycenter_constraint(BASE.n_vertices, target)
+    delta = cffd_correct(lattice, dp, BASE, constraint, weights=weights)
+    deformed, _ = ffd_map(lattice, dp + delta, BASE.vertices)
+    assert np.max(np.abs(barycenter_of(deformed) - target)) <= 1e-10
+    assert np.all(delta[pinned] == 0.0)
+
+
+def reference(clouds, grad, constraint):
+    """The projection and its backward written out one cloud at a time:
+    (projected (B, 3M), gradient (B, 3M))."""
+    out, back = [], []
+    for cloud, g in zip(clouds, grad):
+        v = cloud.reshape(-1, 3).copy()
+        current = volume_of(TriSurface(v, BASE.faces))
+        if constraint.split == "first-pass":
+            plan = [(constraint.order[0], constraint.target)]
+        else:
+            plan = [(comp, current + (constraint.target - current) * (k + 1) / 3)
+                    for k, comp in enumerate(constraint.order)]
+        rows = []
+        for comp, target in plan:
+            c = "xyz".index(comp)
+            row = volume_gradient(TriSurface(v, BASE.faces))[:, c].copy()
+            current = volume_of(TriSurface(v, BASE.faces))
+            v[:, c] += row * (target - current) / np.dot(row, row)
+            rows.append((c, row))
+        g = g.reshape(-1, 3).copy()
+        for c, row in reversed(rows):
+            g[:, c] -= row * np.dot(row, g[:, c]) / np.dot(row, row)
+        out.append(v.reshape(-1))
+        back.append(g.reshape(-1))
+    return np.array(out), np.array(back)
+
+
+clouds_and_constraint = st.builds(
+    lambda b, noise, seed, order, split, scale: (
+        np.stack([(BASE.vertices * (1.0 + noise * Rng(seed).derive(i).normal(
+            BASE.vertices.shape))).reshape(-1) for i in range(b)]),
+        Rng(seed).derive("grad").normal((b, 3 * BASE.n_vertices)),
+        VolumeConstraint(scale * V0, order=order, split=split)),
+    # 50 clouds span two of the blocks the batched volume formulas take
+    st.sampled_from((1, 2, 3, 6, 50)), st.floats(0.0, 0.1),
+    st.integers(0, 2 ** 16),
+    st.sampled_from(ORDERS), st.sampled_from(SPLITS), st.floats(0.8, 1.25))
+
+
+@PROPERTY
+@given(case=clouds_and_constraint)
+def test_enforcer_matches_per_sample_reference(case):
+    clouds, grad, constraint = case
+    enforcer = VolumeEnforcer(constraint, BASE.faces)
+    out, passes = enforcer.forward(clouds)
+    back = enforcer.backward(passes, grad)
+    want_out, want_back = reference(clouds, grad, constraint)
+    assert np.max(np.abs(out - want_out)) <= 1e-14 * np.max(np.abs(want_out))
+    assert np.max(np.abs(back - want_back)) <= 1e-14 * np.max(np.abs(want_back))
+
+
+@PROPERTY
+@given(case=clouds_and_constraint, with_basis=st.booleans())
+def test_kernel_batch_invariant(case, with_basis):
+    clouds, _, constraint = case
+    clouds = clouds.reshape(len(clouds), -1, 3)
+    basis = weights = None
+    if with_basis:
+        rng = Rng(len(clouds))
+        basis = rng.derive("basis").uniform((BASE.n_vertices, 5))
+        weights = 0.5 + rng.derive("weights").uniform(5)
+    batched, passes = project_volume(clouds, BASE.faces, constraint,
+                                     basis=basis, weights=weights)
+    for b in range(len(clouds)):
+        single, single_passes = project_volume(
+            clouds[b:b + 1], BASE.faces, constraint, basis=basis,
+            weights=weights)
+        assert np.array_equal(batched[b], single[0])
+        for (c, rows, p), (c1, rows1, p1) in zip(passes, single_passes):
+            assert c == c1
+            assert np.array_equal(rows[b], rows1[0])
+            assert np.array_equal(p[b], p1[0])
