@@ -15,7 +15,7 @@ import numpy as np
 from . import datasets
 from .config import PipelineConfig, write_resolved
 from .constraints import (CffdSample, achieved_value, constraint_residual,
-                          parallel_map, sample_cffd_dataset)
+                          sample_cffd_dataset)
 from .errors import CgmError
 from .generative import MODEL_KINDS, load_model, save_model, train_model
 from .reduction import (as_fit, as_response_surface, fd_gradients,
@@ -190,8 +190,7 @@ def cmd_surrogate(config: PipelineConfig, source, method, seed) -> int:
         model = load_model(source)
         surfaces, latents = model.sample(n, rng)
     spec = config.field_spec()
-    snapshots = np.stack(parallel_map(
-        lambda s: snapshot_of(s, spec), surfaces, config.threads))
+    snapshots = snapshot_of(np.stack([s.vertices for s in surfaces]), spec)
     save_matrix(os.path.join(out, "snapshots.bin"), snapshots)
     save_matrix(os.path.join(out, "inputs.bin"), latents)
     split = config.rom_train
@@ -218,12 +217,10 @@ def cmd_surrogate(config: PipelineConfig, source, method, seed) -> int:
         f_test = s_test.mean(axis=1)
 
         def f_of(mu):
-            cloud = model.decode(np.atleast_2d(mu))[0]
-            from .geometry import TriSurface
-            return float(snapshot_of(
-                TriSurface(cloud.reshape(-1, 3), model.faces), spec).mean())
+            clouds = model.decode(mu).reshape(len(mu), -1, 3)
+            return snapshot_of(clouds, spec).mean(axis=1)
 
-        grads = fd_gradients(lambda m: f_of(m), mu_train, h=1e-4)
+        grads = fd_gradients(f_of, mu_train, h=1e-4)
         subspace = as_fit(mu_train, grads, config.as_dim,
                           n_bootstrap=config.bootstrap, rng=rng.derive("boot"))
         surface = as_response_surface(subspace, mu_train, f_train)

@@ -235,8 +235,8 @@ def cffd_correct(lattice: FfdLattice, displacement, surface: TriSurface,
     # point displacement l = sum_p w_lp a_phi(delta_p)
     n_c = constraint.matrix.shape[0]
     a_rows = constraint.matrix.reshape(n_c, len(idx), 3)
-    # (n_c, N, 3) x (N, F) x (3, 3) -> (n_c, F, 3)
-    composite = np.einsum("qlc,lp,cd->qpd", a_rows, influence, lattice.a_phi)
+    # (F, N) @ (n_c, N, 3) @ (3, 3) -> (n_c, F, 3)
+    composite = (influence.T @ a_rows) @ lattice.a_phi
     composite = composite.reshape(n_c, 3 * n_free)
     w = None if weights is None else np.repeat(weights[free], 3)
     delta_free = lstsq_min_norm(composite, rhs, weights=w)
@@ -256,7 +256,7 @@ class CffdSample:
     displacement_norm: float
 
 
-def parallel_map(fn, items, threads=1):
+def _parallel_map(fn, items, threads=1):
     """Order-preserving map, optionally over a thread pool. Work items must
     be independent; results are merged by index so the outcome does not
     depend on scheduling."""
@@ -298,4 +298,4 @@ def sample_cffd_dataset(lattice: FfdLattice, surface: TriSurface, constraint,
             displacement_norm=float(np.linalg.norm(total)),
         )
 
-    return parallel_map(one, range(n), threads)
+    return _parallel_map(one, range(n), threads)

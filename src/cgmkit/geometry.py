@@ -45,15 +45,18 @@ class TriSurface:
 
 def is_closed(surface: TriSurface) -> bool:
     """True when every undirected edge is shared by exactly two faces with
-    opposite direction."""
-    edges = {}
-    for face in surface.faces:
-        for a, b in ((face[0], face[1]), (face[1], face[2]), (face[2], face[0])):
-            edges[(int(a), int(b))] = edges.get((int(a), int(b)), 0) + 1
-    for (a, b), count in edges.items():
-        if count != 1 or edges.get((b, a), 0) != 1:
-            return False
-    return True
+    opposite direction: no directed edge a -> b occurs twice, and the
+    reverse of each one occurs too."""
+    n = surface.n_vertices
+    a = surface.faces.reshape(-1)
+    b = surface.faces[:, [1, 2, 0]].reshape(-1)
+    # directed edge a -> b encoded as a * n + b
+    forward = np.sort(a * n + b)
+    if np.any(forward[1:] == forward[:-1]):
+        return False
+    # with no duplicates, every reverse edge is present exactly when the
+    # reversed codes are the same set
+    return bool(np.array_equal(forward, np.sort(b * n + a)))
 
 
 def require_closed(surface: TriSurface):
@@ -79,6 +82,16 @@ def _blocks(n_clouds, n_faces):
     return [slice(start, start + size) for start in range(0, n_clouds, size)]
 
 
+def _cross(a, b) -> np.ndarray:
+    """a x b over the last axis, numpy's own formula (so bitwise equal to
+    np.cross) without its per-call axis handling."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return out
+
+
 def volumes(vertices, faces) -> np.ndarray:
     """Signed enclosed volume of each cloud in a (B, M, 3) batch sharing the
     faces, (1/6) sum of v_a . (v_b x v_c) over faces; no closedness check."""
@@ -86,7 +99,7 @@ def volumes(vertices, faces) -> np.ndarray:
     for block in _blocks(len(vertices), len(faces)):
         tri = vertices[block][:, faces]
         out[block] = np.einsum("bij,bij->b", tri[:, :, 0],
-                               np.cross(tri[:, :, 1], tri[:, :, 2])) / 6.0
+                               _cross(tri[:, :, 1], tri[:, :, 2])) / 6.0
     return out
 
 
@@ -98,7 +111,7 @@ def volume_gradients(vertices, faces) -> np.ndarray:
     for block in _blocks(len(vertices), len(faces)):
         tri = vertices[block][:, faces]
         for k in range(3):
-            term = np.cross(tri[:, :, (k + 1) % 3], tri[:, :, (k + 2) % 3]) / 6.0
+            term = _cross(tri[:, :, (k + 1) % 3], tri[:, :, (k + 2) % 3]) / 6.0
             np.add.at(grad[block], (slice(None), faces[:, k]), term)
     return grad
 
@@ -112,7 +125,7 @@ def volume_of(surface: TriSurface, closed=True) -> float:
 
 def surface_area_of(surface: TriSurface) -> float:
     tri = surface.corners()
-    cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    cross = _cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
     return float(0.5 * np.linalg.norm(cross, axis=1).sum())
 
 

@@ -388,15 +388,15 @@ def load_matrix(path) -> np.ndarray:
 
 
 def fd_gradients(f, samples, h=1e-5) -> np.ndarray:
-    """Central finite differences of a scalar black box per coordinate."""
+    """Central finite differences of a batched scalar black box: `f` maps a
+    (K, dim) array of points to K values. Each sample's stencil, the 2 dim
+    points x + h e_j followed by x - h e_j, is one call of `f`."""
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     n, dim = samples.shape
+    steps = h * np.eye(dim)
     grads = np.empty((n, dim))
-    for i in range(n):
-        for j in range(dim):
-            up = samples[i].copy()
-            up[j] += h
-            down = samples[i].copy()
-            down[j] -= h
-            grads[i, j] = (f(up) - f(down)) / (2.0 * h)
+    for i, x in enumerate(samples):
+        values = np.asarray(f(np.concatenate([x + steps, x - steps])),
+                            dtype=np.float64)
+        grads[i] = (values[:dim] - values[dim:]) / (2.0 * h)
     return grads

@@ -274,7 +274,7 @@ def test_criterion_6_podi(bench, trained_ae):
     start = time.monotonic()
     surfaces, latents = trained_ae.sample(100, Rng(600))
     spec = FieldSpec("bump")
-    snapshots = np.stack([snapshot_of(s, spec) for s in surfaces])
+    snapshots = np.stack([snapshot_of(s.vertices, spec) for s in surfaces])
     mu_train, mu_test = latents[:80], latents[80:]
     s_train, s_test = snapshots[:80], snapshots[80:]
     podi_rbf = podi_fit(mu_train, s_train, 3, regressor="rbf")
@@ -317,7 +317,7 @@ def test_criterion_7_active_subspaces():
 
     mu_train = rng.derive("tr").uniform((200, 5)) * 2.0 - 1.0
     mu_test = rng.derive("te").uniform((100, 5)) * 2.0 - 1.0
-    grads = fd_gradients(lambda m: float(ridge(m)), mu_train)
+    grads = fd_gradients(ridge, mu_train)
     sub = as_fit(mu_train, grads, 1, n_bootstrap=100, rng=rng.derive("b2"))
     surface = as_response_surface(sub, mu_train, ridge(mu_train))
     pred = surface.predict(mu_test)
@@ -388,16 +388,15 @@ def test_surrogate_as_within_2x_of_full_gpr(trained_ae):
     # two in held-out error against a GPR on the full latent input
     surfaces, latents = trained_ae.sample(100, Rng(600))
     spec = FieldSpec("bump")
-    f = np.array([float(snapshot_of(s, spec).mean()) for s in surfaces])
+    f = np.array([float(snapshot_of(s.vertices, spec).mean()) for s in surfaces])
     mu_train, mu_test = latents[:80], latents[80:]
     f_train, f_test = f[:80], f[80:]
 
     def f_of(mu):
-        cloud = trained_ae.decode(np.atleast_2d(mu))[0]
-        surf = TriSurface(cloud.reshape(-1, 3), trained_ae.faces)
-        return float(snapshot_of(surf, spec).mean())
+        clouds = trained_ae.decode(mu).reshape(len(mu), -1, 3)
+        return snapshot_of(clouds, spec).mean(axis=1)
 
-    grads = fd_gradients(lambda m: f_of(m), mu_train, h=1e-4)
+    grads = fd_gradients(f_of, mu_train, h=1e-4)
     sub = as_fit(mu_train, grads, 1, n_bootstrap=10, rng=Rng(610))
     surface = as_response_surface(sub, mu_train, f_train)
     as_err = np.linalg.norm(surface.predict(mu_test) - f_test)

@@ -3,10 +3,14 @@ import os
 import numpy as np
 import pytest
 
+from cgmkit import cli
 from cgmkit.checkpoint import load_tensors, save_tensors
 from cgmkit.cli import main
+from cgmkit.config import PipelineConfig
 from cgmkit.datasets import read_manifest
-from cgmkit.reduction import load_matrix, save_matrix
+from cgmkit.generative import load_model
+from cgmkit.reduction import fd_gradients, load_matrix, save_matrix
+from cgmkit.synthfield import snapshot_of
 
 DESK_CONFIG = """
 # small pipeline for tests
@@ -155,6 +159,63 @@ def test_surrogate_as_method(tmp_path, config_file):
     assert "as-gpr" in errors
     evals = load_matrix(tmp_path / "as" / "as_eigenvalues.bin")
     assert np.all(evals >= 0)
+
+
+@pytest.fixture(scope="module", params=["barycenter", "volume"])
+def as_checkpoint(request, tmp_path_factory):
+    """(config path, ae checkpoint) trained under each constraint kind."""
+    root = tmp_path_factory.mktemp(f"as-{request.param}")
+    cfg = root / "pipeline.cfg"
+    cfg.write_text(DESK_CONFIG + f"constraint.kind = {request.param}\n")
+    assert run(["generate", "--config", str(cfg), "--seed", "11",
+                "--out", str(root / "data")]) == 0
+    assert run(["train", "--config", str(cfg), "--seed", "11", "--kind", "ae",
+                "--data", str(root / "data"), "--out", str(root / "run")]) == 0
+    return str(cfg), str(root / "run" / "model_ae.cgmt")
+
+
+def test_surrogate_as_rerun_byte_identical(tmp_path, as_checkpoint):
+    cfg, ckpt = as_checkpoint
+    for tag in ("one", "two"):
+        assert run(["surrogate", ckpt, "--config", cfg, "--seed", "4",
+                    "--method", "as", "--out", str(tmp_path / tag)]) == 0
+    for name in ("errors.tsv", "as_eigenvalues.bin", "snapshots.bin"):
+        assert (tmp_path / "one" / name).read_bytes() == \
+            (tmp_path / "two" / name).read_bytes(), name
+
+
+def test_surrogate_as_gradients_match_per_latent_reference(
+        tmp_path, as_checkpoint, monkeypatch):
+    # the batched stencil decodes 2 dim latents at once; one latent at a
+    # time the decoder rounds differently, so the two agree to roundoff
+    # amplified by 1 / (2 h), not bit for bit
+    cfg, ckpt = as_checkpoint
+    calls = []
+
+    def recording(f, samples, h):
+        grads = fd_gradients(f, samples, h=h)
+        calls.append((samples, h, grads))
+        return grads
+
+    monkeypatch.setattr(cli, "fd_gradients", recording)
+    assert run(["surrogate", ckpt, "--config", cfg, "--seed", "4",
+                "--method", "as", "--out", str(tmp_path / "as")]) == 0
+    (samples, h, grads), = calls
+    model = load_model(ckpt)
+    spec = PipelineConfig.load(cfg).field_spec()
+
+    def f_one(mu):
+        cloud = model.decode(mu[None])[0].reshape(-1, 3)
+        return float(snapshot_of(cloud, spec).mean())
+
+    want = np.empty_like(grads)
+    for i, x in enumerate(samples):
+        for j in range(len(x)):
+            up, down = x.copy(), x.copy()
+            up[j] += h
+            down[j] -= h
+            want[i, j] = (f_one(up) - f_one(down)) / (2.0 * h)
+    assert np.linalg.norm(grads - want) <= 1e-8 * np.linalg.norm(want)
 
 
 def test_surrogate_from_dataset_displacements(tmp_path, config_file):

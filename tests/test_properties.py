@@ -2,7 +2,9 @@
 projection (`constraints.project_volume`): cFFD meets its exactness bound
 and leaves pinned control points exactly still over random lattices,
 weights and displacements, and the batched volume kernel matches
-single-cloud calls bit for bit and a per-sample reference to roundoff."""
+single-cloud calls bit for bit and a per-sample reference to roundoff.
+The vectorized closedness check gives the verdict of an edge-counting
+reference loop on damaged and random connectivity."""
 
 import itertools
 
@@ -13,7 +15,7 @@ from cgmkit.constraints import (VolumeConstraint, barycenter_constraint,
                                 cffd_correct, project_volume, volume_gradient)
 from cgmkit.generative import VolumeEnforcer
 from cgmkit.geometry import (FfdLattice, TriSurface, barycenter_of, ffd_map,
-                             synth_shape, volume_of)
+                             is_closed, synth_shape, volume_of)
 from cgmkit.rng import Rng
 
 BASE = synth_shape("icosphere", 1)
@@ -148,3 +150,54 @@ def test_kernel_batch_invariant(case, with_basis):
             assert c == c1
             assert np.array_equal(rows[b], rows1[0])
             assert np.array_equal(p[b], p1[0])
+
+
+def closed_reference(faces):
+    """Every directed edge occurs exactly once and so does its reverse,
+    counted edge by edge."""
+    edges = {}
+    for face in faces:
+        for a, b in ((face[0], face[1]), (face[1], face[2]), (face[2], face[0])):
+            edges[(int(a), int(b))] = edges.get((int(a), int(b)), 0) + 1
+    return all(count == 1 and edges.get((b, a), 0) == 1
+               for (a, b), count in edges.items())
+
+
+def damage(faces, edits):
+    """Apply each (operation, face index, vertex triple) edit in turn."""
+    faces = [tuple(int(i) for i in f) for f in faces]
+    for op, k, triple in edits:
+        k %= len(faces) if faces else 1
+        if op == "duplicate" and faces:
+            faces.append(faces[k])
+        elif op == "remove" and faces:
+            faces.pop(k)
+        elif op == "flip" and faces:
+            a, b, c = faces[k]
+            faces[k] = (a, c, b)
+        elif op == "add":  # may create a non-manifold edge
+            faces.append(triple)
+        elif op == "double":  # every edge twice, every reverse twice
+            faces = faces + faces
+    return faces
+
+
+# few vertex indices, so random face lists often share edges
+distinct_triples = st.lists(st.integers(0, 5), min_size=3, max_size=3,
+                            unique=True).map(tuple)
+face_edits = st.lists(st.tuples(
+    st.sampled_from(("duplicate", "remove", "flip", "add", "double")),
+    st.integers(0, 2 ** 16), distinct_triples), max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(subdivision=st.sampled_from((0, 1)), edits=face_edits,
+       random_faces=st.lists(distinct_triples, max_size=12),
+       use_random=st.booleans())
+def test_is_closed_matches_reference_loop(subdivision, edits, random_faces,
+                                          use_random):
+    base = synth_shape("icosphere", subdivision)
+    faces = damage(random_faces if use_random else base.faces, edits)
+    vertices = np.zeros((base.n_vertices, 3))
+    surface = TriSurface(vertices, np.array(faces, dtype=np.int64).reshape(-1, 3))
+    assert is_closed(surface) == closed_reference(faces)

@@ -267,7 +267,7 @@ def test_as_response_surface_on_ridge():
         return np.sin(2.0 * (mu @ w)) + 0.5 * (mu @ w) ** 2
 
     mu = rng.uniform((200, 5)) * 2.0 - 1.0
-    grads = fd_gradients(lambda m: float(f(m)), mu)
+    grads = fd_gradients(f, mu)
     sub = as_fit(mu, grads, 1, n_bootstrap=5, rng=rng)
     surf = as_response_surface(sub, mu, f(mu))
     mu_test = rng.uniform((50, 5)) * 2.0 - 1.0
@@ -281,7 +281,7 @@ def test_as_full_dimension_matches_plain_gpr():
     rng = Rng(22)
     mu = rng.normal((40, 3))
     y = np.cos(mu).sum(axis=1)
-    grads = fd_gradients(lambda m: float(np.cos(m).sum()), mu)
+    grads = fd_gradients(lambda m: np.cos(m).sum(axis=1), mu)
     sub = as_fit(mu, grads, 3, n_bootstrap=2, rng=rng)
     surf = as_response_surface(sub, mu, y, length_scale=1.7)
     direct = gpr_fit(mu @ sub.active, y, length_scale=1.7)
@@ -304,13 +304,35 @@ def test_as_response_surface_interpolates_training():
 def test_fd_gradients_quadratic():
     rng = Rng(24)
     mu = rng.normal((10, 4))
-    grads = fd_gradients(lambda m: float(m @ m), mu)
+    grads = fd_gradients(lambda m: np.einsum("ij,ij->i", m, m), mu)
     assert np.max(np.abs(grads - 2.0 * mu)) < 1e-8
 
 
 def test_fd_gradients_constant_and_linear():
     mu = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
-    assert np.allclose(fd_gradients(lambda m: 7.0, mu), 0.0)
+    assert np.allclose(fd_gradients(lambda m: np.full(len(m), 7.0), mu), 0.0)
     w = np.array([1.0, -1.0, 2.0, 0.5])
-    grads = fd_gradients(lambda m: float(m @ w), mu)
+    grads = fd_gradients(lambda m: m @ w, mu)
     assert np.max(np.abs(grads - w)) < 1e-10
+
+
+def test_fd_gradients_one_call_per_sample_stencil():
+    rng = Rng(25)
+    mu = rng.normal((5, 3))
+    h = 1e-3
+    calls = []
+
+    def f(points):
+        calls.append(points.copy())
+        return points @ np.array([1.0, 2.0, 3.0])
+
+    fd_gradients(f, mu, h=h)
+    assert len(calls) == len(mu)
+    for x, points in zip(mu, calls):
+        assert points.shape == (6, 3)
+        for j in range(3):
+            up, down = x.copy(), x.copy()
+            up[j] += h
+            down[j] -= h
+            assert np.array_equal(points[j], up)
+            assert np.array_equal(points[3 + j], down)

@@ -17,16 +17,16 @@ def test_bump_at_center_vertex():
     vertices[4] = vertices[:4].sum(axis=0) / 4.0
     faces = np.array([[0, 1, 2], [0, 1, 3], [1, 2, 3], [0, 2, 4]])
     surf = TriSurface(vertices, faces)
-    field = snapshot_of(surf, FieldSpec("bump"))
+    field = snapshot_of(surf.vertices, FieldSpec("bump"))
     assert field[4] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_translation_invariant():
     base = synth_shape("icosphere", 2)
     spec = FieldSpec("multibump")
-    f0 = snapshot_of(base, spec)
+    f0 = snapshot_of(base.vertices, spec)
     moved = base.with_vertices(base.vertices + np.array([5.0, -3.0, 1.0]))
-    assert np.max(np.abs(snapshot_of(moved, spec) - f0)) < 1e-12
+    assert np.max(np.abs(snapshot_of(moved.vertices, spec) - f0)) < 1e-12
 
 
 def test_sensitivity_smooth_in_shape():
@@ -34,11 +34,11 @@ def test_sensitivity_smooth_in_shape():
     rng = Rng(3)
     direction = rng.normal((base.n_vertices, 3)) * 0.01
     spec = FieldSpec("bump")
-    f0 = snapshot_of(base, spec)
+    f0 = snapshot_of(base.vertices, spec)
     diffs = []
     for eps in (0.5, 1.0):
         moved = base.with_vertices(base.vertices + eps * direction)
-        diffs.append(np.linalg.norm(snapshot_of(moved, spec) - f0))
+        diffs.append(np.linalg.norm(snapshot_of(moved.vertices, spec) - f0))
     assert 0 < diffs[0] < diffs[1] < 1.0  # bounded, monotone in step size
 
 
@@ -52,9 +52,21 @@ def test_snapshot_family_low_rank():
         w = rng.derive(i).normal(3)
         surf = base.with_vertices(
             base.vertices + sum(w[k] * modes[k] for k in range(3)))
-        rows.append(snapshot_of(surf, spec))
+        rows.append(snapshot_of(surf.vertices, spec))
     s = np.linalg.svd(np.stack(rows), compute_uv=False)
     assert s[3] / s[0] < 0.1
+
+
+@pytest.mark.parametrize("kind", ["bump", "multibump"])
+@pytest.mark.parametrize("scale", [None, 0.7])
+def test_batch_bitwise_equal_to_single_clouds(kind, scale):
+    base = synth_shape("icosphere", 2)
+    clouds = base.vertices + 0.05 * Rng(5).normal((2, 3, base.n_vertices, 3))
+    spec = FieldSpec(kind, scale)
+    batch = snapshot_of(clouds, spec)
+    assert batch.shape == (2, 3, base.n_vertices)
+    for index in np.ndindex(2, 3):
+        assert np.array_equal(batch[index], snapshot_of(clouds[index], spec))
 
 
 def test_bad_spec():

@@ -4,15 +4,22 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
+HASHES = ROOT / "tools" / "artifact_hashes.py"
+
+
+def load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_tracer_layers_resolve_on_package():
     # the benchmark tracer wraps these names by string; a refactor that
     # renames or deletes one must fail here rather than in a traced run
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load(TRACER, "bench_tracer")
     missing = []
     for module_name, names in tracer.LAYERS.items():
         module = importlib.import_module(f"cgmkit.{module_name}")
@@ -22,3 +29,15 @@ def test_tracer_layers_resolve_on_package():
             if not callable(scope.get(attr)):
                 missing.append(f"{module_name}.{qualname}")
     assert not missing, f"bench/tracer.py LAYERS names missing: {missing}"
+
+
+def test_artifact_hashes_lists_every_file(tmp_path):
+    # the byte-evidence tool reads the benchmark's workload table and
+    # fingerprints every file under a run directory by relative path
+    tool = load(HASHES, "artifact_hashes")
+    assert {"desk-barycenter", "desk-volume"} <= set(tool.load_workloads())
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "a.bin").write_bytes(b"abc")
+    (tmp_path / "b.tsv").write_bytes(b"")
+    assert tool.artifact_hashes(tmp_path) == [
+        ("b.tsv", "e3b0c44298fc1c14"), ("data/a.bin", "ba7816bf8f01cfea")]

@@ -1,0 +1,89 @@
+"""Print a fingerprint of every artifact one benchmark workload writes.
+
+Runs the `cgmkit` CLI sequence of a workload from `bench/workloads.py`
+(imported, never changed) in WORKDIR at a given seed, one fresh process
+per command with BLAS pinned to one thread and `CGM_*` variables removed,
+as the benchmark runs them. Then prints `path sha256[:16]` for every file
+under WORKDIR, sorted by path. Commands run inside WORKDIR with relative
+paths, so two source trees give comparable listings:
+
+    python3 tools/artifact_hashes.py desk-volume /tmp/new --seed 1
+    python3 tools/artifact_hashes.py desk-volume /tmp/old --seed 1 --src OLD/src
+    diff <(python3 ... /tmp/old ...) <(python3 ... /tmp/new ...)
+"""
+
+import argparse
+import hashlib
+import importlib.util
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+            "MKL_NUM_THREADS": "1"}
+
+
+def load_workloads():
+    path = os.path.join(ROOT, "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def run_workload(workload, workdir, seed, src):
+    """Write the workload's config into `workdir` and run its commands
+    there; raises RuntimeError naming the first command that fails."""
+    os.makedirs(workdir, exist_ok=True)
+    values = workload.values()
+    with open(os.path.join(workdir, "workload.cfg"), "w", newline="\n") as fh:
+        for key in sorted(values):
+            fh.write(f"{key} = {values[key]}\n")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("CGM_")}
+    env.update(BLAS_ENV, PYTHONPATH=os.path.abspath(src))
+    for name, argv, _ in workload.steps("workload.cfg", seed, ".", values):
+        proc = subprocess.run([sys.executable, "-m", "cgmkit.cli", *argv],
+                              cwd=workdir, env=env, capture_output=True,
+                              text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"{name} exited {proc.returncode}: "
+                               f"{proc.stderr.strip()[-2000:]}")
+
+
+def artifact_hashes(workdir):
+    """(relative path, first 16 hex digits of its sha256) per file."""
+    rows = []
+    for root, _, files in os.walk(workdir):
+        for name in files:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()[:16]
+            rows.append((os.path.relpath(path, workdir), digest))
+    return sorted(rows)
+
+
+def main(argv=None):
+    workloads = load_workloads()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("workload", choices=sorted(workloads))
+    parser.add_argument("workdir", help="empty directory for the run")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
+                        help="source tree holding the cgmkit package")
+    args = parser.parse_args(argv)
+    if os.path.isdir(args.workdir) and os.listdir(args.workdir):
+        parser.error(f"{args.workdir} is not empty")
+    try:
+        run_workload(workloads[args.workload], args.workdir, args.seed,
+                     args.src)
+    except RuntimeError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
+    for path, digest in artifact_hashes(args.workdir):
+        print(path, digest)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
