@@ -16,7 +16,7 @@ from . import datasets
 from .config import PipelineConfig, write_resolved
 from .constraints import (CffdSample, achieved_value, constraint_residual,
                           sample_cffd_dataset)
-from .errors import CgmError
+from .errors import CgmError, ConfigError
 from .generative import MODEL_KINDS, load_model, save_model, train_model
 from .reduction import (as_fit, as_response_surface, fd_gradients,
                         podi_fit, podi_predict, save_matrix)
@@ -111,6 +111,8 @@ def cmd_train(config: PipelineConfig, kind, data_dir=None) -> int:
 
 
 def cmd_sample(config: PipelineConfig, checkpoint, n, seed) -> int:
+    if n < 1:
+        raise ConfigError(f"sample --n must be at least 1, got {n}")
     out = _ensure_out(config)
     model = load_model(checkpoint)
     rng = Rng(seed, ("sample",))

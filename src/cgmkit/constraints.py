@@ -19,7 +19,7 @@ from .errors import (DegenerateSurfaceError, DimensionError,
                      InfeasibleConstraintError)
 from .geometry import (FfdLattice, TriSurface, barycenter_of,
                        check_displacement, ffd_map, require_closed,
-                       volume_gradients, volume_of, volumes)
+                       volume_gradients, volume_of, volume_rows, volumes)
 from .linalg import RANK_TOL, lstsq_min_norm
 from .rng import Rng
 
@@ -106,7 +106,7 @@ def volume_constraint_row(surface: TriSurface, component: str):
     per component); it is computed numerically so the identity holds to
     roundoff."""
     c = _COMPONENTS[component]
-    row = volume_gradient(surface)[:, c]
+    row = volume_rows(surface.vertices[None], surface.faces, c)[0]
     if not np.any(row):
         raise DegenerateSurfaceError("all-zero volume row (degenerate surface)")
     offset = volume_of(surface) - row @ surface.vertices[:, c]
@@ -124,9 +124,12 @@ def project_volume(clouds, faces, constraint: VolumeConstraint, basis=None,
     p) each (p is the vertex step without a basis)."""
     clouds = np.array(clouds, dtype=np.float64)
     passes = []
-    for component, pass_target in constraint.pass_plan(volumes(clouds, faces)):
+    current = volumes(clouds, faces)
+    for k, (component, pass_target) in enumerate(constraint.pass_plan(current)):
+        if k:
+            current = volumes(clouds, faces)
         c = _COMPONENTS[component]
-        rows = volume_gradients(clouds, faces)[:, :, c]
+        rows = volume_rows(clouds, faces, c)
         if not np.all(np.any(rows, axis=1)):
             raise DegenerateSurfaceError(
                 "all-zero volume row (degenerate surface)")
@@ -138,7 +141,7 @@ def project_volume(clouds, faces, constraint: VolumeConstraint, basis=None,
         if not np.all(norm):
             raise InfeasibleConstraintError(
                 "volume row is zero on every free control point")
-        p = aw * ((pass_target - volumes(clouds, faces)) / norm)[:, None]
+        p = aw * ((pass_target - current) / norm)[:, None]
         clouds[:, :, c] += p if basis is None else (p[:, None] @ basis.T)[:, 0]
         passes.append((c, rows, p))
     return clouds, passes

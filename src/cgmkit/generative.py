@@ -8,8 +8,10 @@ backward pass uses the projector (I - A^+ A) for linear constraints and
 treats the per-pass volume rows as constants (stop-gradient on the
 linearization). The volume layer is a batched call of the one sequential
 volume projection, `constraints.project_volume`, which constrained FFD
-also uses. Every kind trains in one loop (`_fit`) over nets built
-from one layout table (`net_specs`), supplying only its per-batch step."""
+also uses; each pass computes only the volume-gradient component it moves
+(`geometry.volume_rows`). Every kind trains in one loop (`_fit`) over nets
+built from one layout table (`net_specs`), supplying only its per-batch
+step, and one fused `nn.AdamW` update per net buffer."""
 
 import ast
 from dataclasses import dataclass, field, fields
@@ -110,13 +112,14 @@ class VolumeEnforcer:
 
     def forward(self, clouds):
         clouds = np.asarray(clouds, dtype=np.float64)
-        out, passes = project_volume(clouds.reshape(len(clouds), -1, 3),
-                                     self.faces, self.constraint)
+        out, passes = project_volume(
+            clouds.reshape(len(clouds), clouds.shape[1] // 3, 3), self.faces,
+            self.constraint)
         return out.reshape(clouds.shape), passes
 
     def backward(self, passes, grad):
         grad = np.array(grad, dtype=np.float64)
-        g = grad.reshape(len(grad), -1, 3)
+        g = grad.reshape(len(grad), grad.shape[1] // 3, 3)
         for c, rows, _ in reversed(passes):
             g[:, :, c] -= (rows * np.vecdot(rows, g[:, :, c])[:, None]
                            / np.vecdot(rows, rows)[:, None])

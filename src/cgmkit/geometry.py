@@ -103,17 +103,36 @@ def volumes(vertices, faces) -> np.ndarray:
     return out
 
 
+def volume_rows(vertices, faces, c) -> np.ndarray:
+    """Component c of the analytic volume gradient of each cloud in a (B, M, 3)
+    batch sharing the faces, (B, M): for a face (i, j, k) the corner terms
+    (v_j x v_k)[c] / 6 and cyclic, summed per vertex corner by corner in
+    face order. The rows are column c of a (B, M, 3) buffer, so a reduction
+    over them strides as over a column of `volume_gradients`."""
+    n, m = vertices.shape[:2]
+    grad = np.zeros((n, m, 3))
+    first, second = vertices[..., (c + 1) % 3], vertices[..., (c + 2) % 3]
+    for block in _blocks(n, len(faces)):
+        u, w = first[block][:, faces], second[block][:, faces]
+        terms = np.empty((3,) + u.shape[:2])
+        for k in range(3):
+            k1, k2 = (k + 1) % 3, (k + 2) % 3
+            terms[k] = (u[:, :, k1] * w[:, :, k2]
+                        - w[:, :, k1] * u[:, :, k2]) / 6.0
+        # bincount adds each vertex's terms one at a time in input order,
+        # corner outer and face inner, so every sum is bitwise the one a
+        # per-corner scatter (np.add.at) makes
+        ids = np.arange(len(u))[None, :, None] * m + faces.T[:, None, :]
+        grad[block, :, c] = np.bincount(ids.ravel(), terms.ravel(),
+                                        minlength=len(u) * m).reshape(len(u), m)
+    return grad[:, :, c]
+
+
 def volume_gradients(vertices, faces) -> np.ndarray:
     """Analytic d(volume)/d(vertex coordinates) of each cloud in a (B, M, 3)
-    batch sharing the faces. For a face (a, b, c): dV/dv_a = (v_b x v_c) / 6
-    and cyclic, summed per vertex corner by corner in face order."""
-    grad = np.zeros_like(vertices)
-    for block in _blocks(len(vertices), len(faces)):
-        tri = vertices[block][:, faces]
-        for k in range(3):
-            term = _cross(tri[:, :, (k + 1) % 3], tri[:, :, (k + 2) % 3]) / 6.0
-            np.add.at(grad[block], (slice(None), faces[:, k]), term)
-    return grad
+    batch sharing the faces: the three `volume_rows` stacked."""
+    return np.stack([volume_rows(vertices, faces, c) for c in range(3)],
+                    axis=-1)
 
 
 def volume_of(surface: TriSurface, closed=True) -> float:

@@ -5,6 +5,13 @@ activation (relu / sigmoid / identity) and an inverted-scaling dropout
 layer. Training is plain AdamW. Everything is float64 and deterministic
 given an Rng.
 
+An `Mlp` keeps all its trainable arrays in one contiguous buffer (`flat`),
+filled after the layers drew their initial values; each layer's weight,
+bias, gamma and beta are reshaped views into it, so checkpoint writes
+through them land in the buffer. `AdamW` updates each such buffer as one
+array with a fixed sequence of in-place operations, bitwise the per-array
+update.
+
 Batch norm uses biased (1/B) batch variance for both normalization and the
 running statistics; eval mode is a fixed affine transform, so it needs no
 rescaling and is safe for finite-difference gradient checks.
@@ -71,6 +78,16 @@ class Mlp:
         self.layers = list(layers)
         self.mode = "train"
         self.version = 0
+        # the trainable arrays move into one contiguous buffer after the
+        # layers drew their initial values; the layers keep reshaped views
+        named = [(layer, name, arr) for layer in self.layers
+                 for name, arr in layer.parameters()]
+        self.flat = np.concatenate([arr.ravel() for _, _, arr in named])
+        start = 0
+        for layer, name, arr in named:
+            setattr(layer, name,
+                    self.flat[start:start + arr.size].reshape(arr.shape))
+            start += arr.size
 
     @property
     def in_dim(self):
@@ -229,8 +246,34 @@ def mlp_stack(in_dim, out_dim, hidden_width, hidden_depth, rng: Rng,
     return Mlp(layers)
 
 
+def _tiling_run(params, first):
+    """Number of arrays from params[first] on that lay out their common owner
+    buffer exactly, in order and without gaps (an `Mlp`'s parameters), or 0
+    when they do not."""
+    owner = params[first].base
+    if owner is None or owner.ndim != 1 or not owner.flags.c_contiguous:
+        return 0
+    address, end = owner.ctypes.data, owner.ctypes.data + owner.nbytes
+    for count, p in enumerate(params[first:], 1):
+        if (p.base is not owner or not p.flags.c_contiguous
+                or p.ctypes.data != address):
+            return 0
+        address += p.nbytes
+        if address == end:
+            return count
+    return 0
+
+
 class AdamW:
-    """Decoupled weight-decay Adam over a flat list of parameter arrays."""
+    """Decoupled weight-decay Adam (Loshchilov & Hutter, arXiv:1711.05101)
+    over a flat list of parameter arrays.
+
+    Consecutive arrays that exactly tile one owner buffer are updated as
+    that buffer, any other array on its own. Each group keeps its moments,
+    one gradient buffer filled by a single concatenate per step and two
+    scratch arrays; the update is a fixed sequence of whole-buffer in-place
+    operations. AdamW is elementwise, so the grouping does not change a bit
+    of the result."""
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
                  weight_decay=1e-2):
@@ -242,24 +285,43 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = [np.zeros_like(p) for p in self.params]
-        self.v = [np.zeros_like(p) for p in self.params]
+        self.shapes = [p.shape for p in self.params]
+        # (target, first, stop, m, v, grad, scratch, scratch) per group
+        self.groups = []
+        first = 0
+        while first < len(self.params):
+            count = _tiling_run(self.params, first)
+            target = self.params[first].base if count else self.params[first]
+            stop = first + max(count, 1)
+            self.groups.append((target, first, stop)
+                               + tuple(np.zeros(target.shape) for _ in range(5)))
+            first = stop
 
     def step(self, grads):
         if len(grads) != len(self.params):
             raise DimensionError(
                 f"got {len(grads)} gradients for {len(self.params)} parameters")
+        if any(g.shape != shape for g, shape in zip(grads, self.shapes)):
+            raise DimensionError("gradient shape mismatch")
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            if g.shape != p.shape:
-                raise DimensionError("gradient shape mismatch")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            mhat = m / bc1
-            vhat = v / bc2
-            p -= self.lr * (mhat / (np.sqrt(vhat) + self.eps)
-                            + self.weight_decay * p)
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
+        for p, first, stop, m, v, g, a, b in self.groups:
+            np.concatenate(grads[first:stop], axis=None, out=g.reshape(-1))
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=a)
+            m += a
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=a)
+            a *= g
+            v += a
+            np.divide(m, bc1, out=a)
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            np.multiply(p, self.weight_decay, out=b)
+            a += b
+            a *= self.lr
+            p -= a

@@ -174,6 +174,18 @@ def as_checkpoint(request, tmp_path_factory):
     return str(cfg), str(root / "run" / "model_ae.cgmt")
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_sample_count_below_one_rejected_by_name(tmp_path, as_checkpoint, n,
+                                                 capsys):
+    # rejected before the checkpoint is read or the output directory made
+    cfg, ckpt = as_checkpoint
+    capsys.readouterr()
+    assert run(["sample", ckpt, "--config", cfg, "--n", str(n),
+                "--out", str(tmp_path / "gen")]) == 1
+    assert f"sample --n must be at least 1, got {n}" in capsys.readouterr().err
+    assert not (tmp_path / "gen").exists()
+
+
 def test_surrogate_as_rerun_byte_identical(tmp_path, as_checkpoint):
     cfg, ckpt = as_checkpoint
     for tag in ("one", "two"):

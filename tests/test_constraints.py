@@ -3,14 +3,16 @@ import pytest
 
 from cgmkit.constraints import (LinearConstraint, VolumeConstraint,
                                 barycenter_constraint, cffd_correct,
+                                project_volume as project_volume_batch,
                                 sample_cffd_dataset, volume_constraint_row,
                                 volume_gradient)
 from cgmkit.datasets import write_dataset
 from cgmkit.errors import (DegenerateSurfaceError, DimensionError,
                            InfeasibleConstraintError)
 from cgmkit.generative import LinearEnforcer, VolumeEnforcer
-from cgmkit.geometry import (FfdLattice, TriSurface, barycenter_of, ffd_map,
-                             synth_shape, volume_of)
+from cgmkit.geometry import (FfdLattice, TriSurface, _blocks, _cross,
+                             barycenter_of, ffd_map, synth_shape,
+                             volume_gradients, volume_of, volume_rows, volumes)
 from cgmkit.rng import Rng
 
 
@@ -105,6 +107,68 @@ def test_volume_row_reconstruction_identity():
             row, offset = volume_constraint_row(surf, component)
             recon = row @ surf.vertices[:, c] + offset
             assert abs(recon - v) <= 1e-12 * max(abs(v), 1.0)
+
+
+def full_gradient_reference(vertices, faces):
+    """The full-gradient kernel the component rows replaced: every corner's
+    whole cross product scattered with np.add.at, corner by corner."""
+    grad = np.zeros_like(vertices)
+    for block in _blocks(len(vertices), len(faces)):
+        tri = vertices[block][:, faces]
+        for k in range(3):
+            term = _cross(tri[:, :, (k + 1) % 3], tri[:, :, (k + 2) % 3]) / 6.0
+            np.add.at(grad[block], (slice(None), faces[:, k]), term)
+    return grad
+
+
+def project_volume_reference(clouds, faces, constraint):
+    """`project_volume` without a basis as it was on the full gradient, with
+    the volumes taken afresh in every pass."""
+    clouds = np.array(clouds, dtype=np.float64)
+    passes = []
+    for component, target in constraint.pass_plan(volumes(clouds, faces)):
+        c = "xyz".index(component)
+        rows = full_gradient_reference(clouds, faces)[:, :, c]
+        p = rows * ((target - volumes(clouds, faces))
+                    / np.vecdot(rows, rows))[:, None]
+        clouds[:, :, c] += p
+        passes.append((c, rows, p))
+    return clouds, passes
+
+
+@pytest.fixture(scope="module")
+def cloud_batch(sphere):
+    # 25 clouds on 320 faces span three blocks of the batched formulas
+    assert len(sphere.faces) == 320
+    assert len(_blocks(25, len(sphere.faces))) == 3
+    rng = Rng(17)
+    return sphere.vertices * (1.0 + 0.1 * rng.normal((25, 1, 3))) \
+        + 0.02 * rng.normal((25, sphere.n_vertices, 3))
+
+
+def test_volume_rows_bitwise_equal_full_gradient_columns(sphere, cloud_batch):
+    want = full_gradient_reference(cloud_batch, sphere.faces)
+    assert np.array_equal(volume_gradients(cloud_batch, sphere.faces), want)
+    for c in range(3):
+        rows = volume_rows(cloud_batch, sphere.faces, c)
+        assert rows.strides == want[:, :, c].strides
+        assert np.array_equal(rows, want[:, :, c])
+
+
+@pytest.mark.parametrize("split", ["first-pass", "equal-thirds"])
+def test_project_volume_bitwise_equal_full_gradient_kernel(sphere, cloud_batch,
+                                                           split):
+    constraint = VolumeConstraint(1.05 * volume_of(sphere), order=("y", "z", "x"),
+                                  split=split)
+    out, passes = project_volume_batch(cloud_batch, sphere.faces, constraint)
+    want_out, want_passes = project_volume_reference(cloud_batch, sphere.faces,
+                                                     constraint)
+    assert np.array_equal(out, want_out)
+    assert len(passes) == len(want_passes)
+    for (c, rows, p), (want_c, want_rows, want_p) in zip(passes, want_passes):
+        assert c == want_c
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(p, want_p)
 
 
 def test_degenerate_surface_rejected():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cgmkit.checkpoint import load_tensors
 from cgmkit.constraints import (VolumeConstraint, barycenter_constraint,
                                 sample_cffd_dataset)
 from cgmkit.errors import ConfigError
@@ -76,6 +77,14 @@ def test_volume_enforcer_batch():
     g = rng.normal(out.shape)
     back = enforcer.backward(cache, g)
     assert back.shape == g.shape and np.all(np.isfinite(back))
+
+
+def test_volume_enforcer_empty_batch():
+    _, constraint, base = make_dataset(constraint_kind="volume")
+    enforcer = VolumeEnforcer(constraint, base.faces)
+    out, passes = enforcer.forward(np.empty((0, 3 * base.n_vertices)))
+    assert out.shape == (0, 3 * base.n_vertices)
+    assert enforcer.backward(passes, out).shape == out.shape
 
 
 def test_enforcing_chain_gradient_matches_fd():
@@ -321,6 +330,20 @@ def test_checkpoint_round_trip(tmp_path, kind, constraint_kind):
     for a, b in zip(s1, s2):
         assert np.array_equal(a.vertices, b.vertices)
         assert np.array_equal(a.faces, b.faces)
+
+
+def test_checkpoint_load_writes_through_flat_buffers(tmp_path):
+    surfaces, constraint, _ = make_dataset()
+    path = tmp_path / "ae.cgmt"
+    save_model(train_model("ae", surfaces, constraint, small_config(epochs=2)),
+               path)
+    tensors = load_tensors(path)
+    back = load_model(path)
+    for net_name, net in back.nets.items():
+        params = net.parameters()
+        assert all(np.shares_memory(arr, net.flat) for _, arr in params)
+        assert np.array_equal(net.flat, np.concatenate(
+            [tensors[f"net.{net_name}.{name}"].ravel() for name, _ in params]))
 
 
 def test_checkpoint_bytes_reproducible(tmp_path):

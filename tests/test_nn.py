@@ -214,3 +214,90 @@ def test_training_trajectory_deterministic():
 
     a, b = run(), run()
     assert all(np.array_equal(pa, pb) for pa, pb in zip(a, b))
+
+
+# --- one flat parameter buffer per net and the fused AdamW -------------------
+
+def test_parameters_are_views_into_one_flat_buffer():
+    net = mlp_stack(3, 2, 8, 2, Rng(6), dropout=0.1, final_batch_norm=True)
+    hidden = [("weight", (8, 3)), ("bias", (8,)), ("gamma", (8,)),
+              ("beta", (8,)), ("weight", (8, 8)), ("bias", (8,)),
+              ("gamma", (8,)), ("beta", (8,))]
+    names = [f"layer{i // 4}.{name}" for i, (name, _) in enumerate(hidden)]
+    shapes = [shape for _, shape in hidden] + [(2, 8), (2,)]
+    params = net.parameters()
+    assert [name for name, _ in params] == names + ["layer2.weight",
+                                                     "layer2.bias"]
+    assert [arr.shape for _, arr in params] == shapes
+    assert all(np.shares_memory(arr, net.flat) for _, arr in params)
+    assert np.array_equal(np.concatenate([arr.ravel() for _, arr in params]),
+                          net.flat)
+    # the buffer is filled after the init draws, so the streams are those of
+    # layers that own their arrays
+    loose = MlpLayer(3, 8, Rng(6), activation="relu", batch_norm=True)
+    assert np.array_equal(net.layers[0].weight, loose.weight)
+
+
+def reference_adamw(params, grad_steps, lr=1e-3, beta1=0.9, beta2=0.999,
+                    eps=1e-8, weight_decay=1e-2):
+    """AdamW array by array, each update written as one expression."""
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grad_steps, 1):
+        bc1 = 1.0 - beta1 ** t
+        bc2 = 1.0 - beta2 ** t
+        for p, g, mi, vi in zip(params, grads, m, v):
+            mi *= beta1
+            mi += (1.0 - beta1) * g
+            vi *= beta2
+            vi += (1.0 - beta2) * g * g
+            p -= lr * ((mi / bc1) / (np.sqrt(vi / bc2) + eps)
+                       + weight_decay * p)
+
+
+def test_fused_adamw_bitwise_equal_per_array_reference():
+    nets = [mlp_stack(4, 3, 8, 2, Rng(1).derive(name), dropout=0.1)
+            for name in ("enc", "dec")]
+    loose = Rng(2).normal((3, 5))
+    params = ([p for _, p in nets[0].parameters()] + [loose]
+              + [p for _, p in nets[1].parameters()])
+    twin = [p.copy() for p in params]
+    opt = AdamW(params)
+    # each net is one group over its buffer, the loose array its own
+    assert [group[0] is nets[0].flat for group in opt.groups] == [True, False,
+                                                                   False]
+    assert opt.groups[1][0] is loose and opt.groups[2][0] is nets[1].flat
+    rng = Rng(3)
+    grad_steps = [[rng.derive(t, i).normal(p.shape) for i, p in enumerate(params)]
+                  for t in range(50)]
+    for grads in grad_steps:
+        opt.step(grads)
+    reference_adamw(twin, grad_steps)
+    assert all(np.array_equal(p, q) for p, q in zip(params, twin))
+
+
+def test_adamw_part_of_a_buffer_updates_array_by_array():
+    net = mlp_stack(3, 2, 4, 1, Rng(8), dropout=0.0)
+    params = [p for _, p in net.parameters()][1:]
+    twin = [p.copy() for p in params]
+    opt = AdamW(params)
+    assert len(opt.groups) == len(params)
+    grads = [[np.full(p.shape, 0.5 + t) for p in params] for t in range(3)]
+    for g in grads:
+        opt.step(g)
+    reference_adamw(twin, grads)
+    assert all(np.array_equal(p, q) for p, q in zip(params, twin))
+
+
+def test_adamw_rejects_wrong_gradient_list():
+    net = mlp_stack(3, 2, 4, 1, Rng(8), dropout=0.0)
+    params = [p for _, p in net.parameters()]
+    opt = AdamW(net.parameters())
+    before = net.flat.copy()
+    with pytest.raises(DimensionError):
+        opt.step([np.zeros(p.shape) for p in params[:-1]])
+    wrong = [np.zeros(p.shape) for p in params]
+    wrong[1] = np.zeros(params[1].size + 1)
+    with pytest.raises(DimensionError):
+        opt.step(wrong)
+    assert np.array_equal(net.flat, before) and opt.t == 0

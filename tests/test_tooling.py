@@ -41,3 +41,16 @@ def test_artifact_hashes_lists_every_file(tmp_path):
     (tmp_path / "b.tsv").write_bytes(b"")
     assert tool.artifact_hashes(tmp_path) == [
         ("b.tsv", "e3b0c44298fc1c14"), ("data/a.bin", "ba7816bf8f01cfea")]
+
+
+def test_artifact_differences_lists_changed_and_missing_paths():
+    # the --against comparison names only paths whose bytes differ or that
+    # one run lacks, with '-' for the missing side
+    tool = load(HASHES, "artifact_hashes")
+    old = [("a.bin", "1111"), ("gen/dataset.cgmt", "2222"), ("old.txt", "3333"),
+           ("same.tsv", "4444")]
+    new = [("a.bin", "1111"), ("gen/dataset.cgmt", "2223"), ("new.txt", "5555"),
+           ("same.tsv", "4444")]
+    assert tool.differences(old, new) == [
+        "gen/dataset.cgmt 2222 2223", "new.txt - 5555", "old.txt 3333 -"]
+    assert tool.differences(old, old) == []

@@ -9,8 +9,13 @@ paths, so two source trees give comparable listings:
 
     python3 tools/artifact_hashes.py desk-volume /tmp/new --seed 1
     python3 tools/artifact_hashes.py desk-volume /tmp/old --seed 1 --src OLD/src
-    diff <(python3 ... /tmp/old ...) <(python3 ... /tmp/new ...)
-"""
+
+With `--against OLD_SRC` it runs the workload under OLD_SRC into
+WORKDIR/old and under `--src` into WORKDIR/new, prints only the paths
+whose bytes differ or that one run lacks (`path old new`, `-` for a
+missing file) and exits 1 if there is any:
+
+    python3 tools/artifact_hashes.py desk-volume /tmp/cmp --against OLD/src"""
 
 import argparse
 import hashlib
@@ -63,6 +68,15 @@ def artifact_hashes(workdir):
     return sorted(rows)
 
 
+def differences(old_rows, new_rows):
+    """`path old_digest new_digest` for each path whose digests differ or
+    that only one listing holds (`-` on the missing side), sorted by path."""
+    old, new = dict(old_rows), dict(new_rows)
+    return [f"{path} {old.get(path, '-')} {new.get(path, '-')}"
+            for path in sorted(old.keys() | new.keys())
+            if old.get(path) != new.get(path)]
+
+
 def main(argv=None):
     workloads = load_workloads()
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
@@ -71,15 +85,29 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="source tree holding the cgmkit package")
+    parser.add_argument("--against", metavar="OLD_SRC", default=None,
+                        help="compare with a run under this source tree")
     args = parser.parse_args(argv)
     if os.path.isdir(args.workdir) and os.listdir(args.workdir):
         parser.error(f"{args.workdir} is not empty")
+    runs = ({"old": args.against, "new": args.src} if args.against
+            else {"": args.src})
     try:
-        run_workload(workloads[args.workload], args.workdir, args.seed,
-                     args.src)
+        for name, src in runs.items():
+            run_workload(workloads[args.workload],
+                         os.path.join(args.workdir, name), args.seed, src)
     except RuntimeError as err:
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: under {src}: {err}", file=sys.stderr)
         return 1
+    if args.against:
+        old = artifact_hashes(os.path.join(args.workdir, "old"))
+        new = artifact_hashes(os.path.join(args.workdir, "new"))
+        lines = differences(old, new)
+        for line in lines:
+            print(line)
+        print(f"{len(lines)} of {len(dict(old) | dict(new))} files differ",
+              file=sys.stderr)
+        return 1 if lines else 0
     for path, digest in artifact_hashes(args.workdir):
         print(path, digest)
     return 0
