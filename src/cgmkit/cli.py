@@ -202,8 +202,8 @@ def cmd_surrogate(config: PipelineConfig, source, method, seed) -> int:
     if method in ("rbf", "gpr", "nn"):
         podi = podi_fit(mu_train, s_train, config.pod_modes, regressor=method,
                         rng=rng.derive("nn"),
-                        nn_width=int(config.values["rom.nn_width"]),
-                        nn_epochs=int(config.values["rom.nn_epochs"]))
+                        nn_width=config.number("rom.nn_width", int),
+                        nn_epochs=config.number("rom.nn_epochs", int))
         train_err = _surrogate_errors(lambda m: podi_predict(podi, m),
                                       mu_train, s_train)
         test_err = _surrogate_errors(lambda m: podi_predict(podi, m),

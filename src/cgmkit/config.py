@@ -7,7 +7,7 @@ variable naming an unknown key of a known section is rejected, variables of
 other sections are ignored. Command line flags override both."""
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -113,12 +113,22 @@ def write_resolved(values: dict, path):
             fh.write(f"{key} = {values[key]}\n")
 
 
-def _floats(text) -> np.ndarray:
-    return np.array([float(t) for t in text.replace(",", " ").split()])
+def _number(key, text, kind):
+    """text as kind (int or float); ConfigError naming key and text if it
+    does not parse."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"config key {key} must be {noun}, got {text!r}") from None
 
 
-def _ints(text):
-    return tuple(int(t) for t in text.replace(",", " ").split())
+def _floats(key, text) -> np.ndarray:
+    return np.array([_number(key, t, float) for t in text.replace(",", " ").split()])
+
+
+def _ints(key, text):
+    return tuple(_number(key, t, int) for t in text.replace(",", " ").split())
 
 
 @dataclass
@@ -128,32 +138,41 @@ class PipelineConfig:
     values: dict = field(default_factory=lambda: dict(DEFAULTS))
 
     def __post_init__(self):
-        self.seed = int(self.values["pipeline.seed"])
+        self.seed = self.number("pipeline.seed", int)
         self.out = self.values["pipeline.out"]
-        self.threads = int(self.values["pipeline.threads"])
-        self.n_train = int(self.values["dataset.n_train"])
-        self.n_test = int(self.values["dataset.n_test"])
-        self.sigma_d = float(self.values["dataset.sigma_d"])
-        self.rom_train = int(self.values["rom.n_train"])
-        self.rom_test = int(self.values["rom.n_test"])
-        self.pod_modes = int(self.values["rom.pod_modes"])
-        self.as_dim = int(self.values["rom.as_dim"])
-        self.bootstrap = int(self.values["rom.bootstrap"])
+        self.threads = self.number("pipeline.threads", int)
+        self.n_train = self.number("dataset.n_train", int)
+        self.n_test = self.number("dataset.n_test", int)
+        self.sigma_d = self.number("dataset.sigma_d", float)
+        self.rom_train = self.number("rom.n_train", int)
+        self.rom_test = self.number("rom.n_test", int)
+        self.pod_modes = self.number("rom.pod_modes", int)
+        self.as_dim = self.number("rom.as_dim", int)
+        self.bootstrap = self.number("rom.bootstrap", int)
         if self.n_train < 1 or self.rom_train < 1:
             raise ConfigError("dataset and ROM training sizes must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"pipeline.seed must be nonnegative, got {self.seed}")
+        if self.threads < 1:
+            raise ConfigError(
+                f"pipeline.threads must be at least 1, got {self.threads}")
 
     @classmethod
     def load(cls, path=None, environ=None, overrides=None) -> "PipelineConfig":
         return cls(resolve_config(path, environ, overrides))
 
+    def number(self, key, kind):
+        """The value of key as kind (int or float), or ConfigError."""
+        return _number(key, self.values[key], kind)
+
     def base_shape(self):
-        radii = _floats(self.values["shape.radii"])
+        radii = _floats("shape.radii", self.values["shape.radii"])
         return synth_shape(self.values["shape.kind"],
-                           int(self.values["shape.subdivision"]), radii)
+                           self.number("shape.subdivision", int), radii)
 
     def lattice(self, surface) -> FfdLattice:
-        grid = _ints(self.values["lattice.grid"])
-        margin = float(self.values["lattice.margin"])
+        grid = _ints("lattice.grid", self.values["lattice.grid"])
+        margin = self.number("lattice.margin", float)
         lower = surface.vertices.min(axis=0) - margin
         upper = surface.vertices.max(axis=0) + margin
         return FfdLattice.from_box(grid, lower, upper)
@@ -179,25 +198,19 @@ class PipelineConfig:
         target = self.values["constraint.target"]
         if kind == "barycenter":
             value = (barycenter_of(surface.vertices) if target == "keep"
-                     else _floats(target))
+                     else _floats("constraint.target", target))
             return barycenter_constraint(surface.n_vertices, value)
         if kind == "volume":
-            value = volume_of(surface) if target == "keep" else float(target)
+            value = (volume_of(surface) if target == "keep"
+                     else self.number("constraint.target", float))
             return VolumeConstraint(value)
         raise ConfigError(f"unknown constraint kind {kind!r}")
 
     def gm_config(self) -> GmConfig:
-        g = lambda k: self.values[f"gm.{k}"]
-        return GmConfig(
-            latent_dim=int(g("latent_dim")), pca_modes=int(g("pca_modes")),
-            hidden_width=int(g("hidden_width")),
-            hidden_depth=int(g("hidden_depth")), dropout=float(g("dropout")),
-            disc_dropout=float(g("disc_dropout")), epochs=int(g("epochs")),
-            batch_size=int(g("batch_size")), lr=float(g("lr")),
-            weight_decay=float(g("weight_decay")), alpha=float(g("alpha")),
-            sigma=float(g("sigma")), gamma=float(g("gamma")),
-            k_gain=float(g("k_gain")), k0=float(g("k0")),
-            seed=self.seed)
+        """GmConfig from the gm.* keys, each parsed as its field's type."""
+        return GmConfig(seed=self.seed, **{
+            f.name: self.number(f"gm.{f.name}", f.type)
+            for f in fields(GmConfig) if f.name != "seed"})
 
     def field_spec(self) -> FieldSpec:
         return FieldSpec(self.values["field.kind"])

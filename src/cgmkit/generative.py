@@ -11,7 +11,8 @@ volume projection, `constraints.project_volume`, which constrained FFD
 also uses; each pass computes only the volume-gradient component it moves
 (`geometry.volume_rows`). Every kind trains in one loop (`_fit`) over nets
 built from one layout table (`net_specs`), supplying only its per-batch
-step, and one fused `nn.AdamW` update per net buffer."""
+step. Each net's backward pass returns one gradient laid out like its
+flat parameter buffer, and `nn.AdamW` steps those buffers."""
 
 import ast
 from dataclasses import dataclass, field, fields
@@ -54,6 +55,10 @@ class GmConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("latent_dim", "pca_modes", "hidden_width", "epochs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(
+                    f"{name} must be at least 1, got {getattr(self, name)}")
         if self.latent_dim > self.pca_modes:
             raise ConfigError("latent dim must not exceed the PCA mode count")
         if self.batch_size < 2:
@@ -266,8 +271,8 @@ def _batches(n, batch_size, rng: Rng):
 
 
 def _optimizer(config: GmConfig, *nets) -> AdamW:
-    """One AdamW over the parameters of nets, in net order."""
-    return AdamW([p for net in nets for p in net.parameters()], lr=config.lr,
+    """One AdamW over the flat buffers of nets, in net order."""
+    return AdamW([net.flat for net in nets], lr=config.lr,
                  weight_decay=config.weight_decay)
 
 
@@ -321,7 +326,7 @@ def train_ae(surfaces, constraint, config: GmConfig) -> GenerativeModel:
             dec_grads, g_z = dec.backward(dec_cache,
                                           model.emit_backward(enf_cache, g_out))
             enc_grads, _ = enc.backward(enc_cache, g_z)
-            opt.step(enc_grads + dec_grads)
+            opt.step([enc_grads, dec_grads])
             enc.note_update()
             dec.note_update()
             return (float(norms.mean()),)
@@ -360,7 +365,7 @@ def train_vae(surfaces, constraint, config: GmConfig) -> GenerativeModel:
             g_raw = g_scale / (1.0 + np.exp(-raw))
             mean_grads, _ = enc_mean.backward(a_cache, g_a)
             scale_grads, _ = enc_scale.backward(raw_cache, g_raw)
-            opt.step(mean_grads + scale_grads + dec_grads)
+            opt.step([mean_grads, scale_grads, dec_grads])
             for net in (enc_mean, enc_scale, dec):
                 net.note_update()
             return (recon + config.alpha * kl,)
@@ -404,7 +409,7 @@ def train_aae(surfaces, constraint, config: GmConfig) -> GenerativeModel:
             d_fake, fake_cache = disc.forward(z_fake, rng=drop)
             real_grads, _ = disc.backward(real_cache, _bce_grad(d_real, True, b))
             fake_grads, _ = disc.backward(fake_cache, _bce_grad(d_fake, False, b))
-            opt_disc.step([a + c for a, c in zip(real_grads, fake_grads)])
+            opt_disc.step([real_grads + fake_grads])
             disc.note_update()
             # reconstruction + adversarial step for encoder/decoder
             z, enc_cache = enc.forward(coords, rng=drop)
@@ -417,7 +422,7 @@ def train_aae(surfaces, constraint, config: GmConfig) -> GenerativeModel:
                                           model.emit_backward(enf_cache, g_out))
             _, g_z_adv = disc.backward(adv_cache, _bce_grad(d_adv, True, b))
             enc_grads, _ = enc.backward(enc_cache, g_z + g_z_adv)
-            opt_ae.step(enc_grads + dec_grads)
+            opt_ae.step([enc_grads, dec_grads])
             enc.note_update()
             dec.note_update()
             return (recon + adv,)
@@ -445,7 +450,6 @@ def train_began(surfaces, constraint, config: GmConfig) -> GenerativeModel:
         disc_enc, disc_dec, gen = model.nets.values()
         opt_disc = _optimizer(config, disc_enc, disc_dec)
         opt_gen = _optimizer(config, gen)
-        n_enc = len(disc_enc.parameters())
         model.k_final = float(config.k0)
 
         def disc_f(u, drop):
@@ -460,19 +464,22 @@ def train_began(surfaces, constraint, config: GmConfig) -> GenerativeModel:
 
         def f_input_grad(unit, ce, cd, coeff, accumulate):
             """Gradient of coeff * mean f w.r.t. the f input, optionally
-            accumulating discriminator parameter gradients."""
+            accumulating discriminator parameter gradients into the
+            (encoder, decoder) buffer pair accumulate."""
             b = len(unit)
             dd_grads, g_h = disc_dec.backward(cd, (-coeff * unit / b) @ pca.modes)
             de_grads, g_pu = disc_enc.backward(ce, g_h)
             if accumulate is not None:
-                for total, g in zip(accumulate, de_grads + dd_grads):
-                    total += g
+                enc_total, dec_total = accumulate
+                enc_total += de_grads
+                dec_total += dd_grads
             return coeff * unit / b + g_pu @ pca.modes.T
 
         def step(x, coords, drop, tag):
             k = model.k_final
             b = len(x)
-            disc_grads = [np.zeros_like(p) for p in opt_disc.params]
+            enc_total = np.zeros_like(disc_enc.flat)
+            dec_total = np.zeros_like(disc_dec.flat)
             # one encoder pass feeds both the real reconstruction and the
             # generator's fake input G(Enc(x)), run through the enforcer
             norms_x, unit_x, ce, cd, h = disc_f(x, drop)
@@ -484,16 +491,15 @@ def train_began(surfaces, constraint, config: GmConfig) -> GenerativeModel:
             loss_d = f_real - k * f_fake
             # discriminator gradients: real term output path
             dd_grads, g_h_real = disc_dec.backward(cd, (-unit_x / b) @ pca.modes)
-            for total, g in zip(disc_grads[n_enc:], dd_grads):
-                total += g
+            dec_total += dd_grads
             # fake term: -k * mean f(fake), both through D and through Enc
-            g_fake_input = f_input_grad(unit_g, ce2, cd2, -k, disc_grads)
+            g_fake_input = f_input_grad(unit_g, ce2, cd2, -k,
+                                        (enc_total, dec_total))
             g_yg = model.emit_backward(enf_cache, g_fake_input)
             _, g_h_fake = gen.backward(cg, g_yg)  # generator frozen here
             de_grads, _ = disc_enc.backward(ce, g_h_real + g_h_fake)
-            for total, g in zip(disc_grads[:n_enc], de_grads):
-                total += g
-            opt_disc.step(disc_grads)
+            enc_total += de_grads
+            opt_disc.step([enc_total, dec_total])
             disc_enc.note_update()
             disc_dec.note_update()
             # generator step on fresh prior draws
@@ -505,7 +511,7 @@ def train_began(surfaces, constraint, config: GmConfig) -> GenerativeModel:
             g_gen_input = f_input_grad(unit_z, ce3, cd3, 1.0, None)
             gen_grads, _ = gen.backward(cg2, model.emit_backward(enf_cache2,
                                                                  g_gen_input))
-            opt_gen.step(gen_grads)
+            opt_gen.step([gen_grads])
             gen.note_update()
             model.k_final = began_k_update(k, config.k_gain, config.gamma,
                                            f_real, f_gen)

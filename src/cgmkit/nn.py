@@ -8,9 +8,9 @@ given an Rng.
 An `Mlp` keeps all its trainable arrays in one contiguous buffer (`flat`),
 filled after the layers drew their initial values; each layer's weight,
 bias, gamma and beta are reshaped views into it, so checkpoint writes
-through them land in the buffer. `AdamW` updates each such buffer as one
-array with a fixed sequence of in-place operations, bitwise the per-array
-update.
+through them land in the buffer. `Mlp.backward` returns the parameter
+gradient in the same layout, and `AdamW` steps each buffer as one array
+with that gradient.
 
 Batch norm uses biased (1/B) batch variance for both normalization and the
 running statistics; eval mode is a fixed affine transform, so it needs no
@@ -37,6 +37,9 @@ class MlpLayer:
             raise DimensionError(f"unknown activation {activation!r}")
         if not 0.0 <= dropout < 1.0:
             raise DimensionError("dropout rate must lie in [0, 1)")
+        if in_dim < 1 or out_dim < 1:
+            raise DimensionError(
+                f"layer dims must be at least 1, got {in_dim} -> {out_dim}")
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
         self.activation = activation
@@ -79,15 +82,19 @@ class Mlp:
         self.mode = "train"
         self.version = 0
         # the trainable arrays move into one contiguous buffer after the
-        # layers drew their initial values; the layers keep reshaped views
-        named = [(layer, name, arr) for layer in self.layers
-                 for name, arr in layer.parameters()]
-        self.flat = np.concatenate([arr.ravel() for _, _, arr in named])
+        # layers drew their initial values; the layers keep reshaped views,
+        # and slots[i] maps each trainable name of layer i to its slice
+        self.flat = np.concatenate([arr.ravel() for layer in self.layers
+                                    for _, arr in layer.parameters()])
+        self.slots = []
         start = 0
-        for layer, name, arr in named:
-            setattr(layer, name,
-                    self.flat[start:start + arr.size].reshape(arr.shape))
-            start += arr.size
+        for layer in self.layers:
+            slot = {}
+            for name, arr in layer.parameters():
+                slot[name] = slice(start, start + arr.size)
+                setattr(layer, name, self.flat[slot[name]].reshape(arr.shape))
+                start += arr.size
+            self.slots.append(slot)
 
     @property
     def in_dim(self):
@@ -108,14 +115,6 @@ class Mlp:
     def note_update(self):
         """Invalidate outstanding forward caches after a parameter update."""
         self.version += 1
-
-    def parameters(self):
-        """Trainable arrays in a fixed order, named layer{i}.{field}."""
-        out = []
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.parameters():
-                out.append((f"layer{i}.{name}", arr))
-        return out
 
     def state_tensors(self):
         out = []
@@ -184,16 +183,21 @@ class Mlp:
     def backward(self, cache, grad_out):
         """Backprop grad_out through a cached forward pass.
 
-        Returns (grads, grad_input) with grads aligned to parameters().
-        """
+        Returns (grad, grad_input): grad is a fresh array laid out like
+        `flat`, each trainable array's gradient in that array's slice."""
         if cache["net"] != id(self) or cache["version"] != self.version:
             raise CacheMismatchError("cache does not match current network state")
         train = cache["train"]
         g = np.asarray(grad_out, dtype=np.float64)
-        grads = [None] * len(self.layers)
+        grad = np.empty_like(self.flat)
+        # keep the previous gradient until this one exists, so the next call
+        # reuses its block; freed earlier, it lets malloc trim the heap top
+        # and every training step page-faults its buffers back in
+        self._last_grad = grad
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
             step = cache["steps"][i]
+            slot = self.slots[i]
             if train and layer.dropout > 0.0:
                 g = g * step["drop_mask"] / (1.0 - layer.dropout)
             if layer.activation == "relu":
@@ -201,12 +205,11 @@ class Mlp:
             elif layer.activation == "sigmoid":
                 sig = step["sig"]
                 g = g * sig * (1.0 - sig)
-            layer_grads = {}
             if layer.batch_norm:
                 zhat = step["zhat"]
                 if layer.bn_affine:
-                    layer_grads["gamma"] = (g * zhat).sum(axis=0)
-                    layer_grads["beta"] = g.sum(axis=0)
+                    grad[slot["gamma"]] = (g * zhat).sum(axis=0)
+                    grad[slot["beta"]] = g.sum(axis=0)
                     gz = g * layer.gamma
                 else:
                     gz = g
@@ -217,16 +220,11 @@ class Mlp:
                         b * gz - gz.sum(axis=0) - zhat * (gz * zhat).sum(axis=0))
                 else:
                     g = gz * inv_std
-            x = step["x"]
-            layer_grads["weight"] = g.T @ x
-            layer_grads["bias"] = g.sum(axis=0)
-            grads[i] = layer_grads
+            np.matmul(g.T, step["x"],
+                      out=grad[slot["weight"]].reshape(layer.weight.shape))
+            grad[slot["bias"]] = g.sum(axis=0)
             g = g @ layer.weight
-        flat = []
-        for i, layer in enumerate(self.layers):
-            for name, _ in layer.parameters():
-                flat.append(grads[i][name])
-        return flat, g
+        return grad, g
 
 
 def mlp_stack(in_dim, out_dim, hidden_width, hidden_depth, rng: Rng,
@@ -246,69 +244,38 @@ def mlp_stack(in_dim, out_dim, hidden_width, hidden_depth, rng: Rng,
     return Mlp(layers)
 
 
-def _tiling_run(params, first):
-    """Number of arrays from params[first] on that lay out their common owner
-    buffer exactly, in order and without gaps (an `Mlp`'s parameters), or 0
-    when they do not."""
-    owner = params[first].base
-    if owner is None or owner.ndim != 1 or not owner.flags.c_contiguous:
-        return 0
-    address, end = owner.ctypes.data, owner.ctypes.data + owner.nbytes
-    for count, p in enumerate(params[first:], 1):
-        if (p.base is not owner or not p.flags.c_contiguous
-                or p.ctypes.data != address):
-            return 0
-        address += p.nbytes
-        if address == end:
-            return count
-    return 0
-
-
 class AdamW:
     """Decoupled weight-decay Adam (Loshchilov & Hutter, arXiv:1711.05101)
-    over a flat list of parameter arrays.
+    over a list of parameter arrays, such as each net's `flat` buffer.
 
-    Consecutive arrays that exactly tile one owner buffer are updated as
-    that buffer, any other array on its own. Each group keeps its moments,
-    one gradient buffer filled by a single concatenate per step and two
-    scratch arrays; the update is a fixed sequence of whole-buffer in-place
-    operations. AdamW is elementwise, so the grouping does not change a bit
-    of the result."""
+    Each array keeps its moments and two scratch arrays; `step` takes one
+    gradient per array and updates each array with a fixed sequence of
+    whole-array in-place operations."""
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
                  weight_decay=1e-2):
-        self.params = [p for _, p in params] if params and isinstance(
-            params[0], tuple) else list(params)
+        self.params = list(params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.shapes = [p.shape for p in self.params]
-        # (target, first, stop, m, v, grad, scratch, scratch) per group
-        self.groups = []
-        first = 0
-        while first < len(self.params):
-            count = _tiling_run(self.params, first)
-            target = self.params[first].base if count else self.params[first]
-            stop = first + max(count, 1)
-            self.groups.append((target, first, stop)
-                               + tuple(np.zeros(target.shape) for _ in range(5)))
-            first = stop
+        # (m, v, scratch, scratch) per array
+        self.state = [tuple(np.zeros(p.shape) for _ in range(4))
+                      for p in self.params]
 
     def step(self, grads):
         if len(grads) != len(self.params):
             raise DimensionError(
                 f"got {len(grads)} gradients for {len(self.params)} parameters")
-        if any(g.shape != shape for g, shape in zip(grads, self.shapes)):
+        if any(g.shape != p.shape for g, p in zip(grads, self.params)):
             raise DimensionError("gradient shape mismatch")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for p, first, stop, m, v, g, a, b in self.groups:
-            np.concatenate(grads[first:stop], axis=None, out=g.reshape(-1))
+        for p, g, (m, v, a, b) in zip(self.params, grads, self.state):
             m *= b1
             np.multiply(g, 1.0 - b1, out=a)
             m += a

@@ -263,11 +263,11 @@ class _NnRegressor:
         self.net = mlp_stack(x.shape[1], y.shape[1], self.width, 2,
                              self.rng.derive("init"), dropout=0.0,
                              hidden_norm=False)
-        opt = AdamW(self.net.parameters(), lr=self.lr)
+        opt = AdamW([self.net.flat], lr=self.lr)
         for epoch in range(self.epochs):
             out, cache = self.net.forward(xn)
             grads, _ = self.net.backward(cache, (out - yn) / len(xn))
-            opt.step(grads)
+            opt.step([grads])
             self.net.note_update()
         self.net.eval()
         return self

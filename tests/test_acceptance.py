@@ -173,8 +173,8 @@ def test_criterion_3_numerics():
 
     h = 1e-6
     worst_fd = 0.0
-    for arr, grad in zip([p for _, p in net.parameters()], grads):
-        flat = arr.reshape(-1)
+    for slot in (sl for slots in net.slots for sl in slots.values()):
+        flat, grad = net.flat[slot], grads[slot]
         for i in np.linspace(0, flat.size - 1, 9).astype(int):
             keep = flat[i]
             flat[i] = keep + h

@@ -80,6 +80,30 @@ def test_invalid_config_nonzero_exit(tmp_path):
                 "--out", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize("variable, key", [
+    ("CGM_PIPELINE_SEED", "pipeline.seed"),
+    ("CGM_DATASET_SIGMA_D", "dataset.sigma_d"),
+])
+def test_non_numeric_config_value_exits_1_naming_key(tmp_path, monkeypatch,
+                                                     capsys, variable, key):
+    monkeypatch.setenv(variable, "abc")
+    assert run(["generate", "--out", str(tmp_path / "x")]) == 1
+    assert f"config key {key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, key", [
+    ("--seed", "-1", "pipeline.seed"),
+    ("--threads", "-3", "pipeline.threads"),
+    ("--threads", "0", "pipeline.threads"),
+])
+def test_out_of_range_seed_and_threads_exit_1(tmp_path, capsys, flag, value,
+                                              key):
+    out = tmp_path / "x"
+    assert run(["generate", flag, value, "--out", str(out)]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_singular_lattice_nonzero_exit(tmp_path):
     bad = tmp_path / "bad.cfg"
     # a flat shape with zero margin collapses the lattice box to zero extent

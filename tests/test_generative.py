@@ -107,10 +107,9 @@ def test_enforcing_chain_gradient_matches_fd():
     out, enf_cache = enforcer.forward(pca.reconstruct(y))
     g_y = enforcer.backward(enf_cache, out - target) @ pca.modes
     grads, _ = dec.backward(cache, g_y)
-    params = [p for _, p in dec.parameters()]
     h = 1e-6
-    for arr, grad in zip(params, grads):
-        flat = arr.reshape(-1)
+    for slot in (sl for slots in dec.slots for sl in slots.values()):
+        flat, grad = dec.flat[slot], grads[slot]
         for i in np.linspace(0, flat.size - 1, 7).astype(int):
             keep = flat[i]
             flat[i] = keep + h
@@ -226,9 +225,7 @@ def test_training_deterministic():
     cfg = small_config(epochs=5)
     m1 = train_ae(surfaces, constraint, cfg)
     m2 = train_ae(surfaces, constraint, cfg)
-    for (n1, p1), (n2, p2) in zip(m1.nets["dec"].parameters(),
-                                  m2.nets["dec"].parameters()):
-        assert np.array_equal(p1, p2)
+    assert np.array_equal(m1.nets["dec"].flat, m2.nets["dec"].flat)
     assert np.array_equal(m1.sampler_mean, m2.sampler_mean)
 
 
@@ -236,8 +233,7 @@ def test_zero_weight_decoder_emits_enforced_mean():
     surfaces, constraint, _ = make_dataset()
     model = train_ae(surfaces, constraint, small_config(epochs=2))
     dec = model.nets["dec"]
-    for _, p in dec.parameters():
-        p[...] = 0.0
+    dec.flat[...] = 0.0
     for layer in dec.layers:
         if layer.batch_norm:
             layer.running_mean[...] = 0.0
@@ -253,9 +249,9 @@ def test_vae_alpha_changes_training():
     m0 = train_model("vae", surfaces, constraint, small_config(alpha=0.0, epochs=4))
     m0b = train_model("vae", surfaces, constraint, small_config(alpha=0.0, epochs=4))
     m1 = train_model("vae", surfaces, constraint, small_config(alpha=10.0, epochs=4))
-    p0 = m0.nets["dec"].parameters()[0][1]
-    assert np.array_equal(p0, m0b.nets["dec"].parameters()[0][1])
-    assert not np.array_equal(p0, m1.nets["dec"].parameters()[0][1])
+    p0 = m0.nets["dec"].layers[0].weight
+    assert np.array_equal(p0, m0b.nets["dec"].layers[0].weight)
+    assert not np.array_equal(p0, m1.nets["dec"].layers[0].weight)
 
 
 def test_aae_discriminator_near_chance_on_matched_latents():
@@ -340,10 +336,13 @@ def test_checkpoint_load_writes_through_flat_buffers(tmp_path):
     tensors = load_tensors(path)
     back = load_model(path)
     for net_name, net in back.nets.items():
-        params = net.parameters()
-        assert all(np.shares_memory(arr, net.flat) for _, arr in params)
+        names = [(i, name) for i, slots in enumerate(net.slots)
+                 for name in slots]
+        assert all(np.shares_memory(getattr(net.layers[i], name), net.flat)
+                   for i, name in names)
         assert np.array_equal(net.flat, np.concatenate(
-            [tensors[f"net.{net_name}.{name}"].ravel() for name, _ in params]))
+            [tensors[f"net.{net_name}.layer{i}.{name}"].ravel()
+             for i, name in names]))
 
 
 def test_checkpoint_bytes_reproducible(tmp_path):
@@ -372,3 +371,10 @@ def test_config_validation():
         GmConfig(alpha=-1.0)
     with pytest.raises(ConfigError):
         GmConfig(gamma=0.0)
+
+
+@pytest.mark.parametrize("name", ["latent_dim", "pca_modes", "hidden_width",
+                                  "epochs"])
+def test_config_rejects_sizes_below_one(name):
+    with pytest.raises(ConfigError, match=f"{name} must be at least 1, got 0"):
+        GmConfig(**{name: 0})

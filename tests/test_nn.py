@@ -71,9 +71,10 @@ def test_linear_backward_closed_form():
     x = np.array([[1.0, -2.0, 0.5]])
     y = np.array([[0.3, -0.7]])
     out, cache = net.forward(x)
-    grads, _ = net.backward(cache, out - y)
-    assert np.allclose(grads[0], (out - y).T @ x)
-    assert np.allclose(grads[1], (out - y).ravel())
+    grad, _ = net.backward(cache, out - y)
+    slot = net.slots[0]
+    assert np.allclose(grad[slot["weight"]].reshape(2, 3), (out - y).T @ x)
+    assert np.allclose(grad[slot["bias"]], (out - y).ravel())
 
 
 def test_zero_grad_gives_zero_param_grads():
@@ -81,8 +82,8 @@ def test_zero_grad_gives_zero_param_grads():
     net = mlp_stack(4, 3, 8, 2, rng, dropout=0.0)
     net.eval()
     out, cache = net.forward(np.ones((3, 4)))
-    grads, gin = net.backward(cache, np.zeros_like(out))
-    assert all(np.allclose(g, 0.0) for g in grads)
+    grad, gin = net.backward(cache, np.zeros_like(out))
+    assert grad.shape == net.flat.shape and np.allclose(grad, 0.0)
     assert np.allclose(gin, 0.0)
 
 
@@ -98,9 +99,8 @@ def fd_check(net, x, rng=None, h=1e-6, tol=1e-5, floor=1e-3):
 
     out, cache = net.forward(x, rng=rng)
     grads, gin = net.backward(cache, out)
-    params = [p for _, p in net.parameters()]
-    for arr, grad in zip(params, grads):
-        flat = arr.reshape(-1)
+    for slot in (sl for slots in net.slots for sl in slots.values()):
+        flat, grad = net.flat[slot], grads[slot]
         idx = np.linspace(0, flat.size - 1, min(flat.size, 12)).astype(int)
         for i in np.unique(idx):
             keep = flat[i]
@@ -175,6 +175,12 @@ def test_dim_mismatch_rejected():
         net.forward(np.ones((2, 5)))
 
 
+@pytest.mark.parametrize("in_dim, out_dim", [(0, 3), (3, 0), (-1, 2)])
+def test_zero_width_layer_rejected(in_dim, out_dim):
+    with pytest.raises(DimensionError, match="at least 1"):
+        MlpLayer(in_dim, out_dim, Rng(0))
+
+
 def test_adamw_first_step_hand_value():
     # t=1, g=1: mhat = vhat = 1, step = -lr / (1 + eps)
     theta = np.array([0.0])
@@ -201,19 +207,18 @@ def test_training_trajectory_deterministic():
     def run():
         rng = Rng(21)
         net = mlp_stack(3, 2, 8, 2, rng.derive("init"), dropout=0.1)
-        opt = AdamW(net.parameters())
+        opt = AdamW([net.flat])
         data_rng = rng.derive("data")
         x = data_rng.normal((16, 3))
         y = data_rng.normal((16, 2))
         for step in range(10):
             out, cache = net.forward(x, rng=rng.derive("drop", step))
-            grads, _ = net.backward(cache, (out - y) / len(x))
-            opt.step(grads)
+            grad, _ = net.backward(cache, (out - y) / len(x))
+            opt.step([grad])
             net.note_update()
-        return [p.copy() for _, p in net.parameters()]
+        return net.flat.copy()
 
-    a, b = run(), run()
-    assert all(np.array_equal(pa, pb) for pa, pb in zip(a, b))
+    assert np.array_equal(run(), run())
 
 
 # --- one flat parameter buffer per net and the fused AdamW -------------------
@@ -223,19 +228,37 @@ def test_parameters_are_views_into_one_flat_buffer():
     hidden = [("weight", (8, 3)), ("bias", (8,)), ("gamma", (8,)),
               ("beta", (8,)), ("weight", (8, 8)), ("bias", (8,)),
               ("gamma", (8,)), ("beta", (8,))]
-    names = [f"layer{i // 4}.{name}" for i, (name, _) in enumerate(hidden)]
-    shapes = [shape for _, shape in hidden] + [(2, 8), (2,)]
-    params = net.parameters()
-    assert [name for name, _ in params] == names + ["layer2.weight",
-                                                     "layer2.bias"]
-    assert [arr.shape for _, arr in params] == shapes
-    assert all(np.shares_memory(arr, net.flat) for _, arr in params)
-    assert np.array_equal(np.concatenate([arr.ravel() for _, arr in params]),
-                          net.flat)
+    layout = [(i, name, slot) for i, slots in enumerate(net.slots)
+              for name, slot in slots.items()]
+    assert [(i, name) for i, name, _ in layout] == [
+        (i // 4, name) for i, (name, _) in enumerate(hidden)] + [
+        (2, "weight"), (2, "bias")]
+    arrays = [getattr(net.layers[i], name) for i, name, _ in layout]
+    assert [arr.shape for arr in arrays] == [shape for _, shape in hidden] + [
+        (2, 8), (2,)]
+    # the slots tile the buffer in order and each array is its slot's view
+    assert [slot.start for _, _, slot in layout] == [0] + [
+        slot.stop for _, _, slot in layout[:-1]]
+    assert layout[-1][2].stop == net.flat.size
+    assert all(np.shares_memory(arr, net.flat) for arr in arrays)
+    assert all(np.array_equal(arr.ravel(), net.flat[slot])
+               for arr, (_, _, slot) in zip(arrays, layout))
     # the buffer is filled after the init draws, so the streams are those of
     # layers that own their arrays
     loose = MlpLayer(3, 8, Rng(6), activation="relu", batch_norm=True)
     assert np.array_equal(net.layers[0].weight, loose.weight)
+
+
+def test_backward_returns_a_fresh_flat_gradient():
+    net = mlp_stack(3, 2, 8, 2, Rng(6), dropout=0.1, final_batch_norm=True)
+    x = Rng(7).normal((5, 3))
+    out, cache = net.forward(x, rng=Rng(8))
+    first, _ = net.backward(cache, out)
+    second, _ = net.backward(cache, 2.0 * out)
+    assert first.shape == second.shape == net.flat.shape
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, net.flat)
+    assert np.array_equal(2.0 * first, second)
 
 
 def reference_adamw(params, grad_steps, lr=1e-3, beta1=0.9, beta2=0.999,
@@ -259,14 +282,9 @@ def test_fused_adamw_bitwise_equal_per_array_reference():
     nets = [mlp_stack(4, 3, 8, 2, Rng(1).derive(name), dropout=0.1)
             for name in ("enc", "dec")]
     loose = Rng(2).normal((3, 5))
-    params = ([p for _, p in nets[0].parameters()] + [loose]
-              + [p for _, p in nets[1].parameters()])
+    params = [nets[0].flat, loose, nets[1].flat]
     twin = [p.copy() for p in params]
     opt = AdamW(params)
-    # each net is one group over its buffer, the loose array its own
-    assert [group[0] is nets[0].flat for group in opt.groups] == [True, False,
-                                                                   False]
-    assert opt.groups[1][0] is loose and opt.groups[2][0] is nets[1].flat
     rng = Rng(3)
     grad_steps = [[rng.derive(t, i).normal(p.shape) for i, p in enumerate(params)]
                   for t in range(50)]
@@ -274,30 +292,21 @@ def test_fused_adamw_bitwise_equal_per_array_reference():
         opt.step(grads)
     reference_adamw(twin, grad_steps)
     assert all(np.array_equal(p, q) for p, q in zip(params, twin))
-
-
-def test_adamw_part_of_a_buffer_updates_array_by_array():
-    net = mlp_stack(3, 2, 4, 1, Rng(8), dropout=0.0)
-    params = [p for _, p in net.parameters()][1:]
-    twin = [p.copy() for p in params]
-    opt = AdamW(params)
-    assert len(opt.groups) == len(params)
-    grads = [[np.full(p.shape, 0.5 + t) for p in params] for t in range(3)]
-    for g in grads:
-        opt.step(g)
-    reference_adamw(twin, grads)
-    assert all(np.array_equal(p, q) for p, q in zip(params, twin))
+    # the nets' layer arrays are views of the stepped buffers
+    assert np.array_equal(nets[1].layers[0].weight.ravel(),
+                          twin[2][nets[1].slots[0]["weight"]])
 
 
 def test_adamw_rejects_wrong_gradient_list():
     net = mlp_stack(3, 2, 4, 1, Rng(8), dropout=0.0)
-    params = [p for _, p in net.parameters()]
-    opt = AdamW(net.parameters())
+    loose = np.ones((2, 3))
+    opt = AdamW([net.flat, loose])
     before = net.flat.copy()
     with pytest.raises(DimensionError):
-        opt.step([np.zeros(p.shape) for p in params[:-1]])
-    wrong = [np.zeros(p.shape) for p in params]
-    wrong[1] = np.zeros(params[1].size + 1)
+        opt.step([np.zeros(net.flat.shape)])
     with pytest.raises(DimensionError):
-        opt.step(wrong)
+        opt.step([np.zeros(net.flat.size + 1), np.zeros(loose.shape)])
+    with pytest.raises(DimensionError):
+        opt.step([np.zeros(net.flat.shape), np.zeros(loose.size)])
     assert np.array_equal(net.flat, before) and opt.t == 0
+    assert np.array_equal(loose, np.ones((2, 3)))
