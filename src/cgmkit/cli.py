@@ -18,10 +18,10 @@ from .constraints import (CffdSample, achieved_value, constraint_residual,
                           sample_cffd_dataset)
 from .errors import CgmError, ConfigError
 from .generative import MODEL_KINDS, load_model, save_model, train_model
-from .reduction import (as_fit, as_response_surface, fd_gradients,
-                        podi_fit, podi_predict, save_matrix)
+from .reduction import (as_fit, as_response_surface, podi_fit,
+                        podi_predict, save_matrix)
 from .rng import Rng
-from .synthfield import snapshot_of
+from .synthfield import snapshot_mean_gradient, snapshot_of
 from .validation import metric_report
 
 RESIDUAL_BOUND = 1e-9
@@ -164,6 +164,16 @@ def _surrogate_errors(predict, inputs, snapshots):
                  / max(np.linalg.norm(snapshots), 1e-300))
 
 
+def _as_gradients(model, latents, spec):
+    """Adjoint gradient of each latent's mean field value: one eval-mode
+    decode and one backward pass through enforcer, PCA and decoder. The
+    decode caches are released on return."""
+    clouds, vjp = model.decode_vjp(latents)
+    field_grads = snapshot_mean_gradient(clouds.reshape(len(clouds), -1, 3),
+                                         spec)
+    return vjp(field_grads.reshape(len(clouds), -1))
+
+
 def cmd_surrogate(config: PipelineConfig, source, method, seed) -> int:
     """Fit a surrogate either over a checkpoint's latent space (samples are
     drawn from the model) or over a dataset directory (inputs are the
@@ -217,12 +227,7 @@ def cmd_surrogate(config: PipelineConfig, source, method, seed) -> int:
     elif method == "as":
         f_train = s_train.mean(axis=1)
         f_test = s_test.mean(axis=1)
-
-        def f_of(mu):
-            clouds = model.decode(mu).reshape(len(mu), -1, 3)
-            return snapshot_of(clouds, spec).mean(axis=1)
-
-        grads = fd_gradients(f_of, mu_train, h=1e-4)
+        grads = _as_gradients(model, mu_train, spec)
         subspace = as_fit(mu_train, grads, config.as_dim,
                           n_bootstrap=config.bootstrap, rng=rng.derive("boot"))
         surface = as_response_surface(subspace, mu_train, f_train)

@@ -19,7 +19,7 @@ from .errors import (DegenerateSurfaceError, DimensionError,
                      InfeasibleConstraintError)
 from .geometry import (FfdLattice, TriSurface, barycenter_of,
                        check_displacement, ffd_map, require_closed,
-                       volume_gradients, volume_of, volume_rows, volumes)
+                       volume_gradients, volume_of, volume_rows)
 from .linalg import RANK_TOL, lstsq_min_norm
 from .rng import Rng
 
@@ -82,6 +82,14 @@ class VolumeConstraint:
         return [(comp, current + deficit * (k + 1) / 3.0)
                 for k, comp in enumerate(self.order)]
 
+    def pass_slopes(self):
+        """d(target after the pass)/d(current volume) for each pass of
+        `pass_plan`: the equal-thirds targets move with the volume the
+        projection starts from."""
+        if self.split == "first-pass":
+            return [0.0]
+        return [1.0 - (k + 1) / 3.0 for k in range(3)]
+
 
 def barycenter_constraint(n_points: int, target) -> LinearConstraint:
     """Three rows of weight 1/M, one per coordinate component."""
@@ -118,21 +126,29 @@ def project_volume(clouds, faces, constraint: VolumeConstraint, basis=None,
     """Sequential volume projection of a (B, M, 3) batch of clouds on closed
     faces (the caller checks closedness): each pass freezes two components,
     so the volume is affine in component c with row r, and the pass deficit
-    d is closed by the minimum-norm step. The vertices move by r d / (r . r),
-    or with a basis (M, F) by basis @ p, p = (a / w^2) d / (a . a / w^2),
-    a = r @ basis. Returns (clouds, passes), passes holding (c, rows (B, M),
-    p) each (p is the vertex step without a basis)."""
+    d is closed by the minimum-norm step. Each pass computes only the row r
+    and takes the current volume as V = r . x_c, which is exact because the
+    volume is linear-homogeneous in each component. The vertices move by
+    r s with s = d / (r . r), or with a basis (M, F) by basis @ p,
+    p = (a / w^2) s with s = d / (a . a / w^2), a = r @ basis. Returns
+    (clouds, passes), passes holding (c, rows (B, M), p, component c
+    before the pass (B, M), s (B,)) each (p is the vertex step r s without
+    a basis)."""
     clouds = np.array(clouds, dtype=np.float64)
-    passes = []
-    current = volumes(clouds, faces)
-    for k, (component, pass_target) in enumerate(constraint.pass_plan(current)):
-        if k:
-            current = volumes(clouds, faces)
-        c = _COMPONENTS[component]
+
+    def row_and_volume(c):
         rows = volume_rows(clouds, faces, c)
         if not np.all(np.any(rows, axis=1)):
             raise DegenerateSurfaceError(
                 "all-zero volume row (degenerate surface)")
+        return rows, np.vecdot(rows, clouds[:, :, c])
+
+    passes = []
+    rows, current = row_and_volume(_COMPONENTS[constraint.order[0]])
+    for k, (component, pass_target) in enumerate(constraint.pass_plan(current)):
+        c = _COMPONENTS[component]
+        if k:
+            rows, current = row_and_volume(c)
         # per-cloud products (a stack of 1-row matmuls) keep each cloud's
         # result independent of the batch size
         a = rows if basis is None else (rows[:, None] @ basis)[:, 0]
@@ -141,9 +157,11 @@ def project_volume(clouds, faces, constraint: VolumeConstraint, basis=None,
         if not np.all(norm):
             raise InfeasibleConstraintError(
                 "volume row is zero on every free control point")
-        p = aw * ((pass_target - current) / norm)[:, None]
+        scale = (pass_target - current) / norm
+        p = aw * scale[:, None]
+        before = clouds[:, :, c].copy()
         clouds[:, :, c] += p if basis is None else (p[:, None] @ basis.T)[:, 0]
-        passes.append((c, rows, p))
+        passes.append((c, rows, p, before, scale))
     return clouds, passes
 
 
@@ -223,7 +241,7 @@ def cffd_correct(lattice: FfdLattice, displacement, surface: TriSurface,
         _, passes = project_volume(
             deformed[None], surface.faces, constraint, basis=influence,
             weights=None if weights is None else weights[free])
-        for c, _, p in passes:
+        for c, _, p, _, _ in passes:
             delta[free, c] += p[0] / lattice.a_phi[c, c]
         return delta
 

@@ -5,11 +5,14 @@ the full cloud through the PCA modes, then project onto the constraint set
 with a final enforcing layer. The enforcing layer runs in training and in
 sampling, so every emitted sample satisfies the constraint exactly; its
 backward pass uses the projector (I - A^+ A) for linear constraints and
-treats the per-pass volume rows as constants (stop-gradient on the
-linearization). The volume layer is a batched call of the one sequential
-volume projection, `constraints.project_volume`, which constrained FFD
-also uses; each pass computes only the volume-gradient component it moves
-(`geometry.volume_rows`). Every kind trains in one loop (`_fit`) over nets
+the exact vector-Jacobian product of the sequential projection for
+volume, including how each pass's volume row moves with the two
+components it freezes. The volume layer is a batched call of the one
+sequential volume projection, `constraints.project_volume`, which
+constrained FFD also uses; each pass computes only the volume-gradient
+component it moves (`geometry.volume_rows`). `decode_vjp` keeps an
+eval-mode decode's caches, so gradients with respect to the latents take
+one backward pass. Every kind trains in one loop (`_fit`) over nets
 built from one layout table (`net_specs`), supplying only its per-batch
 step. Each net's backward pass returns one gradient laid out like its
 flat parameter buffer, and `nn.AdamW` steps those buffers."""
@@ -26,7 +29,7 @@ from .constraints import (LinearConstraint, VolumeConstraint,
                           barycenter_constraint, project_volume)
 from .datasets import cloud_matrix, shared_faces
 from .errors import ConfigError, ContainerError, DimensionError, DivergenceError
-from .geometry import TriSurface, is_closed
+from .geometry import TriSurface, corner_index, is_closed, volume_rows_vjp
 from .nn import AdamW, mlp_stack
 from .reduction import PcaBasis, pca_fit
 from .rng import Rng
@@ -59,6 +62,9 @@ class GmConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(
                     f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.hidden_depth < 0:
+            raise ConfigError(
+                f"hidden_depth must be nonnegative, got {self.hidden_depth}")
         if self.latent_dim > self.pca_modes:
             raise ConfigError("latent dim must not exceed the PCA mode count")
         if self.batch_size < 2:
@@ -103,8 +109,18 @@ class VolumeEnforcer:
     """The batched layer of `constraints.project_volume` over a (B, 3M)
     batch of vectorized clouds: each pass freezes the other two components
     and takes the minimum-norm step onto the exactly affine single-row
-    constraint. The cache is the kernel's passes; the backward pass applies
-    the transposed frozen-row projectors in reverse order."""
+    constraint. The cache is the output cloud (B, M, 3), which the caller
+    must not write to, and the kernel's passes.
+
+    The backward pass is the exact vector-Jacobian product. A pass maps
+    x_c to x_c + s r with s = (T - r . x_c) / (r . r), and its row r is
+    bilinear in the two frozen components, so the pass backward is the
+    projector on g_c plus the derivative of r contracted with
+    u = s g_c - (g_c . r) / (r . r) (x_c + 2 s r): two cofactor scatters
+    (`geometry.volume_rows_vjp`). Equal-thirds targets T_k move with the
+    input volume V_in = r_0 . x_c0, which adds
+    sum_k (g_c . r_k) / (r_k . r_k) dT_k/dV_in times grad V_in, folded into
+    the first pass."""
 
     def __init__(self, constraint: VolumeConstraint, faces):
         self.constraint = constraint
@@ -114,20 +130,48 @@ class VolumeEnforcer:
         if not self.faces.size or not is_closed(TriSurface(
                 np.zeros((int(self.faces.max()) + 1, 3)), self.faces)):
             raise ConfigError("volume enforcement needs closed connectivity")
+        # the faces are fixed, so the backward pass's scatter indices are
+        # built once per vertex count (a cloud may hold unreferenced vertices
+        # past the last face index)
+        self._index = {}
 
     def forward(self, clouds):
         clouds = np.asarray(clouds, dtype=np.float64)
         out, passes = project_volume(
             clouds.reshape(len(clouds), clouds.shape[1] // 3, 3), self.faces,
             self.constraint)
-        return out.reshape(clouds.shape), passes
+        return out.reshape(clouds.shape), (out, passes)
 
-    def backward(self, passes, grad):
+    def backward(self, cache, grad):
+        out, passes = cache
         grad = np.array(grad, dtype=np.float64)
-        g = grad.reshape(len(grad), grad.shape[1] // 3, 3)
-        for c, rows, _ in reversed(passes):
-            g[:, :, c] -= (rows * np.vecdot(rows, g[:, :, c])[:, None]
-                           / np.vecdot(rows, rows)[:, None])
+        g = grad.reshape(out.shape)
+        m = out.shape[1]
+        if m not in self._index:
+            self._index[m] = corner_index(self.faces, m)
+        # every pass moves its own component, so going back from the output
+        # each component is at its pass input once its later passes are undone
+        x = [out[:, :, j] for j in range(3)]
+        slopes = self.constraint.pass_slopes()
+        w = 0.0
+        for k in range(len(passes) - 1, -1, -1):
+            c, rows, _, before, s = passes[k]
+            x[c] = before
+            g_c = g[:, :, c]
+            gr = np.vecdot(rows, g_c) / np.vecdot(rows, rows)
+            w = w + gr * slopes[k]
+            u = (s[:, None] * g_c
+                 - gr[:, None] * (before + 2.0 * s[:, None] * rows))
+            g_c -= gr[:, None] * rows
+            if k == 0 and any(slopes):
+                # grad V_in is r_0 in component c0 and, in the frozen two,
+                # the cofactor rows that u + w x_c0 scatters
+                u += w[:, None] * before
+                g_c += w[:, None] * rows
+            grad_a, grad_b = volume_rows_vjp(u, x[(c + 1) % 3], x[(c + 2) % 3],
+                                             self.faces, self._index[m])
+            g[:, :, (c + 1) % 3] += grad_a
+            g[:, :, (c + 2) % 3] += grad_b
         return grad
 
 
@@ -198,10 +242,23 @@ class GenerativeModel:
 
     def decode(self, latents) -> np.ndarray:
         """Latent batch to enforced cloud batch, eval mode."""
+        return self.decode_vjp(latents)[0]
+
+    def decode_vjp(self, latents):
+        """Eval-mode decode that keeps its caches: (clouds, vjp), vjp mapping
+        a gradient with respect to the clouds (B, 3M) to one with respect to
+        the latents (B, latent_dim). In eval mode each cloud depends only on
+        its own latent, so row i of the result is the gradient of the term
+        of cloud i alone."""
         self.eval()
         net = self.nets["gen"] if self.kind == "began" else self.nets["dec"]
-        y, _ = net.forward(np.atleast_2d(latents))
-        return self.emit(y)[0]
+        y, net_cache = net.forward(np.atleast_2d(latents))
+        clouds, enf_cache = self.emit(y)
+
+        def vjp(grad):
+            grad_y = self.emit_backward(enf_cache, grad)
+            return net.backward(net_cache, grad_y)[1]
+        return clouds, vjp
 
     def encode(self, clouds) -> np.ndarray:
         self.eval()

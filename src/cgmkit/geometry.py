@@ -77,8 +77,12 @@ def barycenter_of(cloud) -> np.ndarray:
 _BLOCK_BYTES = 1 << 18
 
 
+def _block_size(n_faces):
+    return max(1, _BLOCK_BYTES // (72 * max(n_faces, 1)))
+
+
 def _blocks(n_clouds, n_faces):
-    size = max(1, _BLOCK_BYTES // (72 * max(n_faces, 1)))
+    size = _block_size(n_faces)
     return [slice(start, start + size) for start in range(0, n_clouds, size)]
 
 
@@ -103,6 +107,37 @@ def volumes(vertices, faces) -> np.ndarray:
     return out
 
 
+def corner_index(faces, n_vertices) -> np.ndarray:
+    """`np.bincount` indices of the face corners of one full block of clouds,
+    (size, 3, F): entry (b, k, f) is b * M + faces[f, k]. The first n rows
+    serve a block of n clouds, as one contiguous prefix."""
+    size = _block_size(len(faces))
+    return np.arange(size)[:, None, None] * n_vertices + np.ascontiguousarray(
+        faces.T)
+
+
+def _corner_terms(first, second) -> np.ndarray:
+    """(first_k1 second_k2 - second_k1 first_k2) / 6 at each corner k of
+    corner-gathered (n, 3, F) component blocks, k1, k2 the next two corners
+    of the face: corner k's share of one cofactor component."""
+    terms = np.empty(first.shape)
+    for k in range(3):
+        k1, k2 = (k + 1) % 3, (k + 2) % 3
+        terms[:, k] = (first[:, k1] * second[:, k2]
+                       - second[:, k1] * first[:, k2]) / 6.0
+    return terms
+
+
+def _scatter(terms, index, n_vertices) -> np.ndarray:
+    """Per-vertex sums of the corner terms of an (n, 3, F) block, (n, M).
+    bincount adds each vertex's terms one at a time in input order, corner
+    outer and face inner within each cloud, so every sum is bitwise the one
+    a per-corner scatter (np.add.at) makes."""
+    n = len(terms)
+    return np.bincount(index[:n].ravel(), terms.ravel(),
+                       minlength=n * n_vertices).reshape(n, n_vertices)
+
+
 def volume_rows(vertices, faces, c) -> np.ndarray:
     """Component c of the analytic volume gradient of each cloud in a (B, M, 3)
     batch sharing the faces, (B, M): for a face (i, j, k) the corner terms
@@ -112,20 +147,33 @@ def volume_rows(vertices, faces, c) -> np.ndarray:
     n, m = vertices.shape[:2]
     grad = np.zeros((n, m, 3))
     first, second = vertices[..., (c + 1) % 3], vertices[..., (c + 2) % 3]
+    corners = faces.T
+    index = corner_index(faces, m)
     for block in _blocks(n, len(faces)):
-        u, w = first[block][:, faces], second[block][:, faces]
-        terms = np.empty((3,) + u.shape[:2])
-        for k in range(3):
-            k1, k2 = (k + 1) % 3, (k + 2) % 3
-            terms[k] = (u[:, :, k1] * w[:, :, k2]
-                        - w[:, :, k1] * u[:, :, k2]) / 6.0
-        # bincount adds each vertex's terms one at a time in input order,
-        # corner outer and face inner, so every sum is bitwise the one a
-        # per-corner scatter (np.add.at) makes
-        ids = np.arange(len(u))[None, :, None] * m + faces.T[:, None, :]
-        grad[block, :, c] = np.bincount(ids.ravel(), terms.ravel(),
-                                        minlength=len(u) * m).reshape(len(u), m)
+        terms = _corner_terms(first[block][:, corners],
+                              second[block][:, corners])
+        grad[block, :, c] = _scatter(terms, index, m)
     return grad[:, :, c]
+
+
+def volume_rows_vjp(u, first, second, faces, index):
+    """Transpose of the derivative of the volume rows of one component c:
+    the gradients of sum(u * rows) with respect to the two components
+    (first, second) = (x_{c+1}, x_{c+2}) the rows are built from, each
+    (B, M). The rows are bilinear in those components, so both gradients
+    are cofactor rows again, with u in the place of component c:
+    (rows of (second, u), rows of (u, first)). `index` is
+    `corner_index(faces, M)`; u and both components are gathered once per
+    block."""
+    n, m = u.shape
+    grad_first, grad_second = np.empty((n, m)), np.empty((n, m))
+    corners = faces.T
+    for block in _blocks(n, len(faces)):
+        uu = u[block][:, corners]
+        a, b = first[block][:, corners], second[block][:, corners]
+        grad_first[block] = _scatter(_corner_terms(b, uu), index, m)
+        grad_second[block] = _scatter(_corner_terms(uu, a), index, m)
+    return grad_first, grad_second
 
 
 def volume_gradients(vertices, faces) -> np.ndarray:

@@ -123,16 +123,21 @@ def full_gradient_reference(vertices, faces):
 
 def project_volume_reference(clouds, faces, constraint):
     """`project_volume` without a basis as it was on the full gradient, with
-    the volumes taken afresh in every pass."""
+    each pass's volume taken as r . x_c from its own row."""
     clouds = np.array(clouds, dtype=np.float64)
     passes = []
-    for component, target in constraint.pass_plan(volumes(clouds, faces)):
+    c = "xyz".index(constraint.order[0])
+    rows = full_gradient_reference(clouds, faces)[:, :, c]
+    for component, target in constraint.pass_plan(
+            np.vecdot(rows, clouds[:, :, c])):
         c = "xyz".index(component)
         rows = full_gradient_reference(clouds, faces)[:, :, c]
-        p = rows * ((target - volumes(clouds, faces))
-                    / np.vecdot(rows, rows))[:, None]
+        scale = ((target - np.vecdot(rows, clouds[:, :, c]))
+                 / np.vecdot(rows, rows))
+        p = rows * scale[:, None]
+        before = clouds[:, :, c].copy()
         clouds[:, :, c] += p
-        passes.append((c, rows, p))
+        passes.append((c, rows, p, before, scale))
     return clouds, passes
 
 
@@ -165,10 +170,10 @@ def test_project_volume_bitwise_equal_full_gradient_kernel(sphere, cloud_batch,
                                                      constraint)
     assert np.array_equal(out, want_out)
     assert len(passes) == len(want_passes)
-    for (c, rows, p), (want_c, want_rows, want_p) in zip(passes, want_passes):
-        assert c == want_c
-        assert np.array_equal(rows, want_rows)
-        assert np.array_equal(p, want_p)
+    for got, want in zip(passes, want_passes):
+        assert got[0] == want[0]
+        for got_array, want_array in zip(got[1:], want[1:]):
+            assert np.array_equal(got_array, want_array)
 
 
 def test_degenerate_surface_rejected():

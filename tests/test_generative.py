@@ -82,17 +82,20 @@ def test_volume_enforcer_batch():
 def test_volume_enforcer_empty_batch():
     _, constraint, base = make_dataset(constraint_kind="volume")
     enforcer = VolumeEnforcer(constraint, base.faces)
-    out, passes = enforcer.forward(np.empty((0, 3 * base.n_vertices)))
+    out, cache = enforcer.forward(np.empty((0, 3 * base.n_vertices)))
     assert out.shape == (0, 3 * base.n_vertices)
-    assert enforcer.backward(passes, out).shape == out.shape
+    (c, rows, step, before, scale), = cache[1]
+    assert rows.shape == step.shape == before.shape == (0, base.n_vertices)
+    assert scale.shape == (0,)
+    assert enforcer.backward(cache, out).shape == out.shape
 
 
-def test_enforcing_chain_gradient_matches_fd():
-    # decode -> PCA reconstruct -> linear enforce -> half squared error
-    surfaces, constraint, base = make_dataset(n=12)
-    clouds = np.stack([s.vertices.reshape(-1) for s in surfaces])
+def chain_gradients(enforcer, clouds, h=1e-6):
+    """Decoder parameter gradients of decode -> PCA reconstruct -> enforce
+    -> half squared error over a batch of 4 latents, from the backward pass
+    and from central differences at 7 entries of each trainable slice:
+    (backward, fd)."""
     pca = pca_fit(clouds, n_modes=5)
-    enforcer = LinearEnforcer(constraint)
     rng = Rng(7)
     dec = mlp_stack(3, 5, 8, 1, rng.derive("net"), dropout=0.0).eval()
     z = rng.normal((4, 3))
@@ -107,7 +110,7 @@ def test_enforcing_chain_gradient_matches_fd():
     out, enf_cache = enforcer.forward(pca.reconstruct(y))
     g_y = enforcer.backward(enf_cache, out - target) @ pca.modes
     grads, _ = dec.backward(cache, g_y)
-    h = 1e-6
+    back, fd = [], []
     for slot in (sl for slots in dec.slots for sl in slots.values()):
         flat, grad = dec.flat[slot], grads[slot]
         for i in np.linspace(0, flat.size - 1, 7).astype(int):
@@ -117,9 +120,51 @@ def test_enforcing_chain_gradient_matches_fd():
             flat[i] = keep - h
             lm = loss()
             flat[i] = keep
-            fd = (lp - lm) / (2 * h)
-            scale = max(abs(fd), abs(grad.reshape(-1)[i]), 1e-3)
-            assert abs(fd - grad.reshape(-1)[i]) / scale < 1e-5
+            fd.append((lp - lm) / (2 * h))
+            back.append(grad[i])
+    return np.array(back), np.array(fd)
+
+
+def test_volume_enforcer_unreferenced_vertex():
+    # a vertex past the last face index stays put and passes its gradient
+    # through; the other vertices see the layer as without it
+    _, constraint, base = make_dataset(constraint_kind="volume")
+    enforcer = VolumeEnforcer(constraint, base.faces)
+    rng = Rng(6)
+    clouds = (base.vertices * (1.0 + 0.05 * rng.normal((2, base.n_vertices, 3)))
+              ).reshape(2, -1)
+    grad = rng.normal(clouds.shape)
+    out, cache = enforcer.forward(clouds)
+    back = enforcer.backward(cache, grad)
+    extra = np.hstack([clouds, rng.normal((2, 3))])
+    grad_extra = np.hstack([grad, rng.normal((2, 3))])
+    out_extra, cache_extra = enforcer.forward(extra)
+    back_extra = enforcer.backward(cache_extra, grad_extra)
+    assert np.array_equal(out_extra[:, -3:], extra[:, -3:])
+    assert np.array_equal(back_extra[:, -3:], grad_extra[:, -3:])
+    assert np.allclose(out_extra[:, :-3], out, rtol=0, atol=1e-14)
+    assert np.allclose(back_extra[:, :-3], back, rtol=0, atol=1e-12)
+
+
+def test_enforcing_chain_gradient_matches_fd():
+    surfaces, constraint, base = make_dataset(n=12)
+    clouds = np.stack([s.vertices.reshape(-1) for s in surfaces])
+    back, fd = chain_gradients(LinearEnforcer(constraint), clouds)
+    scale = np.maximum(np.maximum(np.abs(fd), np.abs(back)), 1e-3)
+    assert np.all(np.abs(fd - back) / scale < 1e-5)
+
+
+@pytest.mark.parametrize("split", ["first-pass", "equal-thirds"])
+@pytest.mark.parametrize("order", ["xyz", "yzx", "zyx"])
+def test_volume_enforcing_chain_gradient_matches_fd(split, order):
+    # the exact backward pass: the rows of each pass move with the two
+    # frozen components, and equal-thirds targets with the input volume
+    surfaces, _, base = make_dataset(n=12, constraint_kind="volume")
+    clouds = np.stack([s.vertices.reshape(-1) for s in surfaces])
+    constraint = VolumeConstraint(1.1 * volume_of(base), order=tuple(order),
+                                  split=split)
+    back, fd = chain_gradients(VolumeEnforcer(constraint, base.faces), clouds)
+    assert np.linalg.norm(back - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
 # --- objective pieces ---------------------------------------------------------
@@ -378,3 +423,12 @@ def test_config_validation():
 def test_config_rejects_sizes_below_one(name):
     with pytest.raises(ConfigError, match=f"{name} must be at least 1, got 0"):
         GmConfig(**{name: 0})
+
+
+def test_config_rejects_negative_hidden_depth():
+    # depth 0 (no hidden layer) stays valid; a negative depth built the same
+    # nets as depth 0 without a diagnostic
+    assert GmConfig(hidden_depth=0).hidden_depth == 0
+    with pytest.raises(ConfigError,
+                       match="hidden_depth must be nonnegative, got -2"):
+        GmConfig(hidden_depth=-2)

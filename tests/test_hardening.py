@@ -54,9 +54,14 @@ def test_volume_enforcer_equal_thirds():
     for row in out:
         v = volume_of(TriSurface(row.reshape(-1, 3), base.faces))
         assert abs(v - constraint.target) <= 1e-9 * constraint.target
-    # one pass per component, each holding the frozen rows of every cloud
-    assert [c for c, _, _ in cache] == [0, 1, 2]
-    assert all(rows.shape == (3, base.n_vertices) for _, rows, _ in cache)
+    # the cache holds the output and one pass per component, each with the
+    # rows, steps, component before the pass and scales of every cloud
+    clouds_out, passes = cache
+    assert np.array_equal(clouds_out.reshape(out.shape), out)
+    assert [c for c, _, _, _, _ in passes] == [0, 1, 2]
+    for _, rows, step, before, scale in passes:
+        assert rows.shape == step.shape == before.shape == (3, base.n_vertices)
+        assert scale.shape == (3,)
     back = enforcer.backward(cache, rng.normal(out.shape))
     assert np.all(np.isfinite(back))
 

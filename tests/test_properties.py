@@ -2,8 +2,9 @@
 projection (`constraints.project_volume`): cFFD meets its exactness bound
 and leaves pinned control points exactly still over random lattices,
 weights and displacements, and the batched volume kernel matches
-single-cloud calls bit for bit and a per-sample reference to roundoff.
-The vectorized closedness check gives the verdict of an edge-counting
+single-cloud calls bit for bit and a per-sample reference to roundoff;
+its enforcing layer's backward pass matches central differences. The
+vectorized closedness check gives the verdict of an edge-counting
 reference loop on damaged and random connectivity."""
 
 import itertools
@@ -78,11 +79,11 @@ def test_cffd_barycenter_exact_and_pinned_rows_zero(grid, sigma, pins, shift,
     assert np.all(delta[pinned] == 0.0)
 
 
-def reference(clouds, grad, constraint):
-    """The projection and its backward written out one cloud at a time:
-    (projected (B, 3M), gradient (B, 3M))."""
-    out, back = [], []
-    for cloud, g in zip(clouds, grad):
+def reference(clouds, constraint):
+    """The projection written out one cloud at a time, with the volume taken
+    afresh before every pass: projected (B, 3M)."""
+    out = []
+    for cloud in clouds:
         v = cloud.reshape(-1, 3).copy()
         current = volume_of(TriSurface(v, BASE.faces))
         if constraint.split == "first-pass":
@@ -90,19 +91,13 @@ def reference(clouds, grad, constraint):
         else:
             plan = [(comp, current + (constraint.target - current) * (k + 1) / 3)
                     for k, comp in enumerate(constraint.order)]
-        rows = []
         for comp, target in plan:
             c = "xyz".index(comp)
             row = volume_gradient(TriSurface(v, BASE.faces))[:, c].copy()
             current = volume_of(TriSurface(v, BASE.faces))
             v[:, c] += row * (target - current) / np.dot(row, row)
-            rows.append((c, row))
-        g = g.reshape(-1, 3).copy()
-        for c, row in reversed(rows):
-            g[:, c] -= row * np.dot(row, g[:, c]) / np.dot(row, row)
         out.append(v.reshape(-1))
-        back.append(g.reshape(-1))
-    return np.array(out), np.array(back)
+    return np.array(out)
 
 
 clouds_and_constraint = st.builds(
@@ -122,11 +117,20 @@ clouds_and_constraint = st.builds(
 def test_enforcer_matches_per_sample_reference(case):
     clouds, grad, constraint = case
     enforcer = VolumeEnforcer(constraint, BASE.faces)
-    out, passes = enforcer.forward(clouds)
-    back = enforcer.backward(passes, grad)
-    want_out, want_back = reference(clouds, grad, constraint)
+    out, cache = enforcer.forward(clouds)
+    want_out = reference(clouds, constraint)
     assert np.max(np.abs(out - want_out)) <= 1e-14 * np.max(np.abs(want_out))
-    assert np.max(np.abs(back - want_back)) <= 1e-14 * np.max(np.abs(want_back))
+    # the backward pass is the exact vector-Jacobian product: along a random
+    # direction, each cloud's derivative of grad . forward is the central
+    # difference of the batched forward
+    back = enforcer.backward(cache, grad)
+    h = 1e-6
+    direction = Rng(len(clouds)).derive("direction").normal(clouds.shape)
+    ahead = np.vecdot(grad, enforcer.forward(clouds + h * direction)[0])
+    behind = np.vecdot(grad, enforcer.forward(clouds - h * direction)[0])
+    fd = (ahead - behind) / (2 * h)
+    bound = np.linalg.norm(back, axis=1) * np.linalg.norm(direction, axis=1)
+    assert np.all(np.abs(fd - np.vecdot(back, direction)) <= 1e-8 * bound)
 
 
 @PROPERTY
@@ -146,10 +150,10 @@ def test_kernel_batch_invariant(case, with_basis):
             clouds[b:b + 1], BASE.faces, constraint, basis=basis,
             weights=weights)
         assert np.array_equal(batched[b], single[0])
-        for (c, rows, p), (c1, rows1, p1) in zip(passes, single_passes):
-            assert c == c1
-            assert np.array_equal(rows[b], rows1[0])
-            assert np.array_equal(p[b], p1[0])
+        for got, single_got in zip(passes, single_passes):
+            assert got[0] == single_got[0]
+            for array, single_array in zip(got[1:], single_got[1:]):
+                assert np.array_equal(array[b], single_array[0])
 
 
 def closed_reference(faces):

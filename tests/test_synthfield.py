@@ -4,7 +4,7 @@ import pytest
 from cgmkit.errors import ConfigError
 from cgmkit.geometry import TriSurface, synth_shape
 from cgmkit.rng import Rng
-from cgmkit.synthfield import FieldSpec, snapshot_of
+from cgmkit.synthfield import FieldSpec, snapshot_mean_gradient, snapshot_of
 
 
 def test_bump_at_center_vertex():
@@ -67,6 +67,29 @@ def test_batch_bitwise_equal_to_single_clouds(kind, scale):
     assert batch.shape == (2, 3, base.n_vertices)
     for index in np.ndindex(2, 3):
         assert np.array_equal(batch[index], snapshot_of(clouds[index], spec))
+
+
+@pytest.mark.parametrize("kind", ["bump", "multibump"])
+@pytest.mark.parametrize("scale", [None, 0.7])
+def test_mean_gradient_matches_central_differences(kind, scale):
+    # two displaced, off-center clouds; every coordinate of both moves at once
+    # in each central difference, since the clouds do not interact
+    base = synth_shape("icosphere", 1)
+    rng = Rng(3)
+    clouds = np.stack([base.vertices * (1.0 + 0.1 * rng.derive(i).normal(
+        base.vertices.shape)) + 0.3 for i in range(2)])
+    spec = FieldSpec(kind, scale)
+    grad = snapshot_mean_gradient(clouds, spec)
+    assert grad.shape == clouds.shape
+    h = 1e-5
+    fd = np.empty_like(clouds)
+    for index in np.ndindex(clouds.shape[1:]):
+        step = np.zeros_like(clouds)
+        step[(slice(None),) + index] = h
+        fd[(slice(None),) + index] = (
+            snapshot_of(clouds + step, spec).mean(axis=-1)
+            - snapshot_of(clouds - step, spec).mean(axis=-1)) / (2 * h)
+    assert np.linalg.norm(grad - fd) <= 1e-7 * np.linalg.norm(fd)
 
 
 def test_bad_spec():
