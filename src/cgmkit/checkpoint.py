@@ -113,10 +113,13 @@ def require_tensor(tensors, path, key, shape):
 
 def require_faces(tensors, path, n_vertices):
     """tensors['faces'] as (F, 3) int64 vertex indices in [0, n_vertices),
-    checked like require_tensor."""
+    no face repeating an index, checked like require_tensor."""
     faces = require_tensor(tensors, path, "faces", (None, 3))
     if not np.all((np.floor(faces) == faces) & (faces >= 0)
                   & (faces < n_vertices)):
         raise ContainerError(f"{path}: tensor 'faces' holds values that are "
                              f"not vertex indices in [0, {n_vertices})")
+    if np.any(faces == np.roll(faces, 1, axis=1)):
+        raise ContainerError(f"{path}: tensor 'faces' holds a face with "
+                             f"repeated vertex indices")
     return faces.astype(np.int64)

@@ -14,8 +14,7 @@ import numpy as np
 
 from . import datasets
 from .config import PipelineConfig, write_resolved
-from .constraints import (CffdSample, achieved_value, constraint_residual,
-                          sample_cffd_dataset)
+from .constraints import constraint_residual, sample_cffd_dataset
 from .errors import CgmError, ConfigError
 from .generative import MODEL_KINDS, load_model, save_model, train_model
 from .reduction import (as_fit, as_response_surface, podi_fit,
@@ -37,13 +36,15 @@ def _ensure_out(config: PipelineConfig):
     return config.out
 
 
-def _check_residuals(constraint, samples, label):
-    for i, surface in enumerate(samples):
-        residual = constraint_residual(constraint, surface)
-        if not residual <= RESIDUAL_BOUND:
-            raise CommandFailure(
-                f"{label} sample {i}: constraint residual {residual:.3e} "
-                f"exceeds {RESIDUAL_BOUND:.0e}")
+def _check_residuals(constraint, vertices, faces, label):
+    """Fail on the first sample whose residual exceeds the bound or is NaN."""
+    residuals = constraint_residual(constraint, vertices, faces)
+    failing = np.flatnonzero(~(residuals <= RESIDUAL_BOUND))
+    if failing.size:
+        i = failing[0]
+        raise CommandFailure(
+            f"{label} sample {i}: constraint residual {residuals[i]:.3e} "
+            f"exceeds {RESIDUAL_BOUND:.0e}")
 
 
 def cmd_generate(config: PipelineConfig) -> int:
@@ -53,11 +54,10 @@ def cmd_generate(config: PipelineConfig) -> int:
     constraint = config.constraint(base)
     rng = Rng(config.seed, ("generate",))
     n = config.n_train + config.n_test
-    samples = sample_cffd_dataset(lattice, base, constraint, n,
-                                  config.sigma_d, rng,
-                                  weights=config.weights(lattice),
-                                  threads=config.threads)
-    _check_residuals(constraint, [s.surface for s in samples], "generated")
+    vertices, displacements = sample_cffd_dataset(
+        lattice, base, constraint, n, config.sigma_d, rng,
+        weights=config.weights(lattice), threads=config.threads)
+    _check_residuals(constraint, vertices, base.faces, "generated")
     meta = {
         "shape": config.values["shape.kind"],
         "subdivision": config.values["shape.subdivision"],
@@ -69,7 +69,8 @@ def cmd_generate(config: PipelineConfig) -> int:
         "n_test": config.n_test,
         "seed": config.seed,
     }
-    datasets.write_dataset(out, samples, constraint, meta=meta)
+    datasets.write_dataset(out, vertices, base.faces, constraint,
+                           f"{rng.seed}:cffd-sample", displacements, meta=meta)
     print(f"generate: wrote {n} samples to {out}")
     return 0
 
@@ -90,7 +91,7 @@ def _dataset_constraint(dataset, directory):
     from .constraints import VolumeConstraint, barycenter_constraint
     kind, target = _manifest_constraint(dataset, directory)
     if kind == "barycenter":
-        return barycenter_constraint(dataset.surfaces[0].n_vertices, target)
+        return barycenter_constraint(dataset.vertices.shape[1], target)
     if kind == "volume":
         return VolumeConstraint(float(target[0]))
     raise CommandFailure(f"dataset carries unsupported constraint {kind!r}")
@@ -101,8 +102,8 @@ def cmd_train(config: PipelineConfig, kind, data_dir=None) -> int:
     data_dir = data_dir or out
     dataset = datasets.read_dataset(data_dir)
     constraint = _dataset_constraint(dataset, data_dir)
-    model = train_model(kind, dataset.surfaces[:config.n_train], constraint,
-                        config.gm_config())
+    model = train_model(kind, dataset.vertices[:config.n_train],
+                        dataset.faces, constraint, config.gm_config())
     path = os.path.join(out, f"model_{kind}.cgmt")
     save_model(model, path)
     print(f"train: {kind} final epoch loss {model.epoch_losses[-1]:.6g}, "
@@ -116,14 +117,10 @@ def cmd_sample(config: PipelineConfig, checkpoint, n, seed) -> int:
     out = _ensure_out(config)
     model = load_model(checkpoint)
     rng = Rng(seed, ("sample",))
-    surfaces, latents = model.sample(n, rng)
-    _check_residuals(model.constraint, surfaces, "sampled")
-    records = [CffdSample(surface=s, displacement=None, index=i,
-                          seed_tag=f"{seed}:sample:{i}",
-                          achieved=achieved_value(model.constraint, s),
-                          displacement_norm=0.0)
-               for i, s in enumerate(surfaces)]
-    datasets.write_dataset(out, records, model.constraint,
+    clouds, latents = model.sample(n, rng)
+    _check_residuals(model.constraint, clouds, model.faces, "sampled")
+    datasets.write_dataset(out, clouds, model.faces, model.constraint,
+                           f"{seed}:sample",
                            meta={"checkpoint": str(checkpoint), "seed": seed,
                                  "kind": model.kind})
     save_matrix(os.path.join(out, "latents.bin"), latents)
@@ -145,7 +142,8 @@ def cmd_validate(config: PipelineConfig, reference_dir, generated_dir) -> int:
             f"{ref_kind} {ref_target.tolist()}, generated {generated_dir} "
             f"carries {gen_kind} {gen_target.tolist()}")
     constraint = _dataset_constraint(reference, reference_dir)
-    report = metric_report(reference.surfaces, generated.surfaces,
+    report = metric_report((reference.vertices, reference.faces),
+                           (generated.vertices, generated.faces),
                            constraint=constraint)
     report.write_tsv(os.path.join(out, "metrics.tsv"))
     report.write_histograms(os.path.join(out, "histograms"))
@@ -191,18 +189,18 @@ def cmd_surrogate(config: PipelineConfig, source, method, seed) -> int:
         if dataset.displacements is None:
             raise CommandFailure(f"{source} stores no control-point "
                                  f"displacements")
-        surfaces, latents = dataset.surfaces, dataset.displacements
-        if len(surfaces) < n:
+        clouds, latents = dataset.vertices, dataset.displacements
+        if len(clouds) < n:
             raise CommandFailure(
-                f"dataset holds {len(surfaces)} samples, ROM split needs {n}")
-        surfaces, latents = surfaces[:n], latents[:n]
+                f"dataset holds {len(clouds)} samples, ROM split needs {n}")
+        clouds, latents = clouds[:n], latents[:n]
         # constant columns (pinned control points) carry no information
         latents = latents[:, latents.std(axis=0) > 0]
     else:
         model = load_model(source)
-        surfaces, latents = model.sample(n, rng)
+        clouds, latents = model.sample(n, rng)
     spec = config.field_spec()
-    snapshots = snapshot_of(np.stack([s.vertices for s in surfaces]), spec)
+    snapshots = snapshot_of(clouds, spec)
     save_matrix(os.path.join(out, "snapshots.bin"), snapshots)
     save_matrix(os.path.join(out, "inputs.bin"), latents)
     split = config.rom_train

@@ -8,7 +8,8 @@ closed triangulation is trilinear: linear-homogeneous in each coordinate
 component with the other two fixed, so volume is enforced exactly with one
 affine solve per component pass. `project_volume` is the one implementation
 of that sequential projection, shared by constrained FFD and the generative
-models' enforcing layer.
+models' enforcing layer. `sample_cffd_dataset` returns a stack (n, M, 3)
+on the base faces; `achieved_value` and `constraint_residual` check one.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from .errors import (DegenerateSurfaceError, DimensionError,
                      InfeasibleConstraintError)
 from .geometry import (FfdLattice, TriSurface, barycenter_of,
                        check_displacement, ffd_map, require_closed,
-                       volume_gradients, volume_of, volume_rows)
+                       volume_gradients, volume_of, volume_rows, volumes)
 from .linalg import RANK_TOL, lstsq_min_norm
 from .rng import Rng
 
@@ -52,8 +53,10 @@ class LinearConstraint:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    def residual(self, cloud) -> np.ndarray:
-        return self.matrix @ np.reshape(cloud, -1) - self.target
+    def values(self, clouds) -> np.ndarray:
+        """A_c vec(cloud) of each cloud in a stack (n, ...), (n, rows): a
+        stack of one-column products, so each row is that cloud's own."""
+        return (self.matrix @ np.reshape(clouds, (len(clouds), -1, 1)))[..., 0]
 
 
 @dataclass
@@ -165,21 +168,27 @@ def project_volume(clouds, faces, constraint: VolumeConstraint, basis=None,
     return clouds, passes
 
 
-def constraint_residual(constraint, surface: TriSurface) -> float:
-    """Scalar residual used in manifests and reports: max absolute row
-    residual for linear constraints, relative volume error for volume."""
+def achieved_value(constraint, vertices, faces) -> np.ndarray:
+    """The constrained quantity of each cloud in an (n, M, 3) stack sharing
+    the faces, (n, k): the volume (k = 1, on closed faces), the barycenter,
+    or A_c vec(cloud); each cloud's value is the one it has alone."""
     if constraint.kind == "volume":
-        return abs(volume_of(surface) - constraint.target) / max(
-            abs(constraint.target), 1e-300)
-    return float(np.max(np.abs(constraint.residual(surface.vertices))))
-
-
-def achieved_value(constraint, surface: TriSurface) -> np.ndarray:
-    if constraint.kind == "volume":
-        return np.array([volume_of(surface)])
+        require_closed(faces)
+        return volumes(vertices, faces)[:, None]
     if constraint.kind == "barycenter":
-        return barycenter_of(surface.vertices)
-    return constraint.matrix @ surface.vertices.reshape(-1)
+        return barycenter_of(vertices)
+    return constraint.values(vertices)
+
+
+def constraint_residual(constraint, vertices, faces) -> np.ndarray:
+    """Residual of each cloud in an (n, M, 3) stack sharing the faces, as
+    used in manifests and reports, (n,): max absolute row residual for
+    linear constraints, relative volume error for volume."""
+    if constraint.kind == "volume":
+        return np.abs(achieved_value(constraint, vertices, faces)[:, 0]
+                      - constraint.target) / max(abs(constraint.target), 1e-300)
+    return np.max(np.abs(constraint.values(vertices) - constraint.target),
+                  axis=1)
 
 
 def target_value(constraint) -> np.ndarray:
@@ -234,7 +243,7 @@ def cffd_correct(lattice: FfdLattice, displacement, surface: TriSurface,
                 "component-wise volume enforcement needs an axis-aligned lattice")
         if subset is not None and len(idx) != len(points):
             raise DimensionError("volume constraint requires the full cloud")
-        require_closed(surface)
+        require_closed(surface.faces)
         deformed, _ = ffd_map(lattice, dp, points)
         # deformed component coords are affine in the component of the free
         # displacements: x_c += influence @ (a_cc * delta_c)
@@ -251,7 +260,7 @@ def cffd_correct(lattice: FfdLattice, displacement, surface: TriSurface,
         raise DimensionError(
             f"constraint dim {constraint.dim} != 3 * {len(idx)} points")
     deformed, _ = ffd_map(lattice, dp, points)
-    rhs = -constraint.residual(deformed[idx])
+    rhs = constraint.target - constraint.values(deformed[idx][None])[0]
     # composite matrix A_c B over the free control-point displacements:
     # point displacement l = sum_p w_lp a_phi(delta_p)
     n_c = constraint.matrix.shape[0]
@@ -263,18 +272,6 @@ def cffd_correct(lattice: FfdLattice, displacement, surface: TriSurface,
     delta_free = lstsq_min_norm(composite, rhs, weights=w)
     delta[free] = delta_free.reshape(n_free, 3)
     return delta
-
-
-@dataclass
-class CffdSample:
-    """One constrained draw: the deformed surface plus its provenance."""
-
-    surface: TriSurface
-    displacement: np.ndarray
-    index: int
-    seed_tag: str
-    achieved: np.ndarray
-    displacement_norm: float
 
 
 def _parallel_map(fn, items, threads=1):
@@ -291,7 +288,8 @@ def _parallel_map(fn, items, threads=1):
 def sample_cffd_dataset(lattice: FfdLattice, surface: TriSurface, constraint,
                         n: int, sigma_d: float, rng: Rng, weights=None,
                         threads=1):
-    """n constrained free-form deformations of the base surface.
+    """n constrained free-form deformations of the base surface: the vertex
+    stack (n, M, 3) on its faces and the displacements (n, P, 3).
 
     Free-control-point displacements are drawn N(0, sigma_d^2) from a
     per-sample derived stream, then corrected with cffd_correct; the result
@@ -308,15 +306,7 @@ def sample_cffd_dataset(lattice: FfdLattice, surface: TriSurface, constraint,
         dp[pinned] = 0.0
         delta = cffd_correct(lattice, dp, surface, constraint, weights=weights)
         total = dp + delta
-        deformed, _ = ffd_map(lattice, total, surface.vertices)
-        out = TriSurface(deformed, surface.faces)
-        return CffdSample(
-            surface=out,
-            displacement=total,
-            index=i,
-            seed_tag=f"{rng.seed}:cffd-sample:{i}",
-            achieved=achieved_value(constraint, out),
-            displacement_norm=float(np.linalg.norm(total)),
-        )
+        return ffd_map(lattice, total, surface.vertices)[0], total
 
-    return _parallel_map(one, range(n), threads)
+    vertices, displacements = zip(*_parallel_map(one, range(n), threads))
+    return np.stack(vertices), np.stack(displacements)

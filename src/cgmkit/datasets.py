@@ -1,13 +1,14 @@
 """On-disk dataset layout.
 
-A dataset directory holds one tensor container `dataset.cgmt` with the
-shared connectivity `faces` (F, 3), every sample's cloud `vertices`
-(n, M, 3) and, when every sample carries one, its control-point
-`displacements` (n, 3 N_free). Beside it, `manifest.tsv` (one row per
-sample: file, seed, constraint kind, target value, achieved value,
-displacement norm) and `meta.txt` (key=value lines with the lattice spec,
-sigma_d and constraint) are the human-readable index. The manifest's
-`file` cell names the STL file that `export_stl` writes for the sample."""
+A dataset is a stack of shapes on one connectivity. One tensor container
+`dataset.cgmt` holds the clouds `vertices` (n, M, 3), the shared `faces`
+(F, 3) and, for constrained FFD samples, the control-point `displacements`
+(n, 3 P) over all P control points, in which the columns of pinned control
+points are zero. Beside it, `manifest.tsv` (one row per sample: file,
+seed, constraint kind, target value, achieved value, displacement norm)
+and `meta.txt` (key=value lines with the lattice spec, sigma_d and
+constraint) are the human-readable index. The manifest's `file` cell names
+the STL file that `export_stl` writes for the sample."""
 
 import os
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ import numpy as np
 
 from .checkpoint import (load_tensors, require_faces, require_tensor,
                          save_tensors)
-from .constraints import target_value
+from .constraints import achieved_value, target_value
 from .errors import ConfigError, ContainerError, EmptyInputError
 from .geometry import TriSurface
 from .stl_io import stl_write
@@ -28,10 +29,11 @@ MANIFEST_COLUMNS = ("file", "seed", "constraint", "target", "achieved",
 
 @dataclass
 class Dataset:
-    """Samples as TriSurfaces sharing one face array, their manifest rows,
-    and the stored displacements (n, 3 N_free) or None."""
+    """The sample stack (n, M, 3), its faces (F, 3), the manifest rows, and
+    the stored displacements (n, 3 P) or None."""
 
-    surfaces: list
+    vertices: np.ndarray
+    faces: np.ndarray
     rows: list
     displacements: np.ndarray = None
 
@@ -44,36 +46,38 @@ def _split_floats(cell: str) -> np.ndarray:
     return np.array([float(v) for v in cell.split(",")])
 
 
-def write_dataset(directory, samples, constraint, meta=None):
-    """Write CffdSample records into a dataset directory. When every sample
-    carries a control-point displacement they are stored too."""
-    samples = list(samples)
-    if not samples:
+def write_dataset(directory, vertices, faces, constraint, tag,
+                  displacements=None, meta=None):
+    """Write a sample stack (n, M, 3) on the faces into a dataset directory,
+    with the control-point displacements (n, P, 3) when given.
+    Sample i's manifest seed cell is f"{tag}:{i}"; its achieved value and
+    displacement norm (0 without displacements) are computed here."""
+    n = len(vertices)
+    if not n:
         raise EmptyInputError("a dataset needs at least one sample")
     os.makedirs(directory, exist_ok=True)
-    surfaces = [sample.surface for sample in samples]
-    clouds = cloud_matrix(surfaces)
-    tensors = {"faces": shared_faces(surfaces).astype(np.float64),
-               "vertices": clouds.reshape(len(surfaces), -1, 3)}
-    displacements = [np.reshape(s.displacement, -1) for s in samples
-                     if s.displacement is not None]
-    if len(displacements) == len(samples):
-        tensors["displacements"] = np.stack(displacements)
+    tensors = {"faces": faces, "vertices": vertices}
+    norms = np.zeros(n)
+    if displacements is not None:
+        flat = tensors["displacements"] = np.reshape(displacements, (n, -1))
+        # a dot product per row: the bits np.linalg.norm gives one sample
+        norms = np.sqrt(np.vecdot(flat, flat))
     save_tensors(os.path.join(directory, DATASET_FILE), tensors)
     target = _join_floats(target_value(constraint))
+    achieved = achieved_value(constraint, vertices, faces)
     rows = ["\t".join([
         f"sample_{i:05d}.stl",
-        sample.seed_tag,
+        f"{tag}:{i}",
         constraint.kind,
         target,
-        _join_floats(sample.achieved),
-        format(float(sample.displacement_norm), ".17g"),
-    ]) for i, sample in enumerate(samples)]
+        _join_floats(achieved[i]),
+        format(float(norms[i]), ".17g"),
+    ]) for i in range(n)]
     with open(os.path.join(directory, "manifest.tsv"), "w", newline="\n") as fh:
         fh.write("\t".join(MANIFEST_COLUMNS) + "\n")
         fh.write("\n".join(rows) + "\n")
     lines = {"constraint": constraint.kind, "target": target,
-             "n_samples": str(len(samples))}
+             "n_samples": str(n)}
     if meta:
         lines.update({k: str(v) for k, v in meta.items()})
     with open(os.path.join(directory, "meta.txt"), "w", newline="\n") as fh:
@@ -109,7 +113,8 @@ def read_manifest(directory):
 
 
 def read_dataset(directory) -> Dataset:
-    """Load all samples, in manifest order, from the dataset container."""
+    """Load the sample stack, in manifest order, from the dataset container;
+    the faces are checked once."""
     rows = read_manifest(directory)
     path = os.path.join(directory, DATASET_FILE)
     tensors = load_tensors(path)
@@ -122,7 +127,7 @@ def read_dataset(directory) -> Dataset:
     if "displacements" in tensors:
         displacements = require_tensor(tensors, path, "displacements",
                                        (len(rows), None))
-    return Dataset([TriSurface(v, faces) for v in vertices], rows, displacements)
+    return Dataset(vertices, faces, rows, displacements)
 
 
 def export_stl(directory, out) -> int:
@@ -130,26 +135,10 @@ def export_stl(directory, out) -> int:
     row names; returns the number of files written."""
     dataset = read_dataset(directory)
     os.makedirs(out, exist_ok=True)
-    for surface, row in zip(dataset.surfaces, dataset.rows):
+    for cloud, row in zip(dataset.vertices, dataset.rows):
         if os.path.basename(row["file"]) != row["file"]:
             raise ConfigError(f"manifest file name {row['file']!r} is not "
                               f"a plain file name")
-        stl_write(surface, os.path.join(out, row["file"]))
+        stl_write(TriSurface(cloud, dataset.faces),
+                  os.path.join(out, row["file"]))
     return len(dataset.rows)
-
-
-def cloud_matrix(surfaces) -> np.ndarray:
-    """Stack vectorized clouds into an (n, 3M) matrix; all surfaces must
-    share the vertex count."""
-    counts = {s.n_vertices for s in surfaces}
-    if len(counts) != 1:
-        raise ConfigError(f"point counts differ across dataset: {sorted(counts)}")
-    return np.stack([s.vertices.reshape(-1) for s in surfaces])
-
-
-def shared_faces(surfaces) -> np.ndarray:
-    faces = surfaces[0].faces
-    for s in surfaces[1:]:
-        if not np.array_equal(s.faces, faces):
-            raise ConfigError("connectivity differs across dataset")
-    return faces

@@ -1,21 +1,23 @@
 """Constrained generative models over PCA-compressed point clouds.
 
-Four model kinds share the same output path: decode a latent, reconstruct
-the full cloud through the PCA modes, then project onto the constraint set
-with a final enforcing layer. The enforcing layer runs in training and in
-sampling, so every emitted sample satisfies the constraint exactly; its
-backward pass uses the projector (I - A^+ A) for linear constraints and
-the exact vector-Jacobian product of the sequential projection for
-volume, including how each pass's volume row moves with the two
-components it freezes. The volume layer is a batched call of the one
-sequential volume projection, `constraints.project_volume`, which
-constrained FFD also uses; each pass computes only the volume-gradient
-component it moves (`geometry.volume_rows`). `decode_vjp` keeps an
-eval-mode decode's caches, so gradients with respect to the latents take
-one backward pass. Every kind trains in one loop (`_fit`) over nets
-built from one layout table (`net_specs`), supplying only its per-batch
-step. Each net's backward pass returns one gradient laid out like its
-flat parameter buffer, and `nn.AdamW` steps those buffers."""
+Every model trains on a stack of clouds (n, M, 3) on one face array and
+samples such a stack. Four model kinds share the same output path:
+decode a latent, reconstruct the full cloud through the PCA modes, then
+project onto the constraint set with a final enforcing layer. The
+enforcing layer runs in training and in sampling, so every emitted
+sample satisfies the constraint exactly; its backward pass uses the
+projector (I - A^+ A) for linear constraints and the exact
+vector-Jacobian product of the sequential projection for volume,
+including how each pass's volume row moves with the two components it
+freezes. The volume layer is a batched call of the one sequential volume
+projection, `constraints.project_volume`, which constrained FFD also
+uses; each pass computes only the volume-gradient component it moves
+(`geometry.volume_rows`). `decode_vjp` keeps an eval-mode decode's
+caches, so gradients with respect to the latents take one backward pass.
+Every kind trains in one loop (`_fit`) over nets built from one layout
+table (`net_specs`), supplying only its per-batch step. Each net's
+backward pass returns one gradient laid out like its flat parameter
+buffer, and `nn.AdamW` steps those buffers."""
 
 import ast
 from dataclasses import dataclass, field, fields
@@ -27,9 +29,8 @@ from .checkpoint import (load_tensors, require_faces, require_tensor,
                          save_tensors)
 from .constraints import (LinearConstraint, VolumeConstraint,
                           barycenter_constraint, project_volume)
-from .datasets import cloud_matrix, shared_faces
 from .errors import ConfigError, ContainerError, DimensionError, DivergenceError
-from .geometry import TriSurface, corner_index, is_closed, volume_rows_vjp
+from .geometry import corner_index, is_closed, volume_rows_vjp
 from .nn import AdamW, mlp_stack
 from .reduction import PcaBasis, pca_fit
 from .rng import Rng
@@ -127,8 +128,7 @@ class VolumeEnforcer:
         self.faces = np.asarray(faces, dtype=np.int64)
         # closedness depends only on the connectivity, so it is checked once
         # here and skipped in the per-batch hot path
-        if not self.faces.size or not is_closed(TriSurface(
-                np.zeros((int(self.faces.max()) + 1, 3)), self.faces)):
+        if not self.faces.size or not is_closed(self.faces):
             raise ConfigError("volume enforcement needs closed connectivity")
         # the faces are fixed, so the backward pass's scatter indices are
         # built once per vertex count (a cloud may hold unreferenced vertices
@@ -273,24 +273,24 @@ class GenerativeModel:
         return eps
 
     def sample(self, n, rng: Rng):
-        """n constraint-feasible surfaces plus their latent records."""
+        """n constraint-feasible clouds (n, M, 3) on `faces`, plus their
+        latent records."""
         latents = self.draw_latents(n, rng.derive("latents"))
-        clouds = self.decode(latents)
-        surfaces = [TriSurface(c.reshape(-1, 3), self.faces) for c in clouds]
-        return surfaces, latents
+        return self.decode(latents).reshape(n, -1, 3), latents
 
 
 # ---------------------------------------------------------------------------
 # Training: one shared loop, one step per model kind
 
-def _fit(kind, surfaces, constraint, config, make_step) -> GenerativeModel:
-    """Fit the PCA basis, build the nets and run every epoch's batches.
+def _fit(kind, vertices, faces, constraint, config,
+         make_step) -> GenerativeModel:
+    """Fit the PCA basis to the training stack (n, M, 3) on the faces, build
+    the nets and run every epoch's batches.
     `make_step(model, rng)` returns `step(x, coords, drop, tag)`, which
     trains on one batch (clouds x and their PCA coordinates, dropout masks
     from drop, other streams derived with tag) and returns the batch loss
     followed by any further value that must stay finite."""
-    clouds = cloud_matrix(surfaces)
-    faces = shared_faces(surfaces)
+    clouds = np.reshape(vertices, (len(vertices), -1))
     n, dim = clouds.shape
     if n < config.batch_size:
         raise ConfigError(f"dataset size {n} below batch size {config.batch_size}")
@@ -363,7 +363,8 @@ def _fit_latent_normal(latents):
                 raise
 
 
-def train_ae(surfaces, constraint, config: GmConfig) -> GenerativeModel:
+def train_ae(vertices, faces, constraint,
+             config: GmConfig) -> GenerativeModel:
     """Plain autoencoder on the L2 reconstruction loss, with the enforcing
     layer inside the reconstruction path. The latent sampler is a normal
     fitted to the encoded training set."""
@@ -389,13 +390,14 @@ def train_ae(surfaces, constraint, config: GmConfig) -> GenerativeModel:
             return (float(norms.mean()),)
         return step
 
-    model = _fit("ae", surfaces, constraint, config, make_step)
-    latents = model.encode(cloud_matrix(surfaces))
+    model = _fit("ae", vertices, faces, constraint, config, make_step)
+    latents = model.encode(np.reshape(vertices, (len(vertices), -1)))
     model.sampler_mean, model.sampler_chol = _fit_latent_normal(latents)
     return model
 
 
-def train_vae(surfaces, constraint, config: GmConfig) -> GenerativeModel:
+def train_vae(vertices, faces, constraint,
+              config: GmConfig) -> GenerativeModel:
     """Variational model: Gaussian posterior with encoder mean and
     softplus-positive scale, reparameterized sampling, closed-form KL
     weighted by alpha."""
@@ -428,7 +430,7 @@ def train_vae(surfaces, constraint, config: GmConfig) -> GenerativeModel:
             return (recon + config.alpha * kl,)
         return step
 
-    return _fit("vae", surfaces, constraint, config, make_step)
+    return _fit("vae", vertices, faces, constraint, config, make_step)
 
 
 def _bce_grad(outputs, want_real, b):
@@ -447,7 +449,8 @@ def adversarial_terms(d_real, d_fake):
     return float(real.mean()), float(fake.mean())
 
 
-def train_aae(surfaces, constraint, config: GmConfig) -> GenerativeModel:
+def train_aae(vertices, faces, constraint,
+              config: GmConfig) -> GenerativeModel:
     """Adversarial autoencoder: a latent discriminator learns to tell prior
     draws (real) from encodings (fake); the encoder fights back while the
     encoder/decoder pair minimizes the Gaussian reconstruction term."""
@@ -485,7 +488,7 @@ def train_aae(surfaces, constraint, config: GmConfig) -> GenerativeModel:
             return (recon + adv,)
         return step
 
-    return _fit("aae", surfaces, constraint, config, make_step)
+    return _fit("aae", vertices, faces, constraint, config, make_step)
 
 
 def began_k_update(k, gain, gamma, loss_real, loss_generated) -> float:
@@ -494,7 +497,8 @@ def began_k_update(k, gain, gamma, loss_real, loss_generated) -> float:
                          0.0, 1.0))
 
 
-def train_began(surfaces, constraint, config: GmConfig) -> GenerativeModel:
+def train_began(vertices, faces, constraint,
+                config: GmConfig) -> GenerativeModel:
     """Boundary-equilibrium adversarial training.
 
     The discriminator is an autoencoder scored by f(u) = ||u - D(u)||; per
@@ -575,17 +579,18 @@ def train_began(surfaces, constraint, config: GmConfig) -> GenerativeModel:
             return loss_d, f_gen
         return step
 
-    return _fit("began", surfaces, constraint, config, make_step)
+    return _fit("began", vertices, faces, constraint, config, make_step)
 
 
 TRAINERS = {"ae": train_ae, "vae": train_vae, "aae": train_aae,
             "began": train_began}
 
 
-def train_model(kind, surfaces, constraint, config: GmConfig) -> GenerativeModel:
+def train_model(kind, vertices, faces, constraint,
+                config: GmConfig) -> GenerativeModel:
     if kind not in TRAINERS:
         raise ConfigError(f"unknown model kind {kind!r}")
-    return TRAINERS[kind](surfaces, constraint, config)
+    return TRAINERS[kind](vertices, faces, constraint, config)
 
 
 # ---------------------------------------------------------------------------

@@ -38,18 +38,14 @@ class TriSurface:
     def with_vertices(self, vertices) -> "TriSurface":
         return TriSurface(np.asarray(vertices, dtype=np.float64), self.faces)
 
-    def corners(self):
-        """Per-face vertex triples, shape (T, 3, 3)."""
-        return self.vertices[self.faces]
 
-
-def is_closed(surface: TriSurface) -> bool:
-    """True when every undirected edge is shared by exactly two faces with
-    opposite direction: no directed edge a -> b occurs twice, and the
-    reverse of each one occurs too."""
-    n = surface.n_vertices
-    a = surface.faces.reshape(-1)
-    b = surface.faces[:, [1, 2, 0]].reshape(-1)
+def is_closed(faces) -> bool:
+    """True when every undirected edge of the connectivity (F, 3) is shared
+    by exactly two faces with opposite direction: no directed edge a -> b
+    occurs twice, and the reverse of each one occurs too."""
+    n = int(faces.max()) + 1 if faces.size else 0
+    a = faces.reshape(-1)
+    b = faces[:, [1, 2, 0]].reshape(-1)
     # directed edge a -> b encoded as a * n + b
     forward = np.sort(a * n + b)
     if np.any(forward[1:] == forward[:-1]):
@@ -59,16 +55,17 @@ def is_closed(surface: TriSurface) -> bool:
     return bool(np.array_equal(forward, np.sort(b * n + a)))
 
 
-def require_closed(surface: TriSurface):
-    if not is_closed(surface):
+def require_closed(faces):
+    if not is_closed(faces):
         raise OrientationError("surface is open or inconsistently oriented")
 
 
 def barycenter_of(cloud) -> np.ndarray:
-    cloud = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
-    if len(cloud) == 0:
+    """Mean point of each cloud in a (..., M, 3) stack, (..., 3)."""
+    cloud = np.asarray(cloud, dtype=np.float64)
+    if cloud.shape[-2] == 0:
         raise EmptyInputError("barycenter of an empty cloud")
-    return cloud.mean(axis=0)
+    return cloud.mean(axis=-2)
 
 
 # the batched volume formulas gather 72 bytes of corners per face and cloud;
@@ -183,35 +180,44 @@ def volume_gradients(vertices, faces) -> np.ndarray:
                     axis=-1)
 
 
-def volume_of(surface: TriSurface, closed=True) -> float:
-    """Signed enclosed volume of one surface, checked closed by default."""
-    if closed:
-        require_closed(surface)
+def volume_of(surface: TriSurface) -> float:
+    """Signed enclosed volume of one surface, checked closed."""
+    require_closed(surface.faces)
     return float(volumes(surface.vertices[None], surface.faces)[0])
 
 
-def surface_area_of(surface: TriSurface) -> float:
-    tri = surface.corners()
-    cross = _cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    return float(0.5 * np.linalg.norm(cross, axis=1).sum())
+def surface_area_of(vertices, faces) -> np.ndarray:
+    """Surface area of each cloud in a (..., M, 3) stack sharing the faces,
+    shape (...); the clouds are taken a block at a time like `volumes`."""
+    vertices = np.asarray(vertices, dtype=np.float64)
+    stack = vertices.reshape(-1, *vertices.shape[-2:])
+    out = np.empty(len(stack))
+    for block in _blocks(len(stack), len(faces)):
+        tri = stack[block][:, faces]
+        cross = _cross(tri[:, :, 1] - tri[:, :, 0], tri[:, :, 2] - tri[:, :, 0])
+        out[block] = 0.5 * np.linalg.norm(cross, axis=-1).sum(axis=-1)
+    return out.reshape(vertices.shape[:-2])
 
 
 def inertia_tensor_of(cloud, center) -> np.ndarray:
-    """Discrete second moments with unit mass per point, relative to center.
+    """Discrete second moments with unit mass per point, relative to center,
+    of each cloud in a (..., M, 3) stack: shape (..., 3, 3).
 
     Diagonal entries are sums of squared distances from the axes, the
     off-diagonal entries are the plain coordinate products sum(x*y) etc.
     """
-    cloud = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
-    if len(cloud) == 0:
+    cloud = np.asarray(cloud, dtype=np.float64)
+    if cloud.shape[-2] == 0:
         raise EmptyInputError("inertia of an empty cloud")
-    r = cloud - np.asarray(center, dtype=np.float64).reshape(3)
-    x, y, z = r[:, 0], r[:, 1], r[:, 2]
-    return np.array([
-        [np.sum(y * y + z * z), np.sum(x * y), np.sum(x * z)],
-        [np.sum(x * y), np.sum(x * x + z * z), np.sum(y * z)],
-        [np.sum(x * z), np.sum(y * z), np.sum(x * x + y * y)],
-    ])
+    r = cloud - np.asarray(center, dtype=np.float64)[..., None, :]
+    x, y, z = r[..., 0], r[..., 1], r[..., 2]
+    xy, xz, yz = (np.sum(x * y, axis=-1), np.sum(x * z, axis=-1),
+                  np.sum(y * z, axis=-1))
+    return np.stack([
+        np.stack([np.sum(y * y + z * z, axis=-1), xy, xz], axis=-1),
+        np.stack([xy, np.sum(x * x + z * z, axis=-1), yz], axis=-1),
+        np.stack([xz, yz, np.sum(x * x + y * y, axis=-1)], axis=-1),
+    ], axis=-2)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ def _fmt(x: float) -> str:
 
 
 def stl_write(surface: TriSurface, path, name="shape"):
-    tri = surface.corners()
+    tri = surface.vertices[surface.faces]
     cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
     norms = np.linalg.norm(cross, axis=1)
     normals = np.where(norms[:, None] > 0.0, cross / np.maximum(norms, 1e-300)[:, None], 0.0)

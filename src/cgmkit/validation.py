@@ -1,6 +1,7 @@
 """Distribution-comparison metrics between shape datasets: KDE-based
 Jensen-Shannon distance (base-2 logarithms, so the value lies in [0, 1]),
-total variance, and per-quantity report tables."""
+total variance, and per-quantity report tables, each computed once over a
+dataset's stack of clouds (n, M, 3) on one face array."""
 
 from dataclasses import dataclass
 
@@ -8,7 +9,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateDistributionError, EmptyInputError
 from .geometry import (barycenter_of, inertia_tensor_of, surface_area_of,
-                       volume_of)
+                       volumes)
 
 GRID_POINTS = 512
 GRID_PAD_BANDWIDTHS = 3.0
@@ -75,29 +76,34 @@ def jsd(samples_x, samples_y) -> float:
 
 
 def total_variance(clouds) -> float:
-    """Sum over every coordinate of the unbiased per-coordinate variance."""
-    clouds = [np.asarray(c, dtype=np.float64).reshape(-1) for c in clouds]
+    """Sum over every coordinate of the unbiased per-coordinate variance of
+    a stack of clouds (n, M, 3) or (n, 3M)."""
+    clouds = np.asarray(clouds, dtype=np.float64)
     if len(clouds) < 2:
         raise EmptyInputError("total variance needs at least two clouds")
-    if len({c.size for c in clouds}) != 1:
-        raise ConfigError("clouds differ in point count")
-    stacked = np.stack(clouds)
-    return float(stacked.var(axis=0, ddof=1).sum())
+    return float(clouds.reshape(len(clouds), -1).var(axis=0, ddof=1).sum())
 
 
-QUANTITIES = {
-    "I_xx": lambda s: inertia_tensor_of(s.vertices, np.zeros(3))[0, 0],
-    "I_xy": lambda s: inertia_tensor_of(s.vertices, np.zeros(3))[0, 1],
-    "I_xz": lambda s: inertia_tensor_of(s.vertices, np.zeros(3))[0, 2],
-    "I_yy": lambda s: inertia_tensor_of(s.vertices, np.zeros(3))[1, 1],
-    "I_yz": lambda s: inertia_tensor_of(s.vertices, np.zeros(3))[1, 2],
-    "I_zz": lambda s: inertia_tensor_of(s.vertices, np.zeros(3))[2, 2],
-    "area": surface_area_of,
-    "volume": lambda s: volume_of(s, closed=False),
-    "barycenter_x": lambda s: barycenter_of(s.vertices)[0],
-    "barycenter_y": lambda s: barycenter_of(s.vertices)[1],
-    "barycenter_z": lambda s: barycenter_of(s.vertices)[2],
-}
+_INERTIA_ENTRIES = {"I_xx": (0, 0), "I_xy": (0, 1), "I_xz": (0, 2),
+                    "I_yy": (1, 1), "I_yz": (1, 2), "I_zz": (2, 2)}
+QUANTITIES = (*_INERTIA_ENTRIES, "area", "volume", "barycenter_x",
+              "barycenter_y", "barycenter_z")
+
+
+def shape_quantities(vertices, faces) -> dict:
+    """name -> (n,) values of each of QUANTITIES over a stack (n, M, 3) on
+    the faces: inertia about the origin, surface area, signed volume (no
+    closedness check) and barycenter."""
+    inertia = inertia_tensor_of(vertices, np.zeros(3))
+    barycenters = barycenter_of(vertices)
+    values = {name: inertia[:, i, j]
+              for name, (i, j) in _INERTIA_ENTRIES.items()}
+    values["area"] = surface_area_of(vertices, faces)
+    values["volume"] = volumes(vertices, faces)
+    for c, axis in enumerate("xyz"):
+        values[f"barycenter_{axis}"] = barycenters[:, c]
+    return values
+
 
 DEFAULT_QUANTITIES = ("I_xx", "I_xy", "I_xz", "I_yy", "I_yz", "I_zz",
                       "area", "volume")
@@ -135,19 +141,23 @@ class MetricReport:
 
 def metric_report(reference, generated, constraint=None,
                   quantities=DEFAULT_QUANTITIES, n_bins=30) -> MetricReport:
-    """Per-quantity JSD between two surface datasets plus total variance
-    and the worst constraint residual of the generated set."""
-    if not reference or not generated:
+    """Per-quantity JSD between two datasets, each a (vertices (n, M, 3),
+    faces (F, 3)) pair, plus total variance and the worst constraint
+    residual of the generated set."""
+    (ref_vertices, ref_faces), (gen_vertices, gen_faces) = reference, generated
+    if not len(ref_vertices) or not len(gen_vertices):
         raise EmptyInputError("both datasets must be nonempty")
-    names = [q for q in quantities if q in QUANTITIES]
-    if not names:
-        raise ConfigError(f"no known quantities among {tuple(quantities)}")
+    unknown = [q for q in quantities if q not in QUANTITIES]
+    if unknown:
+        raise ConfigError(f"unknown quantities {', '.join(unknown)}")
+    if not quantities:
+        raise ConfigError("no quantities to report")
+    ref_values = shape_quantities(ref_vertices, ref_faces)
+    gen_values = shape_quantities(gen_vertices, gen_faces)
     rows = []
     histograms = {}
-    for name in names:
-        fn = QUANTITIES[name]
-        ref_vals = np.array([fn(s) for s in reference])
-        gen_vals = np.array([fn(s) for s in generated])
+    for name in quantities:
+        ref_vals, gen_vals = ref_values[name], gen_values[name]
         rows.append((f"jsd_{name}", jsd(ref_vals, gen_vals)))
         lo = min(ref_vals.min(), gen_vals.min())
         hi = max(ref_vals.max(), gen_vals.max())
@@ -157,12 +167,10 @@ def metric_report(reference, generated, constraint=None,
         histograms[name] = (edges,
                             np.histogram(ref_vals, bins=edges)[0],
                             np.histogram(gen_vals, bins=edges)[0])
-    rows.append(("var_reference",
-                 total_variance([s.vertices for s in reference])))
-    rows.append(("var_generated",
-                 total_variance([s.vertices for s in generated])))
+    rows.append(("var_reference", total_variance(ref_vertices)))
+    rows.append(("var_generated", total_variance(gen_vertices)))
     if constraint is not None:
         from .constraints import constraint_residual
-        rows.append(("max_constraint_residual",
-                     max(constraint_residual(constraint, s) for s in generated)))
+        rows.append(("max_constraint_residual", float(np.max(
+            constraint_residual(constraint, gen_vertices, gen_faces)))))
     return MetricReport(rows=rows, histograms=histograms)

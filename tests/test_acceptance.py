@@ -51,15 +51,15 @@ def bench():
     lattice = box_lattice(base)
     bary = barycenter_constraint(base.n_vertices, barycenter_of(base.vertices))
     vol = VolumeConstraint(volume_of(base))
-    bary_data = sample_cffd_dataset(lattice, base, bary, 60, 0.05, Rng(101))
-    vol_data = sample_cffd_dataset(lattice, base, vol, 60, 0.05, Rng(102))
+    bary_data, _ = sample_cffd_dataset(lattice, base, bary, 60, 0.05, Rng(101))
+    vol_data, _ = sample_cffd_dataset(lattice, base, vol, 60, 0.05, Rng(102))
     return {
         "base": base,
         "lattice": lattice,
         "bary": bary,
         "vol": vol,
-        "bary_surfaces": [s.surface for s in bary_data],
-        "vol_surfaces": [s.surface for s in vol_data],
+        "bary_vertices": bary_data,
+        "vol_vertices": vol_data,
     }
 
 
@@ -70,8 +70,8 @@ def bench_config(seed):
 
 @pytest.fixture(scope="session")
 def trained_ae(bench):
-    return train_model("ae", bench["bary_surfaces"], bench["bary"],
-                       bench_config(7))
+    return train_model("ae", bench["bary_vertices"], bench["base"].faces,
+                       bench["bary"], bench_config(7))
 
 
 def test_criterion_1_constraint_exactness(bench, trained_ae):
@@ -81,17 +81,19 @@ def test_criterion_1_constraint_exactness(bench, trained_ae):
     worst = {}
     for kind in ("ae", "vae", "aae", "began"):
         model = trained_ae if kind == "ae" else train_model(
-            kind, bench["bary_surfaces"], bench["bary"], bench_config(7))
+            kind, bench["bary_vertices"], bench["base"].faces, bench["bary"],
+            bench_config(7))
         samples, _ = model.sample(100, Rng(500))
-        residual = max(np.max(np.abs(barycenter_of(s.vertices) - bary_target))
+        residual = max(np.max(np.abs(barycenter_of(s) - bary_target))
                        for s in samples)
         worst[f"{kind}/barycenter"] = residual
         assert residual <= BARY_TOL, f"{kind} barycenter residual {residual:.3e}"
-        vmodel = train_model(kind, bench["vol_surfaces"], bench["vol"],
-                             bench_config(8))
+        vmodel = train_model(kind, bench["vol_vertices"], bench["base"].faces,
+                             bench["vol"], bench_config(8))
         vsamples, _ = vmodel.sample(100, Rng(501))
-        vresidual = max(abs(volume_of(s) - vol_target) / vol_target
-                        for s in vsamples)
+        vresidual = max(
+            abs(volume_of(TriSurface(s, vmodel.faces)) - vol_target)
+            / vol_target for s in vsamples)
         worst[f"{kind}/volume"] = vresidual
         assert vresidual <= VOL_TOL, f"{kind} volume residual {vresidual:.3e}"
     elapsed = time.monotonic() - start
@@ -259,8 +261,8 @@ def test_criterion_5_jsd_suite():
     lattice = box_lattice(base)
     constraint = barycenter_constraint(base.n_vertices,
                                        barycenter_of(base.vertices))
-    data = [s.surface for s in
-            sample_cffd_dataset(lattice, base, constraint, 200, 0.05, Rng(506))]
+    data = (sample_cffd_dataset(lattice, base, constraint, 200, 0.05,
+                                Rng(506))[0], base.faces)
     report = metric_report(data, data, constraint=constraint)
     inertia_jsd = {name: value for name, value in report.rows
                    if name.startswith("jsd_I_")}
@@ -272,9 +274,9 @@ def test_criterion_5_jsd_suite():
 
 def test_criterion_6_podi(bench, trained_ae):
     start = time.monotonic()
-    surfaces, latents = trained_ae.sample(100, Rng(600))
+    clouds, latents = trained_ae.sample(100, Rng(600))
     spec = FieldSpec("bump")
-    snapshots = np.stack([snapshot_of(s.vertices, spec) for s in surfaces])
+    snapshots = np.stack([snapshot_of(cloud, spec) for cloud in clouds])
     mu_train, mu_test = latents[:80], latents[80:]
     s_train, s_test = snapshots[:80], snapshots[80:]
     podi_rbf = podi_fit(mu_train, s_train, 3, regressor="rbf")
@@ -386,9 +388,9 @@ def test_criterion_8_determinism(tmp_path):
 def test_surrogate_as_within_2x_of_full_gpr(trained_ae):
     # dimension reduction to one active variable costs at most a factor of
     # two in held-out error against a GPR on the full latent input
-    surfaces, latents = trained_ae.sample(100, Rng(600))
+    clouds, latents = trained_ae.sample(100, Rng(600))
     spec = FieldSpec("bump")
-    f = np.array([float(snapshot_of(s.vertices, spec).mean()) for s in surfaces])
+    f = np.array([float(snapshot_of(cloud, spec).mean()) for cloud in clouds])
     mu_train, mu_test = latents[:80], latents[80:]
     f_train, f_test = f[:80], f[80:]
 
@@ -408,9 +410,9 @@ def test_surrogate_as_within_2x_of_full_gpr(trained_ae):
 
 
 def test_criterion_9_variance_band_soft(bench, trained_ae):
-    training_var = total_variance([s.vertices for s in bench["bary_surfaces"]])
+    training_var = total_variance(bench["bary_vertices"])
     samples, _ = trained_ae.sample(100, Rng(900))
-    generated_var = total_variance([s.vertices for s in samples])
+    generated_var = total_variance(samples)
     ratio = generated_var / training_var
     status = "PASS" if 0.2 <= ratio <= 2.0 else "WARN (outside band, not a failure)"
     print(f"criterion 9: {status} - generated/training variance ratio "

@@ -384,6 +384,9 @@ CHECKPOINT_DEFECTS = {
     "faces-out-of-range": (lambda t, lines: (
         {**t, "faces": np.where(t["faces"] == 0, 1e6, t["faces"])}, lines),
         "faces"),
+    "faces-repeated-index": (lambda t, lines: (
+        {**t, "faces": np.where(np.arange(3) == 2, t["faces"][:, :1],
+                                t["faces"])}, lines), "faces"),
 }
 
 
@@ -413,6 +416,23 @@ def test_bad_magic_dataset_exits_1(tmp_path, trained, capsys):
     assert run(["train", "--config", str(trained / "pipeline.cfg"), "--kind",
                 "ae", "--data", str(copy), "--out", str(tmp_path / "o")]) == 1
     assert "bad magic" in capsys.readouterr().err
+
+
+def test_degenerate_dataset_face_exits_1_naming_path(tmp_path, trained,
+                                                    capsys):
+    # a face repeating a vertex index is rejected when the container is read,
+    # by path and tensor name
+    copy = _copy_dir(trained / "data", tmp_path / "broken")
+    broken = copy / "dataset.cgmt"
+    tensors = load_tensors(broken)
+    faces = tensors["faces"].copy()
+    faces[5, 1] = faces[5, 0]
+    save_tensors(broken, dict(tensors, faces=faces))
+    capsys.readouterr()
+    assert run(["train", "--config", str(trained / "pipeline.cfg"), "--kind",
+                "ae", "--data", str(copy), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {broken}") and "'faces'" in err
 
 
 def test_validate_takes_constraint_from_data(tmp_path, config_file, capsys):

@@ -414,14 +414,18 @@ def test_dataset_deterministic_and_constrained(tmp_path, sphere):
     lattice = box_lattice(sphere)
     v0 = volume_of(sphere)
     c = VolumeConstraint(v0)
-    samples1 = sample_cffd_dataset(lattice, sphere, c, 3, 0.03, Rng(77))
-    samples2 = sample_cffd_dataset(lattice, sphere, c, 3, 0.03, Rng(77))
-    for s1, s2 in zip(samples1, samples2):
-        assert np.array_equal(s1.surface.vertices, s2.surface.vertices)
-        assert abs(volume_of(s1.surface) - v0) <= 1e-9 * v0
+    vertices1, displacements1 = sample_cffd_dataset(lattice, sphere, c, 3,
+                                                    0.03, Rng(77))
+    vertices2, displacements2 = sample_cffd_dataset(lattice, sphere, c, 3,
+                                                    0.03, Rng(77))
+    assert np.array_equal(vertices1, vertices2)
+    for cloud in vertices1:
+        assert abs(volume_of(sphere.with_vertices(cloud)) - v0) <= 1e-9 * v0
     d1, d2 = tmp_path / "a", tmp_path / "b"
-    write_dataset(d1, samples1, c)
-    write_dataset(d2, samples2, c)
+    write_dataset(d1, vertices1, sphere.faces, c, "77:cffd-sample",
+                  displacements1)
+    write_dataset(d2, vertices2, sphere.faces, c, "77:cffd-sample",
+                  displacements2)
     for name in ("dataset.cgmt", "manifest.tsv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
@@ -429,9 +433,9 @@ def test_dataset_deterministic_and_constrained(tmp_path, sphere):
 def test_dataset_sigma_zero_copies(sphere):
     lattice = box_lattice(sphere)
     c = barycenter_constraint(sphere.n_vertices, barycenter_of(sphere.vertices))
-    samples = sample_cffd_dataset(lattice, sphere, c, 2, 0.0, Rng(1))
-    for s in samples:
-        assert np.max(np.abs(s.surface.vertices - sphere.vertices)) < 1e-12
+    vertices, _ = sample_cffd_dataset(lattice, sphere, c, 2, 0.0, Rng(1))
+    for cloud in vertices:
+        assert np.max(np.abs(cloud - sphere.vertices)) < 1e-12
 
 
 def test_constraint_survives_stl_round_trip(tmp_path, sphere):
@@ -439,9 +443,9 @@ def test_constraint_survives_stl_round_trip(tmp_path, sphere):
     lattice = box_lattice(sphere)
     target = barycenter_of(sphere.vertices)
     c = barycenter_constraint(sphere.n_vertices, target)
-    samples = sample_cffd_dataset(lattice, sphere, c, 2, 0.05, Rng(9))
-    for i, s in enumerate(samples):
+    vertices, _ = sample_cffd_dataset(lattice, sphere, c, 2, 0.05, Rng(9))
+    for i, cloud in enumerate(vertices):
         path = tmp_path / f"s{i}.stl"
-        stl_write(s.surface, path)
+        stl_write(sphere.with_vertices(cloud), path)
         back = stl_read(path)
         assert np.max(np.abs(barycenter_of(back.vertices) - target)) <= 1e-9

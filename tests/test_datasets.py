@@ -25,28 +25,28 @@ def samples():
     lattice = FfdLattice.from_box((2, 2, 2), base.vertices.min(axis=0) - 0.05,
                                   base.vertices.max(axis=0) + 0.05)
     constraint = VolumeConstraint(volume_of(base))
-    return constraint, sample_cffd_dataset(lattice, base, constraint, 4, 0.03,
-                                           Rng(5))
+    return constraint, base.faces, sample_cffd_dataset(
+        lattice, base, constraint, 4, 0.03, Rng(5))
 
 
 @pytest.fixture()
 def dataset_dir(tmp_path, samples):
-    constraint, records = samples
+    constraint, faces, (vertices, displacements) = samples
     directory = tmp_path / "data"
-    write_dataset(directory, records, constraint)
+    write_dataset(directory, vertices, faces, constraint, "5:cffd-sample",
+                  displacements)
     return directory
 
 
 def test_dataset_round_trip_bit_exact(dataset_dir, samples):
-    _, records = samples
+    _, faces, (vertices, displacements) = samples
     dataset = read_dataset(dataset_dir)
     assert [row["file"] for row in dataset.rows] == \
-        [f"sample_{i:05d}.stl" for i in range(len(records))]
-    for surface, record in zip(dataset.surfaces, records):
-        assert surface.vertices.tobytes() == record.surface.vertices.tobytes()
-        assert surface.faces.dtype == np.int64
-        assert np.array_equal(surface.faces, record.surface.faces)
-    expected = np.stack([np.reshape(r.displacement, -1) for r in records])
+        [f"sample_{i:05d}.stl" for i in range(len(vertices))]
+    assert dataset.vertices.tobytes() == vertices.tobytes()
+    assert dataset.faces.dtype == np.int64
+    assert np.array_equal(dataset.faces, faces)
+    expected = displacements.reshape(len(displacements), -1)
     assert dataset.displacements.tobytes() == expected.tobytes()
     assert sorted(p.name for p in dataset_dir.iterdir()) == \
         [DATASET_FILE, "manifest.tsv", "meta.txt"]
@@ -59,10 +59,10 @@ def test_export_stl_reads_back_container_arrays(dataset_dir, tmp_path):
     dataset = read_dataset(dataset_dir)
     assert sorted(p.name for p in out.iterdir()) == \
         [row["file"] for row in dataset.rows]
-    for surface, row in zip(dataset.surfaces, dataset.rows):
+    for cloud, row in zip(dataset.vertices, dataset.rows):
         back = stl_read(out / row["file"])
-        assert back.vertices.tobytes() == surface.vertices.tobytes()
-        assert np.array_equal(back.faces, surface.faces)
+        assert back.vertices.tobytes() == cloud.tobytes()
+        assert np.array_equal(back.faces, dataset.faces)
 
 
 def test_every_truncation_of_a_dataset_rejected(dataset_dir):

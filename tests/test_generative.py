@@ -8,8 +8,8 @@ from cgmkit.errors import ConfigError
 from cgmkit.generative import (GmConfig, LinearEnforcer, VolumeEnforcer,
                                adversarial_terms, began_k_update, kl_normal,
                                load_model, save_model, train_ae, train_model)
-from cgmkit.geometry import (FfdLattice, barycenter_of, synth_shape,
-                             volume_of)
+from cgmkit.geometry import (FfdLattice, TriSurface, barycenter_of,
+                             synth_shape, volume_of)
 from cgmkit.nn import mlp_stack
 from cgmkit.reduction import pca_fit
 from cgmkit.rng import Rng
@@ -26,8 +26,9 @@ def make_dataset(seed=1, n=24, constraint_kind="barycenter", subdivision=1):
                                            barycenter_of(base.vertices))
     else:
         constraint = VolumeConstraint(volume_of(base))
-    samples = sample_cffd_dataset(lattice, base, constraint, n, 0.05, Rng(seed))
-    return [s.surface for s in samples], constraint, base
+    vertices, _ = sample_cffd_dataset(lattice, base, constraint, n, 0.05,
+                                      Rng(seed))
+    return vertices, constraint, base
 
 
 def small_config(**kw):
@@ -41,9 +42,9 @@ def small_config(**kw):
 
 def test_linear_enforcer_exact_and_idempotent():
     rng = Rng(2)
-    surfaces, constraint, base = make_dataset()
+    vertices, constraint, base = make_dataset()
     enforcer = LinearEnforcer(constraint)
-    clouds = np.stack([s.vertices.reshape(-1) for s in surfaces[:5]])
+    clouds = vertices[:5].reshape(5, -1)
     clouds += rng.normal(clouds.shape) * 0.1  # break feasibility
     out, _ = enforcer.forward(clouds)
     resid = out @ constraint.matrix.T - constraint.target
@@ -53,7 +54,7 @@ def test_linear_enforcer_exact_and_idempotent():
 
 
 def test_linear_enforcer_backward_is_projector():
-    surfaces, constraint, base = make_dataset()
+    vertices, constraint, base = make_dataset()
     enforcer = LinearEnforcer(constraint)
     rng = Rng(3)
     g = rng.normal((4, constraint.dim))
@@ -64,14 +65,13 @@ def test_linear_enforcer_backward_is_projector():
 
 
 def test_volume_enforcer_batch():
-    surfaces, constraint, base = make_dataset(constraint_kind="volume")
+    vertices, constraint, base = make_dataset(constraint_kind="volume")
     enforcer = VolumeEnforcer(constraint, base.faces)
     rng = Rng(4)
-    clouds = np.stack([s.vertices.reshape(-1) for s in surfaces[:4]])
+    clouds = vertices[:4].reshape(4, -1)
     clouds *= 1.0 + 0.02 * rng.normal(clouds.shape)
     out, cache = enforcer.forward(clouds)
     for row_cloud in out:
-        from cgmkit.geometry import TriSurface
         v = volume_of(TriSurface(row_cloud.reshape(-1, 3), base.faces))
         assert abs(v - constraint.target) <= 1e-9 * constraint.target
     g = rng.normal(out.shape)
@@ -147,8 +147,8 @@ def test_volume_enforcer_unreferenced_vertex():
 
 
 def test_enforcing_chain_gradient_matches_fd():
-    surfaces, constraint, base = make_dataset(n=12)
-    clouds = np.stack([s.vertices.reshape(-1) for s in surfaces])
+    vertices, constraint, base = make_dataset(n=12)
+    clouds = vertices.reshape(len(vertices), -1)
     back, fd = chain_gradients(LinearEnforcer(constraint), clouds)
     scale = np.maximum(np.maximum(np.abs(fd), np.abs(back)), 1e-3)
     assert np.all(np.abs(fd - back) / scale < 1e-5)
@@ -159,8 +159,8 @@ def test_enforcing_chain_gradient_matches_fd():
 def test_volume_enforcing_chain_gradient_matches_fd(split, order):
     # the exact backward pass: the rows of each pass move with the two
     # frozen components, and equal-thirds targets with the input volume
-    surfaces, _, base = make_dataset(n=12, constraint_kind="volume")
-    clouds = np.stack([s.vertices.reshape(-1) for s in surfaces])
+    vertices, _, base = make_dataset(n=12, constraint_kind="volume")
+    clouds = vertices.reshape(len(vertices), -1)
     constraint = VolumeConstraint(1.1 * volume_of(base), order=tuple(order),
                                   split=split)
     back, fd = chain_gradients(VolumeEnforcer(constraint, base.faces), clouds)
@@ -237,15 +237,13 @@ def test_ae_fits_linear_dataset():
     basis = b3.reshape(dim, rank)
     mean = rng.normal(dim) * 2.0
     clouds = mean + rng.normal((n, rank)) @ basis.T
-    from cgmkit.geometry import TriSurface
     fake_faces = np.array([[0, 1, 2]])
-    surfaces = [TriSurface(c.reshape(-1, 3), fake_faces) for c in clouds]
     target = barycenter_of(clouds[0].reshape(-1, 3))
     constraint = barycenter_constraint(dim // 3, target)
     cfg = GmConfig(latent_dim=rank, pca_modes=rank, hidden_width=32,
                    hidden_depth=2, epochs=500, batch_size=n, dropout=0.0,
                    weight_decay=0.0, seed=5)
-    model = train_ae(surfaces, constraint, cfg)
+    model = train_ae(clouds.reshape(n, -1, 3), fake_faces, constraint, cfg)
     assert model.epoch_losses[-1] <= model.epoch_losses[0]
     out = model.decode(model.encode(clouds))
     rel = np.linalg.norm(out - clouds) / np.linalg.norm(clouds)
@@ -253,30 +251,30 @@ def test_ae_fits_linear_dataset():
 
 
 def test_min_dataset_boundary_one_step_per_epoch():
-    surfaces, constraint, _ = make_dataset(n=8)
+    vertices, constraint, base = make_dataset(n=8)
     cfg = small_config(batch_size=8, epochs=3)
-    model = train_ae(surfaces, constraint, cfg)
+    model = train_ae(vertices, base.faces, constraint, cfg)
     assert len(model.epoch_losses) == 3
 
 
 def test_dataset_below_batch_rejected():
-    surfaces, constraint, _ = make_dataset(n=4)
+    vertices, constraint, base = make_dataset(n=4)
     with pytest.raises(ConfigError):
-        train_ae(surfaces, constraint, small_config(batch_size=8))
+        train_ae(vertices, base.faces, constraint, small_config(batch_size=8))
 
 
 def test_training_deterministic():
-    surfaces, constraint, _ = make_dataset()
+    vertices, constraint, base = make_dataset()
     cfg = small_config(epochs=5)
-    m1 = train_ae(surfaces, constraint, cfg)
-    m2 = train_ae(surfaces, constraint, cfg)
+    m1 = train_ae(vertices, base.faces, constraint, cfg)
+    m2 = train_ae(vertices, base.faces, constraint, cfg)
     assert np.array_equal(m1.nets["dec"].flat, m2.nets["dec"].flat)
     assert np.array_equal(m1.sampler_mean, m2.sampler_mean)
 
 
 def test_zero_weight_decoder_emits_enforced_mean():
-    surfaces, constraint, _ = make_dataset()
-    model = train_ae(surfaces, constraint, small_config(epochs=2))
+    vertices, constraint, base = make_dataset()
+    model = train_ae(vertices, base.faces, constraint, small_config(epochs=2))
     dec = model.nets["dec"]
     dec.flat[...] = 0.0
     for layer in dec.layers:
@@ -290,20 +288,23 @@ def test_zero_weight_decoder_emits_enforced_mean():
 
 
 def test_vae_alpha_changes_training():
-    surfaces, constraint, _ = make_dataset()
-    m0 = train_model("vae", surfaces, constraint, small_config(alpha=0.0, epochs=4))
-    m0b = train_model("vae", surfaces, constraint, small_config(alpha=0.0, epochs=4))
-    m1 = train_model("vae", surfaces, constraint, small_config(alpha=10.0, epochs=4))
+    vertices, constraint, base = make_dataset()
+    m0 = train_model("vae", vertices, base.faces, constraint,
+                     small_config(alpha=0.0, epochs=4))
+    m0b = train_model("vae", vertices, base.faces, constraint,
+                      small_config(alpha=0.0, epochs=4))
+    m1 = train_model("vae", vertices, base.faces, constraint,
+                     small_config(alpha=10.0, epochs=4))
     p0 = m0.nets["dec"].layers[0].weight
     assert np.array_equal(p0, m0b.nets["dec"].layers[0].weight)
     assert not np.array_equal(p0, m1.nets["dec"].layers[0].weight)
 
 
 def test_aae_discriminator_near_chance_on_matched_latents():
-    surfaces, constraint, _ = make_dataset(n=32)
+    vertices, constraint, base = make_dataset(n=32)
     cfg = small_config(epochs=40)
-    model = train_model("aae", surfaces, constraint, cfg)
-    clouds = np.stack([s.vertices.reshape(-1) for s in surfaces])
+    model = train_model("aae", vertices, base.faces, constraint, cfg)
+    clouds = vertices.reshape(len(vertices), -1)
     encoded = model.encode(clouds)
     rng = Rng(33)
     prior = rng.normal(encoded.shape)
@@ -316,39 +317,43 @@ def test_aae_discriminator_near_chance_on_matched_latents():
 
 @pytest.mark.parametrize("kind", ["ae", "vae", "aae", "began"])
 def test_all_kinds_satisfy_barycenter(kind):
-    surfaces, constraint, _ = make_dataset()
-    model = train_model(kind, surfaces, constraint, small_config())
+    vertices, constraint, base = make_dataset()
+    model = train_model(kind, vertices, base.faces, constraint, small_config())
     out, latents = model.sample(10, Rng(50))
     target = constraint.target
-    for surf in out:
-        assert np.max(np.abs(barycenter_of(surf.vertices) - target)) <= 1e-10
+    for cloud in out:
+        assert np.max(np.abs(barycenter_of(cloud) - target)) <= 1e-10
     assert latents.shape == (10, model.config.latent_dim)
 
 
 @pytest.mark.parametrize("kind", ["ae", "vae", "aae", "began"])
 def test_volume_models_satisfy_volume(kind):
-    surfaces, constraint, _ = make_dataset(constraint_kind="volume")
-    model = train_model(kind, surfaces, constraint, small_config(epochs=6))
+    vertices, constraint, base = make_dataset(constraint_kind="volume")
+    model = train_model(kind, vertices, base.faces, constraint,
+                        small_config(epochs=6))
     out, _ = model.sample(6, Rng(51))
-    for surf in out:
+    for cloud in out:
+        surf = TriSurface(cloud, model.faces)
         assert abs(volume_of(surf) - constraint.target) <= 1e-9 * constraint.target
 
 
 def test_sampling_deterministic_stl_bytes(tmp_path):
-    surfaces, constraint, _ = make_dataset()
-    model = train_model("ae", surfaces, constraint, small_config(epochs=4))
+    vertices, constraint, base = make_dataset()
+    model = train_model("ae", vertices, base.faces, constraint,
+                        small_config(epochs=4))
     a, _ = model.sample(1, Rng(77))
     b, _ = model.sample(1, Rng(77))
     pa, pb = tmp_path / "a.stl", tmp_path / "b.stl"
-    stl_write(a[0], pa)
-    stl_write(b[0], pb)
+    stl_write(TriSurface(a[0], model.faces), pa)
+    stl_write(TriSurface(b[0], model.faces), pb)
     assert pa.read_bytes() == pb.read_bytes()
 
 
 def test_pca_round_trip_inside_model():
-    surfaces, constraint, _ = make_dataset()
-    model = train_model("ae", surfaces, constraint, small_config(epochs=2))
-    clouds = np.stack([s.vertices.reshape(-1) for s in surfaces])
+    vertices, constraint, base = make_dataset()
+    model = train_model("ae", vertices, base.faces, constraint,
+                        small_config(epochs=2))
+    clouds = vertices.reshape(len(vertices), -1)
     y = model.pca.project(clouds)
     recon = model.pca.reconstruct(y)
     direct = (clouds - model.pca.mean) @ model.pca.modes @ model.pca.modes.T \
@@ -360,23 +365,24 @@ def test_pca_round_trip_inside_model():
     pytest.param(kind, ck, id=kind if ck == "barycenter" else f"{kind}-{ck}")
     for ck in ("barycenter", "volume") for kind in ("ae", "vae", "aae", "began")])
 def test_checkpoint_round_trip(tmp_path, kind, constraint_kind):
-    surfaces, constraint, _ = make_dataset(constraint_kind=constraint_kind)
-    model = train_model(kind, surfaces, constraint, small_config(epochs=3))
+    vertices, constraint, base = make_dataset(constraint_kind=constraint_kind)
+    model = train_model(kind, vertices, base.faces, constraint,
+                        small_config(epochs=3))
     path = tmp_path / f"{kind}.cgmt"
     save_model(model, path)
     back = load_model(path)
     s1, z1 = model.sample(3, Rng(12))
     s2, z2 = back.sample(3, Rng(12))
     assert np.array_equal(z1, z2)
-    for a, b in zip(s1, s2):
-        assert np.array_equal(a.vertices, b.vertices)
-        assert np.array_equal(a.faces, b.faces)
+    assert np.array_equal(s1, s2)
+    assert np.array_equal(model.faces, back.faces)
 
 
 def test_checkpoint_load_writes_through_flat_buffers(tmp_path):
-    surfaces, constraint, _ = make_dataset()
+    vertices, constraint, base = make_dataset()
     path = tmp_path / "ae.cgmt"
-    save_model(train_model("ae", surfaces, constraint, small_config(epochs=2)),
+    save_model(train_model("ae", vertices, base.faces, constraint,
+                           small_config(epochs=2)),
                path)
     tensors = load_tensors(path)
     back = load_model(path)
@@ -391,20 +397,20 @@ def test_checkpoint_load_writes_through_flat_buffers(tmp_path):
 
 
 def test_checkpoint_bytes_reproducible(tmp_path):
-    surfaces, constraint, _ = make_dataset()
+    vertices, constraint, base = make_dataset()
     cfg = small_config(epochs=3)
     p1, p2 = tmp_path / "m1.cgmt", tmp_path / "m2.cgmt"
-    save_model(train_model("ae", surfaces, constraint, cfg), p1)
-    save_model(train_model("ae", surfaces, constraint, cfg), p2)
+    save_model(train_model("ae", vertices, base.faces, constraint, cfg), p1)
+    save_model(train_model("ae", vertices, base.faces, constraint, cfg), p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert (tmp_path / "m1.cgmt.txt").read_text() == \
         (tmp_path / "m2.cgmt.txt").read_text()
 
 
 def test_unknown_kind_rejected():
-    surfaces, constraint, _ = make_dataset()
+    vertices, constraint, base = make_dataset()
     with pytest.raises(ConfigError):
-        train_model("gan", surfaces, constraint, small_config())
+        train_model("gan", vertices, base.faces, constraint, small_config())
 
 
 def test_config_validation():

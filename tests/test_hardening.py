@@ -118,15 +118,15 @@ def test_vae_alpha_pulls_posterior_scale_to_one():
                                   base.vertices.max(axis=0) + 0.05)
     constraint = barycenter_constraint(base.n_vertices,
                                        barycenter_of(base.vertices))
-    surfaces = [s.surface for s in
-                sample_cffd_dataset(lattice, base, constraint, 24, 0.05, Rng(5))]
+    vertices, _ = sample_cffd_dataset(lattice, base, constraint, 24, 0.05,
+                                      Rng(5))
 
     def posterior(alpha):
         cfg = GmConfig(latent_dim=3, pca_modes=6, hidden_width=16,
                        hidden_depth=1, epochs=150, batch_size=24, dropout=0.0,
                        alpha=alpha, seed=2)
-        model = train_model("vae", surfaces, constraint, cfg)
-        clouds = np.stack([s.vertices.reshape(-1) for s in surfaces])
+        model = train_model("vae", vertices, base.faces, constraint, cfg)
+        clouds = vertices.reshape(len(vertices), -1)
         coords = model.pca.project(clouds)
         a, _ = model.nets["enc_mean"].eval().forward(coords)
         raw, _ = model.nets["enc_scale"].eval().forward(coords)

@@ -4,20 +4,26 @@ and leaves pinned control points exactly still over random lattices,
 weights and displacements, and the batched volume kernel matches
 single-cloud calls bit for bit and a per-sample reference to roundoff;
 its enforcing layer's backward pass matches central differences. The
-vectorized closedness check gives the verdict of an edge-counting
-reference loop on damaged and random connectivity."""
+constraint checks and validation quantities of a shape stack give each
+cloud the bits it gets alone. The vectorized closedness check gives the
+verdict of an edge-counting reference loop on damaged and random
+connectivity."""
 
 import itertools
+from functools import partial
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from cgmkit.constraints import (VolumeConstraint, barycenter_constraint,
-                                cffd_correct, project_volume, volume_gradient)
+from cgmkit.constraints import (VolumeConstraint, achieved_value,
+                                barycenter_constraint, cffd_correct,
+                                constraint_residual, project_volume,
+                                volume_gradient)
 from cgmkit.generative import VolumeEnforcer
 from cgmkit.geometry import (FfdLattice, TriSurface, barycenter_of, ffd_map,
                              is_closed, synth_shape, volume_of)
 from cgmkit.rng import Rng
+from cgmkit.validation import shape_quantities
 
 BASE = synth_shape("icosphere", 1)
 V0 = volume_of(BASE)
@@ -156,6 +162,33 @@ def test_kernel_batch_invariant(case, with_basis):
                 assert np.array_equal(array[b], single_array[0])
 
 
+# 320 faces: the batched volume and area formulas take 11 clouds a block
+DESK = synth_shape("icosphere", 2)
+
+
+@PROPERTY
+@given(b=st.integers(1, 30), noise=st.floats(0.0, 0.1),
+       seed=st.integers(0, 2 ** 16))
+def test_stack_checks_batch_invariant(b, noise, seed):
+    # every per-cloud value of a stack is bitwise the one of the cloud alone,
+    # so the manifest, the residual checks and the validation quantities do
+    # not depend on how many shapes share a call
+    rng = Rng(seed)
+    stack = DESK.vertices * (1.0 + noise * rng.normal((b, DESK.n_vertices, 3)))
+    constraints = (
+        barycenter_constraint(DESK.n_vertices, 0.01 * rng.normal(3)),
+        VolumeConstraint(volume_of(DESK)))
+    calls = [partial(fn, constraint) for constraint in constraints
+             for fn in (constraint_residual, achieved_value)]
+    calls.append(lambda vertices, faces: np.stack(
+        list(shape_quantities(vertices, faces).values()), axis=-1))
+    for call in calls:
+        batched = call(stack, DESK.faces)
+        for i in range(b):
+            alone = call(stack[i:i + 1], DESK.faces)[0]
+            assert np.array_equal(batched[i], alone)
+
+
 def closed_reference(faces):
     """Every directed edge occurs exactly once and so does its reverse,
     counted edge by edge."""
@@ -204,4 +237,4 @@ def test_is_closed_matches_reference_loop(subdivision, edits, random_faces,
     faces = damage(random_faces if use_random else base.faces, edits)
     vertices = np.zeros((base.n_vertices, 3))
     surface = TriSurface(vertices, np.array(faces, dtype=np.int64).reshape(-1, 3))
-    assert is_closed(surface) == closed_reference(faces)
+    assert is_closed(surface.faces) == closed_reference(faces)

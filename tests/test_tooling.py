@@ -4,8 +4,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from cgmkit import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
+WORKLOADS = ROOT / "bench" / "workloads.py"
 HASHES = ROOT / "tools" / "artifact_hashes.py"
 
 
@@ -54,3 +57,15 @@ def test_artifact_differences_lists_changed_and_missing_paths():
     assert tool.differences(old, new) == [
         "gen/dataset.cgmt 2222 2223", "new.txt - 5555", "old.txt 3333 -"]
     assert tool.differences(old, old) == []
+
+
+def test_benchmark_commands_parse():
+    # every command line the benchmark runs must parse with the package's
+    # parser; dropping a flag it passes (such as --threads) must fail here
+    # rather than as an argparse error in every benchmark command
+    workloads = load(WORKLOADS, "bench_workloads").WORKLOADS
+    parser = cli.build_parser()
+    for workload in workloads.values():
+        steps = workload.steps("workload.cfg", 1, "work", workload.values())
+        for name, argv, _ in steps:
+            assert parser.parse_args(argv).command == argv[0], name

@@ -126,13 +126,13 @@ def test_total_variance_block_additive():
 # --- metric report ---------------------------------------------------------------
 
 def jiggled_dataset(seed, n=30):
+    """(vertices (n, M, 3), faces) of n jiggled icospheres."""
     rng = Rng(seed)
     base = synth_shape("icosphere", 1)
-    out = []
-    for i in range(n):
-        noise = 1.0 + 0.05 * rng.derive(i).normal((base.n_vertices, 3))
-        out.append(base.with_vertices(base.vertices * noise))
-    return out
+    vertices = np.stack([
+        base.vertices * (1.0 + 0.05 * rng.derive(i).normal((base.n_vertices, 3)))
+        for i in range(n)])
+    return vertices, base.faces
 
 
 def test_metric_report_self_comparison(tmp_path):
@@ -156,11 +156,12 @@ def test_metric_report_constraint_residual():
     data = jiggled_dataset(12, n=10)
     target = np.zeros(3)
     from cgmkit.generative import LinearEnforcer
-    c = barycenter_constraint(data[0].n_vertices, target)
+    vertices, faces = data
+    c = barycenter_constraint(vertices.shape[1], target)
     enforcer = LinearEnforcer(c)
-    enforced = [s.with_vertices(enforcer.forward(s.vertices.reshape(1, -1))[0])
-                for s in data]
-    report = metric_report(data, enforced, constraint=c)
+    enforced = np.stack([enforcer.forward(v.reshape(1, -1))[0].reshape(-1, 3)
+                         for v in vertices])
+    report = metric_report(data, (enforced, faces), constraint=c)
     assert report.value("max_constraint_residual") <= 1e-9
 
 
@@ -168,5 +169,7 @@ def test_metric_report_unknown_quantities_error():
     data = jiggled_dataset(13, n=4)
     with pytest.raises(ConfigError):
         metric_report(data, data, quantities=("bogus",))
+    with pytest.raises(ConfigError, match="bogus"):
+        metric_report(data, data, quantities=("volume", "bogus"))
     with pytest.raises(EmptyInputError):
-        metric_report([], data)
+        metric_report((data[0][:0], data[1]), data)
