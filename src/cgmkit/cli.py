@@ -14,7 +14,8 @@ import numpy as np
 
 from . import datasets
 from .config import PipelineConfig, write_resolved
-from .constraints import constraint_residual, sample_cffd_dataset
+from .constraints import (achieved_value, constraint_residual,
+                          sample_cffd_dataset)
 from .errors import CgmError, ConfigError
 from .generative import MODEL_KINDS, load_model, save_model, train_model
 from .reduction import (as_fit, as_response_surface, podi_fit,
@@ -36,15 +37,18 @@ def _ensure_out(config: PipelineConfig):
     return config.out
 
 
-def _check_residuals(constraint, vertices, faces, label):
-    """Fail on the first sample whose residual exceeds the bound or is NaN."""
-    residuals = constraint_residual(constraint, vertices, faces)
+def _checked_achieved(constraint, vertices, faces, label):
+    """The achieved values of a stack (`achieved_value`), after failing on
+    the first sample whose residual exceeds the bound or is NaN."""
+    achieved = achieved_value(constraint, vertices, faces)
+    residuals = constraint_residual(constraint, vertices, achieved)
     failing = np.flatnonzero(~(residuals <= RESIDUAL_BOUND))
     if failing.size:
         i = failing[0]
         raise CommandFailure(
             f"{label} sample {i}: constraint residual {residuals[i]:.3e} "
             f"exceeds {RESIDUAL_BOUND:.0e}")
+    return achieved
 
 
 def cmd_generate(config: PipelineConfig) -> int:
@@ -56,8 +60,8 @@ def cmd_generate(config: PipelineConfig) -> int:
     n = config.n_train + config.n_test
     vertices, displacements = sample_cffd_dataset(
         lattice, base, constraint, n, config.sigma_d, rng,
-        weights=config.weights(lattice), threads=config.threads)
-    _check_residuals(constraint, vertices, base.faces, "generated")
+        weights=config.weights(lattice))
+    achieved = _checked_achieved(constraint, vertices, base.faces, "generated")
     meta = {
         "shape": config.values["shape.kind"],
         "subdivision": config.values["shape.subdivision"],
@@ -69,7 +73,7 @@ def cmd_generate(config: PipelineConfig) -> int:
         "n_test": config.n_test,
         "seed": config.seed,
     }
-    datasets.write_dataset(out, vertices, base.faces, constraint,
+    datasets.write_dataset(out, vertices, base.faces, constraint, achieved,
                            f"{rng.seed}:cffd-sample", displacements, meta=meta)
     print(f"generate: wrote {n} samples to {out}")
     return 0
@@ -118,9 +122,10 @@ def cmd_sample(config: PipelineConfig, checkpoint, n, seed) -> int:
     model = load_model(checkpoint)
     rng = Rng(seed, ("sample",))
     clouds, latents = model.sample(n, rng)
-    _check_residuals(model.constraint, clouds, model.faces, "sampled")
+    achieved = _checked_achieved(model.constraint, clouds, model.faces,
+                                 "sampled")
     datasets.write_dataset(out, clouds, model.faces, model.constraint,
-                           f"{seed}:sample",
+                           achieved, f"{seed}:sample",
                            meta={"checkpoint": str(checkpoint), "seed": seed,
                                  "kind": model.kind})
     save_matrix(os.path.join(out, "latents.bin"), latents)

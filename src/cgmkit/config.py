@@ -140,7 +140,8 @@ class PipelineConfig:
     def __post_init__(self):
         self.seed = self.number("pipeline.seed", int)
         self.out = self.values["pipeline.out"]
-        self.threads = self.number("pipeline.threads", int)
+        # checked but unused: sample generation is one stacked solve
+        threads = self.number("pipeline.threads", int)
         self.n_train = self.number("dataset.n_train", int)
         self.n_test = self.number("dataset.n_test", int)
         self.sigma_d = self.number("dataset.sigma_d", float)
@@ -153,9 +154,9 @@ class PipelineConfig:
             raise ConfigError("dataset and ROM training sizes must be positive")
         if self.seed < 0:
             raise ConfigError(f"pipeline.seed must be nonnegative, got {self.seed}")
-        if self.threads < 1:
+        if threads < 1:
             raise ConfigError(
-                f"pipeline.threads must be at least 1, got {self.threads}")
+                f"pipeline.threads must be at least 1, got {threads}")
 
     @classmethod
     def load(cls, path=None, environ=None, overrides=None) -> "PipelineConfig":

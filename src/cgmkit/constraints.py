@@ -8,8 +8,9 @@ closed triangulation is trilinear: linear-homogeneous in each coordinate
 component with the other two fixed, so volume is enforced exactly with one
 affine solve per component pass. `project_volume` is the one implementation
 of that sequential projection, shared by constrained FFD and the generative
-models' enforcing layer. `sample_cffd_dataset` returns a stack (n, M, 3)
-on the base faces; `achieved_value` and `constraint_residual` check one.
+models' enforcing layer. `cffd_correct` corrects a stack of displacements
+in one solve, and `sample_cffd_dataset` returns a stack (n, M, 3) on the
+base faces; `achieved_value` and `constraint_residual` check one.
 """
 
 from dataclasses import dataclass, field
@@ -18,9 +19,9 @@ import numpy as np
 
 from .errors import (DegenerateSurfaceError, DimensionError,
                      InfeasibleConstraintError)
-from .geometry import (FfdLattice, TriSurface, barycenter_of,
-                       check_displacement, ffd_map, require_closed,
-                       volume_gradients, volume_of, volume_rows, volumes)
+from .geometry import (FfdLattice, TriSurface, barycenter_of, ffd_map,
+                       require_closed, volume_gradients, volume_of,
+                       volume_rows, volumes)
 from .linalg import RANK_TOL, lstsq_min_norm
 from .rng import Rng
 
@@ -180,13 +181,13 @@ def achieved_value(constraint, vertices, faces) -> np.ndarray:
     return constraint.values(vertices)
 
 
-def constraint_residual(constraint, vertices, faces) -> np.ndarray:
-    """Residual of each cloud in an (n, M, 3) stack sharing the faces, as
-    used in manifests and reports, (n,): max absolute row residual for
-    linear constraints, relative volume error for volume."""
+def constraint_residual(constraint, vertices, achieved) -> np.ndarray:
+    """Residual of each cloud in an (n, M, 3) stack, (n,): the relative
+    error of its achieved volume (`achieved_value`) for volume, the max
+    absolute row residual of A_c vec(cloud) for linear constraints."""
     if constraint.kind == "volume":
-        return np.abs(achieved_value(constraint, vertices, faces)[:, 0]
-                      - constraint.target) / max(abs(constraint.target), 1e-300)
+        return np.abs(achieved[:, 0] - constraint.target) / max(
+            abs(constraint.target), 1e-300)
     return np.max(np.abs(constraint.values(vertices) - constraint.target),
                   axis=1)
 
@@ -218,15 +219,17 @@ def _pinned_mask(lattice: FfdLattice, weights):
 
 def cffd_correct(lattice: FfdLattice, displacement, surface: TriSurface,
                  constraint, weights=None, subset=None) -> np.ndarray:
-    """Closed-form correction delta_d of the control-point displacements so
-    the constraint holds exactly on the deformed cloud.
+    """Closed-form correction delta_d of the control-point displacements
+    (P, 3), or of each of a stack (..., P, 3), so the constraint holds
+    exactly on the deformed cloud; each is bitwise the one it gets alone.
 
     The correction minimizes ||diag(weights) vec(delta_d)|| subject to the
     constraint composed with the Bernstein influence of the lattice.
     `subset` optionally restricts the constrained points (default: the full
-    cloud)."""
-    dp = check_displacement(lattice, displacement)
+    cloud). An infeasible linear system names the first failing sample."""
     points = surface.vertices
+    deformed, _ = ffd_map(lattice, displacement, points)
+    deformed = deformed.reshape(-1, len(points), 3)
     idx = np.arange(len(points)) if subset is None else np.asarray(subset, dtype=np.int64)
     pinned, weights = _pinned_mask(lattice, weights)
     free = ~pinned
@@ -234,8 +237,7 @@ def cffd_correct(lattice: FfdLattice, displacement, surface: TriSurface,
         raise InfeasibleConstraintError("all control points pinned")
 
     influence = lattice.influence(points[idx])[:, free]  # (N, F)
-    n_free = int(free.sum())
-    delta = np.zeros((lattice.n_control, 3))
+    delta = np.zeros((len(deformed), lattice.n_control, 3))
 
     if constraint.kind == "volume":
         if not np.allclose(lattice.a_phi, np.diag(np.diag(lattice.a_phi))):
@@ -244,69 +246,54 @@ def cffd_correct(lattice: FfdLattice, displacement, surface: TriSurface,
         if subset is not None and len(idx) != len(points):
             raise DimensionError("volume constraint requires the full cloud")
         require_closed(surface.faces)
-        deformed, _ = ffd_map(lattice, dp, points)
         # deformed component coords are affine in the component of the free
         # displacements: x_c += influence @ (a_cc * delta_c)
         _, passes = project_volume(
-            deformed[None], surface.faces, constraint, basis=influence,
+            deformed, surface.faces, constraint, basis=influence,
             weights=None if weights is None else weights[free])
         for c, _, p, _, _ in passes:
-            delta[free, c] += p[0] / lattice.a_phi[c, c]
-        return delta
+            delta[:, free, c] += p / lattice.a_phi[c, c]
+        return delta.reshape(np.shape(displacement))
 
     if constraint.space != "cloud":
         raise DimensionError("cffd constraints act on deformed cloud coordinates")
     if constraint.dim != 3 * len(idx):
         raise DimensionError(
             f"constraint dim {constraint.dim} != 3 * {len(idx)} points")
-    deformed, _ = ffd_map(lattice, dp, points)
-    rhs = constraint.target - constraint.values(deformed[idx][None])[0]
+    rhs = constraint.target - constraint.values(deformed[:, idx])
     # composite matrix A_c B over the free control-point displacements:
     # point displacement l = sum_p w_lp a_phi(delta_p)
     n_c = constraint.matrix.shape[0]
     a_rows = constraint.matrix.reshape(n_c, len(idx), 3)
     # (F, N) @ (n_c, N, 3) @ (3, 3) -> (n_c, F, 3)
     composite = (influence.T @ a_rows) @ lattice.a_phi
-    composite = composite.reshape(n_c, 3 * n_free)
+    composite = composite.reshape(n_c, -1)
     w = None if weights is None else np.repeat(weights[free], 3)
-    delta_free = lstsq_min_norm(composite, rhs, weights=w)
-    delta[free] = delta_free.reshape(n_free, 3)
-    return delta
-
-
-def _parallel_map(fn, items, threads=1):
-    """Order-preserving map, optionally over a thread pool. Work items must
-    be independent; results are merged by index so the outcome does not
-    depend on scheduling."""
-    if threads <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    try:
+        delta_free = lstsq_min_norm(composite, rhs, weights=w)
+    except InfeasibleConstraintError as err:
+        raise InfeasibleConstraintError(
+            f"sample {err.index}: constrained FFD correction infeasible "
+            f"({err})", index=err.index) from None
+    delta[:, free] = delta_free.reshape(len(deformed), -1, 3)
+    return delta.reshape(np.shape(displacement))
 
 
 def sample_cffd_dataset(lattice: FfdLattice, surface: TriSurface, constraint,
-                        n: int, sigma_d: float, rng: Rng, weights=None,
-                        threads=1):
+                        n: int, sigma_d: float, rng: Rng, weights=None):
     """n constrained free-form deformations of the base surface: the vertex
     stack (n, M, 3) on its faces and the displacements (n, P, 3).
 
     Free-control-point displacements are drawn N(0, sigma_d^2) from a
-    per-sample derived stream, then corrected with cffd_correct; the result
-    is deterministic given the seed and independent of sampling order."""
+    per-sample derived stream, then corrected and mapped as one stack; each
+    sample is bitwise the one it gives alone, whatever n is."""
     if n < 1:
         raise DimensionError("need n >= 1 samples")
     if sigma_d < 0:
         raise DimensionError("sigma_d must be nonnegative")
     pinned, _ = _pinned_mask(lattice, weights)
-
-    def one(i):
-        stream = rng.derive("cffd-sample", i)
-        dp = sigma_d * stream.normal((lattice.n_control, 3))
-        dp[pinned] = 0.0
-        delta = cffd_correct(lattice, dp, surface, constraint, weights=weights)
-        total = dp + delta
-        return ffd_map(lattice, total, surface.vertices)[0], total
-
-    vertices, displacements = zip(*_parallel_map(one, range(n), threads))
-    return np.stack(vertices), np.stack(displacements)
+    dp = np.stack([sigma_d * rng.derive("cffd-sample", i).normal(
+        (lattice.n_control, 3)) for i in range(n)])
+    dp[:, pinned] = 0.0
+    total = dp + cffd_correct(lattice, dp, surface, constraint, weights=weights)
+    return ffd_map(lattice, total, surface.vertices)[0], total

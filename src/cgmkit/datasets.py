@@ -17,7 +17,7 @@ import numpy as np
 
 from .checkpoint import (load_tensors, require_faces, require_tensor,
                          save_tensors)
-from .constraints import achieved_value, target_value
+from .constraints import target_value
 from .errors import ConfigError, ContainerError, EmptyInputError
 from .geometry import TriSurface
 from .stl_io import stl_write
@@ -46,12 +46,13 @@ def _split_floats(cell: str) -> np.ndarray:
     return np.array([float(v) for v in cell.split(",")])
 
 
-def write_dataset(directory, vertices, faces, constraint, tag,
+def write_dataset(directory, vertices, faces, constraint, achieved, tag,
                   displacements=None, meta=None):
     """Write a sample stack (n, M, 3) on the faces into a dataset directory,
     with the control-point displacements (n, P, 3) when given.
-    Sample i's manifest seed cell is f"{tag}:{i}"; its achieved value and
-    displacement norm (0 without displacements) are computed here."""
+    `achieved` holds their `achieved_value` rows. Sample i's manifest seed
+    cell is f"{tag}:{i}"; its displacement norm (0 without displacements)
+    is computed here."""
     n = len(vertices)
     if not n:
         raise EmptyInputError("a dataset needs at least one sample")
@@ -64,7 +65,6 @@ def write_dataset(directory, vertices, faces, constraint, tag,
         norms = np.sqrt(np.vecdot(flat, flat))
     save_tensors(os.path.join(directory, DATASET_FILE), tensors)
     target = _join_floats(target_value(constraint))
-    achieved = achieved_value(constraint, vertices, faces)
     rows = ["\t".join([
         f"sample_{i:05d}.stl",
         f"{tag}:{i}",

@@ -10,7 +10,12 @@ class DimensionError(CgmError, ValueError):
 
 
 class InfeasibleConstraintError(CgmError, RuntimeError):
-    """Constraint system inconsistent beyond the rank tolerance."""
+    """Constraint system inconsistent beyond the rank tolerance. Carries the
+    index of the failing right-hand side of a stacked solve, or None."""
+
+    def __init__(self, message, index=None):
+        self.index = index
+        super().__init__(message)
 
 
 class DegenerateBatchError(CgmError, ValueError):

@@ -314,29 +314,25 @@ class FfdLattice:
         return weights
 
 
-def check_displacement(lattice: FfdLattice, displacement) -> np.ndarray:
-    dp = np.asarray(displacement, dtype=np.float64)
-    if dp.shape != (lattice.n_control, 3):
-        raise DimensionError(
-            f"displacement shape {dp.shape} != ({lattice.n_control}, 3)")
-    if not np.all(np.isfinite(dp)):
-        raise DimensionError("displacement has non-finite entries")
-    return dp
-
-
 def ffd_map(lattice: FfdLattice, displacement, points):
-    """Deform points through the lattice.
+    """Deform points through the lattice by a displacement or a stack of
+    them (..., P, 3), each cloud bitwise as if alone.
 
     Each in-box point Q moves to Q + sum_ijk B_ijk(phi^-1(Q)) a_phi(dP_ijk);
     out-of-box points pass through unchanged. Returns (deformed, inside_mask).
     """
-    dp = check_displacement(lattice, displacement)
+    dp = np.asarray(displacement, dtype=np.float64)
+    if dp.shape[-2:] != (lattice.n_control, 3):
+        raise DimensionError(
+            f"displacement shape {dp.shape} != (..., {lattice.n_control}, 3)")
+    if not np.all(np.isfinite(dp)):
+        raise DimensionError("displacement has non-finite entries")
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     inside = lattice.contains(points)
-    out = points.copy()
+    out = np.broadcast_to(points, dp.shape[:-2] + points.shape).copy()
     if inside.any():
         weights = lattice.influence(points[inside])
-        out[inside] += weights @ (dp @ lattice.a_phi.T)
+        out[..., inside, :] += weights @ (dp @ lattice.a_phi.T)
     return out, inside
 
 

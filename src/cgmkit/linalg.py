@@ -53,17 +53,19 @@ def eigh_symmetric(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lstsq_min_norm(a, b, weights=None) -> np.ndarray:
-    """Solve a @ x = b minimizing ||diag(weights) @ x||_2.
+    """Solve a @ x = b minimizing ||diag(weights) @ x||_2, for b (rows,) or
+    each b of a stack (n, rows), bitwise as if alone.
 
-    Unweighted this is x = a^T (a a^T)^-1 b, computed through an SVD with
+    Unweighted this is x = a^T (a a^T)^-1 b, computed through one SVD with
     relative rank cutoff. An inconsistent system (residual beyond
-    FEASIBILITY_TOL * (1 + ||b||)) raises InfeasibleConstraintError.
+    FEASIBILITY_TOL * (1 + ||b||)) raises InfeasibleConstraintError naming
+    the first failing right-hand side (`index`).
     """
     a = _as_matrix(a)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
+    b = np.asarray(b, dtype=np.float64)
     n, p = a.shape
-    if b.shape[0] != n:
-        raise DimensionError(f"rhs length {b.shape[0]} != row count {n}")
+    if b.ndim not in (1, 2) or b.shape[-1] != n:
+        raise DimensionError(f"rhs shape {b.shape} is not ({n},) or (k, {n})")
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64).reshape(-1)
         if weights.shape[0] != p:
@@ -77,15 +79,17 @@ def lstsq_min_norm(a, b, weights=None) -> np.ndarray:
 
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
-        x = np.zeros(p)
+        x = np.zeros(b.shape[:-1] + (p,))
     else:
         keep = s > RANK_TOL * s[0]
-        coef = np.zeros_like(s)
-        coef[keep] = (u.T @ b)[keep] / s[keep]
-        x = vt.T @ coef
-    residual = np.linalg.norm(a @ x - b)
-    if residual > FEASIBILITY_TOL * (1.0 + np.linalg.norm(b)):
+        coef = np.zeros(b.shape[:-1] + s.shape)
+        coef[..., keep] = (u.T @ b[..., None])[..., keep, 0] / s[keep]
+        x = (vt.T @ coef[..., None])[..., 0]
+    residual = np.linalg.norm((a @ x[..., None])[..., 0] - b, axis=-1)
+    failing = residual > FEASIBILITY_TOL * (1.0 + np.linalg.norm(b, axis=-1))
+    if np.any(failing):
+        i = int(np.argmax(failing))
         raise InfeasibleConstraintError(
-            f"system inconsistent: residual {residual:.3e}"
-        )
+            f"right-hand side {i}: system inconsistent: residual "
+            f"{residual.flat[i]:.3e}", index=i)
     return x

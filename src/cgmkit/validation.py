@@ -170,7 +170,8 @@ def metric_report(reference, generated, constraint=None,
     rows.append(("var_reference", total_variance(ref_vertices)))
     rows.append(("var_generated", total_variance(gen_vertices)))
     if constraint is not None:
-        from .constraints import constraint_residual
+        from .constraints import achieved_value, constraint_residual
+        achieved = achieved_value(constraint, gen_vertices, gen_faces)
         rows.append(("max_constraint_residual", float(np.max(
-            constraint_residual(constraint, gen_vertices, gen_faces)))))
+            constraint_residual(constraint, gen_vertices, achieved)))))
     return MetricReport(rows=rows, histograms=histograms)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from cgmkit.constraints import (LinearConstraint, VolumeConstraint,
-                                barycenter_constraint, cffd_correct,
+                                achieved_value, barycenter_constraint,
+                                cffd_correct,
                                 project_volume as project_volume_batch,
                                 sample_cffd_dataset, volume_constraint_row,
                                 volume_gradient)
+from cgmkit import geometry
 from cgmkit.datasets import write_dataset
 from cgmkit.errors import (DegenerateSurfaceError, DimensionError,
                            InfeasibleConstraintError)
@@ -408,6 +410,110 @@ def test_cffd_volume(sphere):
         assert abs(volume_of(out) - v0) <= 1e-9 * v0
 
 
+def test_cffd_stack_names_first_infeasible_sample(sphere):
+    # a lattice beside the surface that touches it at its rightmost vertex,
+    # with the touching plane i = 0 pinned: no free control point moves any
+    # vertex, so a sample whose pinned displacement moves that vertex off
+    # the target barycenter cannot be corrected, and one that does not can
+    right = np.argmax(sphere.vertices[:, 0])
+    lower = np.array([sphere.vertices[right, 0], -1.5, -1.5])
+    lattice = FfdLattice.from_box((2, 2, 2), lower, lower + [1.0, 3.0, 3.0])
+    assert np.flatnonzero(lattice.contains(sphere.vertices)).tolist() == [right]
+    weights = np.ones(lattice.n_control)
+    pinned = lattice.control_points_local()[:, 0] == 0.0
+    weights[pinned] = 0.0
+    c = barycenter_constraint(sphere.n_vertices, barycenter_of(sphere.vertices))
+    stack = np.zeros((2, lattice.n_control, 3))
+    stack[1, pinned] = 0.1
+    delta = cffd_correct(lattice, stack[0], sphere, c, weights=weights)
+    assert np.array_equal(delta, np.zeros_like(delta))
+    with pytest.raises(InfeasibleConstraintError, match="^sample 1: ") as err:
+        cffd_correct(lattice, stack, sphere, c, weights=weights)
+    assert err.value.index == 1
+
+
+def pin_weights(lattice, pins):
+    """Config-style cut-plane weights: zero on the named planes."""
+    if not pins:
+        return None
+    local = lattice.control_points_local()
+    weights = np.ones(lattice.n_control)
+    for axis, value in pins:
+        weights[local[:, axis] == value] = 0.0
+    return weights
+
+
+CFFD_CASES = [  # (subdivision, grid, constraint kind, pinned (axis, value))
+    (2, (2, 2, 2), "barycenter", ()),
+    (2, (2, 2, 2), "volume", ()),
+    (2, (2, 2, 2), "barycenter", ((2, 0.0), (0, 1.0))),
+    (2, (2, 2, 2), "volume", ((2, 0.0), (0, 1.0))),
+    (3, (3, 3, 3), "barycenter", ((2, 0.0), (0, 1.0))),
+    (3, (3, 3, 3), "volume", ((2, 0.0), (0, 1.0))),
+]
+
+
+def cffd_case(subdivision, grid, kind, pins):
+    base = synth_shape("icosphere", subdivision)
+    lattice = box_lattice(base, grid)
+    c = (VolumeConstraint(volume_of(base)) if kind == "volume" else
+         barycenter_constraint(base.n_vertices, barycenter_of(base.vertices)))
+    return base, lattice, c, pin_weights(lattice, pins)
+
+
+@pytest.mark.parametrize("case", CFFD_CASES)
+def test_cffd_dataset_batch_independent(case):
+    # the stacked solve gives every sample the bits it gets alone: a longer
+    # run starts with the shorter one, and each row is the one-sample
+    # correction and map of that sample's displacement
+    base, lattice, c, weights = cffd_case(*case)
+    five, five_dp = sample_cffd_dataset(lattice, base, c, 5, 0.03, Rng(21),
+                                        weights=weights)
+    three, three_dp = sample_cffd_dataset(lattice, base, c, 3, 0.03, Rng(21),
+                                          weights=weights)
+    assert np.array_equal(five[:3], three)
+    assert np.array_equal(five_dp[:3], three_dp)
+    pinned = (np.zeros(lattice.n_control, bool) if weights is None
+              else weights == 0.0)
+    for i in range(5):
+        dp = 0.03 * Rng(21).derive("cffd-sample", i).normal(
+            (lattice.n_control, 3))
+        dp[pinned] = 0.0
+        total = dp + cffd_correct(lattice, dp, base, c, weights=weights)
+        assert np.array_equal(five_dp[i], total)
+        assert np.array_equal(five[i], ffd_map(lattice, total,
+                                               base.vertices)[0])
+
+
+@pytest.mark.parametrize("kind", ["barycenter", "volume"])
+def test_cffd_dataset_setup_runs_once(monkeypatch, kind):
+    # influence and closedness depend only on lattice and base surface, so
+    # one call evaluates them as often for eight samples as for one
+    base, lattice, c, weights = cffd_case(2, (2, 2, 2), kind,
+                                          ((2, 0.0), (0, 1.0)))
+    counts = {}
+    influence, is_closed = FfdLattice.influence, geometry.is_closed
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(FfdLattice, "influence", counted("influence", influence))
+    monkeypatch.setattr(geometry, "is_closed", counted("is_closed", is_closed))
+
+    def calls(n):
+        counts.update(influence=0, is_closed=0)
+        sample_cffd_dataset(lattice, base, c, n, 0.03, Rng(2), weights=weights)
+        return dict(counts)
+
+    one = calls(1)
+    assert one["influence"] > 0
+    assert one["is_closed"] == int(kind == "volume")
+    assert calls(8) == one
+
+
 # --- dataset sampling ---------------------------------------------------------
 
 def test_dataset_deterministic_and_constrained(tmp_path, sphere):
@@ -422,9 +528,11 @@ def test_dataset_deterministic_and_constrained(tmp_path, sphere):
     for cloud in vertices1:
         assert abs(volume_of(sphere.with_vertices(cloud)) - v0) <= 1e-9 * v0
     d1, d2 = tmp_path / "a", tmp_path / "b"
-    write_dataset(d1, vertices1, sphere.faces, c, "77:cffd-sample",
+    write_dataset(d1, vertices1, sphere.faces, c,
+                  achieved_value(c, vertices1, sphere.faces), "77:cffd-sample",
                   displacements1)
-    write_dataset(d2, vertices2, sphere.faces, c, "77:cffd-sample",
+    write_dataset(d2, vertices2, sphere.faces, c,
+                  achieved_value(c, vertices2, sphere.faces), "77:cffd-sample",
                   displacements2)
     for name in ("dataset.cgmt", "manifest.tsv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()

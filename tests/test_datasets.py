@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from cgmkit.checkpoint import MAGIC, load_tensors, save_tensors
 from cgmkit.cli import main
-from cgmkit.constraints import VolumeConstraint, sample_cffd_dataset
+from cgmkit.constraints import (VolumeConstraint, achieved_value,
+                                sample_cffd_dataset)
 from cgmkit.datasets import DATASET_FILE, read_dataset, write_dataset
 from cgmkit.errors import ConfigError, ContainerError, DimensionError
 from cgmkit.geometry import FfdLattice, synth_shape, volume_of
@@ -33,7 +34,8 @@ def samples():
 def dataset_dir(tmp_path, samples):
     constraint, faces, (vertices, displacements) = samples
     directory = tmp_path / "data"
-    write_dataset(directory, vertices, faces, constraint, "5:cffd-sample",
+    write_dataset(directory, vertices, faces, constraint,
+                  achieved_value(constraint, vertices, faces), "5:cffd-sample",
                   displacements)
     return directory
 

@@ -112,6 +112,23 @@ def test_ffd_linear_in_displacements():
     assert np.max(np.abs((f12 - base) - ((f1 - base) + (f2 - base)))) <= 1e-12
 
 
+def test_ffd_stack_matches_each_displacement():
+    # a (2, 3, P, 3) stack deforms every cloud bitwise as its displacement
+    # does alone, points outside the box included
+    lattice = FfdLattice.from_box((2, 1, 2), (0, 0, 0), (1, 1, 1))
+    rng = Rng(12)
+    stack = 0.1 * rng.normal((2, 3, lattice.n_control, 3))
+    pts = rng.uniform((30, 3)) * 1.4 - 0.2
+    out, inside = ffd_map(lattice, stack, pts)
+    assert out.shape == (2, 3, 30, 3)
+    assert 0 < inside.sum() < len(pts)
+    for index in np.ndindex(2, 3):
+        alone, _ = ffd_map(lattice, stack[index], pts)
+        assert np.array_equal(out[index], alone)
+    with pytest.raises(DimensionError):
+        ffd_map(lattice, stack[..., :2], pts)
+
+
 def test_singular_lattice_rejected():
     with pytest.raises(LatticeError):
         FfdLattice((1, 1, 1), np.zeros((3, 3)), np.zeros(3))

@@ -91,6 +91,30 @@ def test_min_norm_infeasible():
         lstsq_min_norm(a, np.array([1.0, 2.0]))
 
 
+def test_min_norm_stack_names_first_infeasible_rhs():
+    a = np.array([[1.0, 0.0], [1.0, 0.0]])
+    b = np.array([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
+    with pytest.raises(InfeasibleConstraintError,
+                       match="^right-hand side 1: ") as err:
+        lstsq_min_norm(a, b)
+    assert err.value.index == 1
+
+
+@pytest.mark.parametrize("shape", [(3, 81), (3, 192), (5, 30)])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_min_norm_stack_bitwise_equals_each_rhs(shape, weighted):
+    rng = np.random.default_rng(shape[1])
+    a = rng.standard_normal(shape)
+    b = rng.standard_normal((7, shape[0]))
+    w = rng.random(shape[1]) + 0.5 if weighted else None
+    x = lstsq_min_norm(a, b, weights=w)
+    assert x.shape == (7, shape[1])
+    for row, rhs in zip(x, b):
+        assert np.array_equal(row, lstsq_min_norm(a, rhs, weights=w))
+    with pytest.raises(DimensionError):
+        lstsq_min_norm(a, b[None])
+
+
 def test_min_norm_consistent_duplicate_rows():
     a = np.array([[1.0, 0.0], [1.0, 0.0]])
     x = lstsq_min_norm(a, np.array([1.0, 1.0]))
