@@ -241,6 +241,9 @@ def cmd_surrogate(config: PipelineConfig, source, method, seed) -> int:
         lines.append(f"as-gpr\t{train_err:.12g}\t{test_err:.12g}")
         save_matrix(os.path.join(out, "as_eigenvalues.bin"),
                     subspace.eigenvalues[None, :])
+        save_matrix(os.path.join(out, "as_bands.bin"),
+                    np.stack([subspace.band_min, subspace.band_max,
+                              subspace.band_mean]))
     else:
         raise CommandFailure(f"unknown surrogate method {method!r}")
     with open(os.path.join(out, "errors.tsv"), "w", newline="\n") as fh:
@@ -262,6 +265,8 @@ def cmd_report(run_dir) -> int:
     manifest = os.path.join(run_dir, "manifest.tsv")
     if os.path.exists(manifest):
         rows = datasets.read_manifest(run_dir)
+        if not rows:
+            raise CommandFailure(f"{run_dir}: manifest.tsv holds no samples")
         worst = max(float(np.max(np.abs(r["achieved"] - r["target"])))
                     for r in rows)
         sections.append(f"dataset: {len(rows)} samples, "

@@ -152,6 +152,12 @@ class PipelineConfig:
         self.bootstrap = self.number("rom.bootstrap", int)
         if self.n_train < 1 or self.rom_train < 1:
             raise ConfigError("dataset and ROM training sizes must be positive")
+        if self.n_test < 0:
+            raise ConfigError(
+                f"dataset.n_test must be nonnegative, got {self.n_test}")
+        if self.rom_test < 1:
+            raise ConfigError(
+                f"rom.n_test must be at least 1, got {self.rom_test}")
         if self.seed < 0:
             raise ConfigError(f"pipeline.seed must be nonnegative, got {self.seed}")
         if threads < 1:

@@ -20,8 +20,7 @@ import numpy as np
 from .errors import (DegenerateSurfaceError, DimensionError,
                      InfeasibleConstraintError)
 from .geometry import (FfdLattice, TriSurface, barycenter_of, ffd_map,
-                       require_closed, volume_gradients, volume_of,
-                       volume_rows, volumes)
+                       require_closed, volume_of, volume_rows, volumes)
 from .linalg import RANK_TOL, lstsq_min_norm
 from .rng import Rng
 
@@ -30,13 +29,10 @@ _COMPONENTS = {"x": 0, "y": 1, "z": 2}
 
 @dataclass
 class LinearConstraint:
-    """Rows of A_c acting on a vectorized cloud (or displacement field),
-    with target vector c."""
+    """Rows of A_c acting on a vectorized cloud, with target vector c."""
 
     matrix: np.ndarray
     target: np.ndarray
-    space: str = "cloud"
-    components: tuple = ("x", "y", "z")
     kind: str = "linear"
 
     def __post_init__(self):
@@ -44,8 +40,6 @@ class LinearConstraint:
         self.target = np.asarray(self.target, dtype=np.float64).reshape(-1)
         if self.matrix.shape[0] != self.target.shape[0]:
             raise DimensionError("constraint row count != target length")
-        if self.space not in ("cloud", "displacement"):
-            raise DimensionError(f"unknown constraint space {self.space!r}")
         s = np.linalg.svd(self.matrix, compute_uv=False)
         if s.size and s[-1] <= RANK_TOL * s[0]:
             raise DimensionError("constraint matrix is rank deficient")
@@ -107,8 +101,10 @@ def barycenter_constraint(n_points: int, target) -> LinearConstraint:
 
 
 def volume_gradient(surface: TriSurface) -> np.ndarray:
-    """Analytic d(volume)/d(vertex coordinates) of one surface, (M, 3)."""
-    return volume_gradients(surface.vertices[None], surface.faces)[0]
+    """Analytic d(volume)/d(vertex coordinates) of one surface, (M, 3): the
+    three `volume_rows` stacked."""
+    return np.stack([volume_rows(surface.vertices[None], surface.faces, c)[0]
+                     for c in range(3)], axis=-1)
 
 
 def volume_constraint_row(surface: TriSurface, component: str):
@@ -218,33 +214,30 @@ def _pinned_mask(lattice: FfdLattice, weights):
 
 
 def cffd_correct(lattice: FfdLattice, displacement, surface: TriSurface,
-                 constraint, weights=None, subset=None) -> np.ndarray:
+                 constraint, weights=None) -> np.ndarray:
     """Closed-form correction delta_d of the control-point displacements
     (P, 3), or of each of a stack (..., P, 3), so the constraint holds
     exactly on the deformed cloud; each is bitwise the one it gets alone.
 
     The correction minimizes ||diag(weights) vec(delta_d)|| subject to the
-    constraint composed with the Bernstein influence of the lattice.
-    `subset` optionally restricts the constrained points (default: the full
-    cloud). An infeasible linear system names the first failing sample."""
+    constraint composed with the Bernstein influence of the lattice over the
+    full cloud. An infeasible linear system names the first failing
+    sample."""
     points = surface.vertices
     deformed, _ = ffd_map(lattice, displacement, points)
     deformed = deformed.reshape(-1, len(points), 3)
-    idx = np.arange(len(points)) if subset is None else np.asarray(subset, dtype=np.int64)
     pinned, weights = _pinned_mask(lattice, weights)
     free = ~pinned
     if not free.any():
         raise InfeasibleConstraintError("all control points pinned")
 
-    influence = lattice.influence(points[idx])[:, free]  # (N, F)
+    influence = lattice.influence(points)[:, free]  # (M, F)
     delta = np.zeros((len(deformed), lattice.n_control, 3))
 
     if constraint.kind == "volume":
         if not np.allclose(lattice.a_phi, np.diag(np.diag(lattice.a_phi))):
             raise DimensionError(
                 "component-wise volume enforcement needs an axis-aligned lattice")
-        if subset is not None and len(idx) != len(points):
-            raise DimensionError("volume constraint requires the full cloud")
         require_closed(surface.faces)
         # deformed component coords are affine in the component of the free
         # displacements: x_c += influence @ (a_cc * delta_c)
@@ -255,17 +248,15 @@ def cffd_correct(lattice: FfdLattice, displacement, surface: TriSurface,
             delta[:, free, c] += p / lattice.a_phi[c, c]
         return delta.reshape(np.shape(displacement))
 
-    if constraint.space != "cloud":
-        raise DimensionError("cffd constraints act on deformed cloud coordinates")
-    if constraint.dim != 3 * len(idx):
+    if constraint.dim != 3 * len(points):
         raise DimensionError(
-            f"constraint dim {constraint.dim} != 3 * {len(idx)} points")
-    rhs = constraint.target - constraint.values(deformed[:, idx])
+            f"constraint dim {constraint.dim} != 3 * {len(points)} points")
+    rhs = constraint.target - constraint.values(deformed)
     # composite matrix A_c B over the free control-point displacements:
     # point displacement l = sum_p w_lp a_phi(delta_p)
     n_c = constraint.matrix.shape[0]
-    a_rows = constraint.matrix.reshape(n_c, len(idx), 3)
-    # (F, N) @ (n_c, N, 3) @ (3, 3) -> (n_c, F, 3)
+    a_rows = constraint.matrix.reshape(n_c, len(points), 3)
+    # (F, M) @ (n_c, M, 3) @ (3, 3) -> (n_c, F, 3)
     composite = (influence.T @ a_rows) @ lattice.a_phi
     composite = composite.reshape(n_c, -1)
     w = None if weights is None else np.repeat(weights[free], 3)

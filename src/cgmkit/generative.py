@@ -88,8 +88,6 @@ class LinearEnforcer:
     (B, 3M) batch of vectorized clouds onto A x = c."""
 
     def __init__(self, constraint: LinearConstraint):
-        if constraint.space != "cloud":
-            raise DimensionError("constraint does not target cloud coordinates")
         self.constraint = constraint
         self.matrix = constraint.matrix
         self.target = constraint.target
@@ -442,13 +440,6 @@ def _bce_grad(outputs, want_real, b):
     return np.where(inside, g, 0.0) / b
 
 
-def adversarial_terms(d_real, d_fake):
-    """(-mean log D(real), -mean log(1 - D(fake))) with clamped outputs."""
-    real = -np.log(np.clip(d_real, _CLAMP, 1.0 - _CLAMP))
-    fake = -np.log(1.0 - np.clip(d_fake, _CLAMP, 1.0 - _CLAMP))
-    return float(real.mean()), float(fake.mean())
-
-
 def train_aae(vertices, faces, constraint,
               config: GmConfig) -> GenerativeModel:
     """Adversarial autoencoder: a latent discriminator learns to tell prior
@@ -661,7 +652,7 @@ def load_model(path) -> GenerativeModel:
     dim = modes.shape[0]
     pca = PcaBasis(modes=modes, mean=tensor("pca.mean", (dim,)),
                    singular_values=tensor("pca.singular_values", (None,)),
-                   tolerance=0.0, reconstruction_error=0.0)
+                   reconstruction_error=0.0)
     faces = require_faces(tensors, path, dim // 3)
     constraint_kind = entry("constraint.kind")
     if constraint_kind == "volume":

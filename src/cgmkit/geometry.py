@@ -35,9 +35,6 @@ class TriSurface:
     def n_vertices(self):
         return len(self.vertices)
 
-    def with_vertices(self, vertices) -> "TriSurface":
-        return TriSurface(np.asarray(vertices, dtype=np.float64), self.faces)
-
 
 def is_closed(faces) -> bool:
     """True when every undirected edge of the connectivity (F, 3) is shared
@@ -140,7 +137,7 @@ def volume_rows(vertices, faces, c) -> np.ndarray:
     batch sharing the faces, (B, M): for a face (i, j, k) the corner terms
     (v_j x v_k)[c] / 6 and cyclic, summed per vertex corner by corner in
     face order. The rows are column c of a (B, M, 3) buffer, so a reduction
-    over them strides as over a column of `volume_gradients`."""
+    over them strides as over a column of the full (B, M, 3) gradient."""
     n, m = vertices.shape[:2]
     grad = np.zeros((n, m, 3))
     first, second = vertices[..., (c + 1) % 3], vertices[..., (c + 2) % 3]
@@ -171,13 +168,6 @@ def volume_rows_vjp(u, first, second, faces, index):
         grad_first[block] = _scatter(_corner_terms(b, uu), index, m)
         grad_second[block] = _scatter(_corner_terms(uu, a), index, m)
     return grad_first, grad_second
-
-
-def volume_gradients(vertices, faces) -> np.ndarray:
-    """Analytic d(volume)/d(vertex coordinates) of each cloud in a (B, M, 3)
-    batch sharing the faces: the three `volume_rows` stacked."""
-    return np.stack([volume_rows(vertices, faces, c) for c in range(3)],
-                    axis=-1)
 
 
 def volume_of(surface: TriSurface) -> float:
@@ -275,9 +265,6 @@ class FfdLattice:
     def n_control(self) -> int:
         m, n, o = self.grid
         return (m + 1) * (n + 1) * (o + 1)
-
-    def zero_displacement(self) -> np.ndarray:
-        return np.zeros((self.n_control, 3))
 
     def control_points_local(self) -> np.ndarray:
         """(n_control, 3) lattice coordinates, index (i*(n+1)+j)*(o+1)+k."""

@@ -22,7 +22,6 @@ class PcaBasis:
     modes: np.ndarray          # (D, r)
     mean: np.ndarray           # (D,)
     singular_values: np.ndarray
-    tolerance: float
     reconstruction_error: float
 
     @property
@@ -36,70 +35,45 @@ class PcaBasis:
         return np.atleast_2d(coeffs) @ self.modes.T + self.mean
 
 
-def pca_fit(snapshots, tolerance=None, n_modes=None) -> PcaBasis:
-    """Smallest mode count meeting the Frobenius reconstruction bound
-    ||(I - U U^T)(X - mean)||_F <= tolerance, or a fixed n_modes.
-
-    Always returns at least one mode."""
+def pca_fit(snapshots, n_modes) -> PcaBasis:
+    """The leading n_modes principal modes, with the Frobenius
+    reconstruction error ||(I - U U^T)(X - mean)||_F they leave."""
     x = np.asarray(snapshots, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ConfigError("need an (n >= 2, D) snapshot matrix")
-    if n_modes is None and (tolerance is None or tolerance <= 0):
-        raise ConfigError("give a positive tolerance or a fixed mode count")
     mean = x.mean(axis=0)
     centered = x - mean
     u, s, vt = np.linalg.svd(centered, full_matrices=False)
     tail = np.sqrt(np.maximum(np.cumsum(s[::-1] ** 2)[::-1], 0.0))
     tail = np.append(tail, 0.0)  # tail[r] = error with r modes
-    if n_modes is not None:
-        r = int(n_modes)
-        if r < 1 or r > s.size:
-            raise ConfigError(f"n_modes must lie in 1..{s.size}")
-    else:
-        meets = np.nonzero(tail <= tolerance)[0]
-        r = max(1, int(meets[0])) if meets.size else s.size
+    r = int(n_modes)
+    if r < 1 or r > s.size:
+        raise ConfigError(f"n_modes must lie in 1..{s.size}")
     modes = fix_eigvec_signs(vt[:r].T)
     return PcaBasis(modes=modes, mean=mean, singular_values=s,
-                    tolerance=float(tolerance) if tolerance else 0.0,
                     reconstruction_error=float(tail[r]))
 
 
 # ---------------------------------------------------------------------------
 # Radial basis function interpolation
 
-def _kernel(name, r, shape):
-    if name == "linear":
-        return r
-    if name == "thin_plate":
-        out = np.zeros_like(r)
-        mask = r > 0
-        out[mask] = r[mask] ** 2 * np.log(r[mask])
-        return out
-    if name == "gaussian":
-        return np.exp(-((r / shape) ** 2))
-    raise ConfigError(f"unknown RBF kernel {name!r}")
-
-
 @dataclass
 class RbfInterpolant:
-    """s(x) = q(x) + sum_i beta_i xi(||x - x_i||) with a degree-1 polynomial
-    tail q and side conditions sum_i beta_i q(x_i) = 0."""
+    """s(x) = q(x) + sum_i beta_i ||x - x_i|| (the linear kernel) with a
+    degree-1 polynomial tail q and side conditions sum_i beta_i q(x_i) = 0."""
 
-    kernel: str
-    shape: float
     points: np.ndarray   # (N, d)
     beta: np.ndarray     # (N, out)
     poly: np.ndarray     # (d + 1, out), constant row first
 
     def __call__(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        r = np.linalg.norm(x[:, None, :] - self.points[None, :, :], axis=2)
-        phi = _kernel(self.kernel, r, self.shape)
+        phi = np.linalg.norm(x[:, None, :] - self.points[None, :, :], axis=2)
         ones = np.ones((len(x), 1))
         return phi @ self.beta + np.hstack([ones, x]) @ self.poly
 
 
-def rbf_fit(x, y, kernel="linear", shape=None) -> RbfInterpolant:
+def rbf_fit(x, y) -> RbfInterpolant:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     if y.ndim == 1:
@@ -107,12 +81,7 @@ def rbf_fit(x, y, kernel="linear", shape=None) -> RbfInterpolant:
     n, d = x.shape
     if n < d + 1:
         raise DegenerateSitesError(f"need at least d + 1 = {d + 1} sites, got {n}")
-    if shape is None:
-        dists = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2)
-        positive = dists[dists > 0]
-        shape = float(np.median(positive)) if positive.size else 1.0
-    r = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2)
-    phi = _kernel(kernel, r, shape)
+    phi = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2)
     p = np.hstack([np.ones((n, 1)), x])
     system = np.block([[phi, p], [p.T, np.zeros((d + 1, d + 1))]])
     rhs = np.vstack([y, np.zeros((d + 1, y.shape[1]))])
@@ -122,16 +91,15 @@ def rbf_fit(x, y, kernel="linear", shape=None) -> RbfInterpolant:
         raise DegenerateSitesError(f"singular interpolation system: {err}") from None
     if not np.all(np.isfinite(sol)):
         raise DegenerateSitesError("interpolation system produced non-finite weights")
-    model = RbfInterpolant(kernel=kernel, shape=float(shape), points=x,
-                           beta=sol[:n], poly=sol[n:])
+    model = RbfInterpolant(points=x, beta=sol[:n], poly=sol[n:])
     side = p.T @ model.beta
     if np.max(np.abs(side)) > 1e-9 * max(1.0, np.abs(model.beta).max()):
         raise DegenerateSitesError("side conditions violated; sites degenerate")
     return model
 
 
-def morph_mesh(reference_cloud, deformed_cloud, fixed_points, mesh_vertices,
-               kernel="linear") -> np.ndarray:
+def morph_mesh(reference_cloud, deformed_cloud, fixed_points,
+               mesh_vertices) -> np.ndarray:
     """Deform mesh vertices through an RBF map fitted from the reference
     cloud (plus fixed points) to the deformed cloud (plus the same fixed
     points, which therefore map to themselves)."""
@@ -142,7 +110,7 @@ def morph_mesh(reference_cloud, deformed_cloud, fixed_points, mesh_vertices,
     fixed_points = np.asarray(fixed_points, dtype=np.float64).reshape(-1, 3)
     sources = np.vstack([reference_cloud, fixed_points])
     targets = np.vstack([deformed_cloud, fixed_points])
-    interp = rbf_fit(sources, targets, kernel=kernel)
+    interp = rbf_fit(sources, targets)
     return interp(np.atleast_2d(mesh_vertices))
 
 
@@ -178,34 +146,33 @@ def _chol_with_escalation(k):
     raise ConditioningError("kernel matrix not positive definite at nugget 1e-4")
 
 
-def gpr_fit(x, y, length_scale=None, signal_variance=None) -> GprModel:
-    """Zero-mean GP on centered targets. The length scale defaults to the
-    median pairwise distance, refined on a 5-point log grid against
-    held-out error when enough data is available."""
+def gpr_fit(x, y) -> GprModel:
+    """Zero-mean GP on centered targets, with the targets' variance as the
+    signal variance. The length scale is the median pairwise distance,
+    refined on a 5-point log grid against held-out error when enough data
+    is available."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if len(x) != y.size or len(x) < 1:
         raise DimensionError("need matching, nonempty inputs and targets")
     y_mean = float(y.mean())
     resid = y - y_mean
-    if signal_variance is None:
-        signal_variance = float(resid.var()) or 1.0
-    if length_scale is None:
-        dists = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2)
-        positive = dists[dists > 0]
-        base = float(np.median(positive)) if positive.size else 1.0
-        candidates = base * np.logspace(-1, 1, 5)
-        length_scale = base
-        if len(x) >= 8:
-            hold = np.arange(len(x)) % 5 == 0
-            best = np.inf
-            for cand in candidates:
-                sub = _fit_at(x[~hold], resid[~hold], cand, signal_variance)
-                pred = _predict_resid(sub, x[hold])
-                err = float(np.mean((pred - resid[hold]) ** 2))
-                if err < best:
-                    best, length_scale = err, float(cand)
-    model = _fit_at(x, resid, float(length_scale), float(signal_variance))
+    signal_variance = float(resid.var()) or 1.0
+    dists = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2)
+    positive = dists[dists > 0]
+    base = float(np.median(positive)) if positive.size else 1.0
+    candidates = base * np.logspace(-1, 1, 5)
+    length_scale = base
+    if len(x) >= 8:
+        hold = np.arange(len(x)) % 5 == 0
+        best = np.inf
+        for cand in candidates:
+            sub = _fit_at(x[~hold], resid[~hold], cand, signal_variance)
+            pred = _predict_resid(sub, x[hold])
+            err = float(np.mean((pred - resid[hold]) ** 2))
+            if err < best:
+                best, length_scale = err, float(cand)
+    model = _fit_at(x, resid, length_scale, signal_variance)
     model.y_mean = y_mean
     return model
 
@@ -247,12 +214,12 @@ class PodiModel:
 
 
 class _NnRegressor:
-    """Two relu hidden layers, no norm or dropout, AdamW full-batch."""
+    """Two relu hidden layers, no norm or dropout, AdamW full-batch at its
+    default rate."""
 
-    def __init__(self, width, epochs, lr, rng: Rng):
+    def __init__(self, width, epochs, rng: Rng):
         self.width = width
         self.epochs = epochs
-        self.lr = lr
         self.rng = rng
 
     def fit(self, x, y):
@@ -263,7 +230,7 @@ class _NnRegressor:
         self.net = mlp_stack(x.shape[1], y.shape[1], self.width, 2,
                              self.rng.derive("init"), dropout=0.0,
                              hidden_norm=False)
-        opt = AdamW([self.net.flat], lr=self.lr)
+        opt = AdamW([self.net.flat])
         for epoch in range(self.epochs):
             out, cache = self.net.forward(xn)
             grads, _ = self.net.backward(cache, (out - yn) / len(xn))
@@ -278,11 +245,11 @@ class _NnRegressor:
         return out * self.y_std + self.y_mean
 
 
-def podi_fit(inputs, snapshots, n_pod_modes, regressor="rbf", rng: Rng = None,
-             nn_width=64, nn_epochs=1000, nn_lr=1e-3) -> PodiModel:
+def podi_fit(inputs, snapshots, n_pod_modes, regressor="rbf", *, rng: Rng,
+             nn_width=64, nn_epochs=1000) -> PodiModel:
     """POD basis over the snapshots plus a parameter-to-coefficient
     regressor (rbf interpolation, per-coefficient gpr, or a feed-forward
-    network)."""
+    network initialized from rng)."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     snapshots = np.atleast_2d(np.asarray(snapshots, dtype=np.float64))
     if len(inputs) != len(snapshots):
@@ -296,8 +263,7 @@ def podi_fit(inputs, snapshots, n_pod_modes, regressor="rbf", rng: Rng = None,
     elif regressor == "gpr":
         fitted = [gpr_fit(inputs, coeffs[:, j]) for j in range(coeffs.shape[1])]
     elif regressor == "nn":
-        fitted = _NnRegressor(nn_width, nn_epochs, nn_lr,
-                              rng if rng is not None else Rng(0)).fit(inputs, coeffs)
+        fitted = _NnRegressor(nn_width, nn_epochs, rng).fit(inputs, coeffs)
     else:
         raise ConfigError(f"unknown regressor {regressor!r}")
     return PodiModel(basis=basis, regressor_kind=regressor, regressors=fitted)
@@ -320,8 +286,8 @@ class AsSubspace:
     band_mean: np.ndarray
 
 
-def as_fit(samples, gradients, n_active, n_bootstrap=100,
-           rng: Rng = None) -> AsSubspace:
+def as_fit(samples, gradients, n_active, n_bootstrap=100, *,
+           rng: Rng) -> AsSubspace:
     """Eigendecomposition of the Monte Carlo uncentered gradient covariance
     (1/n) sum grad grad^T, plus min/max/mean eigenvalue bands over bootstrap
     resamples of the gradient rows."""
@@ -332,8 +298,6 @@ def as_fit(samples, gradients, n_active, n_bootstrap=100,
     cov = gradients.T @ gradients / n
     evals, evecs = eigh_symmetric(cov)
     evals = np.maximum(evals, 0.0)
-    if rng is None:
-        rng = Rng(0)
     boots = np.empty((max(n_bootstrap, 1), dim))
     if n_bootstrap >= 1:
         for b in range(n_bootstrap):
@@ -361,12 +325,11 @@ class AsResponseSurface:
         return gpr_predict(self.gpr, active)
 
 
-def as_response_surface(subspace: AsSubspace, samples, values,
-                        length_scale=None) -> AsResponseSurface:
+def as_response_surface(subspace: AsSubspace, samples,
+                        values) -> AsResponseSurface:
     """GPR surrogate on the active variables W1^T mu."""
     active = np.atleast_2d(samples) @ subspace.active
-    model = gpr_fit(active, np.asarray(values, dtype=np.float64),
-                    length_scale=length_scale)
+    model = gpr_fit(active, np.asarray(values, dtype=np.float64))
     return AsResponseSurface(subspace=subspace, gpr=model)
 
 

@@ -3,7 +3,7 @@
 Grammar written by stl_write (floats at 17 significant digits, so float64
 coordinates survive a round trip bit-exactly):
 
-    solid <name>
+    solid shape
      facet normal nx ny nz
       outer loop
        vertex x y z
@@ -11,7 +11,7 @@ coordinates survive a round trip bit-exactly):
        vertex x y z
       endloop
      endfacet
-    endsolid <name>
+    endsolid shape
 
 Normals are recomputed on write from the CCW orientation. On read, facet
 vertices are welded into shared indices (tolerance WELD_TOL, first-occurrence
@@ -30,12 +30,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def stl_write(surface: TriSurface, path, name="shape"):
+def stl_write(surface: TriSurface, path):
     tri = surface.vertices[surface.faces]
     cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
     norms = np.linalg.norm(cross, axis=1)
     normals = np.where(norms[:, None] > 0.0, cross / np.maximum(norms, 1e-300)[:, None], 0.0)
-    lines = [f"solid {name}"]
+    lines = ["solid shape"]
     for f in range(len(tri)):
         nx, ny, nz = normals[f]
         lines.append(f" facet normal {_fmt(nx)} {_fmt(ny)} {_fmt(nz)}")
@@ -45,42 +45,37 @@ def stl_write(surface: TriSurface, path, name="shape"):
             lines.append(f"   vertex {_fmt(x)} {_fmt(y)} {_fmt(z)}")
         lines.append("  endloop")
         lines.append(" endfacet")
-    lines.append(f"endsolid {name}")
+    lines.append("endsolid shape")
     data = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(data)
 
 
 class _Welder:
-    """Incremental vertex welding with a spatial hash over tol-sized cells."""
+    """Incremental vertex welding with a spatial hash over WELD_TOL-sized
+    cells."""
 
-    def __init__(self, tol):
-        self.tol = tol
+    def __init__(self):
         self.points = []
         self.cells = {}
 
     def index_of(self, p):
-        if self.tol > 0.0:
-            base = np.floor(p / self.tol).astype(np.int64)
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    for dz in (-1, 0, 1):
-                        cell = (base[0] + dx, base[1] + dy, base[2] + dz)
-                        for idx in self.cells.get(cell, ()):
-                            if np.max(np.abs(self.points[idx] - p)) <= self.tol:
-                                return idx
-            key = (int(base[0]), int(base[1]), int(base[2]))
-        else:
-            key = tuple(p)
-            for idx in self.cells.get(key, ()):
-                return idx
+        base = np.floor(p / WELD_TOL).astype(np.int64)
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for dz in (-1, 0, 1):
+                    cell = (base[0] + dx, base[1] + dy, base[2] + dz)
+                    for idx in self.cells.get(cell, ()):
+                        if np.max(np.abs(self.points[idx] - p)) <= WELD_TOL:
+                            return idx
+        key = (int(base[0]), int(base[1]), int(base[2]))
         idx = len(self.points)
         self.points.append(p)
         self.cells.setdefault(key, []).append(idx)
         return idx
 
 
-def stl_read(path, weld_tol=WELD_TOL) -> TriSurface:
+def stl_read(path) -> TriSurface:
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.readlines()
     lines = [(i + 1, line.split()) for i, line in enumerate(raw)]
@@ -111,7 +106,7 @@ def stl_read(path, weld_tol=WELD_TOL) -> TriSurface:
                                 line=no) from None
 
     expect("solid")
-    welder = _Welder(weld_tol)
+    welder = _Welder()
     faces = []
     while True:
         if pos >= len(lines):

@@ -17,32 +17,26 @@ from .errors import ConfigError
 @dataclass
 class FieldSpec:
     """kind "bump" (single Gaussian bump at the barycenter) or "multibump"
-    (six bumps offset along the axes by the per-axis rms spread). A scale
-    of None uses the mean squared distance to the barycenter."""
+    (six bumps offset along the axes by the per-axis rms spread). The bump
+    scale is the cloud's mean squared distance to its barycenter."""
 
     kind: str = "bump"
-    scale: float = None
 
     def __post_init__(self):
         if self.kind not in ("bump", "multibump"):
             raise ConfigError(f"unknown field kind {self.kind!r}")
-        if self.scale is not None and self.scale <= 0:
-            raise ConfigError("field scale must be positive")
 
 
 def _bumps(vertices, spec: FieldSpec):
     """(rel, scale, spread, offsets) of a batch (..., M, 3): the vertices
-    relative to their barycenter, the bump scale (a float, or (..., 1) from
-    the mean squared distance), the per-axis rms spread (..., 1, 3) or None
-    for "bump", and the bump offsets as (sign, axis, offset) triples (axis
-    None for the single zero offset)."""
+    relative to their barycenter, the bump scale (..., 1) from the mean
+    squared distance, the per-axis rms spread (..., 1, 3) or None for
+    "bump", and the bump offsets as (sign, axis, offset) triples (axis None
+    for the single zero offset)."""
     v = np.asarray(vertices, dtype=np.float64)
     rel = v - v.mean(axis=-2, keepdims=True)
-    if spec.scale is not None:
-        scale = spec.scale
-    else:
-        msd = np.mean(np.sum(rel ** 2, axis=-1), axis=-1, keepdims=True)
-        scale = np.maximum(msd, 1e-300)
+    msd = np.mean(np.sum(rel ** 2, axis=-1), axis=-1, keepdims=True)
+    scale = np.maximum(msd, 1e-300)
     if spec.kind == "bump":
         return rel, scale, None, [(0.0, None, 0.0)]
     spread = np.sqrt(np.mean(rel ** 2, axis=-2, keepdims=True))
@@ -69,10 +63,10 @@ def snapshot_mean_gradient(vertices, spec: FieldSpec) -> np.ndarray:
     with respect to its vertices: (..., M, 3) -> (..., M, 3).
 
     Analytic: each bump term exp(-q / scale), q = |rel - o|^2, contributes
-    directly through rel, through a scale taken from the mean squared
-    distance (when the spec fixes none) and, for "multibump", through the
-    spread that places its offset; the gradient with respect to rel then
-    loses its per-cloud mean, since rel is the cloud minus its barycenter."""
+    directly through rel, through the scale taken from the mean squared
+    distance and, for "multibump", through the spread that places its
+    offset; the gradient with respect to rel then loses its per-cloud mean,
+    since rel is the cloud minus its barycenter."""
     rel, scale, spread, offsets = _bumps(vertices, spec)
     m = rel.shape[-2]
     weight = 1.0 / (m * len(offsets))  # d(mean value)/d(each bump term)
@@ -91,8 +85,7 @@ def snapshot_mean_gradient(vertices, spec: FieldSpec) -> np.ndarray:
             # the offset is sign * spread_j along axis j, and d term / d o
             # is minus d term / d rel
             d_spread[..., 0, j] -= sign * np.sum(slope[..., j], axis=-1)
-    if spec.scale is None:
-        grad += rel * ((2.0 / m) * d_scale[..., None])
+    grad += rel * ((2.0 / m) * d_scale[..., None])
     if spread is not None:
         grad += rel * (d_spread / (m * spread))
     grad -= grad.mean(axis=-2, keepdims=True)

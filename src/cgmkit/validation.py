@@ -7,12 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDistributionError, EmptyInputError
-from .geometry import (barycenter_of, inertia_tensor_of, surface_area_of,
-                       volumes)
+from .constraints import achieved_value, constraint_residual
+from .errors import DegenerateDistributionError, EmptyInputError
+from .geometry import inertia_tensor_of, surface_area_of, volumes
 
 GRID_POINTS = 512
 GRID_PAD_BANDWIDTHS = 3.0
+HISTOGRAM_BINS = 30
 
 
 @dataclass
@@ -86,27 +87,18 @@ def total_variance(clouds) -> float:
 
 _INERTIA_ENTRIES = {"I_xx": (0, 0), "I_xy": (0, 1), "I_xz": (0, 2),
                     "I_yy": (1, 1), "I_yz": (1, 2), "I_zz": (2, 2)}
-QUANTITIES = (*_INERTIA_ENTRIES, "area", "volume", "barycenter_x",
-              "barycenter_y", "barycenter_z")
 
 
 def shape_quantities(vertices, faces) -> dict:
-    """name -> (n,) values of each of QUANTITIES over a stack (n, M, 3) on
-    the faces: inertia about the origin, surface area, signed volume (no
-    closedness check) and barycenter."""
+    """name -> (n,) values of each reported quantity over a stack (n, M, 3)
+    on the faces, in report order: inertia about the origin, surface area
+    and signed volume (no closedness check)."""
     inertia = inertia_tensor_of(vertices, np.zeros(3))
-    barycenters = barycenter_of(vertices)
     values = {name: inertia[:, i, j]
               for name, (i, j) in _INERTIA_ENTRIES.items()}
     values["area"] = surface_area_of(vertices, faces)
     values["volume"] = volumes(vertices, faces)
-    for c, axis in enumerate("xyz"):
-        values[f"barycenter_{axis}"] = barycenters[:, c]
     return values
-
-
-DEFAULT_QUANTITIES = ("I_xx", "I_xy", "I_xz", "I_yy", "I_yz", "I_zz",
-                      "area", "volume")
 
 
 @dataclass
@@ -139,39 +131,31 @@ class MetricReport:
         raise KeyError(name)
 
 
-def metric_report(reference, generated, constraint=None,
-                  quantities=DEFAULT_QUANTITIES, n_bins=30) -> MetricReport:
-    """Per-quantity JSD between two datasets, each a (vertices (n, M, 3),
-    faces (F, 3)) pair, plus total variance and the worst constraint
-    residual of the generated set."""
+def metric_report(reference, generated, constraint) -> MetricReport:
+    """Per-quantity JSD and histogram between two datasets, each a
+    (vertices (n, M, 3), faces (F, 3)) pair, plus total variance and the
+    worst constraint residual of the generated set."""
     (ref_vertices, ref_faces), (gen_vertices, gen_faces) = reference, generated
     if not len(ref_vertices) or not len(gen_vertices):
         raise EmptyInputError("both datasets must be nonempty")
-    unknown = [q for q in quantities if q not in QUANTITIES]
-    if unknown:
-        raise ConfigError(f"unknown quantities {', '.join(unknown)}")
-    if not quantities:
-        raise ConfigError("no quantities to report")
     ref_values = shape_quantities(ref_vertices, ref_faces)
     gen_values = shape_quantities(gen_vertices, gen_faces)
     rows = []
     histograms = {}
-    for name in quantities:
-        ref_vals, gen_vals = ref_values[name], gen_values[name]
+    for name, ref_vals in ref_values.items():
+        gen_vals = gen_values[name]
         rows.append((f"jsd_{name}", jsd(ref_vals, gen_vals)))
         lo = min(ref_vals.min(), gen_vals.min())
         hi = max(ref_vals.max(), gen_vals.max())
         if hi == lo:
             hi = lo + 1.0
-        edges = np.linspace(lo, hi, n_bins + 1)
+        edges = np.linspace(lo, hi, HISTOGRAM_BINS + 1)
         histograms[name] = (edges,
                             np.histogram(ref_vals, bins=edges)[0],
                             np.histogram(gen_vals, bins=edges)[0])
     rows.append(("var_reference", total_variance(ref_vertices)))
     rows.append(("var_generated", total_variance(gen_vertices)))
-    if constraint is not None:
-        from .constraints import achieved_value, constraint_residual
-        achieved = achieved_value(constraint, gen_vertices, gen_faces)
-        rows.append(("max_constraint_residual", float(np.max(
-            constraint_residual(constraint, gen_vertices, achieved)))))
+    achieved = achieved_value(constraint, gen_vertices, gen_faces)
+    rows.append(("max_constraint_residual", float(np.max(
+        constraint_residual(constraint, gen_vertices, achieved)))))
     return MetricReport(rows=rows, histograms=histograms)

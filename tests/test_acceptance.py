@@ -226,8 +226,8 @@ def test_criterion_4_geometry(tmp_path):
             vp[i, c] += h
             vm = sphere.vertices.copy()
             vm[i, c] -= h
-            fd = (volume_of(sphere.with_vertices(vp))
-                  - volume_of(sphere.with_vertices(vm))) / (2 * h)
+            fd = (volume_of(TriSurface(vp, sphere.faces))
+                  - volume_of(TriSurface(vm, sphere.faces))) / (2 * h)
             worst_row = max(worst_row, abs(fd - row[i])
                             / max(abs(fd), abs(row[i]), 1e-2))
     assert worst_row <= 1e-7
@@ -279,7 +279,7 @@ def test_criterion_6_podi(bench, trained_ae):
     snapshots = np.stack([snapshot_of(cloud, spec) for cloud in clouds])
     mu_train, mu_test = latents[:80], latents[80:]
     s_train, s_test = snapshots[:80], snapshots[80:]
-    podi_rbf = podi_fit(mu_train, s_train, 3, regressor="rbf")
+    podi_rbf = podi_fit(mu_train, s_train, 3, regressor="rbf", rng=Rng(0))
     train_err = np.linalg.norm(podi_predict(podi_rbf, mu_train) - s_train)
     truncation = podi_rbf.basis.reconstruction_error
     assert train_err <= truncation + 1e-9

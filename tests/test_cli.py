@@ -7,7 +7,7 @@ from cgmkit import cli
 from cgmkit.checkpoint import load_tensors, save_tensors
 from cgmkit.cli import main
 from cgmkit.config import PipelineConfig
-from cgmkit.datasets import read_manifest
+from cgmkit.datasets import MANIFEST_COLUMNS, read_manifest
 from cgmkit.generative import load_model
 from cgmkit.reduction import as_fit, fd_gradients, load_matrix, save_matrix
 from cgmkit.synthfield import snapshot_of
@@ -183,6 +183,11 @@ def test_surrogate_as_method(tmp_path, config_file):
     assert "as-gpr" in errors
     evals = load_matrix(tmp_path / "as" / "as_eigenvalues.bin")
     assert np.all(evals >= 0)
+    # bootstrap eigenvalue bands: rows band_min, band_max, band_mean
+    band_min, band_max, band_mean = load_matrix(
+        tmp_path / "as" / "as_bands.bin")
+    assert len(band_min) == evals.shape[1]
+    assert np.all(band_min <= band_mean) and np.all(band_mean <= band_max)
 
 
 @pytest.fixture(scope="module", params=["barycenter", "volume"])
@@ -215,7 +220,8 @@ def test_surrogate_as_rerun_byte_identical(tmp_path, as_checkpoint):
     for tag in ("one", "two"):
         assert run(["surrogate", ckpt, "--config", cfg, "--seed", "4",
                     "--method", "as", "--out", str(tmp_path / tag)]) == 0
-    for name in ("errors.tsv", "as_eigenvalues.bin", "snapshots.bin"):
+    for name in ("errors.tsv", "as_eigenvalues.bin", "as_bands.bin",
+                 "snapshots.bin"):
         assert (tmp_path / "one" / name).read_bytes() == \
             (tmp_path / "two" / name).read_bytes(), name
 
@@ -276,6 +282,15 @@ def test_report_empty_dir_fails(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert run(["report", str(empty)]) == 1
+
+
+def test_report_header_only_manifest_exits_1_naming_dir(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "manifest.tsv").write_text("\t".join(MANIFEST_COLUMNS) + "\n")
+    assert run(["report", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert str(run_dir) in err and "holds no samples" in err
 
 
 def test_env_override(tmp_path, config_file, monkeypatch):

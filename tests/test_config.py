@@ -74,6 +74,14 @@ def test_volume_constraint_from_config():
     assert constraint.target == pytest.approx(volume_of(base))
 
 
+@pytest.mark.parametrize("key, value", [("dataset.n_test", "-2"),
+                                        ("rom.n_test", "-10"),
+                                        ("rom.n_test", "0")])
+def test_test_set_size_out_of_range_rejected_by_name(key, value):
+    with pytest.raises(ConfigError, match=key):
+        PipelineConfig.load(overrides={key: value})
+
+
 def test_env_unknown_key_in_known_section_rejected():
     with pytest.raises(ConfigError, match="CGM_GM_EPOCS"):
         resolve_config(environ={"CGM_GM_EPOCS": "1"})

@@ -6,8 +6,8 @@ from cgmkit.constraints import (VolumeConstraint, barycenter_constraint,
                                 sample_cffd_dataset)
 from cgmkit.errors import ConfigError
 from cgmkit.generative import (GmConfig, LinearEnforcer, VolumeEnforcer,
-                               adversarial_terms, began_k_update, kl_normal,
-                               load_model, save_model, train_ae, train_model)
+                               began_k_update, kl_normal, load_model,
+                               save_model, train_ae, train_model)
 from cgmkit.geometry import (FfdLattice, TriSurface, barycenter_of,
                              synth_shape, volume_of)
 from cgmkit.nn import mlp_stack
@@ -207,14 +207,6 @@ def test_kl_gradient_formulas():
         sm[j] -= h
         fd = (kl_normal(a, sp) - kl_normal(a, sm)) / (2 * h)
         assert abs(fd - (s[j] - 1.0 / s[j])) < 1e-8
-
-
-def test_adversarial_terms_symmetric_start():
-    # a constant-0.5 discriminator scores log(0.5) per sample either way
-    half = np.full((6, 1), 0.5)
-    real, fake = adversarial_terms(half, half)
-    assert real == pytest.approx(np.log(2.0))
-    assert fake == pytest.approx(np.log(2.0))
 
 
 def test_began_k_update_hand_values():

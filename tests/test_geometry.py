@@ -63,7 +63,7 @@ def test_ffd_zero_displacement_identity():
     lattice = FfdLattice.from_box((2, 2, 2), (-1, -1, -1), (1, 1, 1))
     rng = Rng(3)
     pts = rng.uniform((40, 3)) * 2.0 - 1.0
-    out, inside = ffd_map(lattice, lattice.zero_displacement(), pts)
+    out, inside = ffd_map(lattice, np.zeros((lattice.n_control, 3)), pts)
     assert inside.all()
     assert np.max(np.abs(out - pts)) <= 1e-14
 
@@ -72,7 +72,7 @@ def test_ffd_corner_displacement():
     # at the (0,0,0) lattice corner only B_000 is nonzero and equals 1
     a = np.diag([2.0, 3.0, 1.0])
     lattice = FfdLattice((1, 1, 1), a, np.array([1.0, 0.0, -1.0]))
-    dp = lattice.zero_displacement()
+    dp = np.zeros((lattice.n_control, 3))
     dp[0] = (0.25, -0.5, 0.125)
     q = np.array([[1.0, 0.0, -1.0]])  # phi(0,0,0)
     out, inside = ffd_map(lattice, dp, q)
@@ -91,7 +91,7 @@ def test_ffd_uniform_displacement_is_translation():
 
 def test_ffd_outside_points_pass_through():
     lattice = FfdLattice.from_box((1, 1, 1), (0, 0, 0), (1, 1, 1))
-    dp = lattice.zero_displacement() + 1.0
+    dp = np.ones((lattice.n_control, 3))
     pts = np.array([[2.0, 0.5, 0.5], [0.5, 0.5, 0.5]])
     out, inside = ffd_map(lattice, dp, pts)
     assert list(inside) == [False, True]
@@ -171,7 +171,7 @@ def test_volume_translation_invariant():
     v0 = volume_of(sphere)
     for _ in range(5):
         t = rng.normal(3) * 10.0
-        vt = volume_of(sphere.with_vertices(sphere.vertices + t))
+        vt = volume_of(TriSurface(sphere.vertices + t, sphere.faces))
         assert abs(vt - v0) <= 1e-10 * abs(v0)
 
 

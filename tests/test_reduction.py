@@ -15,18 +15,10 @@ def test_pca_exact_rank_two():
     phi = np.linalg.qr(rng.normal((30, 2)))[0]
     w = rng.normal((40, 2))
     x = w @ phi.T + 5.0
-    basis = pca_fit(x, tolerance=1e-8)
-    assert basis.n_modes == 2
+    basis = pca_fit(x, n_modes=2)
     assert basis.reconstruction_error < 1e-10
     recon = basis.reconstruct(basis.project(x))
     assert np.max(np.abs(recon - x)) < 1e-10
-
-
-def test_pca_returns_at_least_one_mode():
-    rng = Rng(4)
-    x = rng.normal((10, 6))
-    basis = pca_fit(x, tolerance=np.linalg.norm(x))
-    assert basis.n_modes == 1
 
 
 def test_pca_error_monotone_in_modes():
@@ -52,31 +44,29 @@ def test_pca_energy_identity():
 
 def test_pca_config_errors():
     with pytest.raises(ConfigError):
-        pca_fit(np.ones((5, 3)))
+        pca_fit(np.ones((5, 3)), n_modes=0)
     with pytest.raises(ConfigError):
-        pca_fit(np.ones((1, 3)), tolerance=1.0)
+        pca_fit(np.ones((1, 3)), n_modes=1)
 
 
 # --- RBF ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("kernel", ["linear", "thin_plate", "gaussian"])
-def test_rbf_interpolates_training_sites(kernel):
+def test_rbf_interpolates_training_sites():
     rng = Rng(7)
     x = rng.normal((12, 3))
     y = rng.normal((12, 2))
-    model = rbf_fit(x, y, kernel=kernel)
+    model = rbf_fit(x, y)
     pred = model(x)
     assert np.max(np.abs(pred - y)) <= 1e-8 * max(1.0, np.abs(y).max())
 
 
-@pytest.mark.parametrize("kernel", ["linear", "thin_plate"])
-def test_rbf_reproduces_affine_data(kernel):
+def test_rbf_reproduces_affine_data():
     rng = Rng(8)
     x = rng.normal((10, 3))
     a = rng.normal((3, 2))
     b = rng.normal(2)
     y = x @ a + b
-    model = rbf_fit(x, y, kernel=kernel)
+    model = rbf_fit(x, y)
     assert np.max(np.abs(model.beta)) < 1e-9
     assert np.allclose(model.poly[0], b, atol=1e-9)
     assert np.allclose(model.poly[1:], a, atol=1e-9)
@@ -180,7 +170,7 @@ def test_podi_rbf_recovers_analytic_family():
     phi = np.linalg.qr(rng.normal((60, 2)))[0]
     mu = rng.uniform((30, 2)) * 2.0 - 1.0
     s = mu @ phi.T
-    model = podi_fit(mu, s, 2, regressor="rbf")
+    model = podi_fit(mu, s, 2, regressor="rbf", rng=Rng(0))
     assert np.max(np.abs(podi_predict(model, mu) - s)) < 1e-6
     # held-out inputs: the family is affine in mu, so the degree-1 RBF tail
     # reproduces it exactly
@@ -192,7 +182,7 @@ def test_podi_full_rank_is_projection():
     rng = Rng(16)
     mu = rng.normal((6, 3))
     s = rng.normal((6, 12))
-    model = podi_fit(mu, s, 6, regressor="rbf")
+    model = podi_fit(mu, s, 6, regressor="rbf", rng=Rng(0))
     pred = podi_predict(model, mu)
     proj = model.basis.reconstruct(model.basis.project(s))
     assert np.max(np.abs(pred - proj)) < 1e-6
@@ -210,9 +200,9 @@ def test_podi_gpr_and_nn_finite():
 
 def test_podi_errors():
     with pytest.raises(ConfigError):
-        podi_fit(np.ones((3, 2)), np.ones((3, 5)), 4)
+        podi_fit(np.ones((3, 2)), np.ones((3, 5)), 4, rng=Rng(0))
     with pytest.raises(DimensionError):
-        podi_fit(np.ones((3, 2)), np.ones((4, 5)), 2)
+        podi_fit(np.ones((3, 2)), np.ones((4, 5)), 2, rng=Rng(0))
 
 
 # --- active subspaces --------------------------------------------------------------
@@ -283,8 +273,8 @@ def test_as_full_dimension_matches_plain_gpr():
     y = np.cos(mu).sum(axis=1)
     grads = fd_gradients(lambda m: np.cos(m).sum(axis=1), mu)
     sub = as_fit(mu, grads, 3, n_bootstrap=2, rng=rng)
-    surf = as_response_surface(sub, mu, y, length_scale=1.7)
-    direct = gpr_fit(mu @ sub.active, y, length_scale=1.7)
+    surf = as_response_surface(sub, mu, y)
+    direct = gpr_fit(mu @ sub.active, y)
     q = rng.normal((20, 3))
     assert np.max(np.abs(surf.predict(q) - gpr_predict(direct, q @ sub.active))) < 1e-9
 

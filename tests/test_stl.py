@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cgmkit.errors import StlParseError
-from cgmkit.geometry import synth_shape, volume_of
+from cgmkit.geometry import TriSurface, synth_shape, volume_of
 from cgmkit.rng import Rng
 from cgmkit.stl_io import stl_read, stl_write
 
@@ -30,7 +30,9 @@ def test_single_facet(tmp_path):
 def test_round_trip_lossless(tmp_path):
     rng = Rng(31)
     base = synth_shape("icosphere", 2)
-    surf = base.with_vertices(base.vertices * (1.0 + 0.05 * rng.normal((base.n_vertices, 3))))
+    surf = TriSurface(
+        base.vertices * (1.0 + 0.05 * rng.normal((base.n_vertices, 3))),
+        base.faces)
     path = tmp_path / "shape.stl"
     stl_write(surf, path)
     back = stl_read(path)

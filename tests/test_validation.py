@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cgmkit.errors import (ConfigError, DegenerateDistributionError,
-                           EmptyInputError)
+from cgmkit.constraints import barycenter_constraint
+from cgmkit.errors import DegenerateDistributionError, EmptyInputError
 from cgmkit.geometry import synth_shape
 from cgmkit.rng import Rng
 from cgmkit.validation import jsd, kde_fit, metric_report, total_variance
@@ -137,7 +137,8 @@ def jiggled_dataset(seed, n=30):
 
 def test_metric_report_self_comparison(tmp_path):
     data = jiggled_dataset(11)
-    report = metric_report(data, data)
+    c = barycenter_constraint(data[0].shape[1], np.zeros(3))
+    report = metric_report(data, data, constraint=c)
     for name, value in report.rows:
         if name.startswith("jsd_"):
             assert value <= 0.05
@@ -152,7 +153,6 @@ def test_metric_report_self_comparison(tmp_path):
 
 
 def test_metric_report_constraint_residual():
-    from cgmkit.constraints import barycenter_constraint
     data = jiggled_dataset(12, n=10)
     target = np.zeros(3)
     from cgmkit.generative import LinearEnforcer
@@ -165,11 +165,8 @@ def test_metric_report_constraint_residual():
     assert report.value("max_constraint_residual") <= 1e-9
 
 
-def test_metric_report_unknown_quantities_error():
+def test_metric_report_empty_dataset_error():
     data = jiggled_dataset(13, n=4)
-    with pytest.raises(ConfigError):
-        metric_report(data, data, quantities=("bogus",))
-    with pytest.raises(ConfigError, match="bogus"):
-        metric_report(data, data, quantities=("volume", "bogus"))
+    c = barycenter_constraint(data[0].shape[1], np.zeros(3))
     with pytest.raises(EmptyInputError):
-        metric_report((data[0][:0], data[1]), data)
+        metric_report((data[0][:0], data[1]), data, constraint=c)
