@@ -231,7 +231,7 @@ def cmd_surrogate(config: PipelineConfig, source, method, seed) -> int:
         f_train = s_train.mean(axis=1)
         f_test = s_test.mean(axis=1)
         grads = _as_gradients(model, mu_train, spec)
-        subspace = as_fit(mu_train, grads, config.as_dim,
+        subspace = as_fit(grads, config.as_dim,
                           n_bootstrap=config.bootstrap, rng=rng.derive("boot"))
         surface = as_response_surface(subspace, mu_train, f_train)
         train_err = float(np.linalg.norm(surface.predict(mu_train) - f_train)

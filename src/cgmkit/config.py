@@ -158,6 +158,12 @@ class PipelineConfig:
         if self.rom_test < 1:
             raise ConfigError(
                 f"rom.n_test must be at least 1, got {self.rom_test}")
+        if self.bootstrap < 0:
+            raise ConfigError(
+                f"rom.bootstrap must be nonnegative, got {self.bootstrap}")
+        nn_epochs = self.number("rom.nn_epochs", int)
+        if nn_epochs < 1:
+            raise ConfigError(f"rom.nn_epochs must be at least 1, got {nn_epochs}")
         if self.seed < 0:
             raise ConfigError(f"pipeline.seed must be nonnegative, got {self.seed}")
         if threads < 1:

@@ -17,7 +17,9 @@ caches, so gradients with respect to the latents take one backward pass.
 Every kind trains in one loop (`_fit`) over nets built from one layout
 table (`net_specs`), supplying only its per-batch step. Each net's
 backward pass returns one gradient laid out like its flat parameter
-buffer, and `nn.AdamW` steps those buffers."""
+buffer, and `nn.AdamW` steps those buffers; a backward pass whose
+parameter gradient no optimizer reads (a frozen net, or a gradient wanted
+only at the input) skips it with `params=False`."""
 
 import ast
 from dataclasses import dataclass, field, fields
@@ -78,6 +80,11 @@ class GmConfig:
             raise ConfigError("k0 must lie in [0, 1]")
         if self.sigma <= 0:
             raise ConfigError("sigma must be positive")
+        if not 0.0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if not self.weight_decay >= 0:
+            raise ConfigError(
+                f"weight_decay must be nonnegative, got {self.weight_decay}")
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +262,7 @@ class GenerativeModel:
 
         def vjp(grad):
             grad_y = self.emit_backward(enf_cache, grad)
-            return net.backward(net_cache, grad_y)[1]
+            return net.backward(net_cache, grad_y, params=False)[1]
         return clouds, vjp
 
     def encode(self, clouds) -> np.ndarray:
@@ -471,7 +478,8 @@ def train_aae(vertices, faces, constraint,
             adv = float(-np.log(np.clip(d_adv, _CLAMP, 1.0 - _CLAMP)).mean())
             dec_grads, g_z = dec.backward(dec_cache,
                                           model.emit_backward(enf_cache, g_out))
-            _, g_z_adv = disc.backward(adv_cache, _bce_grad(d_adv, True, b))
+            _, g_z_adv = disc.backward(adv_cache, _bce_grad(d_adv, True, b),
+                                       params=False)
             enc_grads, _ = enc.backward(enc_cache, g_z + g_z_adv)
             opt_ae.step([enc_grads, dec_grads])
             enc.note_update()
@@ -517,11 +525,14 @@ def train_began(vertices, faces, constraint,
         def f_input_grad(unit, ce, cd, coeff, accumulate):
             """Gradient of coeff * mean f w.r.t. the f input, optionally
             accumulating discriminator parameter gradients into the
-            (encoder, decoder) buffer pair accumulate."""
+            (encoder, decoder) buffer pair accumulate; with accumulate None
+            no parameter gradient is computed."""
             b = len(unit)
-            dd_grads, g_h = disc_dec.backward(cd, (-coeff * unit / b) @ pca.modes)
-            de_grads, g_pu = disc_enc.backward(ce, g_h)
-            if accumulate is not None:
+            params = accumulate is not None
+            dd_grads, g_h = disc_dec.backward(
+                cd, (-coeff * unit / b) @ pca.modes, params=params)
+            de_grads, g_pu = disc_enc.backward(ce, g_h, params=params)
+            if params:
                 enc_total, dec_total = accumulate
                 enc_total += de_grads
                 dec_total += dd_grads
@@ -548,7 +559,8 @@ def train_began(vertices, faces, constraint,
             g_fake_input = f_input_grad(unit_g, ce2, cd2, -k,
                                         (enc_total, dec_total))
             g_yg = model.emit_backward(enf_cache, g_fake_input)
-            _, g_h_fake = gen.backward(cg, g_yg)  # generator frozen here
+            # generator frozen here
+            _, g_h_fake = gen.backward(cg, g_yg, params=False)
             de_grads, _ = disc_enc.backward(ce, g_h_real + g_h_fake)
             enc_total += de_grads
             opt_disc.step([enc_total, dec_total])

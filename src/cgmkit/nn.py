@@ -10,11 +10,16 @@ filled after the layers drew their initial values; each layer's weight,
 bias, gamma and beta are reshaped views into it, so checkpoint writes
 through them land in the buffer. `Mlp.backward` returns the parameter
 gradient in the same layout, and `AdamW` steps each buffer as one array
-with that gradient.
+with that gradient. A caller that needs only the gradient with respect to
+the input passes `params=False`, and no parameter gradient is computed.
 
 Batch norm uses biased (1/B) batch variance for both normalization and the
 running statistics; eval mode is a fixed affine transform, so it needs no
-rescaling and is safe for finite-difference gradient checks.
+rescaling and is safe for finite-difference gradient checks. Train mode
+takes the batch mean and variance with the reductions `z.mean`/`z.var`
+run, in their order, but without their Python wrappers, and subtracts the
+mean once: that centred batch feeds both the variance and the normalized
+output, so the statistics equal numpy's bit for bit.
 """
 
 import numpy as np
@@ -144,17 +149,21 @@ class Mlp:
             z = x @ layer.weight.T + layer.bias
             if layer.batch_norm:
                 if train:
-                    mu = z.mean(axis=0)
-                    var = z.var(axis=0)
+                    # z.mean and z.var's reductions, without their
+                    # wrappers; d serves the variance and zhat
+                    b = z.shape[0]
+                    mu = np.add.reduce(z, axis=0) / b
+                    d = z - mu
+                    var = np.add.reduce(d * d, axis=0) / b
                     inv_std = 1.0 / np.sqrt(var + BN_EPS)
                     layer.running_mean *= 1.0 - BN_MOMENTUM
                     layer.running_mean += BN_MOMENTUM * mu
                     layer.running_var *= 1.0 - BN_MOMENTUM
                     layer.running_var += BN_MOMENTUM * var
                 else:
-                    mu = layer.running_mean
+                    d = z - layer.running_mean
                     inv_std = 1.0 / np.sqrt(layer.running_var + BN_EPS)
-                zhat = (z - mu) * inv_std
+                zhat = d * inv_std
                 step["zhat"] = zhat
                 step["inv_std"] = inv_std
                 h = layer.gamma * zhat + layer.beta if layer.bn_affine else zhat
@@ -180,20 +189,24 @@ class Mlp:
                  "train": train, "steps": steps, "out": x}
         return x, cache
 
-    def backward(self, cache, grad_out):
+    def backward(self, cache, grad_out, params=True):
         """Backprop grad_out through a cached forward pass.
 
         Returns (grad, grad_input): grad is a fresh array laid out like
-        `flat`, each trainable array's gradient in that array's slice."""
+        `flat`, each trainable array's gradient in that array's slice.
+        With params=False only grad_input is computed and grad is None: no
+        gradient buffer, no weight, bias, gamma or beta gradient."""
         if cache["net"] != id(self) or cache["version"] != self.version:
             raise CacheMismatchError("cache does not match current network state")
         train = cache["train"]
         g = np.asarray(grad_out, dtype=np.float64)
-        grad = np.empty_like(self.flat)
-        # keep the previous gradient until this one exists, so the next call
-        # reuses its block; freed earlier, it lets malloc trim the heap top
-        # and every training step page-faults its buffers back in
-        self._last_grad = grad
+        grad = None
+        if params:
+            grad = np.empty_like(self.flat)
+            # keep the previous gradient until this one exists, so the next
+            # call reuses its block; freed earlier, it lets malloc trim the
+            # heap top and every training step page-faults its buffers back in
+            self._last_grad = grad
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
             step = cache["steps"][i]
@@ -208,8 +221,9 @@ class Mlp:
             if layer.batch_norm:
                 zhat = step["zhat"]
                 if layer.bn_affine:
-                    grad[slot["gamma"]] = (g * zhat).sum(axis=0)
-                    grad[slot["beta"]] = g.sum(axis=0)
+                    if params:
+                        np.add.reduce(g * zhat, axis=0, out=grad[slot["gamma"]])
+                        np.add.reduce(g, axis=0, out=grad[slot["beta"]])
                     gz = g * layer.gamma
                 else:
                     gz = g
@@ -217,12 +231,14 @@ class Mlp:
                 if train:
                     b = gz.shape[0]
                     g = (inv_std / b) * (
-                        b * gz - gz.sum(axis=0) - zhat * (gz * zhat).sum(axis=0))
+                        b * gz - np.add.reduce(gz, axis=0)
+                        - zhat * np.add.reduce(gz * zhat, axis=0))
                 else:
                     g = gz * inv_std
-            np.matmul(g.T, step["x"],
-                      out=grad[slot["weight"]].reshape(layer.weight.shape))
-            grad[slot["bias"]] = g.sum(axis=0)
+            if params:
+                np.matmul(g.T, step["x"],
+                          out=grad[slot["weight"]].reshape(layer.weight.shape))
+                np.add.reduce(g, axis=0, out=grad[slot["bias"]])
             g = g @ layer.weight
         return grad, g
 

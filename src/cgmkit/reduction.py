@@ -286,8 +286,7 @@ class AsSubspace:
     band_mean: np.ndarray
 
 
-def as_fit(samples, gradients, n_active, n_bootstrap=100, *,
-           rng: Rng) -> AsSubspace:
+def as_fit(gradients, n_active, n_bootstrap=100, *, rng: Rng) -> AsSubspace:
     """Eigendecomposition of the Monte Carlo uncentered gradient covariance
     (1/n) sum grad grad^T, plus min/max/mean eigenvalue bands over bootstrap
     resamples of the gradient rows."""

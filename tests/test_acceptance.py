@@ -304,7 +304,7 @@ def test_criterion_7_active_subspaces():
     rng = Rng(700)
     mu = rng.uniform((2000, 5)) * 2.0 - 1.0
     grads = 2.0 * mu[:, :1] * np.eye(5)[0][None, :]
-    subspace = as_fit(mu, grads, 1, n_bootstrap=100, rng=rng.derive("boot"))
+    subspace = as_fit(grads, 1, n_bootstrap=100, rng=rng.derive("boot"))
     cosine = abs(float(subspace.active[:, 0] @ np.eye(5)[0]))
     assert cosine > 0.999
     assert np.all(subspace.band_min <= subspace.eigenvalues + 1e-12)
@@ -320,7 +320,7 @@ def test_criterion_7_active_subspaces():
     mu_train = rng.derive("tr").uniform((200, 5)) * 2.0 - 1.0
     mu_test = rng.derive("te").uniform((100, 5)) * 2.0 - 1.0
     grads = fd_gradients(ridge, mu_train)
-    sub = as_fit(mu_train, grads, 1, n_bootstrap=100, rng=rng.derive("b2"))
+    sub = as_fit(grads, 1, n_bootstrap=100, rng=rng.derive("b2"))
     surface = as_response_surface(sub, mu_train, ridge(mu_train))
     pred = surface.predict(mu_test)
     rel = np.linalg.norm(pred - ridge(mu_test)) / np.linalg.norm(ridge(mu_test))
@@ -399,7 +399,7 @@ def test_surrogate_as_within_2x_of_full_gpr(trained_ae):
         return snapshot_of(clouds, spec).mean(axis=1)
 
     grads = fd_gradients(f_of, mu_train, h=1e-4)
-    sub = as_fit(mu_train, grads, 1, n_bootstrap=10, rng=Rng(610))
+    sub = as_fit(grads, 1, n_bootstrap=10, rng=Rng(610))
     surface = as_response_surface(sub, mu_train, f_train)
     as_err = np.linalg.norm(surface.predict(mu_test) - f_test)
     full = gpr_fit(mu_train, f_train)

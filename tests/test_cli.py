@@ -229,18 +229,25 @@ def test_surrogate_as_rerun_byte_identical(tmp_path, as_checkpoint):
 def test_surrogate_as_gradients_match_per_latent_reference(
         tmp_path, as_checkpoint, monkeypatch):
     # the adjoint gradients `as` fits against central differences of each
-    # latent's mean field, decoded one latent at a time
+    # latent's mean field, decoded one latent at a time, at the latents cli
+    # takes the gradients at
     cfg, ckpt = as_checkpoint
-    calls = []
+    latents, fitted = [], []
+    as_gradients = cli._as_gradients
 
-    def recording(samples, gradients, *args, **kwargs):
-        calls.append((samples, gradients))
-        return as_fit(samples, gradients, *args, **kwargs)
+    def recording_gradients(model, mus, spec):
+        latents.append(mus)
+        return as_gradients(model, mus, spec)
 
-    monkeypatch.setattr(cli, "as_fit", recording)
+    def recording_fit(gradients, *args, **kwargs):
+        fitted.append(gradients)
+        return as_fit(gradients, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_as_gradients", recording_gradients)
+    monkeypatch.setattr(cli, "as_fit", recording_fit)
     assert run(["surrogate", ckpt, "--config", cfg, "--seed", "4",
                 "--method", "as", "--out", str(tmp_path / "as")]) == 0
-    (samples, grads), = calls
+    (samples,), (grads,) = latents, fitted
     model = load_model(ckpt)
     spec = PipelineConfig.load(cfg).field_spec()
 

@@ -88,3 +88,32 @@ def test_env_unknown_key_in_known_section_rejected():
     # variables of sections the config does not have are left alone
     assert resolve_config(environ={"CGM_HOME_DIR": "/x"}) == \
         resolve_config(environ={})
+
+
+def test_negative_bootstrap_rejected_by_name():
+    with pytest.raises(ConfigError, match="rom.bootstrap"):
+        PipelineConfig.load(overrides={"rom.bootstrap": "-5"})
+    # no replicate is valid: the bands are the estimate itself
+    assert PipelineConfig.load(overrides={"rom.bootstrap": "0"}).bootstrap == 0
+
+
+@pytest.mark.parametrize("value", ["-5", "0"])
+def test_nn_epochs_below_one_rejected_by_name(value):
+    with pytest.raises(ConfigError, match="rom.nn_epochs"):
+        PipelineConfig.load(overrides={"rom.nn_epochs": value})
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "0", "inf", "nan"])
+def test_learning_rate_not_positive_finite_rejected_by_name(value):
+    config = PipelineConfig.load(overrides={"gm.lr": value})
+    with pytest.raises(ConfigError, match="lr"):
+        config.gm_config()
+
+
+@pytest.mark.parametrize("value", ["-1", "nan"])
+def test_negative_weight_decay_rejected_by_name(value):
+    config = PipelineConfig.load(overrides={"gm.weight_decay": value})
+    with pytest.raises(ConfigError, match="weight_decay"):
+        config.gm_config()
+    assert PipelineConfig.load(
+        overrides={"gm.weight_decay": "0"}).gm_config().weight_decay == 0.0

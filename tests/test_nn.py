@@ -3,7 +3,7 @@ import pytest
 
 from cgmkit.errors import (CacheMismatchError, DegenerateBatchError,
                            DimensionError)
-from cgmkit.nn import BN_EPS, AdamW, Mlp, MlpLayer, mlp_stack
+from cgmkit.nn import BN_EPS, BN_MOMENTUM, AdamW, Mlp, MlpLayer, mlp_stack
 from cgmkit.rng import Rng
 
 
@@ -310,3 +310,52 @@ def test_adamw_rejects_wrong_gradient_list():
         opt.step([np.zeros(net.flat.shape), np.zeros(loose.size)])
     assert np.array_equal(net.flat, before) and opt.t == 0
     assert np.array_equal(loose, np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("batch_norm", [True, False])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_backward_without_params_gives_the_same_input_gradient(
+        mode, batch_norm, dropout):
+    net = mlp_stack(3, 2, 8, 2, Rng(6), dropout=dropout, hidden_norm=batch_norm,
+                    final_batch_norm=batch_norm)
+    getattr(net, mode)()
+    x = Rng(7).normal((5, 3))
+    out, cache = net.forward(x, rng=Rng(8))
+    grad_out = Rng(9).normal(out.shape)
+    full, gin_full = net.backward(cache, grad_out)
+    none, gin = net.backward(cache, grad_out, params=False)
+    assert full is not None and none is None
+    assert np.array_equal(gin, gin_full)
+
+
+def test_train_batch_norm_matches_numpy_mean_and_var():
+    # the one-pass statistics equal z.mean / z.var bit for bit, so the
+    # output, the cached zhat and the running statistics do too
+    def build():
+        return mlp_stack(4, 3, 8, 2, Rng(11), dropout=0.2,
+                         final_batch_norm=True).train()
+
+    net, ref = build(), build()
+    x = Rng(12).normal((6, 4))
+    out, cache = net.forward(x, rng=Rng(13))
+    drop = Rng(13)
+    a = x
+    for layer, step in zip(ref.layers, cache["steps"]):
+        z = a @ layer.weight.T + layer.bias
+        mu, var = z.mean(axis=0), z.var(axis=0)
+        zhat = (z - mu) * (1.0 / np.sqrt(var + BN_EPS))
+        assert np.array_equal(step["zhat"], zhat)
+        layer.running_mean *= 1.0 - BN_MOMENTUM
+        layer.running_mean += BN_MOMENTUM * mu
+        layer.running_var *= 1.0 - BN_MOMENTUM
+        layer.running_var += BN_MOMENTUM * var
+        h = layer.gamma * zhat + layer.beta if layer.bn_affine else zhat
+        a = np.maximum(h, 0.0) if layer.activation == "relu" else h
+        if layer.dropout > 0.0:
+            keep = drop.uniform(a.shape) >= layer.dropout
+            a = a * keep / (1.0 - layer.dropout)
+    assert np.array_equal(out, a)
+    for layer, want in zip(net.layers, ref.layers):
+        assert np.array_equal(layer.running_mean, want.running_mean)
+        assert np.array_equal(layer.running_var, want.running_var)

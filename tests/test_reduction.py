@@ -211,7 +211,7 @@ def test_as_rank_one_oracle():
     rng = Rng(18)
     mu = rng.uniform((2000, 5)) * 2.0 - 1.0
     grads = 2.0 * mu[:, :1] * np.eye(5)[0][None, :]  # grad of (e1 . mu)^2
-    sub = as_fit(mu, grads, 1, n_bootstrap=10, rng=rng)
+    sub = as_fit(grads, 1, n_bootstrap=10, rng=rng)
     cos = abs(sub.active[:, 0] @ np.eye(5)[0])
     assert cos > 0.999
     assert np.all(sub.eigenvalues >= 0)
@@ -222,8 +222,7 @@ def test_as_rank_one_oracle():
 
 def test_as_constant_function():
     rng = Rng(19)
-    mu = rng.normal((50, 4))
-    sub = as_fit(mu, np.zeros((50, 4)), 1, n_bootstrap=5, rng=rng)
+    sub = as_fit(np.zeros((50, 4)), 1, n_bootstrap=5, rng=rng)
     assert np.allclose(sub.eigenvalues, 0.0)
 
 
@@ -231,7 +230,7 @@ def test_as_bootstrap_bands_contain_estimate():
     rng = Rng(20)
     mu = rng.normal((300, 6))
     grads = rng.normal((300, 6)) * np.linspace(3.0, 0.5, 6)
-    sub = as_fit(mu, grads, 2, n_bootstrap=100, rng=rng)
+    sub = as_fit(grads, 2, n_bootstrap=100, rng=rng)
     assert np.all(sub.band_min <= sub.band_mean + 1e-12)
     assert np.all(sub.band_mean <= sub.band_max + 1e-12)
     assert np.all(sub.band_min <= sub.eigenvalues + 1e-9)
@@ -240,9 +239,8 @@ def test_as_bootstrap_bands_contain_estimate():
 
 def test_as_degenerate_bootstrap_reproduces_estimate():
     rng = Rng(25)
-    mu = rng.normal((60, 4))
     grads = rng.normal((60, 4))
-    sub = as_fit(mu, grads, 2, n_bootstrap=0, rng=rng)
+    sub = as_fit(grads, 2, n_bootstrap=0, rng=rng)
     assert np.array_equal(sub.band_min, sub.eigenvalues)
     assert np.array_equal(sub.band_max, sub.eigenvalues)
     assert np.array_equal(sub.band_mean, sub.eigenvalues)
@@ -258,7 +256,7 @@ def test_as_response_surface_on_ridge():
 
     mu = rng.uniform((200, 5)) * 2.0 - 1.0
     grads = fd_gradients(f, mu)
-    sub = as_fit(mu, grads, 1, n_bootstrap=5, rng=rng)
+    sub = as_fit(grads, 1, n_bootstrap=5, rng=rng)
     surf = as_response_surface(sub, mu, f(mu))
     mu_test = rng.uniform((50, 5)) * 2.0 - 1.0
     pred = surf.predict(mu_test)
@@ -272,7 +270,7 @@ def test_as_full_dimension_matches_plain_gpr():
     mu = rng.normal((40, 3))
     y = np.cos(mu).sum(axis=1)
     grads = fd_gradients(lambda m: np.cos(m).sum(axis=1), mu)
-    sub = as_fit(mu, grads, 3, n_bootstrap=2, rng=rng)
+    sub = as_fit(grads, 3, n_bootstrap=2, rng=rng)
     surf = as_response_surface(sub, mu, y)
     direct = gpr_fit(mu @ sub.active, y)
     q = rng.normal((20, 3))
@@ -284,7 +282,7 @@ def test_as_response_surface_interpolates_training():
     mu = rng.uniform((40, 4))
     y = (mu @ np.array([1.0, 0, 0, 0])) ** 2
     grads = 2.0 * (mu @ np.array([1.0, 0, 0, 0]))[:, None] * np.eye(4)[0][None, :]
-    sub = as_fit(mu, grads, 1, n_bootstrap=2, rng=rng)
+    sub = as_fit(grads, 1, n_bootstrap=2, rng=rng)
     surf = as_response_surface(sub, mu, y)
     assert np.max(np.abs(surf.predict(mu) - y)) < 1e-6
 
