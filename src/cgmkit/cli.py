@@ -14,8 +14,8 @@ import numpy as np
 
 from . import datasets
 from .config import PipelineConfig, write_resolved
-from .constraints import (achieved_value, constraint_residual,
-                          sample_cffd_dataset)
+from .constraints import (RESIDUAL_BOUND, achieved_value,
+                          constraint_residual, sample_cffd_dataset)
 from .errors import CgmError, ConfigError
 from .generative import MODEL_KINDS, load_model, save_model, train_model
 from .reduction import (as_fit, as_response_surface, podi_fit,
@@ -23,8 +23,6 @@ from .reduction import (as_fit, as_response_surface, podi_fit,
 from .rng import Rng
 from .synthfield import snapshot_mean_gradient, snapshot_of
 from .validation import metric_report
-
-RESIDUAL_BOUND = 1e-9
 
 
 class CommandFailure(Exception):
@@ -41,7 +39,7 @@ def _checked_achieved(constraint, vertices, faces, label):
     """The achieved values of a stack (`achieved_value`), after failing on
     the first sample whose residual exceeds the bound or is NaN."""
     achieved = achieved_value(constraint, vertices, faces)
-    residuals = constraint_residual(constraint, vertices, achieved)
+    residuals = constraint_residual(constraint, achieved)
     failing = np.flatnonzero(~(residuals <= RESIDUAL_BOUND))
     if failing.size:
         i = failing[0]
@@ -234,10 +232,8 @@ def cmd_surrogate(config: PipelineConfig, source, method, seed) -> int:
         subspace = as_fit(grads, config.as_dim,
                           n_bootstrap=config.bootstrap, rng=rng.derive("boot"))
         surface = as_response_surface(subspace, mu_train, f_train)
-        train_err = float(np.linalg.norm(surface.predict(mu_train) - f_train)
-                          / max(np.linalg.norm(f_train), 1e-300))
-        test_err = float(np.linalg.norm(surface.predict(mu_test) - f_test)
-                         / max(np.linalg.norm(f_test), 1e-300))
+        train_err = _surrogate_errors(surface.predict, mu_train, f_train)
+        test_err = _surrogate_errors(surface.predict, mu_test, f_test)
         lines.append(f"as-gpr\t{train_err:.12g}\t{test_err:.12g}")
         save_matrix(os.path.join(out, "as_eigenvalues.bin"),
                     subspace.eigenvalues[None, :])

@@ -21,28 +21,30 @@ from .errors import (DegenerateSurfaceError, DimensionError,
                      InfeasibleConstraintError)
 from .geometry import (FfdLattice, TriSurface, barycenter_of, ffd_map,
                        require_closed, volume_of, volume_rows, volumes)
-from .linalg import RANK_TOL, lstsq_min_norm
+from .linalg import lstsq_min_norm, min_norm_gain
 from .rng import Rng
 
 _COMPONENTS = {"x": 0, "y": 1, "z": 2}
+RESIDUAL_BOUND = 1e-9  # the largest `constraint_residual` a held constraint has
 
 
 @dataclass
 class LinearConstraint:
-    """Rows of A_c acting on a vectorized cloud, with target vector c."""
+    """Rows A_c acting on a vectorized cloud, target c and min-norm gain A_c^+."""
 
     matrix: np.ndarray
     target: np.ndarray
     kind: str = "linear"
+    gain: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.matrix = np.atleast_2d(np.asarray(self.matrix, dtype=np.float64))
         self.target = np.asarray(self.target, dtype=np.float64).reshape(-1)
         if self.matrix.shape[0] != self.target.shape[0]:
             raise DimensionError("constraint row count != target length")
-        s = np.linalg.svd(self.matrix, compute_uv=False)
-        if s.size and s[-1] <= RANK_TOL * s[0]:
-            raise DimensionError("constraint matrix is rank deficient")
+        self.gain, rank = min_norm_gain(self.matrix)
+        if rank < self.matrix.shape[0]:
+            raise DimensionError("'constraint.matrix' is rank deficient")
 
     @property
     def dim(self) -> int:
@@ -67,9 +69,11 @@ class VolumeConstraint:
         self.target = float(self.target)
         self.order = tuple(self.order)
         if sorted(self.order) != ["x", "y", "z"]:
-            raise DimensionError(f"order must permute (x, y, z), got {self.order}")
+            raise DimensionError(f"'constraint.order' must permute (x, y, z), "
+                                 f"got {self.order}")
         if self.split not in ("first-pass", "equal-thirds"):
-            raise DimensionError(f"unknown split mode {self.split!r}")
+            raise DimensionError(
+                f"'constraint.split' names unknown split mode {self.split!r}")
 
     def pass_plan(self, current):
         """(component, target volume after the pass) for each pass, from the
@@ -177,15 +181,14 @@ def achieved_value(constraint, vertices, faces) -> np.ndarray:
     return constraint.values(vertices)
 
 
-def constraint_residual(constraint, vertices, achieved) -> np.ndarray:
-    """Residual of each cloud in an (n, M, 3) stack, (n,): the relative
-    error of its achieved volume (`achieved_value`) for volume, the max
-    absolute row residual of A_c vec(cloud) for linear constraints."""
+def constraint_residual(constraint, achieved) -> np.ndarray:
+    """Residual of each row of achieved values (n, k) (`achieved_value`),
+    (n,): the relative error of the volume, the max absolute error of the
+    barycenter or of A_c vec(cloud)."""
+    error = np.abs(achieved - target_value(constraint))
     if constraint.kind == "volume":
-        return np.abs(achieved[:, 0] - constraint.target) / max(
-            abs(constraint.target), 1e-300)
-    return np.max(np.abs(constraint.values(vertices) - constraint.target),
-                  axis=1)
+        return error[:, 0] / max(abs(constraint.target), 1e-300)
+    return np.max(error, axis=1)
 
 
 def target_value(constraint) -> np.ndarray:

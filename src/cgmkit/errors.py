@@ -57,7 +57,7 @@ class DegenerateSitesError(CgmError, RuntimeError):
 
 
 class ConditioningError(CgmError, RuntimeError):
-    """Kernel matrix not positive definite after nugget escalation."""
+    """Matrix not positive definite after jitter escalation."""
 
 
 class DivergenceError(CgmError, RuntimeError):

@@ -33,6 +33,7 @@ from .constraints import (LinearConstraint, VolumeConstraint,
                           barycenter_constraint, project_volume)
 from .errors import ConfigError, ContainerError, DimensionError, DivergenceError
 from .geometry import corner_index, is_closed, volume_rows_vjp
+from .linalg import jittered_cholesky
 from .nn import AdamW, mlp_stack
 from .reduction import PcaBasis, pca_fit
 from .rng import Rng
@@ -65,15 +66,18 @@ class GmConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(
                     f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.hidden_depth < 0:
-            raise ConfigError(
-                f"hidden_depth must be nonnegative, got {self.hidden_depth}")
+        for name in ("hidden_depth", "alpha", "k_gain", "weight_decay"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(
+                    f"{name} must be nonnegative, got {getattr(self, name)}")
+        for name in ("dropout", "disc_dropout"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(
+                    f"{name} must lie in [0, 1), got {getattr(self, name)}")
         if self.latent_dim > self.pca_modes:
             raise ConfigError("latent dim must not exceed the PCA mode count")
         if self.batch_size < 2:
             raise ConfigError("batch size must be at least 2")
-        if self.alpha < 0:
-            raise ConfigError("alpha must be nonnegative")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError("gamma must lie in (0, 1]")
         if not 0.0 <= self.k0 <= 1.0:
@@ -82,9 +86,6 @@ class GmConfig:
             raise ConfigError("sigma must be positive")
         if not 0.0 < self.lr < np.inf:
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
-        if not self.weight_decay >= 0:
-            raise ConfigError(
-                f"weight_decay must be nonnegative, got {self.weight_decay}")
 
 
 # ---------------------------------------------------------------------------
@@ -96,19 +97,17 @@ class LinearEnforcer:
 
     def __init__(self, constraint: LinearConstraint):
         self.constraint = constraint
-        self.matrix = constraint.matrix
-        self.target = constraint.target
-        self.gain = np.linalg.pinv(self.matrix)  # A^T (A A^T)^-1 for full row rank
 
     def forward(self, clouds):
-        if np.shape(clouds)[-1] != self.constraint.dim:
-            raise DimensionError(f"constraint dim {self.constraint.dim} != "
+        c = self.constraint
+        if np.shape(clouds)[-1] != c.dim:
+            raise DimensionError(f"constraint dim {c.dim} != "
                                  f"cloud size {np.shape(clouds)[-1]}")
-        residual = clouds @ self.matrix.T - self.target
-        return clouds - residual @ self.gain.T, None
+        residual = clouds @ c.matrix.T - c.target
+        return clouds - residual @ c.gain.T, None
 
     def backward(self, cache, grad):
-        return grad - (grad @ self.gain) @ self.matrix
+        return grad - (grad @ self.constraint.gain) @ self.constraint.matrix
 
 
 class VolumeEnforcer:
@@ -358,14 +357,7 @@ def _fit_latent_normal(latents):
     mean = latents.mean(axis=0)
     centered = latents - mean
     cov = centered.T @ centered / max(len(latents) - 1, 1)
-    jitter = 1e-12
-    while True:
-        try:
-            return mean, np.linalg.cholesky(cov + jitter * np.eye(len(cov)))
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
-            if jitter > 1e-3:
-                raise
+    return mean, jittered_cholesky(cov)[0]
 
 
 def train_ae(vertices, faces, constraint,
@@ -645,16 +637,16 @@ def load_model(path) -> GenerativeModel:
             raise defect(f"sidecar line {line!r} is not key=value")
     meta = dict(line.split("=", 1) for line in lines)
 
-    def entry(key):
+    def entry(key, known=None):
         if key not in meta:
             raise defect(f"sidecar has no {key!r} entry")
+        if known is not None and meta[key] not in known:
+            raise defect(f"sidecar {key!r} names unknown value {meta[key]!r}")
         return meta[key]
 
     tensor = partial(require_tensor, tensors, path)  # None in a shape: any extent
 
-    kind = entry("kind")
-    if kind not in MODEL_KINDS:
-        raise defect(f"sidecar 'kind' names unknown model kind {kind!r}")
+    kind = entry("kind", MODEL_KINDS)
     texts = {f.name: entry(f"config.{f.name}") for f in fields(GmConfig)}
     try:
         config = GmConfig(**{k: ast.literal_eval(v) for k, v in texts.items()})
@@ -666,17 +658,21 @@ def load_model(path) -> GenerativeModel:
                    singular_values=tensor("pca.singular_values", (None,)),
                    reconstruction_error=0.0)
     faces = require_faces(tensors, path, dim // 3)
-    constraint_kind = entry("constraint.kind")
-    if constraint_kind == "volume":
-        order = tuple(entry("constraint.order").split(","))
-        constraint = VolumeConstraint(tensor("constraint.target", (1,))[0],
-                                      order=order, split=entry("constraint.split"))
-    else:
-        barycenter = constraint_kind == "barycenter"
-        matrix = tensor("constraint.matrix", (3 if barycenter else None, dim))
-        target = tensor("constraint.target", (len(matrix),))
-        constraint = (barycenter_constraint(dim // 3, target) if barycenter
-                      else LinearConstraint(matrix, target))
+    constraint_kind = entry("constraint.kind", ("volume", "barycenter", "linear"))
+    try:  # the constraints' DimensionErrors name the key at fault
+        if constraint_kind == "volume":
+            order = tuple(entry("constraint.order").split(","))
+            constraint = VolumeConstraint(
+                tensor("constraint.target", (1,))[0], order=order,
+                split=entry("constraint.split"))
+        else:
+            barycenter = constraint_kind == "barycenter"
+            matrix = tensor("constraint.matrix", (3 if barycenter else None, dim))
+            target = tensor("constraint.target", (len(matrix),))
+            constraint = (barycenter_constraint(dim // 3, target) if barycenter
+                          else LinearConstraint(matrix, target))
+    except DimensionError as err:
+        raise defect(str(err)) from None
     nets = _build_nets(kind, config, Rng(0, ("load",)))
     for net_name, net in nets.items():
         for tensor_name, arr in net.state_tensors():

@@ -1,13 +1,14 @@
-"""Dense linear algebra: symmetric eigendecomposition and minimum-norm
-least squares with optional diagonal weighting.
-
-All floating point is 64-bit. Singular values below RANK_TOL times the
-largest are treated as zero.
+"""Dense linear algebra, each kernel once: symmetric eigendecomposition,
+the weighted minimum-norm gain of every linear projection (cFFD and the
+linear enforcing layer) and Cholesky with escalating jitter (GPR and the
+latent sampler). All floating point is 64-bit. Singular values at or below
+RANK_TOL times the largest are treated as zero.
 """
 
 import numpy as np
 
-from .errors import DimensionError, InfeasibleConstraintError
+from .errors import (ConditioningError, DimensionError,
+                     InfeasibleConstraintError)
 
 RANK_TOL = 1e-12
 FEASIBILITY_TOL = 1e-9
@@ -52,39 +53,40 @@ def eigh_symmetric(m) -> tuple[np.ndarray, np.ndarray]:
     return w[order], fix_eigvec_signs(v[:, order])
 
 
-def lstsq_min_norm(a, b, weights=None) -> np.ndarray:
-    """Solve a @ x = b minimizing ||diag(weights) @ x||_2, for b (rows,) or
-    each b of a stack (n, rows), bitwise as if alone.
-
-    Unweighted this is x = a^T (a a^T)^-1 b, computed through one SVD with
-    relative rank cutoff. An inconsistent system (residual beyond
-    FEASIBILITY_TOL * (1 + ||b||)) raises InfeasibleConstraintError naming
-    the first failing right-hand side (`index`).
-    """
+def min_norm_gain(a, weights=None) -> tuple[np.ndarray, int]:
+    """(gain G, rank kept) of a @ x = b minimizing ||diag(weights) @ x||_2:
+    x = G b. One SVD of a @ diag(weights)^-1, as y = diag(w) x makes the
+    problem unweighted; a zero matrix has rank 0 and gain 0."""
     a = _as_matrix(a)
-    b = np.asarray(b, dtype=np.float64)
-    n, p = a.shape
-    if b.ndim not in (1, 2) or b.shape[-1] != n:
-        raise DimensionError(f"rhs shape {b.shape} is not ({n},) or (k, {n})")
+    p = a.shape[1]
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64).reshape(-1)
         if weights.shape[0] != p:
             raise DimensionError(f"weight length {weights.shape[0]} != col count {p}")
         if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
             raise DimensionError("weights must be strictly positive and finite")
-        # substitution y = diag(w) x turns the problem into an unweighted
-        # min-norm solve on a @ diag(w)^-1
-        y = lstsq_min_norm(a / weights[None, :], b)
-        return y / weights
-
+        a = a / weights[None, :]
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        x = np.zeros(b.shape[:-1] + (p,))
-    else:
-        keep = s > RANK_TOL * s[0]
-        coef = np.zeros(b.shape[:-1] + s.shape)
-        coef[..., keep] = (u.T @ b[..., None])[..., keep, 0] / s[keep]
-        x = (vt.T @ coef[..., None])[..., 0]
+    keep = s > RANK_TOL * s.max(initial=0.0)
+    gain = (vt[keep].T / s[keep]) @ u[:, keep].T
+    if weights is not None:
+        gain = gain / weights[:, None]
+    return gain, int(np.count_nonzero(keep))
+
+
+def lstsq_min_norm(a, b, weights=None) -> np.ndarray:
+    """Solve a @ x = b minimizing ||diag(weights) @ x||_2, for b (rows,) or
+    each b of a stack (n, rows), bitwise as if alone: x = G b with the gain
+    of `min_norm_gain`. An inconsistent system (residual beyond
+    FEASIBILITY_TOL * (1 + ||b||)) raises InfeasibleConstraintError naming
+    the first failing right-hand side (`index`).
+    """
+    a = _as_matrix(a)
+    b = np.asarray(b, dtype=np.float64)
+    n = a.shape[0]
+    if b.ndim not in (1, 2) or b.shape[-1] != n:
+        raise DimensionError(f"rhs shape {b.shape} is not ({n},) or (k, {n})")
+    x = (min_norm_gain(a, weights)[0] @ b[..., None])[..., 0]
     residual = np.linalg.norm((a @ x[..., None])[..., 0] - b, axis=-1)
     failing = residual > FEASIBILITY_TOL * (1.0 + np.linalg.norm(b, axis=-1))
     if np.any(failing):
@@ -93,3 +95,21 @@ def lstsq_min_norm(a, b, weights=None) -> np.ndarray:
             f"right-hand side {i}: system inconsistent: residual "
             f"{residual.flat[i]:.3e}", index=i)
     return x
+
+
+def jittered_cholesky(k) -> tuple[np.ndarray, float]:
+    """(lower Cholesky factor of k + j I, jitter j) for the first j of
+    1e-12, 1e-11, ..., 1e-4 times mean(diag k) (1 when that is 0) that
+    factors; ConditioningError when none does."""
+    # the 1e-12 floor keeps GPR training-site interpolation below 1e-6 even
+    # for crowded one-dimensional site sets
+    jitter = 1e-12
+    scale = float(np.mean(np.diag(k))) or 1.0
+    while jitter <= 1e-4:
+        try:
+            return (np.linalg.cholesky(k + jitter * scale * np.eye(len(k))),
+                    jitter * scale)
+        except np.linalg.LinAlgError:
+            jitter *= 10.0
+    raise ConditioningError(
+        "matrix not positive definite at jitter 1e-4 x mean diagonal")

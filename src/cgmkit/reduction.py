@@ -7,9 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import load_tensors, save_tensors
-from .errors import (ConditioningError, ConfigError, ContainerError,
-                     DegenerateSitesError, DimensionError)
-from .linalg import eigh_symmetric, fix_eigvec_signs
+from .errors import (ConfigError, ContainerError, DegenerateSitesError,
+                     DimensionError)
+from .linalg import eigh_symmetric, fix_eigvec_signs, jittered_cholesky
 from .nn import AdamW, mlp_stack
 from .rng import Rng
 
@@ -124,26 +124,11 @@ class GprModel:
     alpha: np.ndarray
     length_scale: float
     signal_variance: float
-    nugget: float
 
 
 def _se_kernel(a, b, length_scale, signal_variance):
     r2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
     return signal_variance * np.exp(-0.5 * r2 / length_scale ** 2)
-
-
-def _chol_with_escalation(k):
-    # the 1e-12 floor keeps training-site interpolation below 1e-6 even for
-    # crowded one-dimensional site sets
-    nugget = 1e-12
-    scale = float(np.mean(np.diag(k))) or 1.0
-    while nugget <= 1e-4:
-        try:
-            chol = np.linalg.cholesky(k + nugget * scale * np.eye(len(k)))
-            return chol, nugget * scale
-        except np.linalg.LinAlgError:
-            nugget *= 10.0
-    raise ConditioningError("kernel matrix not positive definite at nugget 1e-4")
 
 
 def gpr_fit(x, y) -> GprModel:
@@ -168,7 +153,7 @@ def gpr_fit(x, y) -> GprModel:
         best = np.inf
         for cand in candidates:
             sub = _fit_at(x[~hold], resid[~hold], cand, signal_variance)
-            pred = _predict_resid(sub, x[hold])
+            pred = gpr_predict(sub, x[hold])
             err = float(np.mean((pred - resid[hold]) ** 2))
             if err < best:
                 best, length_scale = err, float(cand)
@@ -179,20 +164,16 @@ def gpr_fit(x, y) -> GprModel:
 
 def _fit_at(x, resid, length_scale, signal_variance):
     k = _se_kernel(x, x, length_scale, signal_variance)
-    chol, nugget = _chol_with_escalation(k)
+    chol = jittered_cholesky(k)[0]
     alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, resid))
     return GprModel(x=x, y_mean=0.0, alpha=alpha, length_scale=length_scale,
-                    signal_variance=signal_variance, nugget=nugget)
-
-
-def _predict_resid(model, xq):
-    k = _se_kernel(np.atleast_2d(xq), model.x, model.length_scale,
-                   model.signal_variance)
-    return k @ model.alpha
+                    signal_variance=signal_variance)
 
 
 def gpr_predict(model: GprModel, xq) -> np.ndarray:
-    return _predict_resid(model, xq) + model.y_mean
+    k = _se_kernel(np.atleast_2d(xq), model.x, model.length_scale,
+                   model.signal_variance)
+    return k @ model.alpha + model.y_mean
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +279,12 @@ def as_fit(gradients, n_active, n_bootstrap=100, *, rng: Rng) -> AsSubspace:
     evals, evecs = eigh_symmetric(cov)
     evals = np.maximum(evals, 0.0)
     boots = np.empty((max(n_bootstrap, 1), dim))
-    if n_bootstrap >= 1:
-        for b in range(n_bootstrap):
-            idx = rng.derive("bootstrap", b).integers(0, n, n)
-            g = gradients[idx]
-            bw, _ = eigh_symmetric(g.T @ g / n)
-            boots[b] = np.maximum(bw, 0.0)
-    else:
-        boots[0] = evals
+    boots[0] = evals  # kept without replicates: the bands are the estimate
+    for b in range(n_bootstrap):
+        idx = rng.derive("bootstrap", b).integers(0, n, n)
+        g = gradients[idx]
+        bw, _ = eigh_symmetric(g.T @ g / n)
+        boots[b] = np.maximum(bw, 0.0)
     return AsSubspace(eigenvalues=evals,
                       active=evecs[:, :n_active],
                       inactive=evecs[:, n_active:],

@@ -7,13 +7,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import achieved_value, constraint_residual
+from .constraints import RESIDUAL_BOUND, achieved_value, constraint_residual
 from .errors import DegenerateDistributionError, EmptyInputError
 from .geometry import inertia_tensor_of, surface_area_of, volumes
 
 GRID_POINTS = 512
 GRID_PAD_BANDWIDTHS = 3.0
 HISTOGRAM_BINS = 30
+
+
+def _point_mass(lo, hi) -> bool:
+    """Whether values spanning [lo, hi] are one value (as a held quantity
+    is, up to roundoff): their spread is within RESIDUAL_BOUND of |lo|, |hi|."""
+    return hi - lo <= RESIDUAL_BOUND * max(abs(lo), abs(hi))
 
 
 @dataclass
@@ -44,18 +50,16 @@ def jsd(samples_x, samples_y) -> float:
 
     Densities are KDE estimates on a shared 512-point grid spanning the
     union range plus three bandwidths; KL terms use base-2 logarithms and
-    trapezoid quadrature with 0 * log 0 := 0. Degenerate (zero-variance)
-    inputs use the point-mass convention: 0 when both sit on the same
-    value, 1 otherwise."""
+    trapezoid quadrature with 0 * log 0 := 0. Inputs whose spread is
+    roundoff (`_point_mass`) use the point-mass convention: 0 when both
+    sit on the same value to that bound, 1 otherwise."""
     x = np.asarray(samples_x, dtype=np.float64).reshape(-1)
     y = np.asarray(samples_y, dtype=np.float64).reshape(-1)
     if x.size == 0 or y.size == 0:
         raise EmptyInputError("jsd of empty sample vector")
-    x_degenerate = x.size < 2 or x.std(ddof=1) == 0.0
-    y_degenerate = y.size < 2 or y.std(ddof=1) == 0.0
-    if x_degenerate or y_degenerate:
-        if x_degenerate and y_degenerate and x[0] == y[0]:
-            return 0.0
+    if _point_mass(min(x.min(), y.min()), max(x.max(), y.max())):
+        return 0.0
+    if _point_mass(x.min(), x.max()) or _point_mass(y.min(), y.max()):
         return 1.0
     kx, ky = kde_fit(x), kde_fit(y)
     pad = GRID_PAD_BANDWIDTHS * max(kx.bandwidth, ky.bandwidth)
@@ -147,8 +151,8 @@ def metric_report(reference, generated, constraint) -> MetricReport:
         rows.append((f"jsd_{name}", jsd(ref_vals, gen_vals)))
         lo = min(ref_vals.min(), gen_vals.min())
         hi = max(ref_vals.max(), gen_vals.max())
-        if hi == lo:
-            hi = lo + 1.0
+        if _point_mass(lo, hi):
+            hi = max(hi, lo + 1.0)
         edges = np.linspace(lo, hi, HISTOGRAM_BINS + 1)
         histograms[name] = (edges,
                             np.histogram(ref_vals, bins=edges)[0],
@@ -157,5 +161,5 @@ def metric_report(reference, generated, constraint) -> MetricReport:
     rows.append(("var_generated", total_variance(gen_vertices)))
     achieved = achieved_value(constraint, gen_vertices, gen_faces)
     rows.append(("max_constraint_residual", float(np.max(
-        constraint_residual(constraint, gen_vertices, achieved)))))
+        constraint_residual(constraint, achieved)))))
     return MetricReport(rows=rows, histograms=histograms)

@@ -383,6 +383,18 @@ def _without_tensor(key):
         {k: v for k, v in tensors.items() if k != key}, lines)
 
 
+def _as_volume(order, split):
+    """The checkpoint's constraint rewritten as a volume one with the given
+    sidecar order and split."""
+    def edit(tensors, lines):
+        tensors = {k: v for k, v in tensors.items() if k != "constraint.matrix"}
+        lines = [l for l in lines if not l.startswith("constraint.")]
+        return ({**tensors, "constraint.target": np.array([1.0])},
+                lines + ["constraint.kind=volume", f"constraint.order={order}",
+                         f"constraint.split={split}"])
+    return edit
+
+
 # case -> (edit of the ae checkpoint's tensors and sidecar lines, the key
 # the diagnostic must name)
 CHECKPOINT_DEFECTS = {
@@ -409,6 +421,15 @@ CHECKPOINT_DEFECTS = {
     "faces-repeated-index": (lambda t, lines: (
         {**t, "faces": np.where(np.arange(3) == 2, t["faces"][:, :1],
                                 t["faces"])}, lines), "faces"),
+    "unknown-constraint-kind": (lambda t, lines: (t, [
+        "constraint.kind=surface" if l.startswith("constraint.kind=") else l
+        for l in lines]), "constraint.kind"),
+    "volume-order": (_as_volume("x,x,y", "first-pass"), "constraint.order"),
+    "volume-split": (_as_volume("x,y,z", "halves"), "constraint.split"),
+    "linear-rank-deficient": (lambda t, lines: (
+        {**t, "constraint.matrix": t["constraint.matrix"][[0, 1, 1]]},
+        ["constraint.kind=linear" if l.startswith("constraint.kind=") else l
+         for l in lines]), "constraint.matrix"),
 }
 
 

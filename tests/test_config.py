@@ -117,3 +117,11 @@ def test_negative_weight_decay_rejected_by_name(value):
         config.gm_config()
     assert PipelineConfig.load(
         overrides={"gm.weight_decay": "0"}).gm_config().weight_decay == 0.0
+
+
+@pytest.mark.parametrize("field,value", [("k_gain", "-1"), ("dropout", "-0.5"),
+                                         ("disc_dropout", "1.0")])
+def test_gm_out_of_range_rejected_by_name(field, value):
+    config = PipelineConfig.load(overrides={f"gm.{field}": value})
+    with pytest.raises(ConfigError, match=f"^{field} must"):
+        config.gm_config()

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from cgmkit.errors import DimensionError, InfeasibleConstraintError
-from cgmkit.linalg import eigh_symmetric, lstsq_min_norm
+from cgmkit.errors import (ConditioningError, DimensionError,
+                           InfeasibleConstraintError)
+from cgmkit.linalg import (eigh_symmetric, jittered_cholesky, lstsq_min_norm,
+                           min_norm_gain)
 
 
 def test_eigh_diagonal():
@@ -124,3 +126,46 @@ def test_min_norm_consistent_duplicate_rows():
 def test_min_norm_rejects_bad_weights():
     with pytest.raises(DimensionError):
         lstsq_min_norm(np.ones((1, 2)), np.ones(1), weights=np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_min_norm_gain_matches_pinv(weighted):
+    # the weighted gain is diag(w)^-1 (a diag(w)^-1)^+
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((3, 12))
+    w = rng.random(12) + 0.5 if weighted else np.ones(12)
+    gain, rank = min_norm_gain(a, w if weighted else None)
+    assert rank == 3
+    assert np.allclose(gain, np.linalg.pinv(a / w) / w[:, None], atol=1e-12)
+
+
+def test_min_norm_gain_rank_deficient_and_zero():
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((2, 7))
+    a = np.vstack([a, a[0] + 2.0 * a[1]])
+    gain, rank = min_norm_gain(a)
+    assert rank == 2
+    assert np.allclose(gain, np.linalg.pinv(a, rcond=1e-12), atol=1e-12)
+    gain, rank = min_norm_gain(np.zeros((3, 5)))
+    assert rank == 0 and gain.shape == (5, 3) and not np.any(gain)
+
+
+def test_jittered_cholesky_escalates_on_singular_psd():
+    # a singular PSD matrix factors at the first rung, 1e-12 x mean diagonal
+    k = np.ones((3, 3))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(k)
+    chol, jitter = jittered_cholesky(k)
+    assert jitter == 1e-12
+    assert np.allclose(chol @ chol.T, k + jitter * np.eye(3), atol=1e-12)
+    # an eigenvalue of -1e-8 (PSD up to roundoff) climbs to the 1e-7 rung
+    q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((3, 3)))
+    k = q @ np.diag([1.0, 0.5, -1e-8]) @ q.T
+    chol, jitter = jittered_cholesky(k)
+    assert jitter == pytest.approx(1e-7 * np.mean(np.diag(k)))
+    assert np.allclose(chol @ chol.T, k + jitter * np.eye(3), atol=1e-12)
+
+
+def test_jittered_cholesky_rejects_indefinite():
+    with pytest.raises(ConditioningError):
+        jittered_cholesky(np.array([[1.0, 0.0], [0.0, -1.0]]))

@@ -168,7 +168,7 @@ DESK = synth_shape("icosphere", 2)
 
 def residual_of(constraint, vertices, faces):
     """The residual check as `generate`, `sample` and `validate` run it."""
-    return constraint_residual(constraint, vertices,
+    return constraint_residual(constraint,
                                achieved_value(constraint, vertices, faces))
 
 

@@ -4,7 +4,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from cgmkit import cli
+from cgmkit.checkpoint import save_tensors
+from cgmkit.reduction import save_matrix
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
@@ -57,6 +61,26 @@ def test_artifact_differences_lists_changed_and_missing_paths():
     assert tool.differences(old, new) == [
         "gen/dataset.cgmt 2222 2223", "new.txt - 5555", "old.txt 3333 -"]
     assert tool.differences(old, old) == []
+
+
+def test_tensor_difference_reports_largest_change(tmp_path):
+    # --against follows each differing container with its largest absolute
+    # tensor difference, so a change that moves bytes reports by how much
+    tool = load(HASHES, "artifact_hashes")
+    for side, shift in (("old", 0.0), ("new", 0.25)):
+        (tmp_path / side / "gen").mkdir(parents=True)
+        save_tensors(tmp_path / side / "gen" / "dataset.cgmt",
+                     {"a": np.zeros(3), "b": np.array([[1.0, 2.0 + shift]])})
+        save_matrix(tmp_path / side / "latents.bin",
+                    np.zeros((2, 2 if side == "old" else 3)))
+        (tmp_path / side / "metrics.tsv").write_text(side)
+    save_tensors(tmp_path / "new" / "only.cgmt", {"a": np.zeros(1)})
+    assert tool.tensor_difference(tmp_path, "gen/dataset.cgmt") == (
+        " max|diff| 0.25")
+    assert tool.tensor_difference(tmp_path, "latents.bin") == (
+        " tensor names or shapes differ")
+    assert tool.tensor_difference(tmp_path, "metrics.tsv") == ""
+    assert tool.tensor_difference(tmp_path, "only.cgmt") == ""
 
 
 def test_benchmark_commands_parse():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from cgmkit.constraints import barycenter_constraint
+from cgmkit.config import PipelineConfig
+from cgmkit.constraints import barycenter_constraint, sample_cffd_dataset
 from cgmkit.errors import DegenerateDistributionError, EmptyInputError
-from cgmkit.geometry import synth_shape
+from cgmkit.generative import VolumeEnforcer
+from cgmkit.geometry import synth_shape, volumes
 from cgmkit.rng import Rng
 from cgmkit.validation import jsd, kde_fit, metric_report, total_variance
 
@@ -88,6 +90,31 @@ def test_jsd_point_mass_convention():
     assert jsd(np.full(5, 2.0), np.full(3, 2.0)) == 0.0
     assert jsd(np.full(5, 2.0), np.full(3, 4.0)) == 1.0
     assert jsd(np.full(5, 2.0), np.array([1.0, 2.0, 5.0])) == 1.0
+    # a spread within 1e-9 of the magnitude is roundoff: still a point mass
+    assert jsd(np.full(5, 2.0), 2.0 + np.array([0.0, 1e-10, -1e-10])) == 0.0
+    assert jsd(np.full(5, 2.0), np.full(3, 2.0 + 1e-6)) == 1.0
+
+
+def test_jsd_of_held_volume_is_zero_whatever_its_roundoff():
+    # the desk-volume pipeline: reference volumes held by cFFD, generated
+    # ones by the enforcing layer, both constant up to roundoff
+    config = PipelineConfig.load(overrides={"constraint.kind": "volume"})
+    base = config.base_shape()
+    constraint = config.constraint(base)
+    reference, _ = sample_cffd_dataset(config.lattice(base), base, constraint,
+                                       20, 0.05, Rng(1))
+    noisy = reference[::-1] * (1.0 + 0.01 * Rng(2).normal(reference.shape))
+    generated = VolumeEnforcer(constraint, base.faces).forward(
+        noisy.reshape(len(noisy), -1))[0].reshape(noisy.shape)
+    report = metric_report((reference, base.faces), (generated, base.faces),
+                           constraint=constraint)
+    assert report.value("jsd_volume") == 0.0
+    gen_volumes = volumes(generated, base.faces)
+    assert np.ptp(gen_volumes) > 0.0
+    assert jsd(volumes(reference, base.faces),
+               np.nextafter(gen_volumes, np.inf)) == 0.0
+    _, ref_counts, gen_counts = report.histograms["volume"]
+    assert ref_counts[0] == gen_counts[0] == 20
 
 
 # --- total variance -------------------------------------------------------------

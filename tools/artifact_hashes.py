@@ -13,7 +13,9 @@ paths, so two source trees give comparable listings:
 With `--against OLD_SRC` it runs the workload under OLD_SRC into
 WORKDIR/old and under `--src` into WORKDIR/new, prints only the paths
 whose bytes differ or that one run lacks (`path old new`, `-` for a
-missing file) and exits 1 if there is any:
+missing file) and exits 1 if there is any. A tensor container (`.cgmt`,
+`.bin`) that both runs wrote also gets its largest absolute tensor
+difference (`max|diff| 1.2e-12`):
 
     python3 tools/artifact_hashes.py desk-volume /tmp/cmp --against OLD/src"""
 
@@ -24,7 +26,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+from cgmkit.checkpoint import load_tensors  # noqa: E402
+
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
             "MKL_NUM_THREADS": "1"}
 
@@ -77,6 +84,23 @@ def differences(old_rows, new_rows):
             if old.get(path) != new.get(path)]
 
 
+def tensor_difference(workdir, path):
+    """' max|diff| D' for a tensor container (.cgmt, .bin) under both
+    WORKDIR/old and WORKDIR/new: the largest absolute difference over its
+    tensors, or ' tensor names or shapes differ'; '' for any other path."""
+    old, new = (os.path.join(workdir, side, path) for side in ("old", "new"))
+    if not (path.endswith((".cgmt", ".bin")) and os.path.exists(old)
+            and os.path.exists(new)):
+        return ""
+    old, new = load_tensors(old), load_tensors(new)
+    if ({k: a.shape for k, a in old.items()}
+            != {k: a.shape for k, a in new.items()}):
+        return " tensor names or shapes differ"
+    largest = max((float(np.max(np.abs(old[k] - new[k]), initial=0.0))
+                   for k in old), default=0.0)
+    return f" max|diff| {largest:.3g}"
+
+
 def main(argv=None):
     workloads = load_workloads()
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
@@ -104,7 +128,7 @@ def main(argv=None):
         new = artifact_hashes(os.path.join(args.workdir, "new"))
         lines = differences(old, new)
         for line in lines:
-            print(line)
+            print(line + tensor_difference(args.workdir, line.split()[0]))
         print(f"{len(lines)} of {len(dict(old) | dict(new))} files differ",
               file=sys.stderr)
         return 1 if lines else 0
