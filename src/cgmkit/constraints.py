@@ -21,7 +21,7 @@ from .errors import (DegenerateSurfaceError, DimensionError,
                      InfeasibleConstraintError)
 from .geometry import (FfdLattice, TriSurface, barycenter_of, ffd_map,
                        require_closed, volume_of, volume_rows, volumes)
-from .linalg import lstsq_min_norm, min_norm_gain
+from .linalg import RANK_TOL, lstsq_min_norm, min_norm_gain
 from .rng import Rng
 
 _COMPONENTS = {"x": 0, "y": 1, "z": 2}
@@ -134,10 +134,12 @@ def project_volume(clouds, faces, constraint: VolumeConstraint, basis=None,
     and takes the current volume as V = r . x_c, which is exact because the
     volume is linear-homogeneous in each component. The vertices move by
     r s with s = d / (r . r), or with a basis (M, F) by basis @ p,
-    p = (a / w^2) s with s = d / (a . a / w^2), a = r @ basis. Returns
-    (clouds, passes), passes holding (c, rows (B, M), p, component c
-    before the pass (B, M), s (B,)) each (p is the vertex step r s without
-    a basis)."""
+    p = (a / w^2) s with s = d / (a . a / w^2), a = r @ basis. A pass whose
+    a is zero up to RANK_TOL * |r| * |basis| cannot move the volume (its
+    step would scale with 1 / roundoff) and raises
+    InfeasibleConstraintError. Returns (clouds, passes), passes holding (c,
+    rows (B, M), p, component c before the pass (B, M), s (B,)) each (p is
+    the vertex step r s without a basis)."""
     clouds = np.array(clouds, dtype=np.float64)
 
     def row_and_volume(c):
@@ -147,6 +149,7 @@ def project_volume(clouds, faces, constraint: VolumeConstraint, basis=None,
                 "all-zero volume row (degenerate surface)")
         return rows, np.vecdot(rows, clouds[:, :, c])
 
+    basis_norm = 0.0 if basis is None else np.linalg.norm(basis)
     passes = []
     rows, current = row_and_volume(_COMPONENTS[constraint.order[0]])
     for k, (component, pass_target) in enumerate(constraint.pass_plan(current)):
@@ -158,9 +161,12 @@ def project_volume(clouds, faces, constraint: VolumeConstraint, basis=None,
         a = rows if basis is None else (rows[:, None] @ basis)[:, 0]
         aw = a if weights is None else a / weights ** 2
         norm = np.vecdot(a, aw)
-        if not np.all(norm):
+        if basis is not None and not np.all(
+                np.linalg.norm(a, axis=1)
+                > RANK_TOL * basis_norm * np.linalg.norm(rows, axis=1)):
             raise InfeasibleConstraintError(
-                "volume row is zero on every free control point")
+                f"volume row of component {component} is zero on every free "
+                f"control point")
         scale = (pass_target - current) / norm
         p = aw * scale[:, None]
         before = clouds[:, :, c].copy()

@@ -495,7 +495,13 @@ def train_began(vertices, faces, constraint,
     The discriminator is an autoencoder scored by f(u) = ||u - D(u)||; per
     batch it minimizes f(real) - k_t * f(G(Enc(real))), the generator
     minimizes f(G(z)), and k_t is updated by the proportional control rule
-    and clamped to [0, 1]; the model keeps the last k_t as `k_final`."""
+    and clamped to [0, 1]; the model keeps the last k_t as `k_final`.
+
+    While k_t = 0 the fake term's gradient is exactly zero, so its backward
+    (through the discriminator, the enforcer and the frozen generator) is
+    skipped. Its forward passes still run: f(fake) feeds the loss, and they
+    move the batch-norm running statistics and consume the dropout stream
+    exactly as at k_t > 0."""
 
     def make_step(model, rng):
         pca = model.pca
@@ -514,27 +520,19 @@ def train_began(vertices, faces, constraint,
             unit = resid / norms[:, None]
             return norms, unit, ce, cd, h
 
-        def f_input_grad(unit, ce, cd, coeff, accumulate):
-            """Gradient of coeff * mean f w.r.t. the f input, optionally
-            accumulating discriminator parameter gradients into the
-            (encoder, decoder) buffer pair accumulate; with accumulate None
-            no parameter gradient is computed."""
+        def f_input_grad(unit, ce, cd, coeff, params):
+            """Gradient of coeff * mean f w.r.t. the f input, and the
+            discriminator's (encoder, decoder) parameter gradients, which
+            are None with params False."""
             b = len(unit)
-            params = accumulate is not None
             dd_grads, g_h = disc_dec.backward(
                 cd, (-coeff * unit / b) @ pca.modes, params=params)
             de_grads, g_pu = disc_enc.backward(ce, g_h, params=params)
-            if params:
-                enc_total, dec_total = accumulate
-                enc_total += de_grads
-                dec_total += dd_grads
-            return coeff * unit / b + g_pu @ pca.modes.T
+            return coeff * unit / b + g_pu @ pca.modes.T, de_grads, dd_grads
 
         def step(x, coords, drop, tag):
             k = model.k_final
             b = len(x)
-            enc_total = np.zeros_like(disc_enc.flat)
-            dec_total = np.zeros_like(disc_dec.flat)
             # one encoder pass feeds both the real reconstruction and the
             # generator's fake input G(Enc(x)), run through the enforcer
             norms_x, unit_x, ce, cd, h = disc_f(x, drop)
@@ -545,17 +543,20 @@ def train_began(vertices, faces, constraint,
             f_fake = float(norms_g.mean())
             loss_d = f_real - k * f_fake
             # discriminator gradients: real term output path
-            dd_grads, g_h_real = disc_dec.backward(cd, (-unit_x / b) @ pca.modes)
-            dec_total += dd_grads
-            # fake term: -k * mean f(fake), both through D and through Enc
-            g_fake_input = f_input_grad(unit_g, ce2, cd2, -k,
-                                        (enc_total, dec_total))
-            g_yg = model.emit_backward(enf_cache, g_fake_input)
-            # generator frozen here
-            _, g_h_fake = gen.backward(cg, g_yg, params=False)
-            de_grads, _ = disc_enc.backward(ce, g_h_real + g_h_fake)
-            enc_total += de_grads
-            opt_disc.step([enc_total, dec_total])
+            dec_grads, g_h = disc_dec.backward(cd, (-unit_x / b) @ pca.modes)
+            if k != 0.0:
+                # fake term: -k * mean f(fake), both through D and through Enc
+                g_fake_input, fake_enc_grads, fake_dec_grads = f_input_grad(
+                    unit_g, ce2, cd2, -k, True)
+                g_yg = model.emit_backward(enf_cache, g_fake_input)
+                # generator frozen here
+                _, g_h_fake = gen.backward(cg, g_yg, params=False)
+                dec_grads += fake_dec_grads
+                g_h += g_h_fake
+            enc_grads, _ = disc_enc.backward(ce, g_h)
+            if k != 0.0:
+                enc_grads += fake_enc_grads
+            opt_disc.step([enc_grads, dec_grads])
             disc_enc.note_update()
             disc_dec.note_update()
             # generator step on fresh prior draws
@@ -564,7 +565,7 @@ def train_began(vertices, faces, constraint,
             gen_out, enf_cache2 = model.emit(yg2)
             norms_z, unit_z, ce3, cd3, _ = disc_f(gen_out, drop)
             f_gen = float(norms_z.mean())
-            g_gen_input = f_input_grad(unit_z, ce3, cd3, 1.0, None)
+            g_gen_input = f_input_grad(unit_z, ce3, cd3, 1.0, False)[0]
             gen_grads, _ = gen.backward(cg2, model.emit_backward(enf_cache2,
                                                                  g_gen_input))
             opt_gen.step([gen_grads])

@@ -12,6 +12,8 @@ through them land in the buffer. `Mlp.backward` returns the parameter
 gradient in the same layout, and `AdamW` steps each buffer as one array
 with that gradient. A caller that needs only the gradient with respect to
 the input passes `params=False`, and no parameter gradient is computed.
+The batch-norm running means and variances live the same way in a second
+buffer (`stats`), viewed by each layer's `running_mean` and `running_var`.
 
 Batch norm uses biased (1/B) batch variance for both normalization and the
 running statistics; eval mode is a fixed affine transform, so it needs no
@@ -20,6 +22,16 @@ takes the batch mean and variance with the reductions `z.mean`/`z.var`
 run, in their order, but without their Python wrappers, and subtracts the
 mean once: that centred batch feeds both the variance and the normalized
 output, so the statistics equal numpy's bit for bit.
+
+A train-mode pass draws every dropout uniform it needs in one
+`rng.uniform` call before the first layer and slices it per layer in
+layer order; the stream fills sequentially, so the masks are those of one
+draw per layer. It writes each layer's batch statistics into a scratch
+buffer laid out like `stats` and moves the running statistics once, after
+the last layer, so a pass that raises leaves them as they were. The cache
+holds one tuple per layer: its input, the normalized batch and inverse
+standard deviation (batch norm), the activation output and the dropout
+keep mask, None where the layer has no such part.
 """
 
 import numpy as np
@@ -66,13 +78,17 @@ class MlpLayer:
             params += [("gamma", self.gamma), ("beta", self.beta)]
         return params
 
+    def running_stats(self):
+        if not self.batch_norm:
+            return []
+        return [("running_mean", self.running_mean),
+                ("running_var", self.running_var)]
+
     def state_tensors(self):
         state = [("weight", self.weight), ("bias", self.bias)]
         if self.batch_norm:
-            state += [("gamma", self.gamma), ("beta", self.beta),
-                      ("running_mean", self.running_mean),
-                      ("running_var", self.running_var)]
-        return state
+            state += [("gamma", self.gamma), ("beta", self.beta)]
+        return state + self.running_stats()
 
 
 class Mlp:
@@ -87,19 +103,13 @@ class Mlp:
         self.mode = "train"
         self.version = 0
         # the trainable arrays move into one contiguous buffer after the
-        # layers drew their initial values; the layers keep reshaped views,
-        # and slots[i] maps each trainable name of layer i to its slice
-        self.flat = np.concatenate([arr.ravel() for layer in self.layers
-                                    for _, arr in layer.parameters()])
-        self.slots = []
-        start = 0
-        for layer in self.layers:
-            slot = {}
-            for name, arr in layer.parameters():
-                slot[name] = slice(start, start + arr.size)
-                setattr(layer, name, self.flat[slot[name]].reshape(arr.shape))
-                start += arr.size
-            self.slots.append(slot)
+        # layers drew their initial values, and the running statistics into
+        # a second; slots[i] and stat_slots[i] map each name of layer i to
+        # its slice
+        self.flat, self.slots = _pool(self.layers, MlpLayer.parameters)
+        self.stats, self.stat_slots = _pool(self.layers, MlpLayer.running_stats)
+        self.drop_width = sum(layer.out_dim for layer in self.layers
+                              if layer.dropout > 0.0)
 
     @property
     def in_dim(self):
@@ -140,53 +150,56 @@ class Mlp:
             raise DimensionError(
                 f"batch shape {x.shape} incompatible with input dim {self.in_dim}")
         train = self.mode == "train"
-        if train and x.shape[0] < 2 and any(l.batch_norm for l in self.layers):
-            raise DegenerateBatchError(
-                "train-mode batch norm needs a batch of at least 2")
+        b = x.shape[0]
+        if train:
+            if b < 2 and self.stats.size:
+                raise DegenerateBatchError(
+                    "train-mode batch norm needs a batch of at least 2")
+            if self.drop_width:
+                if rng is None:
+                    raise DimensionError("train-mode dropout requires an rng")
+                uniforms = rng.uniform(b * self.drop_width)
+                used = 0
+            batch_stats = np.empty_like(self.stats)
         steps = []
-        for layer in self.layers:
-            step = {"x": x}
+        for layer, stat in zip(self.layers, self.stat_slots):
             z = x @ layer.weight.T + layer.bias
+            zhat = inv_std = keep = None
             if layer.batch_norm:
                 if train:
                     # z.mean and z.var's reductions, without their
                     # wrappers; d serves the variance and zhat
-                    b = z.shape[0]
-                    mu = np.add.reduce(z, axis=0) / b
+                    mu = np.divide(np.add.reduce(z, axis=0), b,
+                                   out=batch_stats[stat["running_mean"]])
                     d = z - mu
-                    var = np.add.reduce(d * d, axis=0) / b
+                    var = np.divide(np.add.reduce(d * d, axis=0), b,
+                                    out=batch_stats[stat["running_var"]])
                     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-                    layer.running_mean *= 1.0 - BN_MOMENTUM
-                    layer.running_mean += BN_MOMENTUM * mu
-                    layer.running_var *= 1.0 - BN_MOMENTUM
-                    layer.running_var += BN_MOMENTUM * var
                 else:
                     d = z - layer.running_mean
                     inv_std = 1.0 / np.sqrt(layer.running_var + BN_EPS)
                 zhat = d * inv_std
-                step["zhat"] = zhat
-                step["inv_std"] = inv_std
                 h = layer.gamma * zhat + layer.beta if layer.bn_affine else zhat
             else:
                 h = z
-            step["h"] = h
             if layer.activation == "relu":
                 a = np.maximum(h, 0.0)
             elif layer.activation == "sigmoid":
                 a = 1.0 / (1.0 + np.exp(-h))
-                step["sig"] = a
             else:
                 a = h
             if train and layer.dropout > 0.0:
-                if rng is None:
-                    raise DimensionError("train-mode dropout requires an rng")
-                keep = rng.uniform(a.shape) >= layer.dropout
-                step["drop_mask"] = keep
-                a = a * keep / (1.0 - layer.dropout)
-            steps.append(step)
-            x = a
-        cache = {"net": id(self), "version": self.version,
-                 "train": train, "steps": steps, "out": x}
+                n = b * layer.out_dim
+                keep = (uniforms[used:used + n].reshape(b, layer.out_dim)
+                        >= layer.dropout)
+                used += n
+            steps.append((x, zhat, inv_std, a, keep))
+            x = a if keep is None else a * keep / (1.0 - layer.dropout)
+        if train and self.stats.size:
+            self.stats *= 1.0 - BN_MOMENTUM
+            self.stats += BN_MOMENTUM * batch_stats
+        cache = {"net": id(self), "version": self.version, "train": train,
+                 "steps": steps}
         return x, cache
 
     def backward(self, cache, grad_out, params=True):
@@ -209,17 +222,15 @@ class Mlp:
             self._last_grad = grad
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
-            step = cache["steps"][i]
+            x, zhat, inv_std, a, keep = cache["steps"][i]
             slot = self.slots[i]
-            if train and layer.dropout > 0.0:
-                g = g * step["drop_mask"] / (1.0 - layer.dropout)
+            if keep is not None:
+                g = g * keep / (1.0 - layer.dropout)
             if layer.activation == "relu":
-                g = g * (step["h"] > 0.0)
+                g = g * (a > 0.0)
             elif layer.activation == "sigmoid":
-                sig = step["sig"]
-                g = g * sig * (1.0 - sig)
-            if layer.batch_norm:
-                zhat = step["zhat"]
+                g = g * a * (1.0 - a)
+            if zhat is not None:
                 if layer.bn_affine:
                     if params:
                         np.add.reduce(g * zhat, axis=0, out=grad[slot["gamma"]])
@@ -227,7 +238,6 @@ class Mlp:
                     gz = g * layer.gamma
                 else:
                     gz = g
-                inv_std = step["inv_std"]
                 if train:
                     b = gz.shape[0]
                     g = (inv_std / b) * (
@@ -236,11 +246,30 @@ class Mlp:
                 else:
                     g = gz * inv_std
             if params:
-                np.matmul(g.T, step["x"],
+                np.matmul(g.T, x,
                           out=grad[slot["weight"]].reshape(layer.weight.shape))
                 np.add.reduce(g, axis=0, out=grad[slot["bias"]])
             g = g @ layer.weight
         return grad, g
+
+
+def _pool(layers, named):
+    """Move the arrays `named(layer)` lists for each layer into one new
+    contiguous buffer, in order, and rebind each to a reshaped view of it.
+    Returns the buffer and, per layer, a dict of name -> slice."""
+    pairs = [named(layer) for layer in layers]
+    buffer = np.empty(sum(arr.size for group in pairs for _, arr in group))
+    slots = []
+    start = 0
+    for layer, group in zip(layers, pairs):
+        slot = {}
+        for name, arr in group:
+            slot[name] = slice(start, start + arr.size)
+            buffer[slot[name]] = arr.ravel()
+            setattr(layer, name, buffer[slot[name]].reshape(arr.shape))
+            start += arr.size
+        slots.append(slot)
+    return buffer, slots
 
 
 def mlp_stack(in_dim, out_dim, hidden_width, hidden_depth, rng: Rng,

@@ -396,6 +396,25 @@ def test_cffd_volume_immovable_infeasible(sphere):
                      VolumeConstraint(1.1 * volume_of(sphere)))
 
 
+def test_cffd_volume_pass_on_a_symmetric_free_plane_infeasible(sphere):
+    # moving the middle z-plane of a box symmetric about the sphere along z
+    # leaves the volume unchanged, so an equal-thirds z pass cannot take its
+    # share (its row is zero up to roundoff); x can close the whole deficit
+    lattice = box_lattice(sphere, grid=(1, 1, 2))
+    weights = np.where(lattice.control_points_local()[:, 2] == 0.5, 1.0, 0.0)
+    dp = np.zeros((lattice.n_control, 3))
+    target = 0.94 * volume_of(sphere)
+    with pytest.raises(InfeasibleConstraintError, match="component z"):
+        cffd_correct(lattice, dp, sphere,
+                     VolumeConstraint(target, split="equal-thirds"),
+                     weights=weights)
+    delta = cffd_correct(lattice, dp, sphere, VolumeConstraint(target),
+                         weights=weights)
+    deformed, _ = ffd_map(lattice, delta, sphere.vertices)
+    achieved = volume_of(TriSurface(deformed, sphere.faces))
+    assert abs(achieved - target) <= 1e-9 * target
+
+
 def test_cffd_volume(sphere):
     rng = Rng(6)
     lattice = box_lattice(sphere)

@@ -90,6 +90,21 @@ def test_volume_enforcer_empty_batch():
     assert enforcer.backward(cache, out).shape == out.shape
 
 
+@pytest.mark.parametrize("split", [None, "first-pass", "equal-thirds"])
+def test_enforcer_backward_maps_zero_to_exact_zeros(split):
+    # BEGAN skips the fake-term backward at k_t = 0 on this property
+    kind = "barycenter" if split is None else "volume"
+    vertices, constraint, base = make_dataset(constraint_kind=kind)
+    if split is None:
+        enforcer = LinearEnforcer(constraint)
+    else:
+        constraint = VolumeConstraint(1.1 * volume_of(base), split=split)
+        enforcer = VolumeEnforcer(constraint, base.faces)
+    clouds = vertices[:4].reshape(4, -1)
+    out, cache = enforcer.forward(clouds)
+    assert np.all(enforcer.backward(cache, np.zeros_like(out)) == 0.0)
+
+
 def chain_gradients(enforcer, clouds, h=1e-6):
     """Decoder parameter gradients of decode -> PCA reconstruct -> enforce
     -> half squared error over a batch of 4 latents, from the backward pass
@@ -329,6 +344,37 @@ def test_volume_models_satisfy_volume(kind):
         assert abs(volume_of(surf) - constraint.target) <= 1e-9 * constraint.target
 
 
+@pytest.mark.parametrize("constraint_kind", ["barycenter", "volume"])
+def test_began_trains_the_fake_term_while_k_is_positive(monkeypatch,
+                                                        constraint_kind):
+    # k_t starts at 0.5, so every discriminator step takes the fake-term
+    # gradient; from k0 = 0 the same data and seed train another discriminator
+    vertices, constraint, base = make_dataset(constraint_kind=constraint_kind)
+    ks = []
+
+    def recording_update(k, *args):
+        ks.append(k)
+        return began_k_update(k, *args)
+
+    monkeypatch.setattr("cgmkit.generative.began_k_update", recording_update)
+    model = train_model("began", vertices, base.faces, constraint,
+                        small_config(epochs=6, k0=0.5))
+    assert len(ks) == 18 and min(ks) > 0.0 and model.k_final > 0.0
+    out, _ = model.sample(6, Rng(52))
+    for cloud in out:
+        if constraint_kind == "barycenter":
+            assert np.max(np.abs(barycenter_of(cloud) - constraint.target)) <= 1e-10
+        else:
+            assert abs(volume_of(TriSurface(cloud, model.faces))
+                       - constraint.target) <= 1e-9 * constraint.target
+    ks.clear()
+    at_zero = train_model("began", vertices, base.faces, constraint,
+                          small_config(epochs=6))
+    assert max(ks) == 0.0
+    for name in ("disc_enc", "disc_dec"):
+        assert not np.array_equal(model.nets[name].flat, at_zero.nets[name].flat)
+
+
 def test_sampling_deterministic_stl_bytes(tmp_path):
     vertices, constraint, base = make_dataset()
     model = train_model("ae", vertices, base.faces, constraint,
@@ -386,6 +432,13 @@ def test_checkpoint_load_writes_through_flat_buffers(tmp_path):
         assert np.array_equal(net.flat, np.concatenate(
             [tensors[f"net.{net_name}.layer{i}.{name}"].ravel()
              for i, name in names]))
+        stats = [(i, name) for i, slots in enumerate(net.stat_slots)
+                 for name in slots]
+        assert stats and all(
+            np.shares_memory(getattr(net.layers[i], name), net.stats)
+            for i, name in stats)
+        assert np.array_equal(net.stats, np.concatenate(
+            [tensors[f"net.{net_name}.layer{i}.{name}"] for i, name in stats]))
 
 
 def test_checkpoint_bytes_reproducible(tmp_path):

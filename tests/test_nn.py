@@ -247,6 +247,11 @@ def test_parameters_are_views_into_one_flat_buffer():
     # layers that own their arrays
     loose = MlpLayer(3, 8, Rng(6), activation="relu", batch_norm=True)
     assert np.array_equal(net.layers[0].weight, loose.weight)
+    # the running statistics are views into a second buffer, `stats`
+    stats = [arr for layer in net.layers
+             for arr in (layer.running_mean, layer.running_var)]
+    assert all(np.shares_memory(arr, net.stats) for arr in stats)
+    assert np.array_equal(net.stats, np.concatenate(stats))
 
 
 def test_backward_returns_a_fresh_flat_gradient():
@@ -345,7 +350,7 @@ def test_train_batch_norm_matches_numpy_mean_and_var():
         z = a @ layer.weight.T + layer.bias
         mu, var = z.mean(axis=0), z.var(axis=0)
         zhat = (z - mu) * (1.0 / np.sqrt(var + BN_EPS))
-        assert np.array_equal(step["zhat"], zhat)
+        assert np.array_equal(step[1], zhat)
         layer.running_mean *= 1.0 - BN_MOMENTUM
         layer.running_mean += BN_MOMENTUM * mu
         layer.running_var *= 1.0 - BN_MOMENTUM
@@ -359,3 +364,38 @@ def test_train_batch_norm_matches_numpy_mean_and_var():
     for layer, want in zip(net.layers, ref.layers):
         assert np.array_equal(layer.running_mean, want.running_mean)
         assert np.array_equal(layer.running_var, want.running_var)
+
+
+# --- one dropout draw, one running-statistics buffer, tuple caches -----------
+
+def test_train_pass_draws_all_dropout_uniforms_at_once():
+    # the stream continues exactly B * (sum of dropout widths) further on
+    net = mlp_stack(4, 3, 8, 2, Rng(11), dropout=0.2).train()
+    x = Rng(12).normal((6, 4))
+    drop = Rng(13)
+    net.forward(x, rng=drop)
+    n = 6 * net.drop_width
+    assert net.drop_width == 16
+    assert np.array_equal(drop.uniform(5), Rng(13).uniform(n + 5)[n:])
+
+
+def test_failed_train_forward_leaves_running_stats():
+    net = mlp_stack(4, 2, 8, 2, Rng(0), dropout=0.1, final_batch_norm=True)
+    net.forward(Rng(1).normal((5, 4)), rng=Rng(2))  # non-trivial statistics
+    before = [(layer.running_mean.copy(), layer.running_var.copy())
+              for layer in net.layers]
+    with pytest.raises(DimensionError, match="requires an rng"):
+        net.forward(Rng(3).normal((5, 4)))
+    for layer, (mean, var) in zip(net.layers, before):
+        assert np.array_equal(layer.running_mean, mean)
+        assert np.array_equal(layer.running_var, var)
+
+
+@pytest.mark.parametrize("params", [True, False])
+def test_train_mode_zero_gradient_gives_exact_zeros(params):
+    net = mlp_stack(4, 3, 8, 2, Rng(9), dropout=0.3,
+                    final_batch_norm=True).train()
+    out, cache = net.forward(Rng(10).normal((5, 4)), rng=Rng(11))
+    grad, gin = net.backward(cache, np.zeros_like(out), params=params)
+    assert np.all(gin == 0.0)
+    assert not params or np.all(grad == 0.0)

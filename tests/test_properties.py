@@ -13,12 +13,13 @@ import itertools
 from functools import partial
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 
 from cgmkit.constraints import (VolumeConstraint, achieved_value,
                                 barycenter_constraint, cffd_correct,
                                 constraint_residual, project_volume,
                                 volume_gradient)
+from cgmkit.errors import InfeasibleConstraintError
 from cgmkit.generative import VolumeEnforcer
 from cgmkit.geometry import (FfdLattice, TriSurface, barycenter_of, ffd_map,
                              is_closed, synth_shape, volume_of)
@@ -63,7 +64,13 @@ def test_cffd_volume_exact_and_pinned_rows_zero(grid, sigma, pins, order,
                                                 split, scale, seed):
     lattice, weights, pinned, dp = pinned_setup(grid, pins, sigma, seed)
     constraint = VolumeConstraint(scale * V0, order=order, split=split)
-    delta = cffd_correct(lattice, dp, BASE, constraint, weights=weights)
+    try:
+        delta = cffd_correct(lattice, dp, BASE, constraint, weights=weights)
+    except InfeasibleConstraintError as err:
+        # a pass whose row vanishes on the free control points, such as a z
+        # pass on the middle z-plane alone (`test_constraints` pins one)
+        assert "is zero on every free control point" in str(err)
+        reject()
     deformed, _ = ffd_map(lattice, dp + delta, BASE.vertices)
     achieved = volume_of(TriSurface(deformed, BASE.faces))
     assert abs(achieved - constraint.target) <= 1e-9 * constraint.target
