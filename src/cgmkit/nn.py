@@ -12,8 +12,6 @@ through them land in the buffer. `Mlp.backward` returns the parameter
 gradient in the same layout, and `AdamW` steps each buffer as one array
 with that gradient. A caller that needs only the gradient with respect to
 the input passes `params=False`, and no parameter gradient is computed.
-The batch-norm running means and variances live the same way in a second
-buffer (`stats`), viewed by each layer's `running_mean` and `running_var`.
 
 Batch norm uses biased (1/B) batch variance for both normalization and the
 running statistics; eval mode is a fixed affine transform, so it needs no
@@ -26,9 +24,8 @@ output, so the statistics equal numpy's bit for bit.
 A train-mode pass draws every dropout uniform it needs in one
 `rng.uniform` call before the first layer and slices it per layer in
 layer order; the stream fills sequentially, so the masks are those of one
-draw per layer. It writes each layer's batch statistics into a scratch
-buffer laid out like `stats` and moves the running statistics once, after
-the last layer, so a pass that raises leaves them as they were. The cache
+draw per layer. Its checks (batch size, rng) run before the first layer,
+so a pass that raises leaves the running statistics as they were. The cache
 holds one tuple per layer: its input, the normalized batch and inverse
 standard deviation (batch norm), the activation output and the dropout
 keep mask, None where the layer has no such part.
@@ -78,17 +75,13 @@ class MlpLayer:
             params += [("gamma", self.gamma), ("beta", self.beta)]
         return params
 
-    def running_stats(self):
-        if not self.batch_norm:
-            return []
-        return [("running_mean", self.running_mean),
-                ("running_var", self.running_var)]
-
     def state_tensors(self):
         state = [("weight", self.weight), ("bias", self.bias)]
         if self.batch_norm:
-            state += [("gamma", self.gamma), ("beta", self.beta)]
-        return state + self.running_stats()
+            state += [("gamma", self.gamma), ("beta", self.beta),
+                      ("running_mean", self.running_mean),
+                      ("running_var", self.running_var)]
+        return state
 
 
 class Mlp:
@@ -103,11 +96,19 @@ class Mlp:
         self.mode = "train"
         self.version = 0
         # the trainable arrays move into one contiguous buffer after the
-        # layers drew their initial values, and the running statistics into
-        # a second; slots[i] and stat_slots[i] map each name of layer i to
-        # its slice
-        self.flat, self.slots = _pool(self.layers, MlpLayer.parameters)
-        self.stats, self.stat_slots = _pool(self.layers, MlpLayer.running_stats)
+        # layers drew their initial values; the layers keep reshaped views,
+        # and slots[i] maps each trainable name of layer i to its slice
+        self.flat = np.concatenate([arr.ravel() for layer in self.layers
+                                    for _, arr in layer.parameters()])
+        self.slots = []
+        start = 0
+        for layer in self.layers:
+            slot = {}
+            for name, arr in layer.parameters():
+                slot[name] = slice(start, start + arr.size)
+                setattr(layer, name, self.flat[slot[name]].reshape(arr.shape))
+                start += arr.size
+            self.slots.append(slot)
         self.drop_width = sum(layer.out_dim for layer in self.layers
                               if layer.dropout > 0.0)
 
@@ -152,7 +153,7 @@ class Mlp:
         train = self.mode == "train"
         b = x.shape[0]
         if train:
-            if b < 2 and self.stats.size:
+            if b < 2 and any(l.batch_norm for l in self.layers):
                 raise DegenerateBatchError(
                     "train-mode batch norm needs a batch of at least 2")
             if self.drop_width:
@@ -160,21 +161,22 @@ class Mlp:
                     raise DimensionError("train-mode dropout requires an rng")
                 uniforms = rng.uniform(b * self.drop_width)
                 used = 0
-            batch_stats = np.empty_like(self.stats)
         steps = []
-        for layer, stat in zip(self.layers, self.stat_slots):
+        for layer in self.layers:
             z = x @ layer.weight.T + layer.bias
             zhat = inv_std = keep = None
             if layer.batch_norm:
                 if train:
                     # z.mean and z.var's reductions, without their
                     # wrappers; d serves the variance and zhat
-                    mu = np.divide(np.add.reduce(z, axis=0), b,
-                                   out=batch_stats[stat["running_mean"]])
+                    mu = np.add.reduce(z, axis=0) / b
                     d = z - mu
-                    var = np.divide(np.add.reduce(d * d, axis=0), b,
-                                    out=batch_stats[stat["running_var"]])
+                    var = np.add.reduce(d * d, axis=0) / b
                     inv_std = 1.0 / np.sqrt(var + BN_EPS)
+                    layer.running_mean *= 1.0 - BN_MOMENTUM
+                    layer.running_mean += BN_MOMENTUM * mu
+                    layer.running_var *= 1.0 - BN_MOMENTUM
+                    layer.running_var += BN_MOMENTUM * var
                 else:
                     d = z - layer.running_mean
                     inv_std = 1.0 / np.sqrt(layer.running_var + BN_EPS)
@@ -195,9 +197,6 @@ class Mlp:
                 used += n
             steps.append((x, zhat, inv_std, a, keep))
             x = a if keep is None else a * keep / (1.0 - layer.dropout)
-        if train and self.stats.size:
-            self.stats *= 1.0 - BN_MOMENTUM
-            self.stats += BN_MOMENTUM * batch_stats
         cache = {"net": id(self), "version": self.version, "train": train,
                  "steps": steps}
         return x, cache
@@ -251,25 +250,6 @@ class Mlp:
                 np.add.reduce(g, axis=0, out=grad[slot["bias"]])
             g = g @ layer.weight
         return grad, g
-
-
-def _pool(layers, named):
-    """Move the arrays `named(layer)` lists for each layer into one new
-    contiguous buffer, in order, and rebind each to a reshaped view of it.
-    Returns the buffer and, per layer, a dict of name -> slice."""
-    pairs = [named(layer) for layer in layers]
-    buffer = np.empty(sum(arr.size for group in pairs for _, arr in group))
-    slots = []
-    start = 0
-    for layer, group in zip(layers, pairs):
-        slot = {}
-        for name, arr in group:
-            slot[name] = slice(start, start + arr.size)
-            buffer[slot[name]] = arr.ravel()
-            setattr(layer, name, buffer[slot[name]].reshape(arr.shape))
-            start += arr.size
-        slots.append(slot)
-    return buffer, slots
 
 
 def mlp_stack(in_dim, out_dim, hidden_width, hidden_depth, rng: Rng,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cgmkit import generative
 from cgmkit.checkpoint import load_tensors
 from cgmkit.constraints import (VolumeConstraint, barycenter_constraint,
                                 sample_cffd_dataset)
@@ -375,6 +376,66 @@ def test_began_trains_the_fake_term_while_k_is_positive(monkeypatch,
         assert not np.array_equal(model.nets[name].flat, at_zero.nets[name].flat)
 
 
+@pytest.mark.parametrize("constraint_kind", ["barycenter", "volume"])
+def test_began_discriminator_gradient_matches_central_differences(
+        monkeypatch, constraint_kind):
+    # the gradient one BEGAN step hands the discriminator's optimizer against
+    # central differences of the loss f(real) - k f(G(Enc(real))) it returns,
+    # at k = 0.5 (fake-term backward on) and k = 0 (skipped); the step runs
+    # with a fresh dropout stream each call and optimizers that only record
+    vertices, constraint, base = make_dataset(constraint_kind=constraint_kind)
+    grads = []
+
+    class Recorder:
+        def step(self, g):
+            grads.append([a.copy() for a in g])
+
+    fit = generative._fit
+    caught = {}
+
+    def fit_untrained(kind, vertices, faces, constraint, config, make_step):
+        def make(model, rng):
+            caught["model"], caught["step"] = model, make_step(model, rng)
+            return lambda *args: (0.0,)
+        return fit(kind, vertices, faces, constraint, config, make)
+
+    monkeypatch.setattr(generative, "_optimizer", lambda config, *nets: Recorder())
+    monkeypatch.setattr(generative, "_fit", fit_untrained)
+    train_model("began", vertices, base.faces, constraint,
+                small_config(epochs=1))
+    model, step = caught["model"], caught["step"]
+    x = vertices[:8].reshape(8, -1)
+    coords = model.pca.project(x)
+
+    def loss_and_disc_grads(k):
+        model.k_final = k
+        grads.clear()
+        loss_d, _ = step(x, coords, Rng(7), (0, 0))
+        return loss_d, grads[0]  # the discriminator step comes first
+
+    flats = [model.nets["disc_enc"].flat, model.nets["disc_dec"].flat]
+    directions = [Rng(8).derive(i).normal(flat.shape)
+                  for i, flat in enumerate(flats)]
+    h = 1e-6
+    slopes = {}
+    for k in (0.5, 0.0):
+        _, disc_grads = loss_and_disc_grads(k)
+        for i, (flat, v) in enumerate(zip(flats, directions)):
+            start = flat.copy()
+            flat[:] = start + h * v
+            plus = loss_and_disc_grads(k)[0]
+            flat[:] = start - h * v
+            minus = loss_and_disc_grads(k)[0]
+            flat[:] = start
+            fd = (plus - minus) / (2 * h)
+            assert abs(disc_grads[i] @ v - fd) <= 1e-6 * max(1.0, abs(fd))
+            slopes[k, i] = fd
+    # the fake term moves both nets' slopes far beyond the tolerance
+    for i in range(2):
+        assert abs(slopes[0.5, i] - slopes[0.0, i]) > 1e-3 * max(
+            1.0, abs(slopes[0.0, i]))
+
+
 def test_sampling_deterministic_stl_bytes(tmp_path):
     vertices, constraint, base = make_dataset()
     model = train_model("ae", vertices, base.faces, constraint,
@@ -432,13 +493,6 @@ def test_checkpoint_load_writes_through_flat_buffers(tmp_path):
         assert np.array_equal(net.flat, np.concatenate(
             [tensors[f"net.{net_name}.layer{i}.{name}"].ravel()
              for i, name in names]))
-        stats = [(i, name) for i, slots in enumerate(net.stat_slots)
-                 for name in slots]
-        assert stats and all(
-            np.shares_memory(getattr(net.layers[i], name), net.stats)
-            for i, name in stats)
-        assert np.array_equal(net.stats, np.concatenate(
-            [tensors[f"net.{net_name}.layer{i}.{name}"] for i, name in stats]))
 
 
 def test_checkpoint_bytes_reproducible(tmp_path):

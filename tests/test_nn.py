@@ -247,11 +247,6 @@ def test_parameters_are_views_into_one_flat_buffer():
     # layers that own their arrays
     loose = MlpLayer(3, 8, Rng(6), activation="relu", batch_norm=True)
     assert np.array_equal(net.layers[0].weight, loose.weight)
-    # the running statistics are views into a second buffer, `stats`
-    stats = [arr for layer in net.layers
-             for arr in (layer.running_mean, layer.running_var)]
-    assert all(np.shares_memory(arr, net.stats) for arr in stats)
-    assert np.array_equal(net.stats, np.concatenate(stats))
 
 
 def test_backward_returns_a_fresh_flat_gradient():
@@ -366,7 +361,7 @@ def test_train_batch_norm_matches_numpy_mean_and_var():
         assert np.array_equal(layer.running_var, want.running_var)
 
 
-# --- one dropout draw, one running-statistics buffer, tuple caches -----------
+# --- one dropout draw, checks before the first layer, tuple caches ----------
 
 def test_train_pass_draws_all_dropout_uniforms_at_once():
     # the stream continues exactly B * (sum of dropout widths) further on
