@@ -5,12 +5,13 @@ squares.
 Clouds are vectorized row-wise: vec(cloud) = (x1, y1, z1, x2, y2, z2, ...),
 matching a C-order reshape of an (M, 3) array. The enclosed volume of a
 closed triangulation is trilinear: linear-homogeneous in each coordinate
-component with the other two fixed, so volume is enforced exactly with one
-affine solve per component pass. `project_volume` is the one implementation
-of that sequential projection, shared by constrained FFD and the generative
-models' enforcing layer. `cffd_correct` corrects a stack of displacements
-in one solve, and `sample_cffd_dataset` returns a stack (n, M, 3) on the
-base faces; `achieved_value` and `constraint_residual` check one.
+component with the other two fixed. With y and z frozen it is affine in x,
+so volume is enforced exactly by one minimum-norm step on the x
+coordinates. `project_volume` is the one implementation of that projection,
+shared by constrained FFD and the generative models' enforcing layer.
+`cffd_correct` corrects a stack of displacements in one solve, and
+`sample_cffd_dataset` returns a stack (n, M, 3) on the base faces;
+`achieved_value` and `constraint_residual` check one.
 """
 
 from dataclasses import dataclass, field
@@ -58,39 +59,14 @@ class LinearConstraint:
 
 @dataclass
 class VolumeConstraint:
-    """Target enclosed volume, enforced component after component."""
+    """Target enclosed volume, enforced by one minimum-norm step on the x
+    coordinates with y and z frozen."""
 
     target: float
-    order: tuple = ("x", "y", "z")
-    split: str = "first-pass"
     kind: str = field(default="volume", init=False)
 
     def __post_init__(self):
         self.target = float(self.target)
-        self.order = tuple(self.order)
-        if sorted(self.order) != ["x", "y", "z"]:
-            raise DimensionError(f"'constraint.order' must permute (x, y, z), "
-                                 f"got {self.order}")
-        if self.split not in ("first-pass", "equal-thirds"):
-            raise DimensionError(
-                f"'constraint.split' names unknown split mode {self.split!r}")
-
-    def pass_plan(self, current):
-        """(component, target volume after the pass) for each pass, from the
-        current volume or an array of them (then the targets are arrays)."""
-        if self.split == "first-pass":
-            return [(self.order[0], self.target)]
-        deficit = self.target - current
-        return [(comp, current + deficit * (k + 1) / 3.0)
-                for k, comp in enumerate(self.order)]
-
-    def pass_slopes(self):
-        """d(target after the pass)/d(current volume) for each pass of
-        `pass_plan`: the equal-thirds targets move with the volume the
-        projection starts from."""
-        if self.split == "first-pass":
-            return [0.0]
-        return [1.0 - (k + 1) / 3.0 for k in range(3)]
 
 
 def barycenter_constraint(n_points: int, target) -> LinearConstraint:
@@ -127,52 +103,38 @@ def volume_constraint_row(surface: TriSurface, component: str):
 
 def project_volume(clouds, faces, constraint: VolumeConstraint, basis=None,
                    weights=None):
-    """Sequential volume projection of a (B, M, 3) batch of clouds on closed
-    faces (the caller checks closedness): each pass freezes two components,
-    so the volume is affine in component c with row r, and the pass deficit
-    d is closed by the minimum-norm step. Each pass computes only the row r
-    and takes the current volume as V = r . x_c, which is exact because the
-    volume is linear-homogeneous in each component. The vertices move by
-    r s with s = d / (r . r), or with a basis (M, F) by basis @ p,
-    p = (a / w^2) s with s = d / (a . a / w^2), a = r @ basis. A pass whose
-    a is zero up to RANK_TOL * |r| * |basis| cannot move the volume (its
-    step would scale with 1 / roundoff) and raises
-    InfeasibleConstraintError. Returns (clouds, passes), passes holding (c,
-    rows (B, M), p, component c before the pass (B, M), s (B,)) each (p is
-    the vertex step r s without a basis)."""
+    """Volume projection of a (B, M, 3) batch of clouds on closed faces (the
+    caller checks closedness) by one step on the x coordinates. With y and z
+    frozen the volume is affine in x with row r (`geometry.volume_rows`),
+    and the current volume is V = r . x exactly, because the volume is
+    linear-homogeneous in x. The deficit d = T - V is closed by the
+    minimum-norm step: x moves by r s with s = d / (r . r), or with a basis
+    (M, F) by basis @ p, p = (a / w^2) s with s = d / (a . a / w^2),
+    a = r @ basis. An a that is zero up to RANK_TOL * |r| * |basis| cannot
+    move the volume (its step would scale with 1 / roundoff) and raises
+    InfeasibleConstraintError. Returns (clouds, (rows (B, M), p, x before
+    the step (B, M), s (B,))), p being the vertex step r s without a
+    basis."""
     clouds = np.array(clouds, dtype=np.float64)
-
-    def row_and_volume(c):
-        rows = volume_rows(clouds, faces, c)
-        if not np.all(np.any(rows, axis=1)):
-            raise DegenerateSurfaceError(
-                "all-zero volume row (degenerate surface)")
-        return rows, np.vecdot(rows, clouds[:, :, c])
-
-    basis_norm = 0.0 if basis is None else np.linalg.norm(basis)
-    passes = []
-    rows, current = row_and_volume(_COMPONENTS[constraint.order[0]])
-    for k, (component, pass_target) in enumerate(constraint.pass_plan(current)):
-        c = _COMPONENTS[component]
-        if k:
-            rows, current = row_and_volume(c)
-        # per-cloud products (a stack of 1-row matmuls) keep each cloud's
-        # result independent of the batch size
-        a = rows if basis is None else (rows[:, None] @ basis)[:, 0]
-        aw = a if weights is None else a / weights ** 2
-        norm = np.vecdot(a, aw)
-        if basis is not None and not np.all(
-                np.linalg.norm(a, axis=1)
-                > RANK_TOL * basis_norm * np.linalg.norm(rows, axis=1)):
-            raise InfeasibleConstraintError(
-                f"volume row of component {component} is zero on every free "
-                f"control point")
-        scale = (pass_target - current) / norm
-        p = aw * scale[:, None]
-        before = clouds[:, :, c].copy()
-        clouds[:, :, c] += p if basis is None else (p[:, None] @ basis.T)[:, 0]
-        passes.append((c, rows, p, before, scale))
-    return clouds, passes
+    rows = volume_rows(clouds, faces, 0)
+    if not np.all(np.any(rows, axis=1)):
+        raise DegenerateSurfaceError("all-zero volume row (degenerate surface)")
+    current = np.vecdot(rows, clouds[:, :, 0])
+    # per-cloud products (a stack of 1-row matmuls) keep each cloud's result
+    # independent of the batch size
+    a = rows if basis is None else (rows[:, None] @ basis)[:, 0]
+    aw = a if weights is None else a / weights ** 2
+    norm = np.vecdot(a, aw)
+    if basis is not None and not np.all(
+            np.linalg.norm(a, axis=1)
+            > RANK_TOL * np.linalg.norm(basis) * np.linalg.norm(rows, axis=1)):
+        raise InfeasibleConstraintError(
+            "volume row of component x is zero on every free control point")
+    scale = (constraint.target - current) / norm
+    p = aw * scale[:, None]
+    before = clouds[:, :, 0].copy()
+    clouds[:, :, 0] += p if basis is None else (p[:, None] @ basis.T)[:, 0]
+    return clouds, (rows, p, before, scale)
 
 
 def achieved_value(constraint, vertices, faces) -> np.ndarray:
@@ -248,13 +210,12 @@ def cffd_correct(lattice: FfdLattice, displacement, surface: TriSurface,
             raise DimensionError(
                 "component-wise volume enforcement needs an axis-aligned lattice")
         require_closed(surface.faces)
-        # deformed component coords are affine in the component of the free
-        # displacements: x_c += influence @ (a_cc * delta_c)
-        _, passes = project_volume(
+        # deformed x coordinates are affine in the x displacements of the
+        # free control points: x += influence @ (a_xx * delta_x)
+        _, (_, p, _, _) = project_volume(
             deformed, surface.faces, constraint, basis=influence,
             weights=None if weights is None else weights[free])
-        for c, _, p, _, _ in passes:
-            delta[:, free, c] += p / lattice.a_phi[c, c]
+        delta[:, free, 0] += p / lattice.a_phi[0, 0]
         return delta.reshape(np.shape(displacement))
 
     if constraint.dim != 3 * len(points):

@@ -7,12 +7,11 @@ project onto the constraint set with a final enforcing layer. The
 enforcing layer runs in training and in sampling, so every emitted
 sample satisfies the constraint exactly; its backward pass uses the
 projector (I - A^+ A) for linear constraints and the exact
-vector-Jacobian product of the sequential projection for volume,
-including how each pass's volume row moves with the two components it
-freezes. The volume layer is a batched call of the one sequential volume
-projection, `constraints.project_volume`, which constrained FFD also
-uses; each pass computes only the volume-gradient component it moves
-(`geometry.volume_rows`). `decode_vjp` keeps an eval-mode decode's
+vector-Jacobian product of the volume projection, including how its x
+volume row moves with the frozen y and z. The volume layer is a batched
+call of the one volume projection, `constraints.project_volume`, which
+constrained FFD also uses; it computes only the x component of the volume
+gradient (`geometry.volume_rows`). `decode_vjp` keeps an eval-mode decode's
 caches, so gradients with respect to the latents take one backward pass.
 Every kind trains in one loop (`_fit`) over nets built from one layout
 table (`net_specs`), supplying only its per-batch step. Each net's
@@ -112,20 +111,16 @@ class LinearEnforcer:
 
 class VolumeEnforcer:
     """The batched layer of `constraints.project_volume` over a (B, 3M)
-    batch of vectorized clouds: each pass freezes the other two components
-    and takes the minimum-norm step onto the exactly affine single-row
-    constraint. The cache is the output cloud (B, M, 3), which the caller
-    must not write to, and the kernel's passes.
+    batch of vectorized clouds: y and z stay frozen and x takes the
+    minimum-norm step onto the exactly affine single-row constraint. The
+    cache is the output cloud (B, M, 3), which the caller must not write
+    to, and the kernel's step.
 
-    The backward pass is the exact vector-Jacobian product. A pass maps
-    x_c to x_c + s r with s = (T - r . x_c) / (r . r), and its row r is
-    bilinear in the two frozen components, so the pass backward is the
-    projector on g_c plus the derivative of r contracted with
-    u = s g_c - (g_c . r) / (r . r) (x_c + 2 s r): two cofactor scatters
-    (`geometry.volume_rows_vjp`). Equal-thirds targets T_k move with the
-    input volume V_in = r_0 . x_c0, which adds
-    sum_k (g_c . r_k) / (r_k . r_k) dT_k/dV_in times grad V_in, folded into
-    the first pass."""
+    The backward pass is the exact vector-Jacobian product. The step maps x
+    to x + s r with s = (T - r . x) / (r . r), and its row r is bilinear in
+    y and z, so the backward pass is the projector on g_x plus the
+    derivative of r contracted with u = s g_x - (g_x . r) / (r . r)
+    (x + 2 s r): two cofactor scatters (`geometry.volume_rows_vjp`)."""
 
     def __init__(self, constraint: VolumeConstraint, faces):
         self.constraint = constraint
@@ -141,41 +136,26 @@ class VolumeEnforcer:
 
     def forward(self, clouds):
         clouds = np.asarray(clouds, dtype=np.float64)
-        out, passes = project_volume(
+        out, step = project_volume(
             clouds.reshape(len(clouds), clouds.shape[1] // 3, 3), self.faces,
             self.constraint)
-        return out.reshape(clouds.shape), (out, passes)
+        return out.reshape(clouds.shape), (out, step)
 
     def backward(self, cache, grad):
-        out, passes = cache
+        out, (rows, _, before, s) = cache
         grad = np.array(grad, dtype=np.float64)
         g = grad.reshape(out.shape)
         m = out.shape[1]
         if m not in self._index:
             self._index[m] = corner_index(self.faces, m)
-        # every pass moves its own component, so going back from the output
-        # each component is at its pass input once its later passes are undone
-        x = [out[:, :, j] for j in range(3)]
-        slopes = self.constraint.pass_slopes()
-        w = 0.0
-        for k in range(len(passes) - 1, -1, -1):
-            c, rows, _, before, s = passes[k]
-            x[c] = before
-            g_c = g[:, :, c]
-            gr = np.vecdot(rows, g_c) / np.vecdot(rows, rows)
-            w = w + gr * slopes[k]
-            u = (s[:, None] * g_c
-                 - gr[:, None] * (before + 2.0 * s[:, None] * rows))
-            g_c -= gr[:, None] * rows
-            if k == 0 and any(slopes):
-                # grad V_in is r_0 in component c0 and, in the frozen two,
-                # the cofactor rows that u + w x_c0 scatters
-                u += w[:, None] * before
-                g_c += w[:, None] * rows
-            grad_a, grad_b = volume_rows_vjp(u, x[(c + 1) % 3], x[(c + 2) % 3],
-                                             self.faces, self._index[m])
-            g[:, :, (c + 1) % 3] += grad_a
-            g[:, :, (c + 2) % 3] += grad_b
+        g_x = g[:, :, 0]
+        gr = np.vecdot(rows, g_x) / np.vecdot(rows, rows)
+        u = s[:, None] * g_x - gr[:, None] * (before + 2.0 * s[:, None] * rows)
+        g_x -= gr[:, None] * rows
+        grad_y, grad_z = volume_rows_vjp(u, out[:, :, 1], out[:, :, 2],
+                                         self.faces, self._index[m])
+        g[:, :, 1] += grad_y
+        g[:, :, 2] += grad_z
         return grad
 
 
@@ -610,13 +590,10 @@ def save_model(model: GenerativeModel, path):
         for f in fields(GmConfig)]
     if isinstance(constraint, VolumeConstraint):
         tensors["constraint.target"] = np.array([constraint.target])
-        lines += ["constraint.kind=volume",
-                  f"constraint.order={','.join(constraint.order)}",
-                  f"constraint.split={constraint.split}"]
     else:
         tensors["constraint.matrix"] = constraint.matrix
         tensors["constraint.target"] = constraint.target
-        lines.append(f"constraint.kind={constraint.kind}")
+    lines.append(f"constraint.kind={constraint.kind}")
     save_tensors(path, tensors)
     with open(str(path) + ".txt", "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -662,10 +639,7 @@ def load_model(path) -> GenerativeModel:
     constraint_kind = entry("constraint.kind", ("volume", "barycenter", "linear"))
     try:  # the constraints' DimensionErrors name the key at fault
         if constraint_kind == "volume":
-            order = tuple(entry("constraint.order").split(","))
-            constraint = VolumeConstraint(
-                tensor("constraint.target", (1,))[0], order=order,
-                split=entry("constraint.split"))
+            constraint = VolumeConstraint(tensor("constraint.target", (1,))[0])
         else:
             barycenter = constraint_kind == "barycenter"
             matrix = tensor("constraint.matrix", (3 if barycenter else None, dim))

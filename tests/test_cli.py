@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,18 +384,6 @@ def _without_tensor(key):
         {k: v for k, v in tensors.items() if k != key}, lines)
 
 
-def _as_volume(order, split):
-    """The checkpoint's constraint rewritten as a volume one with the given
-    sidecar order and split."""
-    def edit(tensors, lines):
-        tensors = {k: v for k, v in tensors.items() if k != "constraint.matrix"}
-        lines = [l for l in lines if not l.startswith("constraint.")]
-        return ({**tensors, "constraint.target": np.array([1.0])},
-                lines + ["constraint.kind=volume", f"constraint.order={order}",
-                         f"constraint.split={split}"])
-    return edit
-
-
 # case -> (edit of the ae checkpoint's tensors and sidecar lines, the key
 # the diagnostic must name)
 CHECKPOINT_DEFECTS = {
@@ -424,8 +413,6 @@ CHECKPOINT_DEFECTS = {
     "unknown-constraint-kind": (lambda t, lines: (t, [
         "constraint.kind=surface" if l.startswith("constraint.kind=") else l
         for l in lines]), "constraint.kind"),
-    "volume-order": (_as_volume("x,x,y", "first-pass"), "constraint.order"),
-    "volume-split": (_as_volume("x,y,z", "halves"), "constraint.split"),
     "linear-rank-deficient": (lambda t, lines: (
         {**t, "constraint.matrix": t["constraint.matrix"][[0, 1, 1]]},
         ["constraint.kind=linear" if l.startswith("constraint.kind=") else l
@@ -450,6 +437,26 @@ def test_malformed_checkpoint_exits_1_naming_key(tmp_path, trained, case,
                 str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {broken}") and repr(key) in err
+
+
+@pytest.mark.parametrize("as_checkpoint", ["volume"], indirect=True)
+def test_volume_checkpoint_with_older_sidecar_keys_samples_the_same(
+        tmp_path, as_checkpoint):
+    # older sidecars also carry constraint.order=x,y,z and
+    # constraint.split=first-pass; they are ignored, as every version wrote
+    # exactly those values for its one x pass
+    cfg, ckpt = as_checkpoint
+    older = _copy_dir(Path(ckpt).parent, tmp_path / "older") / "model_ae.cgmt"
+    sidecar = Path(str(older) + ".txt")
+    sidecar.write_text(sidecar.read_text() + "constraint.order=x,y,z\n"
+                       "constraint.split=first-pass\n")
+    assert load_model(older).constraint.kind == "volume"
+    for tag, path in (("now", ckpt), ("older", older)):
+        assert run(["sample", str(path), "--config", cfg, "--n", "5",
+                    "--seed", "3", "--out", str(tmp_path / f"gen-{tag}")]) == 0
+    for name in ("dataset.cgmt", "latents.bin"):
+        assert (tmp_path / "gen-now" / name).read_bytes() == \
+            (tmp_path / "gen-older" / name).read_bytes(), name
 
 
 def test_bad_magic_dataset_exits_1(tmp_path, trained, capsys):

@@ -30,10 +30,9 @@ def project_cloud(cloud, constraint):
     return out.reshape(-1, 3), (out - cloud).reshape(-1, 3)
 
 
-def project_volume(surface, target, order=("x", "y", "z"), split="first-pass"):
+def project_volume(surface, target):
     """VolumeEnforcer on one closed surface."""
-    constraint = VolumeConstraint(target, order=order, split=split)
-    out, _ = VolumeEnforcer(constraint, surface.faces).forward(
+    out, _ = VolumeEnforcer(VolumeConstraint(target), surface.faces).forward(
         surface.vertices.reshape(1, -1))
     return TriSurface(out.reshape(-1, 3), surface.faces)
 
@@ -126,22 +125,15 @@ def full_gradient_reference(vertices, faces):
 
 def project_volume_reference(clouds, faces, constraint):
     """`project_volume` without a basis as it was on the full gradient, with
-    each pass's volume taken as r . x_c from its own row."""
+    the volume taken as r . x from the x row r."""
     clouds = np.array(clouds, dtype=np.float64)
-    passes = []
-    c = "xyz".index(constraint.order[0])
-    rows = full_gradient_reference(clouds, faces)[:, :, c]
-    for component, target in constraint.pass_plan(
-            np.vecdot(rows, clouds[:, :, c])):
-        c = "xyz".index(component)
-        rows = full_gradient_reference(clouds, faces)[:, :, c]
-        scale = ((target - np.vecdot(rows, clouds[:, :, c]))
-                 / np.vecdot(rows, rows))
-        p = rows * scale[:, None]
-        before = clouds[:, :, c].copy()
-        clouds[:, :, c] += p
-        passes.append((c, rows, p, before, scale))
-    return clouds, passes
+    rows = full_gradient_reference(clouds, faces)[:, :, 0]
+    scale = ((constraint.target - np.vecdot(rows, clouds[:, :, 0]))
+             / np.vecdot(rows, rows))
+    p = rows * scale[:, None]
+    before = clouds[:, :, 0].copy()
+    clouds[:, :, 0] += p
+    return clouds, (rows, p, before, scale)
 
 
 @pytest.fixture(scope="module")
@@ -165,20 +157,14 @@ def test_volume_rows_bitwise_equal_full_gradient_columns(sphere, cloud_batch):
         assert np.array_equal(rows, want[:, :, c])
 
 
-@pytest.mark.parametrize("split", ["first-pass", "equal-thirds"])
-def test_project_volume_bitwise_equal_full_gradient_kernel(sphere, cloud_batch,
-                                                           split):
-    constraint = VolumeConstraint(1.05 * volume_of(sphere), order=("y", "z", "x"),
-                                  split=split)
-    out, passes = project_volume_batch(cloud_batch, sphere.faces, constraint)
-    want_out, want_passes = project_volume_reference(cloud_batch, sphere.faces,
-                                                     constraint)
+def test_project_volume_bitwise_equal_full_gradient_kernel(sphere, cloud_batch):
+    constraint = VolumeConstraint(1.05 * volume_of(sphere))
+    out, step = project_volume_batch(cloud_batch, sphere.faces, constraint)
+    want_out, want_step = project_volume_reference(cloud_batch, sphere.faces,
+                                                   constraint)
     assert np.array_equal(out, want_out)
-    assert len(passes) == len(want_passes)
-    for got, want in zip(passes, want_passes):
-        assert got[0] == want[0]
-        for got_array, want_array in zip(got[1:], want[1:]):
-            assert np.array_equal(got_array, want_array)
+    for got_array, want_array in zip(step, want_step, strict=True):
+        assert np.array_equal(got_array, want_array)
 
 
 def test_degenerate_surface_rejected():
@@ -250,35 +236,10 @@ def test_enforce_volume_noop_at_target(sphere):
 
 def test_enforce_volume_first_pass(sphere):
     v0 = volume_of(sphere)
-    out = project_volume(sphere, 1.1 * v0, split="first-pass")
+    out = project_volume(sphere, 1.1 * v0)
     assert abs(volume_of(out) - 1.1 * v0) <= 1e-9 * 1.1 * v0
     # only x coordinates moved
     assert np.allclose(out.vertices[:, 1:], sphere.vertices[:, 1:])
-
-
-def test_enforce_volume_equal_thirds(sphere):
-    v0 = volume_of(sphere)
-    target = 1.25 * v0
-    work = sphere
-    plan = VolumeConstraint(target, split="equal-thirds").pass_plan(v0)
-    achieved = []
-    vertices = sphere.vertices.copy()
-    for component, pass_target in plan:
-        work = project_volume(work, pass_target, order=(component,) + tuple(
-            c for c in "xyz" if c != component), split="first-pass")
-        achieved.append(volume_of(work))
-    # each pass closes one third of the deficit
-    thirds = [v0 + (target - v0) * (k + 1) / 3.0 for k in range(3)]
-    assert np.allclose(achieved, thirds, rtol=1e-12)
-    out = project_volume(sphere, target, split="equal-thirds")
-    assert abs(volume_of(out) - target) <= 1e-9 * target
-
-
-@pytest.mark.parametrize("order", [("x", "y", "z"), ("z", "x", "y"), ("y", "z", "x")])
-def test_enforce_volume_any_order(sphere, order):
-    v0 = volume_of(sphere)
-    out = project_volume(sphere, 0.9 * v0, order=order, split="equal-thirds")
-    assert abs(volume_of(out) - 0.9 * v0) <= 1e-9 * v0
 
 
 # --- constrained FFD ----------------------------------------------------------
@@ -397,22 +358,24 @@ def test_cffd_volume_immovable_infeasible(sphere):
 
 
 def test_cffd_volume_pass_on_a_symmetric_free_plane_infeasible(sphere):
-    # moving the middle z-plane of a box symmetric about the sphere along z
-    # leaves the volume unchanged, so an equal-thirds z pass cannot take its
-    # share (its row is zero up to roundoff); x can close the whole deficit
-    lattice = box_lattice(sphere, grid=(1, 1, 2))
-    weights = np.where(lattice.control_points_local()[:, 2] == 0.5, 1.0, 0.0)
+    # moving the middle x-plane of a box symmetric about the sphere along x
+    # leaves the volume unchanged, so the x pass cannot close the deficit
+    # (its row is zero up to roundoff on the free control points); with the
+    # upper x-plane free as well it can
+    lattice = box_lattice(sphere, grid=(2, 1, 1))
+    local_x = lattice.control_points_local()[:, 0]
+    assert np.flatnonzero(local_x == 0.5).tolist() == [4, 5, 6, 7]
     dp = np.zeros((lattice.n_control, 3))
-    target = 0.94 * volume_of(sphere)
-    with pytest.raises(InfeasibleConstraintError, match="component z"):
-        cffd_correct(lattice, dp, sphere,
-                     VolumeConstraint(target, split="equal-thirds"),
-                     weights=weights)
-    delta = cffd_correct(lattice, dp, sphere, VolumeConstraint(target),
-                         weights=weights)
+    constraint = VolumeConstraint(0.94 * volume_of(sphere))
+    with pytest.raises(InfeasibleConstraintError, match="component x"):
+        cffd_correct(lattice, dp, sphere, constraint,
+                     weights=np.where(local_x == 0.5, 1.0, 0.0))
+    weights = np.where(local_x >= 0.5, 1.0, 0.0)
+    delta = cffd_correct(lattice, dp, sphere, constraint, weights=weights)
     deformed, _ = ffd_map(lattice, delta, sphere.vertices)
     achieved = volume_of(TriSurface(deformed, sphere.faces))
-    assert abs(achieved - target) <= 1e-9 * target
+    assert abs(achieved - constraint.target) <= 1e-9 * constraint.target
+    assert np.all(delta[weights == 0.0] == 0.0)
 
 
 def test_cffd_volume(sphere):

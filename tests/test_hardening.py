@@ -40,9 +40,9 @@ def test_weld_tolerance_merges_near_duplicates(tmp_path):
     assert surf.n_vertices == 4
 
 
-def test_volume_enforcer_equal_thirds():
+def test_volume_enforcer_caches_one_x_step():
     base = synth_shape("icosphere", 1)
-    constraint = VolumeConstraint(volume_of(base) * 1.2, split="equal-thirds")
+    constraint = VolumeConstraint(volume_of(base) * 1.2)
     enforcer = VolumeEnforcer(constraint, base.faces)
     rng = Rng(3)
     clouds = np.stack([
@@ -52,14 +52,14 @@ def test_volume_enforcer_equal_thirds():
     for row in out:
         v = volume_of(TriSurface(row.reshape(-1, 3), base.faces))
         assert abs(v - constraint.target) <= 1e-9 * constraint.target
-    # the cache holds the output and one pass per component, each with the
-    # rows, steps, component before the pass and scales of every cloud
-    clouds_out, passes = cache
+    # only x moves; the cache holds the output and the one step, with the
+    # rows, steps, x before the step and scales of every cloud
+    moved = out.reshape(3, -1, 3) - clouds.reshape(3, -1, 3)
+    assert np.any(moved[:, :, 0]) and not np.any(moved[:, :, 1:])
+    clouds_out, (rows, step, before, scale) = cache
     assert np.array_equal(clouds_out.reshape(out.shape), out)
-    assert [c for c, _, _, _, _ in passes] == [0, 1, 2]
-    for _, rows, step, before, scale in passes:
-        assert rows.shape == step.shape == before.shape == (3, base.n_vertices)
-        assert scale.shape == (3,)
+    assert rows.shape == step.shape == before.shape == (3, base.n_vertices)
+    assert scale.shape == (3,)
     back = enforcer.backward(cache, rng.normal(out.shape))
     assert np.all(np.isfinite(back))
 
