@@ -4,7 +4,9 @@ validation, surrogate fitting, STL export and report collation.
 Every command is deterministic given its config and seed, writes a copy of
 the resolved configuration into its output directory, and exits nonzero
 with a diagnostic naming the failing sample when a postcondition (such as
-a constraint residual bound) does not hold."""
+a constraint residual bound) does not hold. The constraint travels with
+the data: `train` and `validate` take it from the dataset
+(`Dataset.constraint`), `sample` and `surrogate` from the checkpoint."""
 
 import argparse
 import os
@@ -14,7 +16,7 @@ import numpy as np
 
 from . import datasets
 from .config import PipelineConfig, write_resolved
-from .constraints import (RESIDUAL_BOUND, achieved_value,
+from .constraints import (RESIDUAL_BOUND, achieved_value, constraint_record,
                           constraint_residual, sample_cffd_dataset)
 from .errors import CgmError, ConfigError
 from .generative import MODEL_KINDS, load_model, save_model, train_model
@@ -77,35 +79,12 @@ def cmd_generate(config: PipelineConfig) -> int:
     return 0
 
 
-def _manifest_constraint(dataset, directory):
-    """(kind, target) that every manifest row of a dataset carries."""
-    if not dataset.rows:
-        raise CommandFailure(f"dataset {directory} holds no samples")
-    kind, target = dataset.rows[0]["constraint"], dataset.rows[0]["target"]
-    for i, row in enumerate(dataset.rows):
-        if row["constraint"] != kind or not np.array_equal(row["target"], target):
-            raise CommandFailure(f"dataset {directory} sample {i}: constraint "
-                                 f"differs from sample 0")
-    return kind, target
-
-
-def _dataset_constraint(dataset, directory):
-    from .constraints import VolumeConstraint, barycenter_constraint
-    kind, target = _manifest_constraint(dataset, directory)
-    if kind == "barycenter":
-        return barycenter_constraint(dataset.vertices.shape[1], target)
-    if kind == "volume":
-        return VolumeConstraint(float(target[0]))
-    raise CommandFailure(f"dataset carries unsupported constraint {kind!r}")
-
-
 def cmd_train(config: PipelineConfig, kind, data_dir=None) -> int:
     out = _ensure_out(config)
     data_dir = data_dir or out
     dataset = datasets.read_dataset(data_dir)
-    constraint = _dataset_constraint(dataset, data_dir)
     model = train_model(kind, dataset.vertices[:config.n_train],
-                        dataset.faces, constraint, config.gm_config())
+                        dataset.faces, dataset.constraint, config.gm_config())
     path = os.path.join(out, f"model_{kind}.cgmt")
     save_model(model, path)
     print(f"train: {kind} final epoch loss {model.epoch_losses[-1]:.6g}, "
@@ -137,17 +116,16 @@ def cmd_validate(config: PipelineConfig, reference_dir, generated_dir) -> int:
     generated = datasets.read_dataset(generated_dir)
     # the constraint travels with the data: both manifests must carry the
     # same one, and the config plays no part
-    ref_kind, ref_target = _manifest_constraint(reference, reference_dir)
-    gen_kind, gen_target = _manifest_constraint(generated, generated_dir)
+    ref_kind, ref_target = constraint_record(reference.constraint)
+    gen_kind, gen_target = constraint_record(generated.constraint)
     if gen_kind != ref_kind or not np.array_equal(gen_target, ref_target):
         raise CommandFailure(
             f"constraint mismatch: reference {reference_dir} carries "
             f"{ref_kind} {ref_target.tolist()}, generated {generated_dir} "
             f"carries {gen_kind} {gen_target.tolist()}")
-    constraint = _dataset_constraint(reference, reference_dir)
     report = metric_report((reference.vertices, reference.faces),
                            (generated.vertices, generated.faces),
-                           constraint=constraint)
+                           constraint=reference.constraint)
     report.write_tsv(os.path.join(out, "metrics.tsv"))
     report.write_histograms(os.path.join(out, "histograms"))
     for name, value in report.rows:
@@ -213,8 +191,7 @@ def cmd_surrogate(config: PipelineConfig, source, method, seed) -> int:
     if method in ("rbf", "gpr", "nn"):
         podi = podi_fit(mu_train, s_train, config.pod_modes, regressor=method,
                         rng=rng.derive("nn"),
-                        nn_width=config.number("rom.nn_width", int),
-                        nn_epochs=config.number("rom.nn_epochs", int))
+                        nn_width=config.nn_width, nn_epochs=config.nn_epochs)
         train_err = _surrogate_errors(lambda m: podi_predict(podi, m),
                                       mu_train, s_train)
         test_err = _surrogate_errors(lambda m: podi_predict(podi, m),

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .constraints import VolumeConstraint, barycenter_constraint
+from .constraints import constraint_from
 from .errors import ConfigError
 from .generative import GmConfig
 from .geometry import FfdLattice, barycenter_of, synth_shape, volume_of
@@ -40,21 +40,9 @@ DEFAULTS = {
     "rom.nn_width": "64",
     "rom.nn_epochs": "1000",
     "field.kind": "bump",
-    "gm.latent_dim": "8",
-    "gm.pca_modes": "10",
-    "gm.hidden_width": "64",
-    "gm.hidden_depth": "3",
-    "gm.dropout": "0.1",
-    "gm.disc_dropout": "0.95",
-    "gm.epochs": "500",
-    "gm.batch_size": "200",
-    "gm.lr": "1e-3",
-    "gm.weight_decay": "1e-2",
-    "gm.alpha": "1e-2",
-    "gm.sigma": "1.0",
-    "gm.gamma": "0.5",
-    "gm.k_gain": "1e-3",
-    "gm.k0": "0.0",
+    # the model defaults are GmConfig's own; the seed is pipeline.seed
+    **{f"gm.{f.name}": str(f.default) for f in fields(GmConfig)
+       if f.name != "seed"},
 }
 
 _PIN_PLANES = ("imin", "imax", "jmin", "jmax", "kmin", "kmax")
@@ -138,45 +126,32 @@ class PipelineConfig:
     values: dict = field(default_factory=lambda: dict(DEFAULTS))
 
     def __post_init__(self):
-        self.seed = self.number("pipeline.seed", int)
+        self.seed = self.number("pipeline.seed", int, minimum=0)
         self.out = self.values["pipeline.out"]
         # checked but unused: sample generation is one stacked solve
-        threads = self.number("pipeline.threads", int)
-        self.n_train = self.number("dataset.n_train", int)
-        self.n_test = self.number("dataset.n_test", int)
+        self.number("pipeline.threads", int, minimum=1)
+        self.n_train = self.number("dataset.n_train", int, minimum=1)
+        self.n_test = self.number("dataset.n_test", int, minimum=0)
         self.sigma_d = self.number("dataset.sigma_d", float)
-        self.rom_train = self.number("rom.n_train", int)
-        self.rom_test = self.number("rom.n_test", int)
-        self.pod_modes = self.number("rom.pod_modes", int)
-        self.as_dim = self.number("rom.as_dim", int)
-        self.bootstrap = self.number("rom.bootstrap", int)
-        if self.n_train < 1 or self.rom_train < 1:
-            raise ConfigError("dataset and ROM training sizes must be positive")
-        if self.n_test < 0:
-            raise ConfigError(
-                f"dataset.n_test must be nonnegative, got {self.n_test}")
-        if self.rom_test < 1:
-            raise ConfigError(
-                f"rom.n_test must be at least 1, got {self.rom_test}")
-        if self.bootstrap < 0:
-            raise ConfigError(
-                f"rom.bootstrap must be nonnegative, got {self.bootstrap}")
-        nn_epochs = self.number("rom.nn_epochs", int)
-        if nn_epochs < 1:
-            raise ConfigError(f"rom.nn_epochs must be at least 1, got {nn_epochs}")
-        if self.seed < 0:
-            raise ConfigError(f"pipeline.seed must be nonnegative, got {self.seed}")
-        if threads < 1:
-            raise ConfigError(
-                f"pipeline.threads must be at least 1, got {threads}")
+        self.rom_train = self.number("rom.n_train", int, minimum=1)
+        self.rom_test = self.number("rom.n_test", int, minimum=1)
+        self.pod_modes = self.number("rom.pod_modes", int, minimum=1)
+        self.as_dim = self.number("rom.as_dim", int, minimum=1)
+        self.bootstrap = self.number("rom.bootstrap", int, minimum=0)
+        self.nn_width = self.number("rom.nn_width", int, minimum=1)
+        self.nn_epochs = self.number("rom.nn_epochs", int, minimum=1)
 
     @classmethod
     def load(cls, path=None, environ=None, overrides=None) -> "PipelineConfig":
         return cls(resolve_config(path, environ, overrides))
 
-    def number(self, key, kind):
-        """The value of key as kind (int or float), or ConfigError."""
-        return _number(key, self.values[key], kind)
+    def number(self, key, kind, minimum=None):
+        """The value of key as kind (int or float), or ConfigError; so is a
+        value below the minimum, when one is given."""
+        value = _number(key, self.values[key], kind)
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"{key} must be at least {minimum}, got {value}")
+        return value
 
     def base_shape(self):
         radii = _floats("shape.radii", self.values["shape.radii"])
@@ -209,15 +184,13 @@ class PipelineConfig:
     def constraint(self, surface):
         kind = self.values["constraint.kind"]
         target = self.values["constraint.target"]
-        if kind == "barycenter":
-            value = (barycenter_of(surface.vertices) if target == "keep"
-                     else _floats("constraint.target", target))
-            return barycenter_constraint(surface.n_vertices, value)
-        if kind == "volume":
-            value = (volume_of(surface) if target == "keep"
-                     else self.number("constraint.target", float))
-            return VolumeConstraint(value)
-        raise ConfigError(f"unknown constraint kind {kind!r}")
+        if target != "keep":
+            target = _floats("constraint.target", target)
+        elif kind == "volume":
+            target = volume_of(surface)
+        else:
+            target = barycenter_of(surface.vertices)
+        return constraint_from(kind, target, surface.n_vertices)
 
     def gm_config(self) -> GmConfig:
         """GmConfig from the gm.* keys, each parsed as its field's type."""

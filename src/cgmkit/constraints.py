@@ -12,13 +12,17 @@ shared by constrained FFD and the generative models' enforcing layer.
 `cffd_correct` corrects a stack of displacements in one solve, and
 `sample_cffd_dataset` returns a stack (n, M, 3) on the base faces;
 `achieved_value` and `constraint_residual` check one.
+
+A config, a dataset manifest and a checkpoint store a constraint as a
+(kind, target) record, written by `constraint_record` and read back by
+`constraint_from` alone.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DegenerateSurfaceError, DimensionError,
+from .errors import (ConfigError, DegenerateSurfaceError, DimensionError,
                      InfeasibleConstraintError)
 from .geometry import (FfdLattice, TriSurface, barycenter_of, ffd_map,
                        require_closed, volume_of, volume_rows, volumes)
@@ -27,6 +31,7 @@ from .rng import Rng
 
 _COMPONENTS = {"x": 0, "y": 1, "z": 2}
 RESIDUAL_BOUND = 1e-9  # the largest `constraint_residual` a held constraint has
+_TARGET_LENGTHS = {"barycenter": 3, "volume": 1}  # the kinds a record can name
 
 
 @dataclass
@@ -45,7 +50,7 @@ class LinearConstraint:
             raise DimensionError("constraint row count != target length")
         self.gain, rank = min_norm_gain(self.matrix)
         if rank < self.matrix.shape[0]:
-            raise DimensionError("'constraint.matrix' is rank deficient")
+            raise DimensionError("constraint rows are rank deficient")
 
     @property
     def dim(self) -> int:
@@ -163,6 +168,32 @@ def target_value(constraint) -> np.ndarray:
     if constraint.kind == "volume":
         return np.array([constraint.target])
     return np.asarray(constraint.target, dtype=np.float64).reshape(-1)
+
+
+def constraint_record(constraint):
+    """The (constraint.kind, constraint.target) record that stores a
+    constraint and that `constraint_from` reads back; a kind that it
+    cannot read is refused."""
+    if constraint.kind not in _TARGET_LENGTHS:
+        raise ConfigError(f"a {constraint.kind} constraint cannot be stored")
+    return constraint.kind, target_value(constraint)
+
+
+def constraint_from(kind, target, n_points):
+    """The constraint that a stored (constraint.kind, constraint.target)
+    record names, on clouds of n_points points. An unknown kind, or a target
+    whose length is not the one its kind needs, raises ConfigError naming
+    the key, the kind and the length."""
+    if kind not in _TARGET_LENGTHS:
+        raise ConfigError(f"'constraint.kind' names unknown kind {kind!r}")
+    target = np.asarray(target, dtype=np.float64).reshape(-1)
+    if len(target) != _TARGET_LENGTHS[kind]:
+        raise ConfigError(
+            f"'constraint.target' of a {kind} constraint holds {len(target)} "
+            f"values, needs {_TARGET_LENGTHS[kind]}")
+    if kind == "volume":
+        return VolumeConstraint(target[0])
+    return barycenter_constraint(n_points, target)
 
 
 # ---------------------------------------------------------------------------

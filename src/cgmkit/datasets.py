@@ -8,7 +8,8 @@ points are zero. Beside it, `manifest.tsv` (one row per sample: file,
 seed, constraint kind, target value, achieved value, displacement norm)
 and `meta.txt` (key=value lines with the lattice spec, sigma_d and
 constraint) are the human-readable index. The manifest's `file` cell names
-the STL file that `export_stl` writes for the sample."""
+the STL file that `export_stl` writes for the sample. Every row carries the
+one constraint record (kind, target); `read_dataset` decodes it once."""
 
 import os
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import numpy as np
 
 from .checkpoint import (load_tensors, require_faces, require_tensor,
                          save_tensors)
-from .constraints import target_value
+from .constraints import constraint_from, constraint_record
 from .errors import ConfigError, ContainerError, EmptyInputError
 from .geometry import TriSurface
 from .stl_io import stl_write
@@ -29,12 +30,13 @@ MANIFEST_COLUMNS = ("file", "seed", "constraint", "target", "achieved",
 
 @dataclass
 class Dataset:
-    """The sample stack (n, M, 3), its faces (F, 3), the manifest rows, and
-    the stored displacements (n, 3 P) or None."""
+    """The sample stack (n, M, 3), its faces (F, 3), the manifest rows, their
+    constraint, and the stored displacements (n, 3 P) or None."""
 
     vertices: np.ndarray
     faces: np.ndarray
     rows: list
+    constraint: object
     displacements: np.ndarray = None
 
 
@@ -56,6 +58,8 @@ def write_dataset(directory, vertices, faces, constraint, achieved, tag,
     n = len(vertices)
     if not n:
         raise EmptyInputError("a dataset needs at least one sample")
+    kind, target = constraint_record(constraint)
+    target = _join_floats(target)
     os.makedirs(directory, exist_ok=True)
     tensors = {"faces": faces, "vertices": vertices}
     norms = np.zeros(n)
@@ -64,11 +68,10 @@ def write_dataset(directory, vertices, faces, constraint, achieved, tag,
         # a dot product per row: the bits np.linalg.norm gives one sample
         norms = np.sqrt(np.vecdot(flat, flat))
     save_tensors(os.path.join(directory, DATASET_FILE), tensors)
-    target = _join_floats(target_value(constraint))
     rows = ["\t".join([
         f"sample_{i:05d}.stl",
         f"{tag}:{i}",
-        constraint.kind,
+        kind,
         target,
         _join_floats(achieved[i]),
         format(float(norms[i]), ".17g"),
@@ -76,7 +79,7 @@ def write_dataset(directory, vertices, faces, constraint, achieved, tag,
     with open(os.path.join(directory, "manifest.tsv"), "w", newline="\n") as fh:
         fh.write("\t".join(MANIFEST_COLUMNS) + "\n")
         fh.write("\n".join(rows) + "\n")
-    lines = {"constraint": constraint.kind, "target": target,
+    lines = {"constraint": kind, "target": target,
              "n_samples": str(n)}
     if meta:
         lines.update({k: str(v) for k, v in meta.items()})
@@ -114,8 +117,18 @@ def read_manifest(directory):
 
 def read_dataset(directory) -> Dataset:
     """Load the sample stack, in manifest order, from the dataset container;
-    the faces are checked once."""
+    the faces are checked once, and the constraint that every manifest row
+    must carry is decoded once."""
     rows = read_manifest(directory)
+    manifest = os.path.join(directory, "manifest.tsv")
+    if not rows:
+        raise EmptyInputError(f"dataset {directory} holds no samples")
+    kind, target = rows[0]["constraint"], rows[0]["target"]
+    for lineno, row in enumerate(rows[1:], start=3):
+        if row["constraint"] != kind or not np.array_equal(row["target"],
+                                                           target):
+            raise ConfigError(f"{manifest} line {lineno}: constraint differs "
+                              f"from line 2")
     path = os.path.join(directory, DATASET_FILE)
     tensors = load_tensors(path)
     vertices = require_tensor(tensors, path, "vertices", (None, None, 3))
@@ -123,11 +136,15 @@ def read_dataset(directory) -> Dataset:
     if len(vertices) != len(rows):
         raise ContainerError(f"{path}: holds {len(vertices)} samples, "
                              f"manifest.tsv lists {len(rows)}")
+    try:
+        constraint = constraint_from(kind, target, vertices.shape[1])
+    except ConfigError as err:
+        raise ConfigError(f"{manifest} line 2: {err}") from None
     displacements = None
     if "displacements" in tensors:
         displacements = require_tensor(tensors, path, "displacements",
                                        (len(rows), None))
-    return Dataset(vertices, faces, rows, displacements)
+    return Dataset(vertices, faces, rows, constraint, displacements)
 
 
 def export_stl(directory, out) -> int:

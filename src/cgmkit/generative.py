@@ -29,7 +29,7 @@ import numpy as np
 from .checkpoint import (load_tensors, require_faces, require_tensor,
                          save_tensors)
 from .constraints import (LinearConstraint, VolumeConstraint,
-                          barycenter_constraint, project_volume)
+                          constraint_from, constraint_record, project_volume)
 from .errors import ConfigError, ContainerError, DimensionError, DivergenceError
 from .geometry import corner_index, is_closed, volume_rows_vjp
 from .linalg import jittered_cholesky
@@ -584,16 +584,11 @@ def save_model(model: GenerativeModel, path):
     if model.sampler_mean is not None:
         tensors["sampler.mean"] = model.sampler_mean
         tensors["sampler.chol"] = model.sampler_chol
-    constraint = model.constraint
+    constraint_kind, target = constraint_record(model.constraint)
+    tensors["constraint.target"] = target
     lines = [f"kind={model.kind}"] + [
         f"config.{f.name}={getattr(model.config, f.name)!r}"
-        for f in fields(GmConfig)]
-    if isinstance(constraint, VolumeConstraint):
-        tensors["constraint.target"] = np.array([constraint.target])
-    else:
-        tensors["constraint.matrix"] = constraint.matrix
-        tensors["constraint.target"] = constraint.target
-    lines.append(f"constraint.kind={constraint.kind}")
+        for f in fields(GmConfig)] + [f"constraint.kind={constraint_kind}"]
     save_tensors(path, tensors)
     with open(str(path) + ".txt", "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -601,8 +596,10 @@ def save_model(model: GenerativeModel, path):
 
 def load_model(path) -> GenerativeModel:
     """Read a checkpoint written by `save_model`. A malformed sidecar line,
-    a missing sidecar key or tensor, an unknown kind or a tensor whose shape
-    differs from the layout raises ContainerError naming the path and key."""
+    a missing sidecar key or tensor, an unknown kind, a constraint record
+    that `constraint_from` rejects or a tensor whose shape differs from the
+    layout raises ContainerError naming the path and key. An older
+    checkpoint's `constraint.matrix` tensor is not read."""
     tensors = load_tensors(path)
 
     def defect(message):
@@ -636,17 +633,11 @@ def load_model(path) -> GenerativeModel:
                    singular_values=tensor("pca.singular_values", (None,)),
                    reconstruction_error=0.0)
     faces = require_faces(tensors, path, dim // 3)
-    constraint_kind = entry("constraint.kind", ("volume", "barycenter", "linear"))
-    try:  # the constraints' DimensionErrors name the key at fault
-        if constraint_kind == "volume":
-            constraint = VolumeConstraint(tensor("constraint.target", (1,))[0])
-        else:
-            barycenter = constraint_kind == "barycenter"
-            matrix = tensor("constraint.matrix", (3 if barycenter else None, dim))
-            target = tensor("constraint.target", (len(matrix),))
-            constraint = (barycenter_constraint(dim // 3, target) if barycenter
-                          else LinearConstraint(matrix, target))
-    except DimensionError as err:
+    try:
+        constraint = constraint_from(entry("constraint.kind"),
+                                     tensor("constraint.target", (None,)),
+                                     dim // 3)
+    except ConfigError as err:
         raise defect(str(err)) from None
     nets = _build_nets(kind, config, Rng(0, ("load",)))
     for net_name, net in nets.items():

@@ -8,6 +8,7 @@ from cgmkit import cli
 from cgmkit.checkpoint import load_tensors, save_tensors
 from cgmkit.cli import main
 from cgmkit.config import PipelineConfig
+from cgmkit.constraints import barycenter_constraint
 from cgmkit.datasets import MANIFEST_COLUMNS, read_manifest
 from cgmkit.generative import load_model
 from cgmkit.reduction import as_fit, fd_gradients, load_matrix, save_matrix
@@ -103,6 +104,34 @@ def test_out_of_range_seed_and_threads_exit_1(tmp_path, capsys, flag, value,
     assert run(["generate", flag, value, "--out", str(out)]) == 1
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["rom.nn_width", "rom.pod_modes",
+                                 "rom.as_dim"])
+def test_rom_size_below_one_exits_1_naming_key(tmp_path, capsys, monkeypatch,
+                                               key):
+    monkeypatch.setenv("CGM_" + key.replace(".", "_").upper(), "0")
+    out = tmp_path / "x"
+    assert run(["surrogate", str(tmp_path), "--method", "rbf",
+                "--out", str(out)]) == 1
+    assert f"error: {key} must be at least 1, got 0" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, target, message", [
+    ("barycenter", "1 2", "'constraint.target' of a barycenter constraint "
+                          "holds 2 values, needs 3"),
+    ("volume", "1 2", "'constraint.target' of a volume constraint holds 2 "
+                      "values, needs 1"),
+    ("cube", "keep", "'constraint.kind' names unknown kind 'cube'"),
+], ids=["barycenter", "volume", "unknown-kind"])
+def test_malformed_config_constraint_exits_1_naming_key(
+        tmp_path, capsys, monkeypatch, kind, target, message):
+    monkeypatch.setenv("CGM_CONSTRAINT_KIND", kind)
+    monkeypatch.setenv("CGM_CONSTRAINT_TARGET", target)
+    assert run(["generate", "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_singular_lattice_nonzero_exit(tmp_path):
@@ -384,6 +413,12 @@ def _without_tensor(key):
         {k: v for k, v in tensors.items() if k != key}, lines)
 
 
+def _constraint_kind(kind):
+    return lambda tensors, lines: (tensors, [
+        f"constraint.kind={kind}" if l.startswith("constraint.kind=") else l
+        for l in lines])
+
+
 # case -> (edit of the ae checkpoint's tensors and sidecar lines, the key
 # the diagnostic must name)
 CHECKPOINT_DEFECTS = {
@@ -410,13 +445,13 @@ CHECKPOINT_DEFECTS = {
     "faces-repeated-index": (lambda t, lines: (
         {**t, "faces": np.where(np.arange(3) == 2, t["faces"][:, :1],
                                 t["faces"])}, lines), "faces"),
-    "unknown-constraint-kind": (lambda t, lines: (t, [
-        "constraint.kind=surface" if l.startswith("constraint.kind=") else l
-        for l in lines]), "constraint.kind"),
-    "linear-rank-deficient": (lambda t, lines: (
-        {**t, "constraint.matrix": t["constraint.matrix"][[0, 1, 1]]},
-        ["constraint.kind=linear" if l.startswith("constraint.kind=") else l
-         for l in lines]), "constraint.matrix"),
+    "unknown-constraint-kind": (_constraint_kind("surface"),
+                                "constraint.kind"),
+    # no command writes a linear constraint, so no checkpoint carries one
+    "linear-constraint-kind": (_constraint_kind("linear"), "constraint.kind"),
+    "constraint-target-length": (lambda t, lines: (
+        {**t, "constraint.target": t["constraint.target"][:2]}, lines),
+        "constraint.target"),
 }
 
 
@@ -439,6 +474,15 @@ def test_malformed_checkpoint_exits_1_naming_key(tmp_path, trained, case,
     assert err.startswith(f"error: {broken}") and repr(key) in err
 
 
+def _samples_the_same(tmp_path, cfg, ckpt, older):
+    for tag, path in (("now", ckpt), ("older", older)):
+        assert run(["sample", str(path), "--config", cfg, "--n", "5",
+                    "--seed", "3", "--out", str(tmp_path / f"gen-{tag}")]) == 0
+    for name in ("dataset.cgmt", "latents.bin"):
+        assert (tmp_path / "gen-now" / name).read_bytes() == \
+            (tmp_path / "gen-older" / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("as_checkpoint", ["volume"], indirect=True)
 def test_volume_checkpoint_with_older_sidecar_keys_samples_the_same(
         tmp_path, as_checkpoint):
@@ -451,12 +495,83 @@ def test_volume_checkpoint_with_older_sidecar_keys_samples_the_same(
     sidecar.write_text(sidecar.read_text() + "constraint.order=x,y,z\n"
                        "constraint.split=first-pass\n")
     assert load_model(older).constraint.kind == "volume"
-    for tag, path in (("now", ckpt), ("older", older)):
-        assert run(["sample", str(path), "--config", cfg, "--n", "5",
-                    "--seed", "3", "--out", str(tmp_path / f"gen-{tag}")]) == 0
-    for name in ("dataset.cgmt", "latents.bin"):
-        assert (tmp_path / "gen-now" / name).read_bytes() == \
-            (tmp_path / "gen-older" / name).read_bytes(), name
+    _samples_the_same(tmp_path, cfg, ckpt, older)
+
+
+@pytest.mark.parametrize("as_checkpoint", ["barycenter"], indirect=True)
+def test_barycenter_checkpoint_with_older_matrix_tensor_samples_the_same(
+        tmp_path, as_checkpoint):
+    # older barycenter checkpoints also carry the dense (3, 3 M)
+    # constraint.matrix tensor, just before constraint.target; it is not
+    # read, as the barycenter is rebuilt from its target
+    cfg, ckpt = as_checkpoint
+    older = _copy_dir(Path(ckpt).parent, tmp_path / "older") / "model_ae.cgmt"
+    tensors = load_tensors(older)
+    target = tensors.pop("constraint.target")
+    n_points = len(tensors["pca.mean"]) // 3
+    tensors["constraint.matrix"] = barycenter_constraint(n_points,
+                                                         target).matrix
+    tensors["constraint.target"] = target
+    save_tensors(older, tensors)
+    assert "constraint.matrix" not in load_tensors(ckpt)
+    _samples_the_same(tmp_path, cfg, ckpt, older)
+
+
+def _cell(column, edit, rows=None):
+    """A manifest edit that rewrites the `column` cell of every sample row,
+    or of the 0-based sample rows listed, as edit(cell)."""
+    col = MANIFEST_COLUMNS.index(column)
+
+    def apply(lines):
+        out = lines[:1]
+        for i, line in enumerate(lines[1:]):
+            cells = line.split("\t")
+            if rows is None or i in rows:
+                cells[col] = edit(cells[col])
+            out.append("\t".join(cells))
+        return out
+    return apply
+
+
+# case -> (constraint kind of the dataset, edit of its manifest lines, the
+# diagnostic that follows the manifest path)
+MANIFEST_DEFECTS = {
+    "barycenter-target-of-2": (
+        "barycenter", _cell("target", lambda c: ",".join(c.split(",")[:2])),
+        "line 2: 'constraint.target' of a barycenter constraint holds 2 "
+        "values, needs 3"),
+    "volume-target-of-2": (
+        "volume", _cell("target", lambda c: c + ",1"),
+        "line 2: 'constraint.target' of a volume constraint holds 2 values, "
+        "needs 1"),
+    "row-differs": (
+        "barycenter", _cell("target", lambda c: "0,0,0", rows={3}),
+        "line 5: constraint differs from line 2"),
+    "unknown-kind": (
+        "volume", _cell("constraint", lambda c: "linear"),
+        "line 2: 'constraint.kind' names unknown kind 'linear'"),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "validate"])
+@pytest.mark.parametrize("as_checkpoint, case", [
+    pytest.param(kind, case, id=case)
+    for case, (kind, _, _) in sorted(MANIFEST_DEFECTS.items())],
+    indirect=["as_checkpoint"])
+def test_malformed_manifest_constraint_exits_1_naming_path(
+        tmp_path, as_checkpoint, case, command, capsys):
+    cfg, ckpt = as_checkpoint
+    _, edit, message = MANIFEST_DEFECTS[case]
+    data = Path(ckpt).parent.parent / "data"
+    copy = _copy_dir(data, tmp_path / "broken")
+    manifest = copy / "manifest.tsv"
+    manifest.write_text("\n".join(edit(manifest.read_text().splitlines()))
+                        + "\n")
+    argv = {"train": ["train", "--kind", "ae", "--data", str(copy)],
+            "validate": ["validate", str(copy), str(data)]}[command]
+    capsys.readouterr()
+    assert run([*argv, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {manifest} {message}\n"
 
 
 def test_bad_magic_dataset_exits_1(tmp_path, trained, capsys):

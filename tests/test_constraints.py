@@ -3,14 +3,15 @@ import pytest
 
 from cgmkit.constraints import (LinearConstraint, VolumeConstraint,
                                 achieved_value, barycenter_constraint,
-                                cffd_correct,
+                                cffd_correct, constraint_from,
+                                constraint_record,
                                 project_volume as project_volume_batch,
                                 sample_cffd_dataset, volume_constraint_row,
                                 volume_gradient)
 from cgmkit import geometry
 from cgmkit.datasets import write_dataset
-from cgmkit.errors import (DegenerateSurfaceError, DimensionError,
-                           InfeasibleConstraintError)
+from cgmkit.errors import (ConfigError, DegenerateSurfaceError,
+                           DimensionError, InfeasibleConstraintError)
 from cgmkit.generative import LinearEnforcer, VolumeEnforcer
 from cgmkit.geometry import (FfdLattice, TriSurface, _blocks, _cross,
                              barycenter_of, ffd_map, synth_shape, volume_of,
@@ -224,6 +225,43 @@ def test_linear_enforcer_rejects_other_size(sphere):
     c = barycenter_constraint(sphere.n_vertices, np.zeros(3))
     with pytest.raises(DimensionError):
         LinearEnforcer(c).forward(np.zeros((2, c.dim + 3)))
+
+
+def test_constraint_record_round_trip(sphere):
+    m = sphere.n_vertices
+    for c in (barycenter_constraint(m, [0.1, -0.2, 0.3]),
+              VolumeConstraint(2.5)):
+        kind, target = constraint_record(c)
+        back = constraint_from(kind, target, m)
+        assert back.kind == c.kind == kind
+        assert constraint_record(back)[1].tobytes() == target.tobytes()
+    assert np.array_equal(back.target, 2.5)
+    assert np.array_equal(constraint_from("barycenter", [1, 2, 3], m).matrix,
+                          barycenter_constraint(m, [1, 2, 3]).matrix)
+
+
+@pytest.mark.parametrize("kind, target, match", [
+    ("barycenter", [1.0, 2.0], "'constraint.target' of a barycenter "
+                               "constraint holds 2 values, needs 3"),
+    ("volume", [1.0, 2.0], "'constraint.target' of a volume constraint "
+                           "holds 2 values, needs 1"),
+    ("volume", [], "holds 0 values, needs 1"),
+    ("linear", [1.0, 2.0, 3.0], "'constraint.kind' names unknown kind "
+                                "'linear'"),
+])
+def test_constraint_from_rejects_malformed_record_by_name(sphere, kind,
+                                                          target, match):
+    with pytest.raises(ConfigError, match=match):
+        constraint_from(kind, target, sphere.n_vertices)
+
+
+def test_constraint_record_refuses_a_kind_it_cannot_read_back(sphere):
+    c = LinearConstraint(barycenter_constraint(sphere.n_vertices,
+                                               np.zeros(3)).matrix[:2],
+                         np.zeros(2))
+    with pytest.raises(ConfigError, match="a linear constraint cannot be "
+                                          "stored"):
+        constraint_record(c)
 
 
 # --- volume enforcement -------------------------------------------------------

@@ -13,7 +13,8 @@ from cgmkit.cli import main
 from cgmkit.constraints import (VolumeConstraint, achieved_value,
                                 sample_cffd_dataset)
 from cgmkit.datasets import DATASET_FILE, read_dataset, write_dataset
-from cgmkit.errors import ConfigError, ContainerError, DimensionError
+from cgmkit.errors import (ConfigError, ContainerError, DimensionError,
+                           EmptyInputError)
 from cgmkit.geometry import FfdLattice, synth_shape, volume_of
 from cgmkit.reduction import load_matrix, save_matrix
 from cgmkit.rng import Rng
@@ -84,6 +85,9 @@ def test_dataset_rows_must_match_manifest(dataset_dir):
         read_dataset(dataset_dir)
     manifest.write_text(lines[0] + "\n" + lines[1].split("\t", 1)[0] + "\n")
     with pytest.raises(ConfigError, match="line 2"):
+        read_dataset(dataset_dir)
+    manifest.write_text(lines[0] + "\n")
+    with pytest.raises(EmptyInputError, match="holds no samples"):
         read_dataset(dataset_dir)
 
 
