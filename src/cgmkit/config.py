@@ -190,7 +190,7 @@ class PipelineConfig:
             target = volume_of(surface)
         else:
             target = barycenter_of(surface.vertices)
-        return constraint_from(kind, target, surface.n_vertices)
+        return constraint_from(kind, target)
 
     def gm_config(self) -> GmConfig:
         """GmConfig from the gm.* keys, each parsed as its field's type."""

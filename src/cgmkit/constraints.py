@@ -1,6 +1,6 @@
-"""Linear and multilinear geometric constraints over point clouds and
-deformation lattices, enforced exactly by closed-form minimum-norm least
-squares.
+"""The barycenter (linear) and volume (multilinear) constraints over point
+clouds and deformation lattices, enforced exactly by closed-form
+minimum-norm least squares.
 
 Clouds are vectorized row-wise: vec(cloud) = (x1, y1, z1, x2, y2, z2, ...),
 matching a C-order reshape of an (M, 3) array. The enclosed volume of a
@@ -13,9 +13,12 @@ shared by constrained FFD and the generative models' enforcing layer.
 `sample_cffd_dataset` returns a stack (n, M, 3) on the base faces;
 `achieved_value` and `constraint_residual` check one.
 
-A config, a dataset manifest and a checkpoint store a constraint as a
-(kind, target) record, written by `constraint_record` and read back by
-`constraint_from` alone.
+A constraint is its (kind, target) record, `BarycenterConstraint` or
+`VolumeConstraint`. A config, a dataset manifest and a checkpoint store
+that record, written by `constraint_record` and read back by
+`constraint_from` alone. The barycenter's (3, 3M) rows are built by
+`barycenter_rows` only where they are projected: in `cffd_correct` and in
+the linear enforcing layer.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +29,7 @@ from .errors import (ConfigError, DegenerateSurfaceError, DimensionError,
                      InfeasibleConstraintError)
 from .geometry import (FfdLattice, TriSurface, barycenter_of, ffd_map,
                        require_closed, volume_of, volume_rows, volumes)
-from .linalg import RANK_TOL, lstsq_min_norm, min_norm_gain
+from .linalg import RANK_TOL, lstsq_min_norm
 from .rng import Rng
 
 _COMPONENTS = {"x": 0, "y": 1, "z": 2}
@@ -35,31 +38,15 @@ _TARGET_LENGTHS = {"barycenter": 3, "volume": 1}  # the kinds a record can name
 
 
 @dataclass
-class LinearConstraint:
-    """Rows A_c acting on a vectorized cloud, target c and min-norm gain A_c^+."""
+class BarycenterConstraint:
+    """Target barycenter (3,), the mean of a cloud's points, enforced by the
+    minimum-norm step through `barycenter_rows`."""
 
-    matrix: np.ndarray
     target: np.ndarray
-    kind: str = "linear"
-    gain: np.ndarray = field(init=False, repr=False)
+    kind: str = field(default="barycenter", init=False)
 
     def __post_init__(self):
-        self.matrix = np.atleast_2d(np.asarray(self.matrix, dtype=np.float64))
-        self.target = np.asarray(self.target, dtype=np.float64).reshape(-1)
-        if self.matrix.shape[0] != self.target.shape[0]:
-            raise DimensionError("constraint row count != target length")
-        self.gain, rank = min_norm_gain(self.matrix)
-        if rank < self.matrix.shape[0]:
-            raise DimensionError("constraint rows are rank deficient")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-    def values(self, clouds) -> np.ndarray:
-        """A_c vec(cloud) of each cloud in a stack (n, ...), (n, rows): a
-        stack of one-column products, so each row is that cloud's own."""
-        return (self.matrix @ np.reshape(clouds, (len(clouds), -1, 1)))[..., 0]
+        self.target = np.asarray(self.target, dtype=np.float64).reshape(3)
 
 
 @dataclass
@@ -74,15 +61,15 @@ class VolumeConstraint:
         self.target = float(self.target)
 
 
-def barycenter_constraint(n_points: int, target) -> LinearConstraint:
-    """Three rows of weight 1/M, one per coordinate component."""
+def barycenter_rows(n_points: int) -> np.ndarray:
+    """The barycenter's rows A_c (3, 3M) on a vectorized cloud of M points:
+    three rows of weight 1/M, one per coordinate component."""
     if n_points < 1:
         raise DimensionError("need at least one point")
-    target = np.asarray(target, dtype=np.float64).reshape(3)
     matrix = np.zeros((3, 3 * n_points))
     for c in range(3):
         matrix[c, c::3] = 1.0 / n_points
-    return LinearConstraint(matrix, target, kind="barycenter")
+    return matrix
 
 
 def volume_gradient(surface: TriSurface) -> np.ndarray:
@@ -144,20 +131,18 @@ def project_volume(clouds, faces, constraint: VolumeConstraint, basis=None,
 
 def achieved_value(constraint, vertices, faces) -> np.ndarray:
     """The constrained quantity of each cloud in an (n, M, 3) stack sharing
-    the faces, (n, k): the volume (k = 1, on closed faces), the barycenter,
-    or A_c vec(cloud); each cloud's value is the one it has alone."""
+    the faces, (n, k): the volume (k = 1, on closed faces) or the barycenter
+    (k = 3); each cloud's value is the one it has alone."""
     if constraint.kind == "volume":
         require_closed(faces)
         return volumes(vertices, faces)[:, None]
-    if constraint.kind == "barycenter":
-        return barycenter_of(vertices)
-    return constraint.values(vertices)
+    return barycenter_of(vertices)
 
 
 def constraint_residual(constraint, achieved) -> np.ndarray:
     """Residual of each row of achieved values (n, k) (`achieved_value`),
-    (n,): the relative error of the volume, the max absolute error of the
-    barycenter or of A_c vec(cloud)."""
+    (n,): the relative error of the volume or the max absolute error of the
+    barycenter."""
     error = np.abs(achieved - target_value(constraint))
     if constraint.kind == "volume":
         return error[:, 0] / max(abs(constraint.target), 1e-300)
@@ -167,23 +152,20 @@ def constraint_residual(constraint, achieved) -> np.ndarray:
 def target_value(constraint) -> np.ndarray:
     if constraint.kind == "volume":
         return np.array([constraint.target])
-    return np.asarray(constraint.target, dtype=np.float64).reshape(-1)
+    return constraint.target
 
 
 def constraint_record(constraint):
     """The (constraint.kind, constraint.target) record that stores a
-    constraint and that `constraint_from` reads back; a kind that it
-    cannot read is refused."""
-    if constraint.kind not in _TARGET_LENGTHS:
-        raise ConfigError(f"a {constraint.kind} constraint cannot be stored")
+    constraint and that `constraint_from` reads back."""
     return constraint.kind, target_value(constraint)
 
 
-def constraint_from(kind, target, n_points):
+def constraint_from(kind, target):
     """The constraint that a stored (constraint.kind, constraint.target)
-    record names, on clouds of n_points points. An unknown kind, or a target
-    whose length is not the one its kind needs, raises ConfigError naming
-    the key, the kind and the length."""
+    record names. An unknown kind, or a target whose length is not the one
+    its kind needs, raises ConfigError naming the key, the kind and the
+    length."""
     if kind not in _TARGET_LENGTHS:
         raise ConfigError(f"'constraint.kind' names unknown kind {kind!r}")
     target = np.asarray(target, dtype=np.float64).reshape(-1)
@@ -193,7 +175,7 @@ def constraint_from(kind, target, n_points):
             f"values, needs {_TARGET_LENGTHS[kind]}")
     if kind == "volume":
         return VolumeConstraint(target[0])
-    return barycenter_constraint(n_points, target)
+    return BarycenterConstraint(target)
 
 
 # ---------------------------------------------------------------------------
@@ -249,17 +231,16 @@ def cffd_correct(lattice: FfdLattice, displacement, surface: TriSurface,
         delta[:, free, 0] += p / lattice.a_phi[0, 0]
         return delta.reshape(np.shape(displacement))
 
-    if constraint.dim != 3 * len(points):
-        raise DimensionError(
-            f"constraint dim {constraint.dim} != 3 * {len(points)} points")
-    rhs = constraint.target - constraint.values(deformed)
+    matrix = barycenter_rows(len(points))
+    # a stack of one-column products, so each sample's rhs is its own
+    rhs = constraint.target - (
+        matrix @ deformed.reshape(len(deformed), -1, 1))[..., 0]
     # composite matrix A_c B over the free control-point displacements:
     # point displacement l = sum_p w_lp a_phi(delta_p)
-    n_c = constraint.matrix.shape[0]
-    a_rows = constraint.matrix.reshape(n_c, len(points), 3)
-    # (F, M) @ (n_c, M, 3) @ (3, 3) -> (n_c, F, 3)
+    a_rows = matrix.reshape(3, len(points), 3)
+    # (F, M) @ (3, M, 3) @ (3, 3) -> (3, F, 3)
     composite = (influence.T @ a_rows) @ lattice.a_phi
-    composite = composite.reshape(n_c, -1)
+    composite = composite.reshape(3, -1)
     w = None if weights is None else np.repeat(weights[free], 3)
     try:
         delta_free = lstsq_min_norm(composite, rhs, weights=w)

@@ -137,7 +137,7 @@ def read_dataset(directory) -> Dataset:
         raise ContainerError(f"{path}: holds {len(vertices)} samples, "
                              f"manifest.tsv lists {len(rows)}")
     try:
-        constraint = constraint_from(kind, target, vertices.shape[1])
+        constraint = constraint_from(kind, target)
     except ConfigError as err:
         raise ConfigError(f"{manifest} line 2: {err}") from None
     displacements = None

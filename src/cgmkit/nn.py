@@ -38,6 +38,9 @@ from .rng import Rng
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 _ACTIVATIONS = ("relu", "sigmoid", "identity")
 
@@ -277,13 +280,9 @@ class AdamW:
     gradient per array and updates each array with a fixed sequence of
     whole-array in-place operations."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
-                 weight_decay=1e-2):
+    def __init__(self, params, lr=1e-3, weight_decay=1e-2):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         # (m, v, scratch, scratch) per array
@@ -297,7 +296,7 @@ class AdamW:
         if any(g.shape != p.shape for g, p in zip(grads, self.params)):
             raise DimensionError("gradient shape mismatch")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for p, g, (m, v, a, b) in zip(self.params, grads, self.state):
@@ -311,7 +310,7 @@ class AdamW:
             np.divide(m, bc1, out=a)
             np.divide(v, bc2, out=b)
             np.sqrt(b, out=b)
-            b += self.eps
+            b += ADAM_EPS
             a /= b
             np.multiply(p, self.weight_decay, out=b)
             a += b

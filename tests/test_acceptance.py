@@ -20,8 +20,9 @@ import numpy as np
 import pytest
 
 from cgmkit.cli import main as cli_main
-from cgmkit.constraints import (VolumeConstraint, barycenter_constraint,
-                                cffd_correct, sample_cffd_dataset)
+from cgmkit.constraints import (BarycenterConstraint, VolumeConstraint,
+                                barycenter_rows, cffd_correct,
+                                sample_cffd_dataset)
 from cgmkit.generative import GmConfig, train_model
 from cgmkit.geometry import (FfdLattice, TriSurface, barycenter_of, ffd_map,
                              synth_shape, volume_of)
@@ -49,7 +50,7 @@ def bench():
     """60-sample icosphere datasets (barycenter- and volume-constrained)."""
     base = synth_shape("icosphere", 2)
     lattice = box_lattice(base)
-    bary = barycenter_constraint(base.n_vertices, barycenter_of(base.vertices))
+    bary = BarycenterConstraint(barycenter_of(base.vertices))
     vol = VolumeConstraint(volume_of(base))
     bary_data, _ = sample_cffd_dataset(lattice, base, bary, 60, 0.05, Rng(101))
     vol_data, _ = sample_cffd_dataset(lattice, base, vol, 60, 0.05, Rng(102))
@@ -109,8 +110,8 @@ def test_criterion_2_cffd_correctness(bench):
     rng = Rng(200)
     influence = lattice.influence(base.vertices)
     composite = np.einsum("qlc,lp,cd->qpd",
-                          bary.matrix.reshape(3, -1, 3), influence,
-                          lattice.a_phi).reshape(3, -1)
+                          barycenter_rows(base.n_vertices).reshape(3, -1, 3),
+                          influence, lattice.a_phi).reshape(3, -1)
     worst_resid = worst_kkt = 0.0
     for i in range(100):
         dp = 0.05 * rng.derive("b", i).normal((lattice.n_control, 3))
@@ -259,8 +260,7 @@ def test_criterion_5_jsd_suite():
     # self-comparison of a 200-sample dataset: inertia-component JSD band
     base = synth_shape("icosphere", 1)
     lattice = box_lattice(base)
-    constraint = barycenter_constraint(base.n_vertices,
-                                       barycenter_of(base.vertices))
+    constraint = BarycenterConstraint(barycenter_of(base.vertices))
     data = (sample_cffd_dataset(lattice, base, constraint, 200, 0.05,
                                 Rng(506))[0], base.faces)
     report = metric_report(data, data, constraint=constraint)

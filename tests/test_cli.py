@@ -8,7 +8,7 @@ from cgmkit import cli
 from cgmkit.checkpoint import load_tensors, save_tensors
 from cgmkit.cli import main
 from cgmkit.config import PipelineConfig
-from cgmkit.constraints import barycenter_constraint
+from cgmkit.constraints import barycenter_rows
 from cgmkit.datasets import MANIFEST_COLUMNS, read_manifest
 from cgmkit.generative import load_model
 from cgmkit.reduction import as_fit, fd_gradients, load_matrix, save_matrix
@@ -509,8 +509,7 @@ def test_barycenter_checkpoint_with_older_matrix_tensor_samples_the_same(
     tensors = load_tensors(older)
     target = tensors.pop("constraint.target")
     n_points = len(tensors["pca.mean"]) // 3
-    tensors["constraint.matrix"] = barycenter_constraint(n_points,
-                                                         target).matrix
+    tensors["constraint.matrix"] = barycenter_rows(n_points)
     tensors["constraint.target"] = target
     save_tensors(older, tensors)
     assert "constraint.matrix" not in load_tensors(ckpt)

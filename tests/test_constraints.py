@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cgmkit.constraints import (LinearConstraint, VolumeConstraint,
-                                achieved_value, barycenter_constraint,
+from cgmkit.constraints import (BarycenterConstraint, VolumeConstraint,
+                                achieved_value, barycenter_rows,
                                 cffd_correct, constraint_from,
                                 constraint_record,
                                 project_volume as project_volume_batch,
@@ -27,7 +27,9 @@ def sphere():
 def project_cloud(cloud, constraint):
     """LinearEnforcer on one (M, 3) cloud: (corrected cloud, correction)."""
     cloud = np.asarray(cloud, dtype=np.float64).reshape(1, -1)
-    out, _ = LinearEnforcer(constraint).forward(cloud)
+    enforcer = LinearEnforcer(barycenter_rows(cloud.shape[1] // 3),
+                              constraint.target)
+    out, _ = enforcer.forward(cloud)
     return out.reshape(-1, 3), (out - cloud).reshape(-1, 3)
 
 
@@ -41,20 +43,22 @@ def project_volume(surface, target):
 # --- barycenter constraint ---------------------------------------------------
 
 def test_barycenter_rows():
-    c = barycenter_constraint(2, (1.0, 2.0, 3.0))
-    assert np.allclose(c.matrix[0], [0.5, 0, 0, 0.5, 0, 0])
-    assert c.target[0] == 1.0
+    assert np.allclose(barycenter_rows(2)[0], [0.5, 0, 0, 0.5, 0, 0])
+    assert BarycenterConstraint((1.0, 2.0, 3.0)).target[0] == 1.0
+    assert np.array_equal(barycenter_rows(1), np.eye(3))
+    with pytest.raises(DimensionError, match="need at least one point"):
+        barycenter_rows(0)
 
 
 def test_barycenter_matrix_recovers_mean(sphere):
-    c = barycenter_constraint(sphere.n_vertices, np.zeros(3))
-    assert np.allclose(c.matrix @ sphere.vertices.reshape(-1),
+    assert np.allclose(barycenter_rows(sphere.n_vertices)
+                       @ sphere.vertices.reshape(-1),
                        barycenter_of(sphere.vertices))
 
 
 def test_enforce_already_feasible_is_noop(sphere):
     target = barycenter_of(sphere.vertices)
-    c = barycenter_constraint(sphere.n_vertices, target)
+    c = BarycenterConstraint(target)
     corrected, delta = project_cloud(sphere.vertices, c)
     assert np.max(np.abs(delta)) < 1e-12
 
@@ -186,15 +190,15 @@ def test_enforce_mean_zero_hand_case():
     cloud = np.array([[1.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
     matrix = np.zeros((1, 6))
     matrix[0, 0] = matrix[0, 3] = 0.5
-    c = LinearConstraint(matrix, np.zeros(1))
-    corrected, delta = project_cloud(cloud, c)
+    out, _ = LinearEnforcer(matrix, np.zeros(1)).forward(cloud.reshape(1, -1))
+    corrected = out.reshape(-1, 3)
     assert np.allclose(corrected[:, 0], [-1.0, 1.0], atol=1e-12)
-    assert np.allclose(delta[:, 1:], 0.0)
+    assert np.allclose(corrected[:, 1:], 0.0)
 
 
 def test_barycenter_enforcement_is_rigid_translation(sphere):
     target = np.array([0.3, -0.4, 0.7])
-    c = barycenter_constraint(sphere.n_vertices, target)
+    c = BarycenterConstraint(target)
     shift = target - barycenter_of(sphere.vertices)
     corrected, delta = project_cloud(sphere.vertices, c)
     assert np.max(np.abs(delta - shift)) < 1e-12
@@ -202,7 +206,7 @@ def test_barycenter_enforcement_is_rigid_translation(sphere):
 
 
 def test_projection_idempotent(sphere):
-    c = barycenter_constraint(sphere.n_vertices, np.array([1.0, 2.0, 3.0]))
+    c = BarycenterConstraint(np.array([1.0, 2.0, 3.0]))
     once, _ = project_cloud(sphere.vertices, c)
     twice, delta2 = project_cloud(once, c)
     assert np.max(np.abs(twice - once)) <= 1e-12
@@ -211,9 +215,9 @@ def test_projection_idempotent(sphere):
 
 def test_min_norm_optimality_against_random_feasible(sphere):
     rng = Rng(14)
-    c = barycenter_constraint(sphere.n_vertices, np.array([0.5, 0.0, -0.5]))
+    c = BarycenterConstraint(np.array([0.5, 0.0, -0.5]))
     _, delta = project_cloud(sphere.vertices, c)
-    a = c.matrix
+    a = barycenter_rows(sphere.n_vertices)
     null_proj = np.eye(a.shape[1]) - np.linalg.pinv(a) @ a
     base = delta.reshape(-1)
     for _ in range(100):
@@ -222,22 +226,22 @@ def test_min_norm_optimality_against_random_feasible(sphere):
 
 
 def test_linear_enforcer_rejects_other_size(sphere):
-    c = barycenter_constraint(sphere.n_vertices, np.zeros(3))
+    enforcer = LinearEnforcer(barycenter_rows(sphere.n_vertices), np.zeros(3))
     with pytest.raises(DimensionError):
-        LinearEnforcer(c).forward(np.zeros((2, c.dim + 3)))
+        enforcer.forward(np.zeros((2, 3 * sphere.n_vertices + 3)))
 
 
-def test_constraint_record_round_trip(sphere):
-    m = sphere.n_vertices
-    for c in (barycenter_constraint(m, [0.1, -0.2, 0.3]),
+def test_constraint_record_round_trip():
+    for c in (BarycenterConstraint([0.1, -0.2, 0.3]),
               VolumeConstraint(2.5)):
         kind, target = constraint_record(c)
-        back = constraint_from(kind, target, m)
+        back = constraint_from(kind, target)
+        assert type(back) is type(c)
         assert back.kind == c.kind == kind
         assert constraint_record(back)[1].tobytes() == target.tobytes()
     assert np.array_equal(back.target, 2.5)
-    assert np.array_equal(constraint_from("barycenter", [1, 2, 3], m).matrix,
-                          barycenter_constraint(m, [1, 2, 3]).matrix)
+    assert np.array_equal(constraint_from("barycenter", [1, 2, 3]).target,
+                          [1.0, 2.0, 3.0])
 
 
 @pytest.mark.parametrize("kind, target, match", [
@@ -249,19 +253,10 @@ def test_constraint_record_round_trip(sphere):
     ("linear", [1.0, 2.0, 3.0], "'constraint.kind' names unknown kind "
                                 "'linear'"),
 ])
-def test_constraint_from_rejects_malformed_record_by_name(sphere, kind,
-                                                          target, match):
+def test_constraint_from_rejects_malformed_record_by_name(kind, target,
+                                                          match):
     with pytest.raises(ConfigError, match=match):
-        constraint_from(kind, target, sphere.n_vertices)
-
-
-def test_constraint_record_refuses_a_kind_it_cannot_read_back(sphere):
-    c = LinearConstraint(barycenter_constraint(sphere.n_vertices,
-                                               np.zeros(3)).matrix[:2],
-                         np.zeros(2))
-    with pytest.raises(ConfigError, match="a linear constraint cannot be "
-                                          "stored"):
-        constraint_record(c)
+        constraint_from(kind, target)
 
 
 # --- volume enforcement -------------------------------------------------------
@@ -290,7 +285,7 @@ def box_lattice(surface, grid=(2, 2, 2), pad=0.05):
 
 def test_cffd_zero_when_already_satisfied(sphere):
     lattice = box_lattice(sphere)
-    c = barycenter_constraint(sphere.n_vertices, barycenter_of(sphere.vertices))
+    c = BarycenterConstraint(barycenter_of(sphere.vertices))
     delta = cffd_correct(lattice, np.zeros((lattice.n_control, 3)), sphere, c)
     assert np.max(np.abs(delta)) < 1e-9
 
@@ -305,7 +300,7 @@ def test_cffd_uniform_influence_hand_case():
     # a one-point surface (no faces) whose point must move to (0.2, -0.1, 0.3)
     single = TriSurface(point, np.zeros((0, 3)))
     target = np.array([0.2, -0.1, 0.3])
-    c = LinearConstraint(np.eye(3), target)
+    c = BarycenterConstraint(target)  # the rows of one point are eye(3)
     delta = cffd_correct(lattice, np.zeros((lattice.n_control, 3)), single, c)
     assert np.allclose(delta - delta[0], 0.0, atol=1e-12)  # uniform
     assert np.allclose(a @ delta[0], target, atol=1e-9)
@@ -317,7 +312,7 @@ def test_cffd_meets_constraint_and_kkt(sphere):
     rng = Rng(4)
     lattice = box_lattice(sphere)
     target = barycenter_of(sphere.vertices)
-    c = barycenter_constraint(sphere.n_vertices, target)
+    c = BarycenterConstraint(target)
     for trial in range(5):
         dp = 0.05 * rng.derive(trial).normal((lattice.n_control, 3))
         delta = cffd_correct(lattice, dp, sphere, c)
@@ -325,8 +320,8 @@ def test_cffd_meets_constraint_and_kkt(sphere):
         assert np.max(np.abs(barycenter_of(deformed) - target)) <= 1e-9
         # KKT: correction in the row space of (A_c B)^T
         influence = lattice.influence(sphere.vertices)
-        composite = np.einsum("qlc,lp,cd->qpd",
-                              c.matrix.reshape(3, -1, 3), influence,
+        rows = barycenter_rows(sphere.n_vertices).reshape(3, -1, 3)
+        composite = np.einsum("qlc,lp,cd->qpd", rows, influence,
                               lattice.a_phi).reshape(3, -1)
         lam, *_ = np.linalg.lstsq(composite.T, delta.reshape(-1), rcond=None)
         assert np.linalg.norm(composite.T @ lam - delta.reshape(-1)) < 1e-9
@@ -334,8 +329,7 @@ def test_cffd_meets_constraint_and_kkt(sphere):
 
 def test_cffd_weighted_scaling(sphere):
     lattice = box_lattice(sphere)
-    c = barycenter_constraint(sphere.n_vertices,
-                              barycenter_of(sphere.vertices) + 0.1)
+    c = BarycenterConstraint(barycenter_of(sphere.vertices) + 0.1)
     weights = np.ones(lattice.n_control)
     heavy = 7
     weights[heavy] = 1e6
@@ -349,14 +343,14 @@ def test_cffd_weighted_scaling(sphere):
 def test_cffd_weighted_kkt_row_space(sphere):
     rng = Rng(41)
     lattice = box_lattice(sphere)
-    c = barycenter_constraint(sphere.n_vertices,
-                              barycenter_of(sphere.vertices) + 0.08)
+    c = BarycenterConstraint(barycenter_of(sphere.vertices) + 0.08)
     weights = 0.5 + rng.uniform(lattice.n_control) * 3.0
     dp = 0.04 * rng.normal((lattice.n_control, 3))
     delta = cffd_correct(lattice, dp, sphere, c, weights=weights)
     influence = lattice.influence(sphere.vertices)
-    composite = np.einsum("qlc,lp,cd->qpd", c.matrix.reshape(3, -1, 3),
-                          influence, lattice.a_phi).reshape(3, -1)
+    rows = barycenter_rows(sphere.n_vertices).reshape(3, -1, 3)
+    composite = np.einsum("qlc,lp,cd->qpd", rows, influence,
+                          lattice.a_phi).reshape(3, -1)
     # correction must lie in the row space of diag(w)^-2 (A_c B)^T
     w_full = np.repeat(weights, 3)
     g = composite.T / (w_full ** 2)[:, None]
@@ -370,8 +364,7 @@ def test_cffd_pinned_points_exact_zero(sphere):
     local = lattice.control_points_local()
     pinned = local[:, 0] == 0.0  # cut plane i = 0
     weights[pinned] = 0.0
-    c = barycenter_constraint(sphere.n_vertices,
-                              barycenter_of(sphere.vertices) + 0.05)
+    c = BarycenterConstraint(barycenter_of(sphere.vertices) + 0.05)
     delta = cffd_correct(lattice, np.zeros((lattice.n_control, 3)), sphere, c,
                          weights=weights)
     assert np.all(delta[pinned] == 0.0)
@@ -380,7 +373,7 @@ def test_cffd_pinned_points_exact_zero(sphere):
 
 def test_cffd_all_pinned_infeasible(sphere):
     lattice = box_lattice(sphere)
-    c = barycenter_constraint(sphere.n_vertices, np.zeros(3))
+    c = BarycenterConstraint(np.zeros(3))
     with pytest.raises(InfeasibleConstraintError):
         cffd_correct(lattice, np.zeros((lattice.n_control, 3)), sphere, c,
                      weights=np.zeros(lattice.n_control))
@@ -441,7 +434,7 @@ def test_cffd_stack_names_first_infeasible_sample(sphere):
     weights = np.ones(lattice.n_control)
     pinned = lattice.control_points_local()[:, 0] == 0.0
     weights[pinned] = 0.0
-    c = barycenter_constraint(sphere.n_vertices, barycenter_of(sphere.vertices))
+    c = BarycenterConstraint(barycenter_of(sphere.vertices))
     stack = np.zeros((2, lattice.n_control, 3))
     stack[1, pinned] = 0.1
     delta = cffd_correct(lattice, stack[0], sphere, c, weights=weights)
@@ -476,7 +469,7 @@ def cffd_case(subdivision, grid, kind, pins):
     base = synth_shape("icosphere", subdivision)
     lattice = box_lattice(base, grid)
     c = (VolumeConstraint(volume_of(base)) if kind == "volume" else
-         barycenter_constraint(base.n_vertices, barycenter_of(base.vertices)))
+         BarycenterConstraint(barycenter_of(base.vertices)))
     return base, lattice, c, pin_weights(lattice, pins)
 
 
@@ -560,7 +553,7 @@ def test_dataset_deterministic_and_constrained(tmp_path, sphere):
 
 def test_dataset_sigma_zero_copies(sphere):
     lattice = box_lattice(sphere)
-    c = barycenter_constraint(sphere.n_vertices, barycenter_of(sphere.vertices))
+    c = BarycenterConstraint(barycenter_of(sphere.vertices))
     vertices, _ = sample_cffd_dataset(lattice, sphere, c, 2, 0.0, Rng(1))
     for cloud in vertices:
         assert np.max(np.abs(cloud - sphere.vertices)) < 1e-12
@@ -570,7 +563,7 @@ def test_constraint_survives_stl_round_trip(tmp_path, sphere):
     from cgmkit.stl_io import stl_read, stl_write
     lattice = box_lattice(sphere)
     target = barycenter_of(sphere.vertices)
-    c = barycenter_constraint(sphere.n_vertices, target)
+    c = BarycenterConstraint(target)
     vertices, _ = sample_cffd_dataset(lattice, sphere, c, 2, 0.05, Rng(9))
     for i, cloud in enumerate(vertices):
         path = tmp_path / f"s{i}.stl"

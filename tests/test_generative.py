@@ -3,8 +3,8 @@ import pytest
 
 from cgmkit import generative
 from cgmkit.checkpoint import load_tensors
-from cgmkit.constraints import (VolumeConstraint, barycenter_constraint,
-                                sample_cffd_dataset)
+from cgmkit.constraints import (BarycenterConstraint, VolumeConstraint,
+                                barycenter_rows, sample_cffd_dataset)
 from cgmkit.errors import ConfigError
 from cgmkit.generative import (GmConfig, LinearEnforcer, VolumeEnforcer,
                                began_k_update, kl_normal, load_model,
@@ -23,13 +23,18 @@ def make_dataset(seed=1, n=24, constraint_kind="barycenter", subdivision=1):
                                   base.vertices.min(axis=0) - 0.05,
                                   base.vertices.max(axis=0) + 0.05)
     if constraint_kind == "barycenter":
-        constraint = barycenter_constraint(base.n_vertices,
-                                           barycenter_of(base.vertices))
+        constraint = BarycenterConstraint(barycenter_of(base.vertices))
     else:
         constraint = VolumeConstraint(volume_of(base))
     vertices, _ = sample_cffd_dataset(lattice, base, constraint, n, 0.05,
                                       Rng(seed))
     return vertices, constraint, base
+
+
+def barycenter_enforcer(constraint, base):
+    """The linear enforcing layer of a barycenter constraint on the base's
+    clouds."""
+    return LinearEnforcer(barycenter_rows(base.n_vertices), constraint.target)
 
 
 def small_config(**kw):
@@ -44,11 +49,11 @@ def small_config(**kw):
 def test_linear_enforcer_exact_and_idempotent():
     rng = Rng(2)
     vertices, constraint, base = make_dataset()
-    enforcer = LinearEnforcer(constraint)
+    enforcer = barycenter_enforcer(constraint, base)
     clouds = vertices[:5].reshape(5, -1)
     clouds += rng.normal(clouds.shape) * 0.1  # break feasibility
     out, _ = enforcer.forward(clouds)
-    resid = out @ constraint.matrix.T - constraint.target
+    resid = out @ enforcer.matrix.T - constraint.target
     assert np.max(np.abs(resid)) <= 1e-10 * (1.0 + np.linalg.norm(constraint.target))
     again, _ = enforcer.forward(out)
     assert np.max(np.abs(again - out)) < 1e-12
@@ -56,13 +61,13 @@ def test_linear_enforcer_exact_and_idempotent():
 
 def test_linear_enforcer_backward_is_projector():
     vertices, constraint, base = make_dataset()
-    enforcer = LinearEnforcer(constraint)
+    enforcer = barycenter_enforcer(constraint, base)
     rng = Rng(3)
-    g = rng.normal((4, constraint.dim))
+    g = rng.normal((4, 3 * base.n_vertices))
     back = enforcer.backward(None, g)
     # projector: applying twice equals once, and output is constraint-neutral
     assert np.allclose(enforcer.backward(None, back), back)
-    assert np.max(np.abs(back @ constraint.matrix.T)) < 1e-9
+    assert np.max(np.abs(back @ enforcer.matrix.T)) < 1e-9
 
 
 def test_volume_enforcer_batch():
@@ -96,7 +101,7 @@ def test_enforcer_backward_maps_zero_to_exact_zeros(kind):
     # BEGAN skips the fake-term backward at k_t = 0 on this property
     vertices, constraint, base = make_dataset(constraint_kind=kind)
     if kind == "barycenter":
-        enforcer = LinearEnforcer(constraint)
+        enforcer = barycenter_enforcer(constraint, base)
     else:
         constraint = VolumeConstraint(1.1 * volume_of(base))
         enforcer = VolumeEnforcer(constraint, base.faces)
@@ -164,7 +169,7 @@ def test_volume_enforcer_unreferenced_vertex():
 def test_enforcing_chain_gradient_matches_fd():
     vertices, constraint, base = make_dataset(n=12)
     clouds = vertices.reshape(len(vertices), -1)
-    back, fd = chain_gradients(LinearEnforcer(constraint), clouds)
+    back, fd = chain_gradients(barycenter_enforcer(constraint, base), clouds)
     scale = np.maximum(np.maximum(np.abs(fd), np.abs(back)), 1e-3)
     assert np.all(np.abs(fd - back) / scale < 1e-5)
 
@@ -242,7 +247,7 @@ def test_ae_fits_linear_dataset():
     clouds = mean + rng.normal((n, rank)) @ basis.T
     fake_faces = np.array([[0, 1, 2]])
     target = barycenter_of(clouds[0].reshape(-1, 3))
-    constraint = barycenter_constraint(dim // 3, target)
+    constraint = BarycenterConstraint(target)
     cfg = GmConfig(latent_dim=rank, pca_modes=rank, hidden_width=32,
                    hidden_depth=2, epochs=500, batch_size=n, dropout=0.0,
                    weight_decay=0.0, seed=5)

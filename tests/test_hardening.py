@@ -106,7 +106,7 @@ def test_vae_alpha_pulls_posterior_scale_to_one():
     # strong KL weight must pull the posterior scale towards 1 (the mean
     # head ends in a non-affine batch norm, so it stays standardized and
     # cannot collapse); this exercises the assembled KL gradient direction
-    from cgmkit.constraints import barycenter_constraint, sample_cffd_dataset
+    from cgmkit.constraints import BarycenterConstraint, sample_cffd_dataset
     from cgmkit.generative import GmConfig
     from cgmkit.geometry import FfdLattice, barycenter_of
 
@@ -114,8 +114,7 @@ def test_vae_alpha_pulls_posterior_scale_to_one():
     lattice = FfdLattice.from_box((2, 2, 2),
                                   base.vertices.min(axis=0) - 0.05,
                                   base.vertices.max(axis=0) + 0.05)
-    constraint = barycenter_constraint(base.n_vertices,
-                                       barycenter_of(base.vertices))
+    constraint = BarycenterConstraint(barycenter_of(base.vertices))
     vertices, _ = sample_cffd_dataset(lattice, base, constraint, 24, 0.05,
                                       Rng(5))
 

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from cgmkit.constraints import (VolumeConstraint, achieved_value,
-                                barycenter_constraint, cffd_correct,
+from cgmkit.constraints import (BarycenterConstraint, VolumeConstraint,
+                                achieved_value, cffd_correct,
                                 constraint_residual, project_volume,
                                 volume_gradient)
 from cgmkit.errors import InfeasibleConstraintError
@@ -99,7 +99,7 @@ def test_cffd_barycenter_exact_and_pinned_rows_zero(grid, sigma, pins, shift,
                                                     seed):
     lattice, weights, pinned, dp = pinned_setup(grid, pins, sigma, seed)
     target = barycenter_of(BASE.vertices) + np.array(shift)
-    constraint = barycenter_constraint(BASE.n_vertices, target)
+    constraint = BarycenterConstraint(target)
     delta = cffd_correct(lattice, dp, BASE, constraint, weights=weights)
     deformed, _ = ffd_map(lattice, dp + delta, BASE.vertices)
     assert np.max(np.abs(barycenter_of(deformed) - target)) <= 1e-10
@@ -189,7 +189,7 @@ def test_stack_checks_batch_invariant(b, noise, seed):
     rng = Rng(seed)
     stack = DESK.vertices * (1.0 + noise * rng.normal((b, DESK.n_vertices, 3)))
     constraints = (
-        barycenter_constraint(DESK.n_vertices, 0.01 * rng.normal(3)),
+        BarycenterConstraint(0.01 * rng.normal(3)),
         VolumeConstraint(volume_of(DESK)))
     calls = [partial(fn, constraint) for constraint in constraints
              for fn in (residual_of, achieved_value)]

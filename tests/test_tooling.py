@@ -64,8 +64,9 @@ def test_artifact_differences_lists_changed_and_missing_paths():
 
 
 def test_tensor_difference_reports_largest_change(tmp_path):
-    # --against follows each differing container with its largest absolute
-    # tensor difference, so a change that moves bytes reports by how much
+    # --against follows each differing container with the tensors only one
+    # side holds, the shapes that changed and the largest absolute
+    # difference over the rest, so a change that moves bytes reports how
     tool = load(HASHES, "artifact_hashes")
     for side, shift in (("old", 0.0), ("new", 0.25)):
         (tmp_path / side / "gen").mkdir(parents=True)
@@ -74,11 +75,19 @@ def test_tensor_difference_reports_largest_change(tmp_path):
         save_matrix(tmp_path / side / "latents.bin",
                     np.zeros((2, 2 if side == "old" else 3)))
         (tmp_path / side / "metrics.tsv").write_text(side)
+    save_tensors(tmp_path / "old" / "model.cgmt",
+                 {"c.matrix": np.ones((3, 6)), "c.target": np.ones(3),
+                  "w": np.zeros((2, 2))})
+    save_tensors(tmp_path / "new" / "model.cgmt",
+                 {"c.target": np.ones(3) + 1e-3, "v": np.ones(1),
+                  "w": np.zeros((1, 4))})
     save_tensors(tmp_path / "new" / "only.cgmt", {"a": np.zeros(1)})
     assert tool.tensor_difference(tmp_path, "gen/dataset.cgmt") == (
         " max|diff| 0.25")
     assert tool.tensor_difference(tmp_path, "latents.bin") == (
-        " tensor names or shapes differ")
+        " matrix (2, 2)->(2, 3)")
+    assert tool.tensor_difference(tmp_path, "model.cgmt") == (
+        " removed c.matrix added v w (2, 2)->(1, 4) max|diff| 0.001")
     assert tool.tensor_difference(tmp_path, "metrics.tsv") == ""
     assert tool.tensor_difference(tmp_path, "only.cgmt") == ""
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cgmkit.config import PipelineConfig
-from cgmkit.constraints import barycenter_constraint, sample_cffd_dataset
+from cgmkit.constraints import (BarycenterConstraint, barycenter_rows,
+                                sample_cffd_dataset)
 from cgmkit.errors import DegenerateDistributionError, EmptyInputError
 from cgmkit.generative import VolumeEnforcer
 from cgmkit.geometry import synth_shape, volumes
@@ -164,7 +165,7 @@ def jiggled_dataset(seed, n=30):
 
 def test_metric_report_self_comparison(tmp_path):
     data = jiggled_dataset(11)
-    c = barycenter_constraint(data[0].shape[1], np.zeros(3))
+    c = BarycenterConstraint(np.zeros(3))
     report = metric_report(data, data, constraint=c)
     for name, value in report.rows:
         if name.startswith("jsd_"):
@@ -184,8 +185,8 @@ def test_metric_report_constraint_residual():
     target = np.zeros(3)
     from cgmkit.generative import LinearEnforcer
     vertices, faces = data
-    c = barycenter_constraint(vertices.shape[1], target)
-    enforcer = LinearEnforcer(c)
+    c = BarycenterConstraint(target)
+    enforcer = LinearEnforcer(barycenter_rows(vertices.shape[1]), target)
     enforced = np.stack([enforcer.forward(v.reshape(1, -1))[0].reshape(-1, 3)
                          for v in vertices])
     report = metric_report(data, (enforced, faces), constraint=c)
@@ -194,6 +195,6 @@ def test_metric_report_constraint_residual():
 
 def test_metric_report_empty_dataset_error():
     data = jiggled_dataset(13, n=4)
-    c = barycenter_constraint(data[0].shape[1], np.zeros(3))
+    c = BarycenterConstraint(np.zeros(3))
     with pytest.raises(EmptyInputError):
         metric_report((data[0][:0], data[1]), data, constraint=c)

@@ -14,8 +14,10 @@ With `--against OLD_SRC` it runs the workload under OLD_SRC into
 WORKDIR/old and under `--src` into WORKDIR/new, prints only the paths
 whose bytes differ or that one run lacks (`path old new`, `-` for a
 missing file) and exits 1 if there is any. A tensor container (`.cgmt`,
-`.bin`) that both runs wrote also gets its largest absolute tensor
-difference (`max|diff| 1.2e-12`):
+`.bin`) that both runs wrote also gets the tensor names only one run
+wrote, the shapes that changed and the largest absolute difference over
+the tensors of one name and shape in both (`removed constraint.matrix
+max|diff| 0`):
 
     python3 tools/artifact_hashes.py desk-volume /tmp/cmp --against OLD/src"""
 
@@ -85,20 +87,28 @@ def differences(old_rows, new_rows):
 
 
 def tensor_difference(workdir, path):
-    """' max|diff| D' for a tensor container (.cgmt, .bin) under both
-    WORKDIR/old and WORKDIR/new: the largest absolute difference over its
-    tensors, or ' tensor names or shapes differ'; '' for any other path."""
+    """How a tensor container (.cgmt, .bin) under both WORKDIR/old and
+    WORKDIR/new changed: ' removed NAME' and ' added NAME' for each tensor
+    only one side holds, ' NAME OLD_SHAPE->NEW_SHAPE' for each whose shape
+    changed, then ' max|diff| D', the largest absolute difference over the
+    tensors of the same name and shape on both sides (left out when there
+    is none); '' for any other path."""
     old, new = (os.path.join(workdir, side, path) for side in ("old", "new"))
     if not (path.endswith((".cgmt", ".bin")) and os.path.exists(old)
             and os.path.exists(new)):
         return ""
     old, new = load_tensors(old), load_tensors(new)
-    if ({k: a.shape for k, a in old.items()}
-            != {k: a.shape for k, a in new.items()}):
-        return " tensor names or shapes differ"
-    largest = max((float(np.max(np.abs(old[k] - new[k]), initial=0.0))
-                   for k in old), default=0.0)
-    return f" max|diff| {largest:.3g}"
+    notes = [f" removed {k}" for k in sorted(old.keys() - new.keys())]
+    notes += [f" added {k}" for k in sorted(new.keys() - old.keys())]
+    shared = sorted(old.keys() & new.keys())
+    notes += [f" {k} {old[k].shape}->{new[k].shape}"
+              for k in shared if old[k].shape != new[k].shape]
+    same = [k for k in shared if old[k].shape == new[k].shape]
+    if same:
+        largest = max(float(np.max(np.abs(old[k] - new[k]), initial=0.0))
+                      for k in same)
+        notes.append(f" max|diff| {largest:.3g}")
+    return "".join(notes)
 
 
 def main(argv=None):
