@@ -20,8 +20,7 @@ from .constraints import (RESIDUAL_BOUND, achieved_value, constraint_record,
                           constraint_residual, sample_cffd_dataset)
 from .errors import CgmError, ConfigError
 from .generative import MODEL_KINDS, load_model, save_model, train_model
-from .reduction import (as_fit, as_response_surface, podi_fit,
-                        podi_predict, save_matrix)
+from .reduction import as_fit, as_response_surface, podi_fit, save_matrix
 from .rng import Rng
 from .synthfield import snapshot_mean_gradient, snapshot_of
 from .validation import metric_report
@@ -137,8 +136,8 @@ def cmd_validate(config: PipelineConfig, reference_dir, generated_dir) -> int:
     return 0
 
 
-def _surrogate_errors(predict, inputs, snapshots):
-    pred = predict(inputs)
+def _surrogate_errors(model, inputs, snapshots):
+    pred = model(inputs)
     return float(np.linalg.norm(pred - snapshots)
                  / max(np.linalg.norm(snapshots), 1e-300))
 
@@ -192,10 +191,8 @@ def cmd_surrogate(config: PipelineConfig, source, method, seed) -> int:
         podi = podi_fit(mu_train, s_train, config.pod_modes, regressor=method,
                         rng=rng.derive("nn"),
                         nn_width=config.nn_width, nn_epochs=config.nn_epochs)
-        train_err = _surrogate_errors(lambda m: podi_predict(podi, m),
-                                      mu_train, s_train)
-        test_err = _surrogate_errors(lambda m: podi_predict(podi, m),
-                                     mu_test, s_test)
+        train_err = _surrogate_errors(podi, mu_train, s_train)
+        test_err = _surrogate_errors(podi, mu_test, s_test)
         truncation = podi.basis.reconstruction_error / max(
             np.linalg.norm(s_train - s_train.mean(axis=0)), 1e-300)
         lines.append(f"{method}-podi\t{train_err:.12g}\t{test_err:.12g}")
@@ -209,8 +206,8 @@ def cmd_surrogate(config: PipelineConfig, source, method, seed) -> int:
         subspace = as_fit(grads, config.as_dim,
                           n_bootstrap=config.bootstrap, rng=rng.derive("boot"))
         surface = as_response_surface(subspace, mu_train, f_train)
-        train_err = _surrogate_errors(surface.predict, mu_train, f_train)
-        test_err = _surrogate_errors(surface.predict, mu_test, f_test)
+        train_err = _surrogate_errors(surface, mu_train, f_train)
+        test_err = _surrogate_errors(surface, mu_test, f_test)
         lines.append(f"as-gpr\t{train_err:.12g}\t{test_err:.12g}")
         save_matrix(os.path.join(out, "as_eigenvalues.bin"),
                     subspace.eigenvalues[None, :])

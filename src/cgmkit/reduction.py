@@ -1,6 +1,8 @@
 """Orthogonal mode bases, RBF interpolation and mesh morphing, Gaussian
 process regression, POD-with-interpolation surrogates and the active
-subspaces method with bootstrap bands."""
+subspaces method with bootstrap bands. Each fitted surrogate (RBF
+interpolant, GPR model, network regressor, PODI model, AS response surface)
+is a function: `model(x)` returns its outputs at the inputs x."""
 
 from dataclasses import dataclass
 
@@ -125,6 +127,11 @@ class GprModel:
     length_scale: float
     signal_variance: float
 
+    def __call__(self, xq) -> np.ndarray:
+        k = _se_kernel(np.atleast_2d(xq), self.x, self.length_scale,
+                       self.signal_variance)
+        return k @ self.alpha + self.y_mean
+
 
 def _se_kernel(a, b, length_scale, signal_variance):
     r2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
@@ -153,7 +160,7 @@ def gpr_fit(x, y) -> GprModel:
         best = np.inf
         for cand in candidates:
             sub = _fit_at(x[~hold], resid[~hold], cand, signal_variance)
-            pred = gpr_predict(sub, x[hold])
+            pred = sub(x[hold])
             err = float(np.mean((pred - resid[hold]) ** 2))
             if err < best:
                 best, length_scale = err, float(cand)
@@ -170,60 +177,43 @@ def _fit_at(x, resid, length_scale, signal_variance):
                     signal_variance=signal_variance)
 
 
-def gpr_predict(model: GprModel, xq) -> np.ndarray:
-    k = _se_kernel(np.atleast_2d(xq), model.x, model.length_scale,
-                   model.signal_variance)
-    return k @ model.alpha + model.y_mean
-
-
 # ---------------------------------------------------------------------------
 # POD with interpolation
 
 @dataclass
 class PodiModel:
+    """A POD basis and a callable regressor from inputs to its coefficients;
+    called on inputs, it returns the reconstructed snapshots."""
+
     basis: PcaBasis
-    regressor_kind: str
-    regressors: object
+    regressor: object
 
-    def coefficients(self, inputs) -> np.ndarray:
+    def __call__(self, inputs) -> np.ndarray:
         inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-        if self.regressor_kind == "rbf":
-            return self.regressors(inputs)
-        if self.regressor_kind == "gpr":
-            return np.column_stack([gpr_predict(m, inputs) for m in self.regressors])
-        return self.regressors.predict(inputs)
+        return self.basis.reconstruct(self.regressor(inputs))
 
 
-class _NnRegressor:
+def _nn_fit(x, y, width, epochs, rng: Rng):
     """Two relu hidden layers, no norm or dropout, AdamW full-batch at its
-    default rate."""
+    default rate; returns the fitted network's predict function."""
+    x_mean, x_std = x.mean(0), x.std(0) + 1e-12
+    y_mean, y_std = y.mean(0), y.std(0) + 1e-12
+    xn = (x - x_mean) / x_std
+    yn = (y - y_mean) / y_std
+    net = mlp_stack(x.shape[1], y.shape[1], width, 2, rng.derive("init"),
+                    dropout=0.0, hidden_norm=False)
+    opt = AdamW([net.flat])
+    for _ in range(epochs):
+        out, cache = net.forward(xn)
+        grads, _ = net.backward(cache, (out - yn) / len(xn))
+        opt.step([grads])
+        net.note_update()
+    net.eval()
 
-    def __init__(self, width, epochs, rng: Rng):
-        self.width = width
-        self.epochs = epochs
-        self.rng = rng
-
-    def fit(self, x, y):
-        self.x_mean, self.x_std = x.mean(0), x.std(0) + 1e-12
-        self.y_mean, self.y_std = y.mean(0), y.std(0) + 1e-12
-        xn = (x - self.x_mean) / self.x_std
-        yn = (y - self.y_mean) / self.y_std
-        self.net = mlp_stack(x.shape[1], y.shape[1], self.width, 2,
-                             self.rng.derive("init"), dropout=0.0,
-                             hidden_norm=False)
-        opt = AdamW([self.net.flat])
-        for epoch in range(self.epochs):
-            out, cache = self.net.forward(xn)
-            grads, _ = self.net.backward(cache, (out - yn) / len(xn))
-            opt.step([grads])
-            self.net.note_update()
-        self.net.eval()
-        return self
-
-    def predict(self, x):
-        xn = (np.atleast_2d(x) - self.x_mean) / self.x_std
-        out, _ = self.net.forward(xn)
-        return out * self.y_std + self.y_mean
+    def predict(xq):
+        out, _ = net.forward((np.atleast_2d(xq) - x_mean) / x_std)
+        return out * y_std + y_mean
+    return predict
 
 
 def podi_fit(inputs, snapshots, n_pod_modes, regressor="rbf", *, rng: Rng,
@@ -242,16 +232,15 @@ def podi_fit(inputs, snapshots, n_pod_modes, regressor="rbf", *, rng: Rng,
     if regressor == "rbf":
         fitted = rbf_fit(inputs, coeffs)
     elif regressor == "gpr":
-        fitted = [gpr_fit(inputs, coeffs[:, j]) for j in range(coeffs.shape[1])]
+        models = [gpr_fit(inputs, coeffs[:, j]) for j in range(coeffs.shape[1])]
+
+        def fitted(x):
+            return np.column_stack([m(x) for m in models])
     elif regressor == "nn":
-        fitted = _NnRegressor(nn_width, nn_epochs, rng).fit(inputs, coeffs)
+        fitted = _nn_fit(inputs, coeffs, nn_width, nn_epochs, rng)
     else:
         raise ConfigError(f"unknown regressor {regressor!r}")
-    return PodiModel(basis=basis, regressor_kind=regressor, regressors=fitted)
-
-
-def podi_predict(model: PodiModel, inputs) -> np.ndarray:
-    return model.basis.reconstruct(model.coefficients(inputs))
+    return PodiModel(basis=basis, regressor=fitted)
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +285,10 @@ def as_fit(gradients, n_active, n_bootstrap=100, *, rng: Rng) -> AsSubspace:
 @dataclass
 class AsResponseSurface:
     subspace: AsSubspace
-    gpr: list
+    gpr: GprModel
 
-    def predict(self, mu) -> np.ndarray:
-        active = np.atleast_2d(mu) @ self.subspace.active
-        return gpr_predict(self.gpr, active)
+    def __call__(self, mu) -> np.ndarray:
+        return self.gpr(np.atleast_2d(mu) @ self.subspace.active)
 
 
 def as_response_surface(subspace: AsSubspace, samples,

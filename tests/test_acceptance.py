@@ -29,7 +29,7 @@ from cgmkit.geometry import (FfdLattice, TriSurface, barycenter_of, ffd_map,
 from cgmkit.nn import AdamW, Mlp, MlpLayer
 from cgmkit.linalg import eigh_symmetric
 from cgmkit.reduction import (as_fit, as_response_surface, fd_gradients,
-                              gpr_fit, gpr_predict, podi_fit, podi_predict)
+                              gpr_fit, podi_fit)
 from cgmkit.rng import Rng
 from cgmkit.stl_io import stl_read, stl_write
 from cgmkit.synthfield import FieldSpec, snapshot_of
@@ -280,16 +280,16 @@ def test_criterion_6_podi(bench, trained_ae):
     mu_train, mu_test = latents[:80], latents[80:]
     s_train, s_test = snapshots[:80], snapshots[80:]
     podi_rbf = podi_fit(mu_train, s_train, 3, regressor="rbf", rng=Rng(0))
-    train_err = np.linalg.norm(podi_predict(podi_rbf, mu_train) - s_train)
+    train_err = np.linalg.norm(podi_rbf(mu_train) - s_train)
     truncation = podi_rbf.basis.reconstruction_error
     assert train_err <= truncation + 1e-9
     errors = {"rbf": (train_err, np.linalg.norm(
-        podi_predict(podi_rbf, mu_test) - s_test))}
+        podi_rbf(mu_test) - s_test))}
     for kind in ("gpr", "nn"):
         model = podi_fit(mu_train, s_train, 3, regressor=kind, rng=Rng(601),
                          nn_epochs=300)
-        tr = np.linalg.norm(podi_predict(model, mu_train) - s_train)
-        te = np.linalg.norm(podi_predict(model, mu_test) - s_test)
+        tr = np.linalg.norm(model(mu_train) - s_train)
+        te = np.linalg.norm(model(mu_test) - s_test)
         assert np.isfinite(tr) and np.isfinite(te)
         errors[kind] = (tr, te)
     elapsed = time.monotonic() - start
@@ -322,7 +322,7 @@ def test_criterion_7_active_subspaces():
     grads = fd_gradients(ridge, mu_train)
     sub = as_fit(grads, 1, n_bootstrap=100, rng=rng.derive("b2"))
     surface = as_response_surface(sub, mu_train, ridge(mu_train))
-    pred = surface.predict(mu_test)
+    pred = surface(mu_test)
     rel = np.linalg.norm(pred - ridge(mu_test)) / np.linalg.norm(ridge(mu_test))
     assert rel < 1e-2
     print(f"criterion 7: PASS - |cos| {cosine:.5f}, bands contain estimates, "
@@ -401,9 +401,9 @@ def test_surrogate_as_within_2x_of_full_gpr(trained_ae):
     grads = fd_gradients(f_of, mu_train, h=1e-4)
     sub = as_fit(grads, 1, n_bootstrap=10, rng=Rng(610))
     surface = as_response_surface(sub, mu_train, f_train)
-    as_err = np.linalg.norm(surface.predict(mu_test) - f_test)
+    as_err = np.linalg.norm(surface(mu_test) - f_test)
     full = gpr_fit(mu_train, f_train)
-    full_err = np.linalg.norm(gpr_predict(full, mu_test) - f_test)
+    full_err = np.linalg.norm(full(mu_test) - f_test)
     assert as_err <= 2.0 * full_err
     print(f"surrogate comparison: PASS - AS r=1 error {as_err:.2e} within "
           f"2x of full GPR {full_err:.2e}")

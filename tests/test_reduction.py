@@ -3,8 +3,8 @@ import pytest
 
 from cgmkit.errors import (ConfigError, DegenerateSitesError, DimensionError)
 from cgmkit.reduction import (as_fit, as_response_surface, fd_gradients,
-                              gpr_fit, gpr_predict, morph_mesh, pca_fit,
-                              podi_fit, podi_predict, rbf_fit)
+                              gpr_fit, morph_mesh, pca_fit, podi_fit,
+                              rbf_fit)
 from cgmkit.rng import Rng
 
 
@@ -137,7 +137,7 @@ def test_gpr_interpolates_training_data():
     x = rng.normal((10, 2))
     y = rng.normal(10)
     model = gpr_fit(x, y)
-    assert np.max(np.abs(gpr_predict(model, x) - y)) < 1e-6
+    assert np.max(np.abs(model(x) - y)) < 1e-6
 
 
 def test_gpr_constant_data():
@@ -145,7 +145,7 @@ def test_gpr_constant_data():
     x = rng.normal((8, 2))
     model = gpr_fit(x, np.full(8, 3.25))
     q = rng.normal((30, 2)) * 5.0
-    assert np.max(np.abs(gpr_predict(model, q) - 3.25)) < 1e-6
+    assert np.max(np.abs(model(q) - 3.25)) < 1e-6
 
 
 def test_gpr_sine_midpoints():
@@ -153,7 +153,7 @@ def test_gpr_sine_midpoints():
     y = np.sin(x).ravel()
     model = gpr_fit(x, y)
     mid = (x[:-1] + x[1:]) / 2.0
-    assert np.max(np.abs(gpr_predict(model, mid) - np.sin(mid).ravel())) < 1e-2
+    assert np.max(np.abs(model(mid) - np.sin(mid).ravel())) < 1e-2
 
 
 # --- PODI -----------------------------------------------------------------------
@@ -171,11 +171,11 @@ def test_podi_rbf_recovers_analytic_family():
     mu = rng.uniform((30, 2)) * 2.0 - 1.0
     s = mu @ phi.T
     model = podi_fit(mu, s, 2, regressor="rbf", rng=Rng(0))
-    assert np.max(np.abs(podi_predict(model, mu) - s)) < 1e-6
+    assert np.max(np.abs(model(mu) - s)) < 1e-6
     # held-out inputs: the family is affine in mu, so the degree-1 RBF tail
     # reproduces it exactly
     mu_new = rng.uniform((10, 2)) * 1.8 - 0.9
-    assert np.max(np.abs(podi_predict(model, mu_new) - mu_new @ phi.T)) < 1e-6
+    assert np.max(np.abs(model(mu_new) - mu_new @ phi.T)) < 1e-6
 
 
 def test_podi_full_rank_is_projection():
@@ -183,7 +183,7 @@ def test_podi_full_rank_is_projection():
     mu = rng.normal((6, 3))
     s = rng.normal((6, 12))
     model = podi_fit(mu, s, 6, regressor="rbf", rng=Rng(0))
-    pred = podi_predict(model, mu)
+    pred = model(mu)
     proj = model.basis.reconstruct(model.basis.project(s))
     assert np.max(np.abs(pred - proj)) < 1e-6
 
@@ -193,7 +193,7 @@ def test_podi_gpr_and_nn_finite():
     mu, s, _ = snapshot_family(rng, 25)
     for kind in ("gpr", "nn"):
         model = podi_fit(mu, s, 2, regressor=kind, rng=Rng(5), nn_epochs=200)
-        pred = podi_predict(model, mu)
+        pred = model(mu)
         assert np.all(np.isfinite(pred))
         assert np.mean((pred - s) ** 2) < np.mean(s ** 2)
 
@@ -259,7 +259,7 @@ def test_as_response_surface_on_ridge():
     sub = as_fit(grads, 1, n_bootstrap=5, rng=rng)
     surf = as_response_surface(sub, mu, f(mu))
     mu_test = rng.uniform((50, 5)) * 2.0 - 1.0
-    pred = surf.predict(mu_test)
+    pred = surf(mu_test)
     exact = f(mu_test)
     rel = np.linalg.norm(pred - exact) / np.linalg.norm(exact)
     assert rel < 1e-2
@@ -274,7 +274,7 @@ def test_as_full_dimension_matches_plain_gpr():
     surf = as_response_surface(sub, mu, y)
     direct = gpr_fit(mu @ sub.active, y)
     q = rng.normal((20, 3))
-    assert np.max(np.abs(surf.predict(q) - gpr_predict(direct, q @ sub.active))) < 1e-9
+    assert np.max(np.abs(surf(q) - direct(q @ sub.active))) < 1e-9
 
 
 def test_as_response_surface_interpolates_training():
@@ -284,7 +284,7 @@ def test_as_response_surface_interpolates_training():
     grads = 2.0 * (mu @ np.array([1.0, 0, 0, 0]))[:, None] * np.eye(4)[0][None, :]
     sub = as_fit(grads, 1, n_bootstrap=2, rng=rng)
     surf = as_response_surface(sub, mu, y)
-    assert np.max(np.abs(surf.predict(mu) - y)) < 1e-6
+    assert np.max(np.abs(surf(mu) - y)) < 1e-6
 
 
 # --- finite differences ---------------------------------------------------------
