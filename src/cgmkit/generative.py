@@ -31,7 +31,7 @@ from .checkpoint import (load_tensors, require_faces, require_tensor,
 from .constraints import (VolumeConstraint, barycenter_rows, constraint_from,
                           constraint_record, project_volume)
 from .errors import ConfigError, ContainerError, DimensionError, DivergenceError
-from .geometry import corner_index, is_closed, volume_rows_vjp
+from .geometry import is_closed, volume_rows_vjp
 from .linalg import jittered_cholesky, min_norm_gain
 from .nn import AdamW, mlp_stack
 from .reduction import PcaBasis, pca_fit
@@ -134,10 +134,6 @@ class VolumeEnforcer:
         # here and skipped in the per-batch hot path
         if not self.faces.size or not is_closed(self.faces):
             raise ConfigError("volume enforcement needs closed connectivity")
-        # the faces are fixed, so the backward pass's scatter indices are
-        # built once per vertex count (a cloud may hold unreferenced vertices
-        # past the last face index)
-        self._index = {}
 
     def forward(self, clouds):
         clouds = np.asarray(clouds, dtype=np.float64)
@@ -150,15 +146,12 @@ class VolumeEnforcer:
         out, (rows, _, before, s) = cache
         grad = np.array(grad, dtype=np.float64)
         g = grad.reshape(out.shape)
-        m = out.shape[1]
-        if m not in self._index:
-            self._index[m] = corner_index(self.faces, m)
         g_x = g[:, :, 0]
         gr = np.vecdot(rows, g_x) / np.vecdot(rows, rows)
         u = s[:, None] * g_x - gr[:, None] * (before + 2.0 * s[:, None] * rows)
         g_x -= gr[:, None] * rows
         grad_y, grad_z = volume_rows_vjp(u, out[:, :, 1], out[:, :, 2],
-                                         self.faces, self._index[m])
+                                         self.faces)
         g[:, :, 1] += grad_y
         g[:, :, 2] += grad_z
         return grad

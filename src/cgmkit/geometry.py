@@ -101,7 +101,7 @@ def volumes(vertices, faces) -> np.ndarray:
     return out
 
 
-def corner_index(faces, n_vertices) -> np.ndarray:
+def _scatter_index(faces, n_vertices) -> np.ndarray:
     """`np.bincount` indices of the face corners of one full block of clouds,
     (size, 3, F): entry (b, k, f) is b * M + faces[f, k]. The first n rows
     serve a block of n clouds, as one contiguous prefix."""
@@ -136,32 +136,31 @@ def volume_rows(vertices, faces, c) -> np.ndarray:
     """Component c of the analytic volume gradient of each cloud in a (B, M, 3)
     batch sharing the faces, (B, M): for a face (i, j, k) the corner terms
     (v_j x v_k)[c] / 6 and cyclic, summed per vertex corner by corner in
-    face order. The rows are column c of a (B, M, 3) buffer, so a reduction
-    over them strides as over a column of the full (B, M, 3) gradient."""
+    face order."""
     n, m = vertices.shape[:2]
-    grad = np.zeros((n, m, 3))
+    rows = np.empty((n, m))
     first, second = vertices[..., (c + 1) % 3], vertices[..., (c + 2) % 3]
     corners = faces.T
-    index = corner_index(faces, m)
+    index = _scatter_index(faces, m)
     for block in _blocks(n, len(faces)):
         terms = _corner_terms(first[block][:, corners],
                               second[block][:, corners])
-        grad[block, :, c] = _scatter(terms, index, m)
-    return grad[:, :, c]
+        rows[block] = _scatter(terms, index, m)
+    return rows
 
 
-def volume_rows_vjp(u, first, second, faces, index):
+def volume_rows_vjp(u, first, second, faces):
     """Transpose of the derivative of the volume rows of one component c:
     the gradients of sum(u * rows) with respect to the two components
     (first, second) = (x_{c+1}, x_{c+2}) the rows are built from, each
     (B, M). The rows are bilinear in those components, so both gradients
     are cofactor rows again, with u in the place of component c:
-    (rows of (second, u), rows of (u, first)). `index` is
-    `corner_index(faces, M)`; u and both components are gathered once per
-    block."""
+    (rows of (second, u), rows of (u, first)). u and both components are
+    gathered once per block."""
     n, m = u.shape
     grad_first, grad_second = np.empty((n, m)), np.empty((n, m))
     corners = faces.T
+    index = _scatter_index(faces, m)
     for block in _blocks(n, len(faces)):
         uu = u[block][:, corners]
         a, b = first[block][:, corners], second[block][:, corners]

@@ -132,7 +132,7 @@ def project_volume_reference(clouds, faces, constraint):
     """`project_volume` without a basis as it was on the full gradient, with
     the volume taken as r . x from the x row r."""
     clouds = np.array(clouds, dtype=np.float64)
-    rows = full_gradient_reference(clouds, faces)[:, :, 0]
+    rows = np.ascontiguousarray(full_gradient_reference(clouds, faces)[:, :, 0])
     scale = ((constraint.target - np.vecdot(rows, clouds[:, :, 0]))
              / np.vecdot(rows, rows))
     p = rows * scale[:, None]
@@ -158,8 +158,15 @@ def test_volume_rows_bitwise_equal_full_gradient_columns(sphere, cloud_batch):
     assert np.array_equal(np.stack(gradients), want)
     for c in range(3):
         rows = volume_rows(cloud_batch, sphere.faces, c)
-        assert rows.strides == want[:, :, c].strides
         assert np.array_equal(rows, want[:, :, c])
+
+
+def test_volume_rows_owns_contiguous_rows(sphere, cloud_batch):
+    # the rows are a (B, M) array of their own, not a column view of a
+    # (B, M, 3) buffer three times their size
+    rows = volume_rows(cloud_batch, sphere.faces, 0)
+    assert rows.shape == cloud_batch.shape[:2]
+    assert rows.flags.c_contiguous and rows.flags.owndata
 
 
 def test_project_volume_bitwise_equal_full_gradient_kernel(sphere, cloud_batch):
