@@ -101,12 +101,16 @@ def read_manifest(directory):
         try:
             if len(cells) != len(MANIFEST_COLUMNS):
                 raise ValueError(f"{len(cells)} cells")
+            target, achieved = _split_floats(cells[3]), _split_floats(cells[4])
+            if achieved.size != target.size:
+                raise ValueError(f"{achieved.size} achieved values for "
+                                 f"{target.size} target values")
             rows.append({
                 "file": cells[0],
                 "seed": cells[1],
                 "constraint": cells[2],
-                "target": _split_floats(cells[3]),
-                "achieved": _split_floats(cells[4]),
+                "target": target,
+                "achieved": achieved,
                 "displacement_norm": float(cells[5]),
             })
         except ValueError as err:

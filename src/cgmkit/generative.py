@@ -596,7 +596,8 @@ def save_model(model: GenerativeModel, path):
 
 def load_model(path) -> GenerativeModel:
     """Read a checkpoint written by `save_model`. A malformed sidecar line,
-    a missing sidecar key or tensor, an unknown kind, a constraint record
+    a missing sidecar key or tensor, an unknown kind, a config value of the
+    wrong type for its `GmConfig` field, a constraint record
     that `constraint_from` rejects or a tensor whose shape differs from the
     layout raises ContainerError naming the path and key. An older
     checkpoint's `constraint.matrix` tensor is not read."""
@@ -622,11 +623,20 @@ def load_model(path) -> GenerativeModel:
     tensor = partial(require_tensor, tensors, path)  # None in a shape: any extent
 
     kind = entry("kind", MODEL_KINDS)
-    texts = {f.name: entry(f"config.{f.name}") for f in fields(GmConfig)}
-    try:
-        config = GmConfig(**{k: ast.literal_eval(v) for k, v in texts.items()})
-    except (ValueError, SyntaxError, TypeError) as err:
-        raise defect(f"sidecar config does not parse: {err}") from None
+    values = {}
+    for f in fields(GmConfig):
+        key = f"config.{f.name}"
+        try:
+            value = ast.literal_eval(entry(key))
+        except (ValueError, SyntaxError) as err:
+            raise defect(f"sidecar {key!r} does not parse: {err}") from None
+        # an int field takes no float or bool; a float field also takes an int
+        accepted = (int, float) if f.type is float else int
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise defect(f"sidecar {key!r} holds {value!r}, not "
+                         f"{f.type.__name__}")
+        values[f.name] = f.type(value)
+    config = GmConfig(**values)
     modes = tensor("pca.modes", (None, config.pca_modes))
     dim = modes.shape[0]
     pca = PcaBasis(modes=modes, mean=tensor("pca.mean", (dim,)),

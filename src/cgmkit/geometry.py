@@ -92,7 +92,10 @@ def _cross(a, b) -> np.ndarray:
 
 def volumes(vertices, faces) -> np.ndarray:
     """Signed enclosed volume of each cloud in a (B, M, 3) batch sharing the
-    faces, (1/6) sum of v_a . (v_b x v_c) over faces; no closedness check."""
+    faces, (1/6) sum of v_a . (v_b x v_c) over faces; no closedness check.
+    This triple-product kernel stays beside the projection's r . x because it
+    is the independent check that the residual postconditions and `validate`
+    use."""
     out = np.empty(len(vertices))
     for block in _blocks(len(vertices), len(faces)):
         tri = vertices[block][:, faces]

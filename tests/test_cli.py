@@ -449,6 +449,10 @@ CHECKPOINT_DEFECTS = {
                                 "constraint.kind"),
     # no command writes a linear constraint, so no checkpoint carries one
     "linear-constraint-kind": (_constraint_kind("linear"), "constraint.kind"),
+    # a float where GmConfig takes an int (the latent count)
+    "latent-dim-float": (lambda t, lines: (t, [
+        "config.latent_dim=8.0" if l.startswith("config.latent_dim=") else l
+        for l in lines]), "config.latent_dim"),
     "constraint-target-length": (lambda t, lines: (
         {**t, "constraint.target": t["constraint.target"][:2]}, lines),
         "constraint.target"),
@@ -532,15 +536,24 @@ def _cell(column, edit, rows=None):
     return apply
 
 
+def _target_and_achieved(edit):
+    """The same cell edit on the target and the achieved cells, so each row
+    stays self-consistent and only its constraint record is wrong."""
+    def apply(lines):
+        return _cell("achieved", edit)(_cell("target", edit)(lines))
+    return apply
+
+
 # case -> (constraint kind of the dataset, edit of its manifest lines, the
 # diagnostic that follows the manifest path)
 MANIFEST_DEFECTS = {
     "barycenter-target-of-2": (
-        "barycenter", _cell("target", lambda c: ",".join(c.split(",")[:2])),
+        "barycenter",
+        _target_and_achieved(lambda c: ",".join(c.split(",")[:2])),
         "line 2: 'constraint.target' of a barycenter constraint holds 2 "
         "values, needs 3"),
     "volume-target-of-2": (
-        "volume", _cell("target", lambda c: c + ",1"),
+        "volume", _target_and_achieved(lambda c: c + ",1"),
         "line 2: 'constraint.target' of a volume constraint holds 2 values, "
         "needs 1"),
     "row-differs": (
@@ -549,6 +562,13 @@ MANIFEST_DEFECTS = {
     "unknown-kind": (
         "volume", _cell("constraint", lambda c: "linear"),
         "line 2: 'constraint.kind' names unknown kind 'linear'"),
+    "barycenter-achieved-of-2": (
+        "barycenter",
+        _cell("achieved", lambda c: ",".join(c.split(",")[:2]), rows={1}),
+        "line 3: bad manifest row (2 achieved values for 3 target values)"),
+    "volume-achieved-of-2": (
+        "volume", _cell("achieved", lambda c: c + ",4", rows={0}),
+        "line 2: bad manifest row (2 achieved values for 1 target values)"),
 }
 
 
@@ -570,6 +590,25 @@ def test_malformed_manifest_constraint_exits_1_naming_path(
             "validate": ["validate", str(copy), str(data)]}[command]
     capsys.readouterr()
     assert run([*argv, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {manifest} {message}\n"
+
+
+@pytest.mark.parametrize("as_checkpoint, case", [
+    pytest.param(MANIFEST_DEFECTS[case][0], case, id=case)
+    for case in ("barycenter-achieved-of-2", "volume-achieved-of-2")],
+    indirect=["as_checkpoint"])
+def test_report_rejects_achieved_of_other_length_naming_line(
+        tmp_path, as_checkpoint, case, capsys):
+    # report reads each row's |achieved - target|, which a short achieved
+    # cell cannot broadcast and a long one would report wrongly
+    _, ckpt = as_checkpoint
+    _, edit, message = MANIFEST_DEFECTS[case]
+    copy = _copy_dir(Path(ckpt).parent.parent / "data", tmp_path / "broken")
+    manifest = copy / "manifest.tsv"
+    manifest.write_text("\n".join(edit(manifest.read_text().splitlines()))
+                        + "\n")
+    capsys.readouterr()
+    assert run(["report", str(copy)]) == 1
     assert capsys.readouterr().err == f"error: {manifest} {message}\n"
 
 
