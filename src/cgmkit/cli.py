@@ -263,9 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", default=None)
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", default=None)
 
     common(sub.add_parser("generate", help="write a constrained dataset"))
 
@@ -310,14 +310,10 @@ def main(argv=None) -> int:
             return cmd_report(args.run_dir)
         if args.command == "export-stl":
             return cmd_export_stl(args.dataset_dir, args.out)
-        overrides = {}
-        if args.seed is not None:
-            overrides["pipeline.seed"] = str(args.seed)
-        if args.out is not None:
-            overrides["pipeline.out"] = args.out
-        if args.threads is not None:
-            overrides["pipeline.threads"] = str(args.threads)
-        config = PipelineConfig.load(args.config, overrides=overrides)
+        # flag text is read like any other value of its key; None: not given
+        config = PipelineConfig.load(args.config, overrides={
+            "pipeline.seed": args.seed, "pipeline.out": args.out,
+            "pipeline.threads": args.threads})
         if args.command == "generate":
             return cmd_generate(config)
         if args.command == "train":

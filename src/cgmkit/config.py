@@ -4,8 +4,10 @@ Files hold `section.key = value` lines ('#' comments allowed). Environment
 variables prefixed CGM_ override file values: CGM_DATASET_N_TRAIN maps to
 dataset.n_train (first underscore-separated token is the section); a
 variable naming an unknown key of a known section is rejected, variables of
-other sections are ignored. Command line flags override both."""
+other sections are ignored. Command line flags override both. `_number`
+reads every number a setting holds here or in a checkpoint sidecar."""
 
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -13,9 +15,66 @@ import numpy as np
 
 from .constraints import constraint_from
 from .errors import ConfigError
-from .generative import GmConfig
 from .geometry import FfdLattice, barycenter_of, synth_shape, volume_of
 from .synthfield import FieldSpec
+
+_AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
+_NONNEGATIVE = ("nonnegative", lambda v: v >= 0)
+_POSITIVE = ("positive", lambda v: v > 0)
+_DROP_RATE = ("in [0, 1)", lambda v: 0 <= v < 1)
+
+# GmConfig field -> (the rule its value must meet, the test of that rule)
+_GM_BOUNDS = {
+    "latent_dim": _AT_LEAST_1, "pca_modes": _AT_LEAST_1,
+    "hidden_width": _AT_LEAST_1, "hidden_depth": _NONNEGATIVE,
+    "dropout": _DROP_RATE, "disc_dropout": _DROP_RATE, "epochs": _AT_LEAST_1,
+    "batch_size": ("at least 2", lambda v: v >= 2), "lr": _POSITIVE,
+    "weight_decay": _NONNEGATIVE, "alpha": _NONNEGATIVE, "sigma": _POSITIVE,
+    "gamma": ("in (0, 1]", lambda v: 0 < v <= 1), "k_gain": _NONNEGATIVE,
+    "k0": ("in [0, 1]", lambda v: 0 <= v <= 1), "seed": _NONNEGATIVE,
+}
+
+
+@dataclass
+class GmConfig:
+    """Settings of a generative model, each finite and within its rule."""
+
+    latent_dim: int = 8
+    pca_modes: int = 10
+    hidden_width: int = 64
+    hidden_depth: int = 3
+    dropout: float = 0.1
+    disc_dropout: float = 0.95
+    epochs: int = 500
+    batch_size: int = 200
+    lr: float = 1e-3
+    weight_decay: float = 1e-2
+    alpha: float = 1e-2      # KL weight of the variational model
+    sigma: float = 1.0       # decoder observation scale
+    gamma: float = 0.5       # equilibrium target ratio
+    k_gain: float = 1e-3     # proportional gain of the k update
+    k0: float = 0.0
+    seed: int = 0
+
+    def __post_init__(self):
+        for name, (rule, holds) in _GM_BOUNDS.items():
+            value = getattr(self, name)
+            if not (math.isfinite(value) and holds(value)):
+                raise ConfigError(f"{name} must be {rule}, got {value}", name)
+        if self.latent_dim > self.pca_modes:
+            raise ConfigError("latent_dim must not exceed pca_modes", "latent_dim")
+
+
+def read_gm_config(setting, prefix, **given) -> GmConfig:
+    """GmConfig with the given fields and each other field f read as its
+    type from setting(prefix + f); a ConfigError's key is the setting's."""
+    values = {f.name: _number(prefix + f.name, setting(prefix + f.name), f.type)
+              for f in fields(GmConfig) if f.name not in given}
+    try:
+        return GmConfig(**values, **given)
+    except ConfigError as err:
+        raise ConfigError(str(err), prefix + err.key) from None
+
 
 DEFAULTS = {
     "pipeline.seed": "0",
@@ -103,20 +162,25 @@ def write_resolved(values: dict, path):
 
 def _number(key, text, kind):
     """text as kind (int or float); ConfigError naming key and text if it
-    does not parse."""
+    does not parse or is not finite. The one reader of a setting's text."""
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"config key {key} must be {noun}, got {text!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        noun = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"config key {key} must be {noun}, got {text!r}", key)
+    return value
 
 
-def _floats(key, text) -> np.ndarray:
-    return np.array([_number(key, t, float) for t in text.replace(",", " ").split()])
-
-
-def _ints(key, text):
-    return tuple(_number(key, t, int) for t in text.replace(",", " ").split())
+def _numbers(key, text, kind, count=None) -> list:
+    """The space- or comma-separated values of text, each read by `_number`;
+    ConfigError naming key unless there are count of them, when given."""
+    values = [_number(key, t, kind) for t in text.replace(",", " ").split()]
+    if count is not None and len(values) != count:
+        raise ConfigError(f"config key {key} needs {count} values, "
+                          f"got {len(values)}", key)
+    return values
 
 
 @dataclass
@@ -132,7 +196,7 @@ class PipelineConfig:
         self.number("pipeline.threads", int, minimum=1)
         self.n_train = self.number("dataset.n_train", int, minimum=1)
         self.n_test = self.number("dataset.n_test", int, minimum=0)
-        self.sigma_d = self.number("dataset.sigma_d", float)
+        self.sigma_d = self.number("dataset.sigma_d", float, minimum=0)
         self.rom_train = self.number("rom.n_train", int, minimum=1)
         self.rom_test = self.number("rom.n_test", int, minimum=1)
         self.pod_modes = self.number("rom.pod_modes", int, minimum=1)
@@ -154,12 +218,12 @@ class PipelineConfig:
         return value
 
     def base_shape(self):
-        radii = _floats("shape.radii", self.values["shape.radii"])
+        radii = _numbers("shape.radii", self.values["shape.radii"], float, 3)
         return synth_shape(self.values["shape.kind"],
                            self.number("shape.subdivision", int), radii)
 
     def lattice(self, surface) -> FfdLattice:
-        grid = _ints("lattice.grid", self.values["lattice.grid"])
+        grid = _numbers("lattice.grid", self.values["lattice.grid"], int, 3)
         margin = self.number("lattice.margin", float)
         lower = surface.vertices.min(axis=0) - margin
         upper = surface.vertices.max(axis=0) + margin
@@ -172,7 +236,6 @@ class PipelineConfig:
             return None
         weights = np.ones(lattice.n_control)
         local = lattice.control_points_local()
-        m, n, o = lattice.grid
         for token in tokens:
             if token not in _PIN_PLANES:
                 raise ConfigError(f"unknown pin plane {token!r}")
@@ -185,7 +248,7 @@ class PipelineConfig:
         kind = self.values["constraint.kind"]
         target = self.values["constraint.target"]
         if target != "keep":
-            target = _floats("constraint.target", target)
+            target = _numbers("constraint.target", target, float)
         elif kind == "volume":
             target = volume_of(surface)
         else:
@@ -193,10 +256,8 @@ class PipelineConfig:
         return constraint_from(kind, target)
 
     def gm_config(self) -> GmConfig:
-        """GmConfig from the gm.* keys, each parsed as its field's type."""
-        return GmConfig(seed=self.seed, **{
-            f.name: self.number(f"gm.{f.name}", f.type)
-            for f in fields(GmConfig) if f.name != "seed"})
+        """GmConfig from the gm.* keys; the seed is pipeline.seed."""
+        return read_gm_config(self.values.__getitem__, "gm.", seed=self.seed)
 
     def field_spec(self) -> FieldSpec:
         return FieldSpec(self.values["field.kind"])

@@ -75,7 +75,11 @@ class DegenerateDistributionError(CgmError, ValueError):
 
 
 class ConfigError(CgmError, ValueError):
-    """Invalid or inconsistent configuration."""
+    """Invalid or inconsistent configuration. Carries the key named, or None."""
+
+    def __init__(self, message, key=None):
+        self.key = key
+        super().__init__(message)
 
 
 class ContainerError(CgmError, ValueError):

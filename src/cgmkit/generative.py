@@ -20,7 +20,6 @@ buffer, and `nn.AdamW` steps those buffers; a backward pass whose
 parameter gradient no optimizer reads (a frozen net, or a gradient wanted
 only at the input) skips it with `params=False`."""
 
-import ast
 from dataclasses import dataclass, field, fields
 from functools import partial
 
@@ -28,6 +27,7 @@ import numpy as np
 
 from .checkpoint import (load_tensors, require_faces, require_tensor,
                          save_tensors)
+from .config import GmConfig, read_gm_config
 from .constraints import (VolumeConstraint, barycenter_rows, constraint_from,
                           constraint_record, project_volume)
 from .errors import ConfigError, ContainerError, DimensionError, DivergenceError
@@ -39,52 +39,6 @@ from .rng import Rng
 
 MODEL_KINDS = ("ae", "vae", "aae", "began")
 _CLAMP = 1e-7  # discriminator outputs are clamped to (eps, 1 - eps) before log
-
-
-@dataclass
-class GmConfig:
-    latent_dim: int = 8
-    pca_modes: int = 10
-    hidden_width: int = 64
-    hidden_depth: int = 3
-    dropout: float = 0.1
-    disc_dropout: float = 0.95
-    epochs: int = 500
-    batch_size: int = 200
-    lr: float = 1e-3
-    weight_decay: float = 1e-2
-    alpha: float = 1e-2      # KL weight of the variational model
-    sigma: float = 1.0       # decoder observation scale
-    gamma: float = 0.5       # equilibrium target ratio
-    k_gain: float = 1e-3     # proportional gain of the k update
-    k0: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("latent_dim", "pca_modes", "hidden_width", "epochs"):
-            if getattr(self, name) < 1:
-                raise ConfigError(
-                    f"{name} must be at least 1, got {getattr(self, name)}")
-        for name in ("hidden_depth", "alpha", "k_gain", "weight_decay"):
-            if not getattr(self, name) >= 0:
-                raise ConfigError(
-                    f"{name} must be nonnegative, got {getattr(self, name)}")
-        for name in ("dropout", "disc_dropout"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(
-                    f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if self.latent_dim > self.pca_modes:
-            raise ConfigError("latent dim must not exceed the PCA mode count")
-        if self.batch_size < 2:
-            raise ConfigError("batch size must be at least 2")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ConfigError("gamma must lie in (0, 1]")
-        if not 0.0 <= self.k0 <= 1.0:
-            raise ConfigError("k0 must lie in [0, 1]")
-        if self.sigma <= 0:
-            raise ConfigError("sigma must be positive")
-        if not 0.0 < self.lr < np.inf:
-            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +230,9 @@ def _fit(kind, vertices, faces, constraint, config,
     from drop, other streams derived with tag) and returns the batch loss
     followed by any further value that must stay finite."""
     clouds = np.reshape(vertices, (len(vertices), -1))
-    n, dim = clouds.shape
+    n = len(clouds)
     if n < config.batch_size:
         raise ConfigError(f"dataset size {n} below batch size {config.batch_size}")
-    if config.pca_modes > min(n, dim):
-        raise ConfigError("more PCA modes than the dataset can support")
     pca = pca_fit(clouds, n_modes=config.pca_modes)
     rng = Rng(config.seed, (f"train-{kind}",))
     model = GenerativeModel(kind=kind, config=config, pca=pca,
@@ -596,8 +548,8 @@ def save_model(model: GenerativeModel, path):
 
 def load_model(path) -> GenerativeModel:
     """Read a checkpoint written by `save_model`. A malformed sidecar line,
-    a missing sidecar key or tensor, an unknown kind, a config value of the
-    wrong type for its `GmConfig` field, a constraint record
+    a missing sidecar key or tensor, an unknown kind, a config value that
+    `config.read_gm_config` rejects, a constraint record
     that `constraint_from` rejects or a tensor whose shape differs from the
     layout raises ContainerError naming the path and key. An older
     checkpoint's `constraint.matrix` tensor is not read."""
@@ -623,20 +575,10 @@ def load_model(path) -> GenerativeModel:
     tensor = partial(require_tensor, tensors, path)  # None in a shape: any extent
 
     kind = entry("kind", MODEL_KINDS)
-    values = {}
-    for f in fields(GmConfig):
-        key = f"config.{f.name}"
-        try:
-            value = ast.literal_eval(entry(key))
-        except (ValueError, SyntaxError) as err:
-            raise defect(f"sidecar {key!r} does not parse: {err}") from None
-        # an int field takes no float or bool; a float field also takes an int
-        accepted = (int, float) if f.type is float else int
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            raise defect(f"sidecar {key!r} holds {value!r}, not "
-                         f"{f.type.__name__}")
-        values[f.name] = f.type(value)
-    config = GmConfig(**values)
+    try:
+        config = read_gm_config(entry, "config.")
+    except ConfigError as err:
+        raise defect(f"sidecar {err.key!r}: {err}") from None
     modes = tensor("pca.modes", (None, config.pca_modes))
     dim = modes.shape[0]
     pca = PcaBasis(modes=modes, mean=tensor("pca.mean", (dim,)),

@@ -26,10 +26,6 @@ class PcaBasis:
     singular_values: np.ndarray
     reconstruction_error: float
 
-    @property
-    def n_modes(self) -> int:
-        return self.modes.shape[1]
-
     def project(self, x) -> np.ndarray:
         return (np.atleast_2d(x) - self.mean) @ self.modes
 

@@ -97,6 +97,9 @@ def test_non_numeric_config_value_exits_1_naming_key(tmp_path, monkeypatch,
     ("--seed", "-1", "pipeline.seed"),
     ("--threads", "-3", "pipeline.threads"),
     ("--threads", "0", "pipeline.threads"),
+    # flag text is read like the config value of its key
+    ("--seed", "abc", "pipeline.seed"),
+    ("--threads", "1.5", "pipeline.threads"),
 ])
 def test_out_of_range_seed_and_threads_exit_1(tmp_path, capsys, flag, value,
                                               key):
@@ -117,6 +120,19 @@ def test_rom_size_below_one_exits_1_naming_key(tmp_path, capsys, monkeypatch,
     assert f"error: {key} must be at least 1, got 0" in \
         capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, count", [
+    ("shape.radii", "1 1", 2), ("shape.radii", "1 1 1 1", 4),
+    ("shape.radii", "", 0), ("lattice.grid", "2 2", 2),
+    ("lattice.grid", "2,2,2,2", 4)])
+def test_triple_with_wrong_count_exits_1_naming_key(tmp_path, capsys,
+                                                    monkeypatch, key, value,
+                                                    count):
+    monkeypatch.setenv("CGM_" + key.replace(".", "_").upper(), value)
+    assert run(["generate", "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == \
+        f"error: config key {key} needs 3 values, got {count}\n"
 
 
 @pytest.mark.parametrize("kind, target, message", [
@@ -413,6 +429,12 @@ def _without_tensor(key):
         {k: v for k, v in tensors.items() if k != key}, lines)
 
 
+def _config_value(name, text):
+    return lambda tensors, lines: (tensors, [
+        f"config.{name}={text}" if l.startswith(f"config.{name}=") else l
+        for l in lines])
+
+
 def _constraint_kind(kind):
     return lambda tensors, lines: (tensors, [
         f"constraint.kind={kind}" if l.startswith("constraint.kind=") else l
@@ -450,9 +472,11 @@ CHECKPOINT_DEFECTS = {
     # no command writes a linear constraint, so no checkpoint carries one
     "linear-constraint-kind": (_constraint_kind("linear"), "constraint.kind"),
     # a float where GmConfig takes an int (the latent count)
-    "latent-dim-float": (lambda t, lines: (t, [
-        "config.latent_dim=8.0" if l.startswith("config.latent_dim=") else l
-        for l in lines]), "config.latent_dim"),
+    "latent-dim-float": (_config_value("latent_dim", "8.0"),
+                         "config.latent_dim"),
+    # values of the right type outside their field's rule
+    "latent-dim-zero": (_config_value("latent_dim", "0"), "config.latent_dim"),
+    "gamma-zero": (_config_value("gamma", "0.0"), "config.gamma"),
     "constraint-target-length": (lambda t, lines: (
         {**t, "constraint.target": t["constraint.target"][:2]}, lines),
         "constraint.target"),

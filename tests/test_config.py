@@ -1,9 +1,15 @@
+import math
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cgmkit.config import (PipelineConfig, env_overrides, parse_config_text,
-                           resolve_config)
+from cgmkit.config import (_GM_BOUNDS, DEFAULTS, GmConfig, PipelineConfig,
+                           env_overrides, parse_config_text, resolve_config)
 from cgmkit.errors import ConfigError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_parse_basics():
@@ -76,7 +82,8 @@ def test_volume_constraint_from_config():
 
 @pytest.mark.parametrize("key, value", [("dataset.n_test", "-2"),
                                         ("rom.n_test", "-10"),
-                                        ("rom.n_test", "0")])
+                                        ("rom.n_test", "0"),
+                                        ("dataset.sigma_d", "-0.05")])
 def test_test_set_size_out_of_range_rejected_by_name(key, value):
     with pytest.raises(ConfigError, match=key):
         PipelineConfig.load(overrides={key: value})
@@ -120,8 +127,69 @@ def test_negative_weight_decay_rejected_by_name(value):
 
 
 @pytest.mark.parametrize("field,value", [("k_gain", "-1"), ("dropout", "-0.5"),
-                                         ("disc_dropout", "1.0")])
+                                         ("disc_dropout", "1.0"),
+                                         ("batch_size", "1"), ("gamma", "0.0"),
+                                         ("k0", "1.5"), ("sigma", "0")])
 def test_gm_out_of_range_rejected_by_name(field, value):
     config = PipelineConfig.load(overrides={f"gm.{field}": value})
     with pytest.raises(ConfigError, match=f"^{field} must"):
         config.gm_config()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dataset.sigma_d", "inf"), ("dataset.sigma_d", "nan"),
+    ("lattice.margin", "-inf"), ("shape.radii", "1 nan 1"),
+    ("constraint.target", "0 inf 0"), ("gm.sigma", "nan"),
+    ("gm.alpha", "inf"), ("gm.gamma", "NaN"), ("gm.k0", "Infinity")])
+def test_non_finite_value_rejected_by_key(key, value):
+    # a list value names the number that is not finite
+    token = next(t for t in value.split() if not math.isfinite(float(t)))
+    with pytest.raises(ConfigError, match=f"^config key {key} must be a "
+                                          f"finite number, got '{token}'$"):
+        config = PipelineConfig.load(overrides={key: value})
+        base = config.base_shape()
+        config.lattice(base)
+        config.constraint(base)
+        config.gm_config()
+
+
+def test_gm_rule_table_covers_every_field():
+    # GmConfig checks the fields the table lists: a field without a rule
+    # would go unchecked
+    assert list(_GM_BOUNDS) == [f.name for f in fields(GmConfig)]
+
+
+@pytest.mark.parametrize("name, value", [
+    ("alpha", math.inf), ("sigma", math.nan), ("lr", math.inf),
+    ("k_gain", -math.inf), ("seed", -1)])
+def test_gm_config_non_finite_or_negative_seed_rejected_by_field(name, value):
+    with pytest.raises(ConfigError, match=f"^{name} must be ") as err:
+        GmConfig(**{name: value})
+    assert err.value.key == name
+
+
+def test_gm_config_latent_dim_above_pca_modes_rejected_by_field():
+    with pytest.raises(ConfigError, match="^latent_dim must not exceed "
+                                          "pca_modes") as err:
+        GmConfig(latent_dim=9, pca_modes=8)
+    assert err.value.key == "latent_dim"
+    config = PipelineConfig.load(overrides={"gm.latent_dim": "9",
+                                            "gm.pca_modes": "8"})
+    with pytest.raises(ConfigError) as err:
+        config.gm_config()
+    assert err.value.key == "gm.latent_dim"
+
+
+def test_shipped_desk_config_builds():
+    path = ROOT / "configs" / "desk.cfg"
+    values = parse_config_text(path.read_text())
+    assert set(values) <= set(DEFAULTS)
+    config = PipelineConfig.load(path, environ={})
+    assert {key: config.values[key] for key in values} == values
+    base = config.base_shape()
+    lattice = config.lattice(base)
+    assert lattice.grid == (2, 2, 2)
+    assert config.constraint(base).kind == "barycenter"
+    gm = config.gm_config()
+    assert (gm.latent_dim, gm.pca_modes, gm.epochs, gm.batch_size) == \
+        (8, 10, 120, 20)

@@ -1,11 +1,15 @@
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cgmkit import generative
 from cgmkit.checkpoint import load_tensors
+from cgmkit.config import PipelineConfig
 from cgmkit.constraints import (BarycenterConstraint, VolumeConstraint,
                                 barycenter_rows, sample_cffd_dataset)
-from cgmkit.errors import ConfigError
+from cgmkit.errors import ConfigError, ContainerError
 from cgmkit.generative import (GmConfig, LinearEnforcer, VolumeEnforcer,
                                began_k_update, kl_normal, load_model,
                                save_model, train_ae, train_model)
@@ -493,6 +497,54 @@ def test_checkpoint_load_writes_through_flat_buffers(tmp_path):
         assert np.array_equal(net.flat, np.concatenate(
             [tensors[f"net.{net_name}.layer{i}.{name}"].ravel()
              for i, name in names]))
+
+
+@pytest.fixture(scope="module")
+def ae_checkpoint(tmp_path_factory):
+    vertices, constraint, base = make_dataset()
+    path = tmp_path_factory.mktemp("ae") / "ae.cgmt"
+    save_model(train_model("ae", vertices, base.faces, constraint,
+                           small_config(epochs=2)), path)
+    return path
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(GmConfig)])
+def test_config_and_sidecar_read_each_setting_alike(tmp_path, ae_checkpoint,
+                                                    name):
+    # the same text is accepted, as the same value, by a config override and
+    # by a checkpoint sidecar line, or rejected by both, each naming its key
+    copy = tmp_path / "ae.cgmt"
+    copy.write_bytes(ae_checkpoint.read_bytes())
+    lines = Path(str(ae_checkpoint) + ".txt").read_text().splitlines()
+    saved = dict(line.split("=", 1) for line in lines)
+    # the config carries the checkpoint's other settings, so a rule across
+    # fields sees the same values on both paths
+    overrides = {f"gm.{f.name}": saved[f"config.{f.name}"]
+                 for f in fields(GmConfig) if f.name != "seed"}
+    overrides["pipeline.seed"] = saved["config.seed"]
+    key = "pipeline.seed" if name == "seed" else f"gm.{name}"
+    outcomes = set()
+    for text in ("8", "8.0", "True", "1e-3", "-1", "0", "nan", "inf"):
+        try:
+            via_config = getattr(PipelineConfig.load(
+                overrides={**overrides, key: text}).gm_config(), name)
+        except ConfigError as err:
+            assert name in str(err), (text, str(err))
+            via_config = None
+        Path(str(copy) + ".txt").write_text("".join(
+            f"config.{name}={text}\n" if line.startswith(f"config.{name}=")
+            else f"{line}\n" for line in lines))
+        try:
+            via_sidecar = getattr(load_model(copy).config, name)
+        except ContainerError as err:
+            # an accepted value may still misfit the tensors' shapes
+            rejected = f"'config.{name}'" in str(err)
+            assert str(err).startswith(f"{copy}: ")
+            via_sidecar = None if rejected else via_config
+        assert via_sidecar == via_config, text
+        assert type(via_sidecar) is type(via_config), text
+        outcomes.add(via_config is None)
+    assert outcomes == {True, False}
 
 
 def test_checkpoint_bytes_reproducible(tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 
 from cgmkit import cli
 from cgmkit.checkpoint import save_tensors
+from cgmkit.config import PipelineConfig, write_resolved
 from cgmkit.reduction import save_matrix
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -102,3 +103,21 @@ def test_benchmark_commands_parse():
         steps = workload.steps("workload.cfg", 1, "work", workload.values())
         for name, argv, _ in steps:
             assert parser.parse_args(argv).command == argv[0], name
+
+
+def test_benchmark_worker_setup_builds_each_gated_workload(tmp_path):
+    # bench/worker.py loads each workload's config and builds its base
+    # shape, lattice and constraint before the first command; a config
+    # change that breaks this set-up must fail here rather than in every
+    # benchmark run. The config file is written as bench/run.py writes it.
+    workloads = load(WORKLOADS, "bench_workloads").WORKLOADS
+    gated = [w for w in workloads.values() if w.gated]
+    assert {w.name for w in gated} == {"desk-barycenter", "desk-volume"}
+    for workload in gated:
+        path = tmp_path / f"{workload.name}.cfg"
+        write_resolved(workload.values(), path)
+        config = PipelineConfig.load(path, environ={})
+        base = config.base_shape()
+        config.lattice(base)
+        assert config.constraint(base).kind == \
+            workload.config["constraint.kind"]
