@@ -31,9 +31,10 @@ class CommandFailure(Exception):
 
 
 def _ensure_out(config: PipelineConfig):
-    os.makedirs(config.out, exist_ok=True)
-    write_resolved(config.values, os.path.join(config.out, "config.resolved.txt"))
-    return config.out
+    out = config.values["pipeline.out"]
+    os.makedirs(out, exist_ok=True)
+    write_resolved(config.values, os.path.join(out, "config.resolved.txt"))
+    return out
 
 
 def _checked_achieved(constraint, vertices, faces, label):
@@ -55,10 +56,10 @@ def cmd_generate(config: PipelineConfig) -> int:
     base = config.base_shape()
     lattice = config.lattice(base)
     constraint = config.constraint(base)
-    rng = Rng(config.seed, ("generate",))
-    n = config.n_train + config.n_test
+    rng = Rng(config["pipeline.seed"], ("generate",))
+    n = config["dataset.n_train"] + config["dataset.n_test"]
     vertices, displacements = sample_cffd_dataset(
-        lattice, base, constraint, n, config.sigma_d, rng,
+        lattice, base, constraint, n, config["dataset.sigma_d"], rng,
         weights=config.weights(lattice))
     achieved = _checked_achieved(constraint, vertices, base.faces, "generated")
     meta = {
@@ -67,10 +68,10 @@ def cmd_generate(config: PipelineConfig) -> int:
         "lattice_grid": config.values["lattice.grid"],
         "lattice_margin": config.values["lattice.margin"],
         "pin_planes": config.values["lattice.pin_planes"],
-        "sigma_d": config.sigma_d,
-        "n_train": config.n_train,
-        "n_test": config.n_test,
-        "seed": config.seed,
+        "sigma_d": config["dataset.sigma_d"],
+        "n_train": config["dataset.n_train"],
+        "n_test": config["dataset.n_test"],
+        "seed": config["pipeline.seed"],
     }
     datasets.write_dataset(out, vertices, base.faces, constraint, achieved,
                            f"{rng.seed}:cffd-sample", displacements, meta=meta)
@@ -82,7 +83,7 @@ def cmd_train(config: PipelineConfig, kind, data_dir=None) -> int:
     out = _ensure_out(config)
     data_dir = data_dir or out
     dataset = datasets.read_dataset(data_dir)
-    model = train_model(kind, dataset.vertices[:config.n_train],
+    model = train_model(kind, dataset.vertices[:config["dataset.n_train"]],
                         dataset.faces, dataset.constraint, config.gm_config())
     path = os.path.join(out, f"model_{kind}.cgmt")
     save_model(model, path)
@@ -158,7 +159,7 @@ def cmd_surrogate(config: PipelineConfig, source, method, seed) -> int:
     stored control-point displacements)."""
     out = _ensure_out(config)
     rng = Rng(seed, ("surrogate",))
-    n = config.rom_train + config.rom_test
+    n = config["rom.n_train"] + config["rom.n_test"]
     model = None
     if os.path.isdir(source):
         if method == "as":
@@ -183,14 +184,15 @@ def cmd_surrogate(config: PipelineConfig, source, method, seed) -> int:
     snapshots = snapshot_of(clouds, spec)
     save_matrix(os.path.join(out, "snapshots.bin"), snapshots)
     save_matrix(os.path.join(out, "inputs.bin"), latents)
-    split = config.rom_train
+    split = config["rom.n_train"]
     mu_train, mu_test = latents[:split], latents[split:]
     s_train, s_test = snapshots[:split], snapshots[split:]
     lines = ["method\ttrain_error\ttest_error"]
     if method in ("rbf", "gpr", "nn"):
-        podi = podi_fit(mu_train, s_train, config.pod_modes, regressor=method,
-                        rng=rng.derive("nn"),
-                        nn_width=config.nn_width, nn_epochs=config.nn_epochs)
+        podi = podi_fit(mu_train, s_train, config["rom.pod_modes"],
+                        regressor=method, rng=rng.derive("nn"),
+                        nn_width=config["rom.nn_width"],
+                        nn_epochs=config["rom.nn_epochs"])
         train_err = _surrogate_errors(podi, mu_train, s_train)
         test_err = _surrogate_errors(podi, mu_test, s_test)
         truncation = podi.basis.reconstruction_error / max(
@@ -203,8 +205,9 @@ def cmd_surrogate(config: PipelineConfig, source, method, seed) -> int:
         f_train = s_train.mean(axis=1)
         f_test = s_test.mean(axis=1)
         grads = _as_gradients(model, mu_train, spec)
-        subspace = as_fit(grads, config.as_dim,
-                          n_bootstrap=config.bootstrap, rng=rng.derive("boot"))
+        subspace = as_fit(grads, config["rom.as_dim"],
+                          n_bootstrap=config["rom.bootstrap"],
+                          rng=rng.derive("boot"))
         surface = as_response_surface(subspace, mu_train, f_train)
         train_err = _surrogate_errors(surface, mu_train, f_train)
         test_err = _surrogate_errors(surface, mu_test, f_test)
@@ -314,17 +317,17 @@ def main(argv=None) -> int:
         config = PipelineConfig.load(args.config, overrides={
             "pipeline.seed": args.seed, "pipeline.out": args.out,
             "pipeline.threads": args.threads})
+        seed = config["pipeline.seed"]
         if args.command == "generate":
             return cmd_generate(config)
         if args.command == "train":
             return cmd_train(config, args.kind, data_dir=args.data)
         if args.command == "sample":
-            return cmd_sample(config, args.checkpoint, args.n, config.seed)
+            return cmd_sample(config, args.checkpoint, args.n, seed)
         if args.command == "validate":
             return cmd_validate(config, args.reference, args.generated)
         if args.command == "surrogate":
-            return cmd_surrogate(config, args.source, args.method,
-                                 config.seed)
+            return cmd_surrogate(config, args.source, args.method, seed)
         raise CommandFailure(f"unknown command {args.command!r}")
     except (CommandFailure, CgmError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -4,7 +4,8 @@ Files hold `section.key = value` lines ('#' comments allowed). Environment
 variables prefixed CGM_ override file values: CGM_DATASET_N_TRAIN maps to
 dataset.n_train (first underscore-separated token is the section); a
 variable naming an unknown key of a known section is rejected, variables of
-other sections are ignored. Command line flags override both. `_number`
+other sections are ignored. Command line flags override both. Each setting
+in `_RULES` is checked once, at load, and a failure names its key. `_number`
 reads every number a setting holds here or in a checkpoint sidecar."""
 
 import math
@@ -21,17 +22,42 @@ from .synthfield import FieldSpec
 _AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
 _NONNEGATIVE = ("nonnegative", lambda v: v >= 0)
 _POSITIVE = ("positive", lambda v: v > 0)
-_DROP_RATE = ("in [0, 1)", lambda v: 0 <= v < 1)
+# the (kind, count, rule) entries that several settings share
+_COUNT = (int, 1, _AT_LEAST_1)
+_NATURAL = (int, 1, _NONNEGATIVE)
+_SCALE = (float, 1, _NONNEGATIVE)
+_RATE = (float, 1, ("in [0, 1)", lambda v: 0 <= v < 1))
 
-# GmConfig field -> (the rule its value must meet, the test of that rule)
-_GM_BOUNDS = {
-    "latent_dim": _AT_LEAST_1, "pca_modes": _AT_LEAST_1,
-    "hidden_width": _AT_LEAST_1, "hidden_depth": _NONNEGATIVE,
-    "dropout": _DROP_RATE, "disc_dropout": _DROP_RATE, "epochs": _AT_LEAST_1,
-    "batch_size": ("at least 2", lambda v: v >= 2), "lr": _POSITIVE,
-    "weight_decay": _NONNEGATIVE, "alpha": _NONNEGATIVE, "sigma": _POSITIVE,
-    "gamma": ("in (0, 1]", lambda v: 0 < v <= 1), "k_gain": _NONNEGATIVE,
-    "k0": ("in [0, 1]", lambda v: 0 <= v <= 1), "seed": _NONNEGATIVE,
+
+def _one_of(*words):
+    return ("one of " + ", ".join(words), lambda v: v in words)
+
+
+# setting -> (kind, count, rule): int, float or str (words), how many values
+# it holds (None: any number) and the (rule, test of that rule) each value
+# meets. The gm.* entries are GmConfig's fields.
+_RULES = {
+    "pipeline.seed": _NATURAL,
+    "pipeline.threads": _COUNT,  # no effect; the benchmark passes --threads
+    "shape.kind": (str, 1, _one_of("icosphere", "ellipsoid")),
+    "shape.subdivision": (int, 1, ("in 0..6", lambda v: 0 <= v <= 6)),
+    "shape.radii": (float, 3, _POSITIVE), "lattice.grid": (int, 3, _AT_LEAST_1),
+    "lattice.margin": (float, 1, ("finite", lambda v: True)),
+    "lattice.pin_planes": (str, None, _one_of("imin", "imax", "jmin", "jmax",
+                                              "kmin", "kmax")),
+    "dataset.n_train": _COUNT, "dataset.n_test": _NATURAL,
+    "dataset.sigma_d": _SCALE, "rom.n_train": _COUNT, "rom.n_test": _COUNT,
+    "rom.pod_modes": _COUNT, "rom.as_dim": _COUNT, "rom.bootstrap": _NATURAL,
+    "rom.nn_width": _COUNT, "rom.nn_epochs": _COUNT,
+    "field.kind": (str, 1, _one_of("bump", "multibump")),
+    "gm.latent_dim": _COUNT, "gm.pca_modes": _COUNT, "gm.hidden_width": _COUNT,
+    "gm.hidden_depth": _NATURAL, "gm.dropout": _RATE, "gm.disc_dropout": _RATE,
+    "gm.epochs": _COUNT, "gm.lr": (float, 1, _POSITIVE),
+    "gm.batch_size": (int, 1, ("at least 2", lambda v: v >= 2)),
+    "gm.weight_decay": _SCALE, "gm.alpha": _SCALE, "gm.k_gain": _SCALE,
+    "gm.sigma": (float, 1, _POSITIVE), "gm.seed": _NATURAL,
+    "gm.gamma": (float, 1, ("in (0, 1]", lambda v: 0 < v <= 1)),
+    "gm.k0": (float, 1, ("in [0, 1]", lambda v: 0 <= v <= 1)),
 }
 
 
@@ -57,18 +83,18 @@ class GmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, (rule, holds) in _GM_BOUNDS.items():
-            value = getattr(self, name)
-            if not (math.isfinite(value) and holds(value)):
-                raise ConfigError(f"{name} must be {rule}, got {value}", name)
+        for f in fields(self):
+            _check(f.name, [getattr(self, f.name)], _RULES["gm." + f.name][2])
         if self.latent_dim > self.pca_modes:
             raise ConfigError("latent_dim must not exceed pca_modes", "latent_dim")
 
 
 def read_gm_config(setting, prefix, **given) -> GmConfig:
-    """GmConfig with the given fields and each other field f read as its
-    type from setting(prefix + f); a ConfigError's key is the setting's."""
-    values = {f.name: _number(prefix + f.name, setting(prefix + f.name), f.type)
+    """GmConfig with the given fields and each other field f read from
+    setting(prefix + f) as its `_RULES` kind; a ConfigError's key is the
+    setting's."""
+    values = {f.name: _number(prefix + f.name, setting(prefix + f.name),
+                              _RULES["gm." + f.name][0])
               for f in fields(GmConfig) if f.name not in given}
     try:
         return GmConfig(**values, **given)
@@ -103,8 +129,6 @@ DEFAULTS = {
     **{f"gm.{f.name}": str(f.default) for f in fields(GmConfig)
        if f.name != "seed"},
 }
-
-_PIN_PLANES = ("imin", "imax", "jmin", "jmax", "kmin", "kmax")
 
 
 def parse_config_text(text) -> dict:
@@ -174,71 +198,68 @@ def _number(key, text, kind):
 
 
 def _numbers(key, text, kind, count=None) -> list:
-    """The space- or comma-separated values of text, each read by `_number`;
+    """The space- or comma-separated values of text (all of it when count is
+    1), each read by `_number` (or kept as a word when kind is str);
     ConfigError naming key unless there are count of them, when given."""
-    values = [_number(key, t, kind) for t in text.replace(",", " ").split()]
+    tokens = [text] if count == 1 else text.replace(",", " ").split()
+    values = tokens if kind is str else [_number(key, t, kind) for t in tokens]
     if count is not None and len(values) != count:
         raise ConfigError(f"config key {key} needs {count} values, "
                           f"got {len(values)}", key)
     return values
 
 
+def _check(key, values, rule):
+    """ConfigError `<key> must be <rule>, got <value>` for the first of the
+    values that breaks the rule or is a number that is not finite."""
+    text, holds = rule
+    for value in values:
+        if not (holds(value) and (isinstance(value, str) or math.isfinite(value))):
+            raise ConfigError(f"{key} must be {text}, got {value}", key)
+
+
 @dataclass
 class PipelineConfig:
-    """Typed view over the resolved key=value mapping."""
+    """Typed view over the resolved key=value mapping: config[key] is the
+    checked value of a `_RULES` setting outside gm.*, read once, here."""
 
     values: dict = field(default_factory=lambda: dict(DEFAULTS))
 
     def __post_init__(self):
-        self.seed = self.number("pipeline.seed", int, minimum=0)
-        self.out = self.values["pipeline.out"]
-        # checked but unused: sample generation is one stacked solve
-        self.number("pipeline.threads", int, minimum=1)
-        self.n_train = self.number("dataset.n_train", int, minimum=1)
-        self.n_test = self.number("dataset.n_test", int, minimum=0)
-        self.sigma_d = self.number("dataset.sigma_d", float, minimum=0)
-        self.rom_train = self.number("rom.n_train", int, minimum=1)
-        self.rom_test = self.number("rom.n_test", int, minimum=1)
-        self.pod_modes = self.number("rom.pod_modes", int, minimum=1)
-        self.as_dim = self.number("rom.as_dim", int, minimum=1)
-        self.bootstrap = self.number("rom.bootstrap", int, minimum=0)
-        self.nn_width = self.number("rom.nn_width", int, minimum=1)
-        self.nn_epochs = self.number("rom.nn_epochs", int, minimum=1)
+        self._settings = {}
+        for key, (kind, count, rule) in _RULES.items():
+            if not key.startswith("gm."):
+                values = _numbers(key, self.values[key], kind, count)
+                _check(key, values, rule)
+                self._settings[key] = values[0] if count == 1 else values
+        self._gm = read_gm_config(self.values.__getitem__, "gm.",
+                                  seed=self["pipeline.seed"])
+
+    def __getitem__(self, key):
+        return self._settings[key]
 
     @classmethod
     def load(cls, path=None, environ=None, overrides=None) -> "PipelineConfig":
         return cls(resolve_config(path, environ, overrides))
 
-    def number(self, key, kind, minimum=None):
-        """The value of key as kind (int or float), or ConfigError; so is a
-        value below the minimum, when one is given."""
-        value = _number(key, self.values[key], kind)
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"{key} must be at least {minimum}, got {value}")
-        return value
-
     def base_shape(self):
-        radii = _numbers("shape.radii", self.values["shape.radii"], float, 3)
-        return synth_shape(self.values["shape.kind"],
-                           self.number("shape.subdivision", int), radii)
+        return synth_shape(self["shape.kind"], self["shape.subdivision"],
+                           self["shape.radii"])
 
     def lattice(self, surface) -> FfdLattice:
-        grid = _numbers("lattice.grid", self.values["lattice.grid"], int, 3)
-        margin = self.number("lattice.margin", float)
+        margin = self["lattice.margin"]
         lower = surface.vertices.min(axis=0) - margin
         upper = surface.vertices.max(axis=0) + margin
-        return FfdLattice.from_box(grid, lower, upper)
+        return FfdLattice.from_box(self["lattice.grid"], lower, upper)
 
     def weights(self, lattice: FfdLattice):
         """Per-control-point weights; pinned cut planes get weight zero."""
-        tokens = self.values["lattice.pin_planes"].split()
+        tokens = self["lattice.pin_planes"]
         if not tokens:
             return None
         weights = np.ones(lattice.n_control)
         local = lattice.control_points_local()
         for token in tokens:
-            if token not in _PIN_PLANES:
-                raise ConfigError(f"unknown pin plane {token!r}")
             axis = "ijk".index(token[0])
             value = 0.0 if token.endswith("min") else 1.0
             weights[local[:, axis] == value] = 0.0
@@ -257,7 +278,7 @@ class PipelineConfig:
 
     def gm_config(self) -> GmConfig:
         """GmConfig from the gm.* keys; the seed is pipeline.seed."""
-        return read_gm_config(self.values.__getitem__, "gm.", seed=self.seed)
+        return self._gm
 
     def field_spec(self) -> FieldSpec:
-        return FieldSpec(self.values["field.kind"])
+        return FieldSpec(self["field.kind"])

@@ -198,24 +198,26 @@ def _pinned_mask(lattice: FfdLattice, weights):
 
 
 def cffd_correct(lattice: FfdLattice, displacement, surface: TriSurface,
-                 constraint, weights=None) -> np.ndarray:
+                 constraint, weights=None, influence=None) -> np.ndarray:
     """Closed-form correction delta_d of the control-point displacements
     (P, 3), or of each of a stack (..., P, 3), so the constraint holds
     exactly on the deformed cloud; each is bitwise the one it gets alone.
 
     The correction minimizes ||diag(weights) vec(delta_d)|| subject to the
     constraint composed with the Bernstein influence of the lattice over the
-    full cloud. An infeasible linear system names the first failing
-    sample."""
+    full cloud (the given influence, else `lattice.influence(points)`). An
+    infeasible linear system names the first failing sample."""
     points = surface.vertices
-    deformed, _ = ffd_map(lattice, displacement, points)
+    if influence is None:
+        influence = lattice.influence(points)
+    deformed, _ = ffd_map(lattice, displacement, points, influence)
     deformed = deformed.reshape(-1, len(points), 3)
     pinned, weights = _pinned_mask(lattice, weights)
     free = ~pinned
     if not free.any():
         raise InfeasibleConstraintError("all control points pinned")
 
-    influence = lattice.influence(points)[:, free]  # (M, F)
+    influence = influence[:, free]  # (M, F)
     delta = np.zeros((len(deformed), lattice.n_control, 3))
 
     if constraint.kind == "volume":
@@ -268,5 +270,7 @@ def sample_cffd_dataset(lattice: FfdLattice, surface: TriSurface, constraint,
     dp = np.stack([sigma_d * rng.derive("cffd-sample", i).normal(
         (lattice.n_control, 3)) for i in range(n)])
     dp[:, pinned] = 0.0
-    total = dp + cffd_correct(lattice, dp, surface, constraint, weights=weights)
-    return ffd_map(lattice, total, surface.vertices)[0], total
+    influence = lattice.influence(surface.vertices)
+    total = dp + cffd_correct(lattice, dp, surface, constraint, weights=weights,
+                              influence=influence)
+    return ffd_map(lattice, total, surface.vertices, influence)[0], total

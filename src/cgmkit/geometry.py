@@ -303,12 +303,13 @@ class FfdLattice:
         return weights
 
 
-def ffd_map(lattice: FfdLattice, displacement, points):
+def ffd_map(lattice: FfdLattice, displacement, points, influence=None):
     """Deform points through the lattice by a displacement or a stack of
     them (..., P, 3), each cloud bitwise as if alone.
 
     Each in-box point Q moves to Q + sum_ijk B_ijk(phi^-1(Q)) a_phi(dP_ijk);
     out-of-box points pass through unchanged. Returns (deformed, inside_mask).
+    A given influence is the caller's `lattice.influence(points)`.
     """
     dp = np.asarray(displacement, dtype=np.float64)
     if dp.shape[-2:] != (lattice.n_control, 3):
@@ -320,7 +321,8 @@ def ffd_map(lattice: FfdLattice, displacement, points):
     inside = lattice.contains(points)
     out = np.broadcast_to(points, dp.shape[:-2] + points.shape).copy()
     if inside.any():
-        weights = lattice.influence(points[inside])
+        weights = (lattice.influence(points[inside]) if influence is None
+                   else influence[inside])
         out[..., inside, :] += weights @ (dp @ lattice.a_phi.T)
     return out, inside
 

@@ -152,11 +152,40 @@ def test_malformed_config_constraint_exits_1_naming_key(
 
 def test_singular_lattice_nonzero_exit(tmp_path):
     bad = tmp_path / "bad.cfg"
-    # a flat shape with zero margin collapses the lattice box to zero extent
+    # a flat shape with zero margin would collapse the lattice box to zero
+    # extent; the zero radius is rejected by name at load, before a lattice
+    # is built (test_geometry.py checks FfdLattice's own singular check)
     bad.write_text("shape.kind = ellipsoid\nshape.subdivision = 0\n"
                    "shape.radii = 1 1 0\nlattice.margin = 0\n")
     assert run(["generate", "--config", str(bad),
                 "--out", str(tmp_path / "x")]) == 1
+
+
+@pytest.mark.parametrize("command, key, value, message", [
+    ("generate", "shape.radii", "0 1 1", "must be positive, got 0.0"),
+    ("generate", "shape.radii", "-1 1 1", "must be positive, got -1.0"),
+    ("generate", "lattice.grid", "0 2 2", "must be at least 1, got 0"),
+    ("generate", "shape.subdivision", "7", "must be in 0..6, got 7"),
+    ("generate", "shape.subdivision", "-1", "must be in 0..6, got -1"),
+    ("generate", "shape.kind", "cube",
+     "must be one of icosphere, ellipsoid, got cube"),
+    ("train", "field.kind", "wave", "must be one of bump, multibump, got wave"),
+    ("generate", "lattice.pin_planes", "top",
+     "must be one of imin, imax, jmin, jmax, kmin, kmax, got top"),
+    # a model setting is checked at load by every command, not only train;
+    # its message names the GmConfig field
+    ("generate", "gm.k_gain", "-1", "must be nonnegative, got -1.0"),
+])
+def test_setting_out_of_rule_exits_1_at_load_naming_key(
+        tmp_path, capsys, monkeypatch, command, key, value, message):
+    monkeypatch.setenv("CGM_" + key.replace(".", "_").upper(), value)
+    out = tmp_path / "x"
+    extra = ["--kind", "ae", "--data", str(tmp_path)] if command == "train" \
+        else []
+    assert run([command, "--out", str(out), *extra]) == 1
+    name = key.removeprefix("gm.")
+    assert capsys.readouterr().err == f"error: {name} {message}\n"
+    assert not out.exists()
 
 
 def test_unknown_key_rejected(tmp_path):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgmkit.config import (_GM_BOUNDS, DEFAULTS, GmConfig, PipelineConfig,
+from cgmkit.config import (_RULES, DEFAULTS, GmConfig, PipelineConfig,
                            env_overrides, parse_config_text, resolve_config)
 from cgmkit.errors import ConfigError
 
@@ -57,8 +57,7 @@ def test_pipeline_builders():
 
 
 def test_pin_planes_weights():
-    config = PipelineConfig.load()
-    config.values["lattice.pin_planes"] = "imin kmax"
+    config = PipelineConfig.load(overrides={"lattice.pin_planes": "imin kmax"})
     base = config.base_shape()
     lattice = config.lattice(base)
     weights = config.weights(lattice)
@@ -66,9 +65,9 @@ def test_pin_planes_weights():
     pinned = (local[:, 0] == 0.0) | (local[:, 2] == 1.0)
     assert np.all(weights[pinned] == 0.0)
     assert np.all(weights[~pinned] == 1.0)
-    config.values["lattice.pin_planes"] = "sideways"
-    with pytest.raises(ConfigError):
-        config.weights(lattice)
+    # the planes are checked at load, like every other setting
+    with pytest.raises(ConfigError, match="^lattice.pin_planes must be one of"):
+        PipelineConfig.load(overrides={"lattice.pin_planes": "imin sideways"})
 
 
 def test_volume_constraint_from_config():
@@ -101,7 +100,8 @@ def test_negative_bootstrap_rejected_by_name():
     with pytest.raises(ConfigError, match="rom.bootstrap"):
         PipelineConfig.load(overrides={"rom.bootstrap": "-5"})
     # no replicate is valid: the bands are the estimate itself
-    assert PipelineConfig.load(overrides={"rom.bootstrap": "0"}).bootstrap == 0
+    assert PipelineConfig.load(overrides={"rom.bootstrap": "0"})[
+        "rom.bootstrap"] == 0
 
 
 @pytest.mark.parametrize("value", ["-5", "0"])
@@ -112,16 +112,14 @@ def test_nn_epochs_below_one_rejected_by_name(value):
 
 @pytest.mark.parametrize("value", ["-1e-3", "0", "inf", "nan"])
 def test_learning_rate_not_positive_finite_rejected_by_name(value):
-    config = PipelineConfig.load(overrides={"gm.lr": value})
     with pytest.raises(ConfigError, match="lr"):
-        config.gm_config()
+        PipelineConfig.load(overrides={"gm.lr": value})
 
 
 @pytest.mark.parametrize("value", ["-1", "nan"])
 def test_negative_weight_decay_rejected_by_name(value):
-    config = PipelineConfig.load(overrides={"gm.weight_decay": value})
     with pytest.raises(ConfigError, match="weight_decay"):
-        config.gm_config()
+        PipelineConfig.load(overrides={"gm.weight_decay": value})
     assert PipelineConfig.load(
         overrides={"gm.weight_decay": "0"}).gm_config().weight_decay == 0.0
 
@@ -131,9 +129,8 @@ def test_negative_weight_decay_rejected_by_name(value):
                                          ("batch_size", "1"), ("gamma", "0.0"),
                                          ("k0", "1.5"), ("sigma", "0")])
 def test_gm_out_of_range_rejected_by_name(field, value):
-    config = PipelineConfig.load(overrides={f"gm.{field}": value})
     with pytest.raises(ConfigError, match=f"^{field} must"):
-        config.gm_config()
+        PipelineConfig.load(overrides={f"gm.{field}": value})
 
 
 @pytest.mark.parametrize("key, value", [
@@ -153,10 +150,15 @@ def test_non_finite_value_rejected_by_key(key, value):
         config.gm_config()
 
 
-def test_gm_rule_table_covers_every_field():
-    # GmConfig checks the fields the table lists: a field without a rule
-    # would go unchecked
-    assert list(_GM_BOUNDS) == [f.name for f in fields(GmConfig)]
+def test_rule_table_covers_every_setting_and_field():
+    # a setting or GmConfig field without an entry would go unchecked; the
+    # free-text keys are the output path and the constraint record, which
+    # `constraint_from` checks
+    free_text = {"pipeline.out", "constraint.kind", "constraint.target"}
+    gm_keys = {"gm." + f.name for f in fields(GmConfig)}
+    assert set(_RULES) == (set(DEFAULTS) - free_text) | gm_keys
+    for f in fields(GmConfig):
+        assert _RULES["gm." + f.name][:2] == (f.type, 1)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -173,10 +175,9 @@ def test_gm_config_latent_dim_above_pca_modes_rejected_by_field():
                                           "pca_modes") as err:
         GmConfig(latent_dim=9, pca_modes=8)
     assert err.value.key == "latent_dim"
-    config = PipelineConfig.load(overrides={"gm.latent_dim": "9",
-                                            "gm.pca_modes": "8"})
     with pytest.raises(ConfigError) as err:
-        config.gm_config()
+        PipelineConfig.load(overrides={"gm.latent_dim": "9",
+                                       "gm.pca_modes": "8"})
     assert err.value.key == "gm.latent_dim"
 
 
