@@ -31,7 +31,7 @@ class CommandFailure(Exception):
 
 
 def _ensure_out(config: PipelineConfig):
-    out = config.values["pipeline.out"]
+    out = config["pipeline.out"]
     os.makedirs(out, exist_ok=True)
     write_resolved(config.values, os.path.join(out, "config.resolved.txt"))
     return out
@@ -80,11 +80,16 @@ def cmd_generate(config: PipelineConfig) -> int:
 
 
 def cmd_train(config: PipelineConfig, kind, data_dir=None) -> int:
-    out = _ensure_out(config)
-    data_dir = data_dir or out
+    data_dir = data_dir or config["pipeline.out"]
     dataset = datasets.read_dataset(data_dir)
-    model = train_model(kind, dataset.vertices[:config["dataset.n_train"]],
-                        dataset.faces, dataset.constraint, config.gm_config())
+    n_train, n_samples = config["dataset.n_train"], len(dataset.vertices)
+    if n_train > n_samples:
+        raise ConfigError(f"dataset.n_train must be at most the {n_samples} "
+                          f"samples of {data_dir}, got {n_train}",
+                          "dataset.n_train")
+    out = _ensure_out(config)
+    model = train_model(kind, dataset.vertices[:n_train], dataset.faces,
+                        dataset.constraint, config.gm_config())
     path = os.path.join(out, f"model_{kind}.cgmt")
     save_model(model, path)
     print(f"train: {kind} final epoch loss {model.epoch_losses[-1]:.6g}, "

@@ -4,60 +4,44 @@ Files hold `section.key = value` lines ('#' comments allowed). Environment
 variables prefixed CGM_ override file values: CGM_DATASET_N_TRAIN maps to
 dataset.n_train (first underscore-separated token is the section); a
 variable naming an unknown key of a known section is rejected, variables of
-other sections are ignored. Command line flags override both. Each setting
-in `_RULES` is checked once, at load, and a failure names its key. `_number`
-reads every number a setting holds here or in a checkpoint sidecar."""
+other sections are ignored. Command line flags override both. `SETTINGS`
+gives each key its default, kind, count and rule (the gm.* entries take
+theirs from `GmConfig`); each, the constraint record included, is checked
+once, at load, and a failure names its key. `_number` reads every number a
+setting holds here or in a checkpoint sidecar."""
 
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .constraints import constraint_from
+from .constraints import TARGET_LENGTHS, constraint_from
 from .errors import ConfigError
-from .geometry import FfdLattice, barycenter_of, synth_shape, volume_of
-from .synthfield import FieldSpec
+from .geometry import (SHAPE_KINDS, FfdLattice, barycenter_of, synth_shape,
+                       volume_of)
+from .synthfield import FIELD_KINDS, FieldSpec
 
 _AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
 _NONNEGATIVE = ("nonnegative", lambda v: v >= 0)
 _POSITIVE = ("positive", lambda v: v > 0)
-# the (kind, count, rule) entries that several settings share
-_COUNT = (int, 1, _AT_LEAST_1)
-_NATURAL = (int, 1, _NONNEGATIVE)
-_SCALE = (float, 1, _NONNEGATIVE)
-_RATE = (float, 1, ("in [0, 1)", lambda v: 0 <= v < 1))
+_RATE = ("in [0, 1)", lambda v: 0 <= v < 1)
+_ANY = ("any value", lambda v: True)  # `_number` has required it finite
 
 
 def _one_of(*words):
     return ("one of " + ", ".join(words), lambda v: v in words)
 
 
-# setting -> (kind, count, rule): int, float or str (words), how many values
-# it holds (None: any number) and the (rule, test of that rule) each value
-# meets. The gm.* entries are GmConfig's fields.
-_RULES = {
-    "pipeline.seed": _NATURAL,
-    "pipeline.threads": _COUNT,  # no effect; the benchmark passes --threads
-    "shape.kind": (str, 1, _one_of("icosphere", "ellipsoid")),
-    "shape.subdivision": (int, 1, ("in 0..6", lambda v: 0 <= v <= 6)),
-    "shape.radii": (float, 3, _POSITIVE), "lattice.grid": (int, 3, _AT_LEAST_1),
-    "lattice.margin": (float, 1, ("finite", lambda v: True)),
-    "lattice.pin_planes": (str, None, _one_of("imin", "imax", "jmin", "jmax",
-                                              "kmin", "kmax")),
-    "dataset.n_train": _COUNT, "dataset.n_test": _NATURAL,
-    "dataset.sigma_d": _SCALE, "rom.n_train": _COUNT, "rom.n_test": _COUNT,
-    "rom.pod_modes": _COUNT, "rom.as_dim": _COUNT, "rom.bootstrap": _NATURAL,
-    "rom.nn_width": _COUNT, "rom.nn_epochs": _COUNT,
-    "field.kind": (str, 1, _one_of("bump", "multibump")),
-    "gm.latent_dim": _COUNT, "gm.pca_modes": _COUNT, "gm.hidden_width": _COUNT,
-    "gm.hidden_depth": _NATURAL, "gm.dropout": _RATE, "gm.disc_dropout": _RATE,
-    "gm.epochs": _COUNT, "gm.lr": (float, 1, _POSITIVE),
-    "gm.batch_size": (int, 1, ("at least 2", lambda v: v >= 2)),
-    "gm.weight_decay": _SCALE, "gm.alpha": _SCALE, "gm.k_gain": _SCALE,
-    "gm.sigma": (float, 1, _POSITIVE), "gm.seed": _NATURAL,
-    "gm.gamma": (float, 1, ("in (0, 1]", lambda v: 0 < v <= 1)),
-    "gm.k0": (float, 1, ("in [0, 1]", lambda v: 0 <= v <= 1)),
+# GmConfig field -> its rule, read by GmConfig and by SETTINGS' gm.* entries
+_GM_RULES = {
+    "latent_dim": _AT_LEAST_1, "pca_modes": _AT_LEAST_1,
+    "hidden_width": _AT_LEAST_1, "hidden_depth": _NONNEGATIVE,
+    "dropout": _RATE, "disc_dropout": _RATE, "epochs": _AT_LEAST_1,
+    "batch_size": ("at least 2", lambda v: v >= 2), "lr": _POSITIVE,
+    "weight_decay": _NONNEGATIVE, "alpha": _NONNEGATIVE, "sigma": _POSITIVE,
+    "gamma": ("in (0, 1]", lambda v: 0 < v <= 1), "k_gain": _NONNEGATIVE,
+    "k0": ("in [0, 1]", lambda v: 0 <= v <= 1), "seed": _NONNEGATIVE,
 }
 
 
@@ -84,50 +68,55 @@ class GmConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            _check(f.name, [getattr(self, f.name)], _RULES["gm." + f.name][2])
+            _check(f.name, [getattr(self, f.name)], _GM_RULES[f.name])
         if self.latent_dim > self.pca_modes:
             raise ConfigError("latent_dim must not exceed pca_modes", "latent_dim")
 
 
 def read_gm_config(setting, prefix, **given) -> GmConfig:
     """GmConfig with the given fields and each other field f read from
-    setting(prefix + f) as its `_RULES` kind; a ConfigError's key is the
-    setting's."""
-    values = {f.name: _number(prefix + f.name, setting(prefix + f.name),
-                              _RULES["gm." + f.name][0])
+    setting(prefix + f) as f's type; a ConfigError names the setting's key,
+    in its message and as its key."""
+    values = {f.name: _number(prefix + f.name, setting(prefix + f.name), f.type)
               for f in fields(GmConfig) if f.name not in given}
     try:
         return GmConfig(**values, **given)
     except ConfigError as err:
-        raise ConfigError(str(err), prefix + err.key) from None
+        raise ConfigError(prefix + str(err), prefix + err.key) from None
 
 
-DEFAULTS = {
-    "pipeline.seed": "0",
-    "pipeline.out": "out",
-    "pipeline.threads": "1",
-    "shape.kind": "icosphere",
-    "shape.subdivision": "2",
-    "shape.radii": "1 1 1",
-    "lattice.grid": "2 2 2",
-    "lattice.margin": "0.05",
-    "lattice.pin_planes": "",
-    "constraint.kind": "barycenter",
-    "constraint.target": "keep",
-    "dataset.n_train": "60",
-    "dataset.n_test": "20",
-    "dataset.sigma_d": "0.05",
-    "rom.n_train": "80",
-    "rom.n_test": "20",
-    "rom.pod_modes": "3",
-    "rom.as_dim": "1",
-    "rom.bootstrap": "100",
-    "rom.nn_width": "64",
-    "rom.nn_epochs": "1000",
-    "field.kind": "bump",
-    # the model defaults are GmConfig's own; the seed is pipeline.seed
-    **{f"gm.{f.name}": str(f.default) for f in fields(GmConfig)
-       if f.name != "seed"},
+# setting -> (default text, kind, count, rule): kind int, float or str
+# (words), count how many values it holds (None: any number) and rule the
+# (text, test) that each value meets. The gm.* entries are GmConfig's
+# fields but its seed, which is pipeline.seed.
+SETTINGS = {
+    "pipeline.seed": ("0", int, 1, _NONNEGATIVE),
+    "pipeline.out": ("out", str, 1, _ANY),
+    # no effect; kept because the benchmark passes --threads
+    "pipeline.threads": ("1", int, 1, _AT_LEAST_1),
+    "shape.kind": ("icosphere", str, 1, _one_of(*SHAPE_KINDS)),
+    "shape.subdivision": ("2", int, 1, ("in 0..6", lambda v: 0 <= v <= 6)),
+    "shape.radii": ("1 1 1", float, 3, _POSITIVE),
+    "lattice.grid": ("2 2 2", int, 3, _AT_LEAST_1),
+    "lattice.margin": ("0.05", float, 1, _ANY),
+    "lattice.pin_planes": ("", str, None, _one_of("imin", "imax", "jmin",
+                                                   "jmax", "kmin", "kmax")),
+    "constraint.kind": ("barycenter", str, 1, _one_of(*TARGET_LENGTHS)),
+    # or "keep": the base shape's own value; its count is the kind's
+    "constraint.target": ("keep", float, None, _ANY),
+    "dataset.n_train": ("60", int, 1, _AT_LEAST_1),
+    "dataset.n_test": ("20", int, 1, _NONNEGATIVE),
+    "dataset.sigma_d": ("0.05", float, 1, _NONNEGATIVE),
+    "rom.n_train": ("80", int, 1, _AT_LEAST_1),
+    "rom.n_test": ("20", int, 1, _AT_LEAST_1),
+    "rom.pod_modes": ("3", int, 1, _AT_LEAST_1),
+    "rom.as_dim": ("1", int, 1, _AT_LEAST_1),
+    "rom.bootstrap": ("100", int, 1, _NONNEGATIVE),
+    "rom.nn_width": ("64", int, 1, _AT_LEAST_1),
+    "rom.nn_epochs": ("1000", int, 1, _AT_LEAST_1),
+    "field.kind": ("bump", str, 1, _one_of(*FIELD_KINDS)),
+    **{"gm." + f.name: (str(f.default), f.type, 1, _GM_RULES[f.name])
+       for f in fields(GmConfig) if f.name != "seed"},
 }
 
 
@@ -158,17 +147,17 @@ def env_overrides(environ=None) -> dict:
 
 
 def resolve_config(path=None, environ=None, overrides=None) -> dict:
-    values = dict(DEFAULTS)
+    values = {key: default for key, (default, *_) in SETTINGS.items()}
     if path is not None:
         with open(path) as fh:
             file_values = parse_config_text(fh.read())
-        unknown = set(file_values) - set(DEFAULTS)
+        unknown = set(file_values) - set(SETTINGS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         values.update(file_values)
-    sections = {key.split(".", 1)[0] for key in DEFAULTS}
+    sections = {key.split(".", 1)[0] for key in SETTINGS}
     for key, value in env_overrides(environ).items():
-        if key in DEFAULTS:
+        if key in SETTINGS:
             values[key] = value
         elif key.split(".", 1)[0] in sections:
             name = "CGM_" + key.replace(".", "_").upper()
@@ -221,17 +210,23 @@ def _check(key, values, rule):
 @dataclass
 class PipelineConfig:
     """Typed view over the resolved key=value mapping: config[key] is the
-    checked value of a `_RULES` setting outside gm.*, read once, here."""
+    checked value of a SETTINGS key outside gm.*, read once, here (None for
+    a constraint.target of "keep")."""
 
-    values: dict = field(default_factory=lambda: dict(DEFAULTS))
+    values: dict
 
     def __post_init__(self):
         self._settings = {}
-        for key, (kind, count, rule) in _RULES.items():
-            if not key.startswith("gm."):
+        for key, (_, kind, count, rule) in SETTINGS.items():
+            if key == "constraint.target" and self.values[key] == "keep":
+                self._settings[key] = None
+            elif not key.startswith("gm."):
                 values = _numbers(key, self.values[key], kind, count)
                 _check(key, values, rule)
                 self._settings[key] = values[0] if count == 1 else values
+        if self["constraint.target"] is not None:
+            # as many values as constraint.kind needs
+            constraint_from(self["constraint.kind"], self["constraint.target"])
         self._gm = read_gm_config(self.values.__getitem__, "gm.",
                                   seed=self["pipeline.seed"])
 
@@ -266,14 +261,10 @@ class PipelineConfig:
         return weights
 
     def constraint(self, surface):
-        kind = self.values["constraint.kind"]
-        target = self.values["constraint.target"]
-        if target != "keep":
-            target = _numbers("constraint.target", target, float)
-        elif kind == "volume":
-            target = volume_of(surface)
-        else:
-            target = barycenter_of(surface.vertices)
+        kind, target = self["constraint.kind"], self["constraint.target"]
+        if target is None:
+            target = (volume_of(surface) if kind == "volume"
+                      else barycenter_of(surface.vertices))
         return constraint_from(kind, target)
 
     def gm_config(self) -> GmConfig:

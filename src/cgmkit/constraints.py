@@ -34,7 +34,7 @@ from .rng import Rng
 
 _COMPONENTS = {"x": 0, "y": 1, "z": 2}
 RESIDUAL_BOUND = 1e-9  # the largest `constraint_residual` a held constraint has
-_TARGET_LENGTHS = {"barycenter": 3, "volume": 1}  # the kinds a record can name
+TARGET_LENGTHS = {"barycenter": 3, "volume": 1}  # the kinds a record can name
 
 
 @dataclass
@@ -166,13 +166,13 @@ def constraint_from(kind, target):
     record names. An unknown kind, or a target whose length is not the one
     its kind needs, raises ConfigError naming the key, the kind and the
     length."""
-    if kind not in _TARGET_LENGTHS:
+    if kind not in TARGET_LENGTHS:
         raise ConfigError(f"'constraint.kind' names unknown kind {kind!r}")
     target = np.asarray(target, dtype=np.float64).reshape(-1)
-    if len(target) != _TARGET_LENGTHS[kind]:
+    if len(target) != TARGET_LENGTHS[kind]:
         raise ConfigError(
             f"'constraint.target' of a {kind} constraint holds {len(target)} "
-            f"values, needs {_TARGET_LENGTHS[kind]}")
+            f"values, needs {TARGET_LENGTHS[kind]}")
     if kind == "volume":
         return VolumeConstraint(target[0])
     return BarycenterConstraint(target)

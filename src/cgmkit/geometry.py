@@ -330,6 +330,7 @@ def ffd_map(lattice: FfdLattice, displacement, points, influence=None):
 # ---------------------------------------------------------------------------
 # Synthetic shapes
 
+SHAPE_KINDS = ("icosphere", "ellipsoid")
 _ICO_T = (1.0 + math.sqrt(5.0)) / 2.0
 
 _ICO_VERTICES = np.array([
@@ -369,7 +370,7 @@ def synth_shape(kind: str, subdivision: int, radii=(1.0, 1.0, 1.0)) -> TriSurfac
 
     kind "icosphere" or "ellipsoid"; subdivision s <= 6 gives 10*4^s + 2
     vertices. The ellipsoid is the unit icosphere scaled by radii."""
-    if kind not in ("icosphere", "ellipsoid"):
+    if kind not in SHAPE_KINDS:
         raise DimensionError(f"unknown shape kind {kind!r}")
     if not 0 <= subdivision <= 6:
         raise DimensionError("subdivision must lie in 0..6")

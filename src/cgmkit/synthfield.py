@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import ConfigError
 
+FIELD_KINDS = ("bump", "multibump")
+
 
 @dataclass
 class FieldSpec:
@@ -23,7 +25,7 @@ class FieldSpec:
     kind: str = "bump"
 
     def __post_init__(self):
-        if self.kind not in ("bump", "multibump"):
+        if self.kind not in FIELD_KINDS:
             raise ConfigError(f"unknown field kind {self.kind!r}")
 
 

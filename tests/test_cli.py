@@ -140,14 +140,23 @@ def test_triple_with_wrong_count_exits_1_naming_key(tmp_path, capsys,
                           "holds 2 values, needs 3"),
     ("volume", "1 2", "'constraint.target' of a volume constraint holds 2 "
                       "values, needs 1"),
-    ("cube", "keep", "'constraint.kind' names unknown kind 'cube'"),
+    ("cube", "keep", "constraint.kind must be one of barycenter, volume, "
+                     "got cube"),
 ], ids=["barycenter", "volume", "unknown-kind"])
+@pytest.mark.parametrize("command", ["generate", "train", "validate"])
 def test_malformed_config_constraint_exits_1_naming_key(
-        tmp_path, capsys, monkeypatch, kind, target, message):
+        tmp_path, capsys, monkeypatch, command, kind, target, message):
+    # every command checks the record at load, though only generate builds
+    # a constraint from it
     monkeypatch.setenv("CGM_CONSTRAINT_KIND", kind)
     monkeypatch.setenv("CGM_CONSTRAINT_TARGET", target)
-    assert run(["generate", "--out", str(tmp_path / "x")]) == 1
+    out = tmp_path / "x"
+    extra = {"generate": [],
+             "train": ["--kind", "ae", "--data", str(tmp_path)],
+             "validate": [str(tmp_path), str(tmp_path)]}[command]
+    assert run([command, "--out", str(out), *extra]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_singular_lattice_nonzero_exit(tmp_path):
@@ -172,8 +181,7 @@ def test_singular_lattice_nonzero_exit(tmp_path):
     ("train", "field.kind", "wave", "must be one of bump, multibump, got wave"),
     ("generate", "lattice.pin_planes", "top",
      "must be one of imin, imax, jmin, jmax, kmin, kmax, got top"),
-    # a model setting is checked at load by every command, not only train;
-    # its message names the GmConfig field
+    # a model setting is checked at load by every command, not only train
     ("generate", "gm.k_gain", "-1", "must be nonnegative, got -1.0"),
 ])
 def test_setting_out_of_rule_exits_1_at_load_naming_key(
@@ -183,8 +191,7 @@ def test_setting_out_of_rule_exits_1_at_load_naming_key(
     extra = ["--kind", "ae", "--data", str(tmp_path)] if command == "train" \
         else []
     assert run([command, "--out", str(out), *extra]) == 1
-    name = key.removeprefix("gm.")
-    assert capsys.readouterr().err == f"error: {name} {message}\n"
+    assert capsys.readouterr().err == f"error: {key} {message}\n"
     assert not out.exists()
 
 
@@ -384,6 +391,40 @@ def test_env_override(tmp_path, config_file, monkeypatch):
     assert len(read_manifest(out)) == 8
     resolved = (tmp_path / "env" / "config.resolved.txt").read_text()
     assert "dataset.n_train = 6" in resolved
+
+
+def test_resolved_config_reloads_and_regenerates_the_same(
+        tmp_path, config_file, monkeypatch):
+    # a run's config.resolved.txt is itself a config: given back with a new
+    # --out it loads to the same values and regenerates the same dataset
+    for name in [n for n in os.environ if n.startswith("CGM_")]:
+        monkeypatch.delenv(name)
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(["generate", "--config", config_file, "--seed", "5",
+                "--out", str(first)]) == 0
+    resolved = first / "config.resolved.txt"
+    assert run(["generate", "--config", str(resolved),
+                "--out", str(second)]) == 0
+    given = PipelineConfig.load(config_file, overrides={"pipeline.seed": "5"})
+    reloaded = PipelineConfig.load(resolved)
+    assert reloaded.values["pipeline.out"] == str(first)
+    assert {**reloaded.values, "pipeline.out": "-"} == \
+        {**given.values, "pipeline.out": "-"}
+    for name in ("dataset.cgmt", "manifest.tsv", "meta.txt"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_train_n_train_above_dataset_size_exits_1_naming_key(
+        tmp_path, trained, capsys, monkeypatch):
+    # training would take every sample, the held-out ones included
+    monkeypatch.setenv("CGM_DATASET_N_TRAIN", "500")
+    data, out = str(trained / "data"), tmp_path / "run"
+    assert run(["train", "--config", str(trained / "pipeline.cfg"),
+                "--kind", "ae", "--data", data, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: dataset.n_train must be at most the 20 samples of {data}, "
+        f"got 500\n")
+    assert not out.exists()
 
 
 def test_matrix_round_trip(tmp_path):

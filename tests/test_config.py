@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgmkit.config import (_RULES, DEFAULTS, GmConfig, PipelineConfig,
+from cgmkit.config import (_GM_RULES, SETTINGS, GmConfig, PipelineConfig,
                            env_overrides, parse_config_text, resolve_config)
 from cgmkit.errors import ConfigError
 
@@ -71,8 +71,7 @@ def test_pin_planes_weights():
 
 
 def test_volume_constraint_from_config():
-    config = PipelineConfig.load()
-    config.values["constraint.kind"] = "volume"
+    config = PipelineConfig.load(overrides={"constraint.kind": "volume"})
     base = config.base_shape()
     constraint = config.constraint(base)
     from cgmkit.geometry import volume_of
@@ -129,7 +128,7 @@ def test_negative_weight_decay_rejected_by_name(value):
                                          ("batch_size", "1"), ("gamma", "0.0"),
                                          ("k0", "1.5"), ("sigma", "0")])
 def test_gm_out_of_range_rejected_by_name(field, value):
-    with pytest.raises(ConfigError, match=f"^{field} must"):
+    with pytest.raises(ConfigError, match=f"^gm.{field} must"):
         PipelineConfig.load(overrides={f"gm.{field}": value})
 
 
@@ -151,14 +150,15 @@ def test_non_finite_value_rejected_by_key(key, value):
 
 
 def test_rule_table_covers_every_setting_and_field():
-    # a setting or GmConfig field without an entry would go unchecked; the
-    # free-text keys are the output path and the constraint record, which
-    # `constraint_from` checks
-    free_text = {"pipeline.out", "constraint.kind", "constraint.target"}
-    gm_keys = {"gm." + f.name for f in fields(GmConfig)}
-    assert set(_RULES) == (set(DEFAULTS) - free_text) | gm_keys
+    # a key or GmConfig field without an entry would go unchecked: load
+    # reads every key of the table outside gm.*, and GmConfig every field
+    config = PipelineConfig.load(environ={})
+    gm_keys = {"gm." + f.name for f in fields(GmConfig) if f.name != "seed"}
+    assert set(SETTINGS) == set(config._settings) | gm_keys
+    assert set(_GM_RULES) == {f.name for f in fields(GmConfig)}
     for f in fields(GmConfig):
-        assert _RULES["gm." + f.name][:2] == (f.type, 1)
+        if f.name != "seed":
+            assert SETTINGS["gm." + f.name][:3] == (str(f.default), f.type, 1)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -184,7 +184,7 @@ def test_gm_config_latent_dim_above_pca_modes_rejected_by_field():
 def test_shipped_desk_config_builds():
     path = ROOT / "configs" / "desk.cfg"
     values = parse_config_text(path.read_text())
-    assert set(values) <= set(DEFAULTS)
+    assert set(values) <= set(SETTINGS)
     config = PipelineConfig.load(path, environ={})
     assert {key: config.values[key] for key in values} == values
     base = config.base_shape()
