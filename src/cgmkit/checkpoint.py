@@ -123,3 +123,13 @@ def require_faces(tensors, path, n_vertices):
         raise ContainerError(f"{path}: tensor 'faces' holds a face with "
                              f"repeated vertex indices")
     return faces.astype(np.int64)
+
+
+def read_key_values(path) -> dict:
+    """A text file's key=value lines as a dict; ContainerError on others."""
+    with open(path) as fh:
+        lines = [line.strip() for line in fh]
+    for line in lines:
+        if "=" not in line:
+            raise ContainerError(f"{path}: line {line!r} is not key=value")
+    return dict(line.split("=", 1) for line in lines)

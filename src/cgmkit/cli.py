@@ -16,8 +16,8 @@ import numpy as np
 
 from . import datasets
 from .config import PipelineConfig, write_resolved
-from .constraints import (RESIDUAL_BOUND, achieved_value, constraint_record,
-                          constraint_residual, sample_cffd_dataset)
+from .constraints import (RESIDUAL_BOUND, achieved_value, constraint_residual,
+                          sample_cffd_dataset)
 from .errors import CgmError, ConfigError
 from .generative import MODEL_KINDS, load_model, save_model, train_model
 from .reduction import as_fit, as_response_surface, podi_fit, save_matrix
@@ -40,7 +40,7 @@ def _ensure_out(config: PipelineConfig):
 def _checked_achieved(constraint, vertices, faces, label):
     """The achieved values of a stack (`achieved_value`), after failing on
     the first sample whose residual exceeds the bound or is NaN."""
-    achieved = achieved_value(constraint, vertices, faces)
+    achieved = achieved_value(constraint.kind, vertices, faces)
     residuals = constraint_residual(constraint, achieved)
     failing = np.flatnonzero(~(residuals <= RESIDUAL_BOUND))
     if failing.size:
@@ -52,10 +52,10 @@ def _checked_achieved(constraint, vertices, faces, label):
 
 
 def cmd_generate(config: PipelineConfig) -> int:
-    out = _ensure_out(config)
     base = config.base_shape()
     lattice = config.lattice(base)
     constraint = config.constraint(base)
+    out = _ensure_out(config)
     rng = Rng(config["pipeline.seed"], ("generate",))
     n = config["dataset.n_train"] + config["dataset.n_test"]
     vertices, displacements = sample_cffd_dataset(
@@ -82,10 +82,12 @@ def cmd_generate(config: PipelineConfig) -> int:
 def cmd_train(config: PipelineConfig, kind, data_dir=None) -> int:
     data_dir = data_dir or config["pipeline.out"]
     dataset = datasets.read_dataset(data_dir)
-    n_train, n_samples = config["dataset.n_train"], len(dataset.vertices)
-    if n_train > n_samples:
-        raise ConfigError(f"dataset.n_train must be at most the {n_samples} "
-                          f"samples of {data_dir}, got {n_train}",
+    n_train = config["dataset.n_train"]
+    # samples past the recorded split are held out; `sample` records none
+    split = dataset.n_train or len(dataset.vertices)
+    if n_train > split:
+        raise ConfigError(f"dataset.n_train must be at most the {split} "
+                          f"training samples of {data_dir}, got {n_train}",
                           "dataset.n_train")
     out = _ensure_out(config)
     model = train_model(kind, dataset.vertices[:n_train], dataset.faces,
@@ -121,13 +123,12 @@ def cmd_validate(config: PipelineConfig, reference_dir, generated_dir) -> int:
     generated = datasets.read_dataset(generated_dir)
     # the constraint travels with the data: both manifests must carry the
     # same one, and the config plays no part
-    ref_kind, ref_target = constraint_record(reference.constraint)
-    gen_kind, gen_target = constraint_record(generated.constraint)
-    if gen_kind != ref_kind or not np.array_equal(gen_target, ref_target):
+    ref, gen = reference.constraint, generated.constraint
+    if gen.kind != ref.kind or not np.array_equal(gen.target, ref.target):
         raise CommandFailure(
             f"constraint mismatch: reference {reference_dir} carries "
-            f"{ref_kind} {ref_target.tolist()}, generated {generated_dir} "
-            f"carries {gen_kind} {gen_target.tolist()}")
+            f"{ref.kind} {ref.target.tolist()}, generated {generated_dir} "
+            f"carries {gen.kind} {gen.target.tolist()}")
     report = metric_report((reference.vertices, reference.faces),
                            (generated.vertices, generated.faces),
                            constraint=reference.constraint)

@@ -16,10 +16,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .constraints import TARGET_LENGTHS, constraint_from
+from .constraints import TARGET_LENGTHS, Constraint, achieved_value
 from .errors import ConfigError
-from .geometry import (SHAPE_KINDS, FfdLattice, barycenter_of, synth_shape,
-                       volume_of)
+from .geometry import SHAPE_KINDS, FfdLattice, synth_shape
 from .synthfield import FIELD_KINDS, FieldSpec
 
 _AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
@@ -56,7 +55,7 @@ class GmConfig:
     dropout: float = 0.1
     disc_dropout: float = 0.95
     epochs: int = 500
-    batch_size: int = 200
+    batch_size: int = 20
     lr: float = 1e-3
     weight_decay: float = 1e-2
     alpha: float = 1e-2      # KL weight of the variational model
@@ -226,7 +225,7 @@ class PipelineConfig:
                 self._settings[key] = values[0] if count == 1 else values
         if self["constraint.target"] is not None:
             # as many values as constraint.kind needs
-            constraint_from(self["constraint.kind"], self["constraint.target"])
+            Constraint(self["constraint.kind"], self["constraint.target"])
         self._gm = read_gm_config(self.values.__getitem__, "gm.",
                                   seed=self["pipeline.seed"])
 
@@ -242,9 +241,15 @@ class PipelineConfig:
                            self["shape.radii"])
 
     def lattice(self, surface) -> FfdLattice:
+        """The surface's bounding box grown by lattice.margin on each side."""
         margin = self["lattice.margin"]
         lower = surface.vertices.min(axis=0) - margin
         upper = surface.vertices.max(axis=0) + margin
+        inside = (lower <= surface.vertices) & (surface.vertices <= upper)
+        if not (np.all(lower < upper) and inside.all(axis=1).any()):
+            raise ConfigError(
+                f"lattice.margin must leave a box with sides above 0 that "
+                f"holds a base vertex, got {margin}", "lattice.margin")
         return FfdLattice.from_box(self["lattice.grid"], lower, upper)
 
     def weights(self, lattice: FfdLattice):
@@ -260,12 +265,12 @@ class PipelineConfig:
             weights[local[:, axis] == value] = 0.0
         return weights
 
-    def constraint(self, surface):
+    def constraint(self, surface) -> Constraint:
         kind, target = self["constraint.kind"], self["constraint.target"]
         if target is None:
-            target = (volume_of(surface) if kind == "volume"
-                      else barycenter_of(surface.vertices))
-        return constraint_from(kind, target)
+            target = achieved_value(kind, surface.vertices[None],
+                                    surface.faces)
+        return Constraint(kind, target)
 
     def gm_config(self) -> GmConfig:
         """GmConfig from the gm.* keys; the seed is pipeline.seed."""

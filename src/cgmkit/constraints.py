@@ -13,15 +13,15 @@ shared by constrained FFD and the generative models' enforcing layer.
 `sample_cffd_dataset` returns a stack (n, M, 3) on the base faces;
 `achieved_value` and `constraint_residual` check one.
 
-A constraint is its (kind, target) record, `BarycenterConstraint` or
-`VolumeConstraint`. A config, a dataset manifest and a checkpoint store
-that record, written by `constraint_record` and read back by
-`constraint_from` alone. The barycenter's (3, 3M) rows are built by
-`barycenter_rows` only where they are projected: in `cffd_correct` and in
-the linear enforcing layer.
+A constraint is one `Constraint(kind, target)` record, which a config, a
+dataset manifest and a checkpoint build from the (constraint.kind,
+constraint.target) pair they store and store as its two fields. How a kind
+is measured is written once, in `achieved_value` and `constraint_residual`.
+The barycenter's (3, 3M) rows are built by `barycenter_rows` only where
+they are projected: in `cffd_correct` and in the linear enforcing layer.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,27 +38,24 @@ TARGET_LENGTHS = {"barycenter": 3, "volume": 1}  # the kinds a record can name
 
 
 @dataclass
-class BarycenterConstraint:
-    """Target barycenter (3,), the mean of a cloud's points, enforced by the
-    minimum-norm step through `barycenter_rows`."""
+class Constraint:
+    """A constraint kind and its target, a float64 vector of
+    `TARGET_LENGTHS[kind]` values: the barycenter (3,) or the enclosed
+    volume (1,). An unknown kind, or a target of another length, raises
+    ConfigError naming the key, the kind and the length."""
 
+    kind: str
     target: np.ndarray
-    kind: str = field(default="barycenter", init=False)
 
     def __post_init__(self):
-        self.target = np.asarray(self.target, dtype=np.float64).reshape(3)
-
-
-@dataclass
-class VolumeConstraint:
-    """Target enclosed volume, enforced by one minimum-norm step on the x
-    coordinates with y and z frozen."""
-
-    target: float
-    kind: str = field(default="volume", init=False)
-
-    def __post_init__(self):
-        self.target = float(self.target)
+        if self.kind not in TARGET_LENGTHS:
+            raise ConfigError(
+                f"'constraint.kind' names unknown kind {self.kind!r}")
+        self.target = np.asarray(self.target, dtype=np.float64).reshape(-1)
+        if len(self.target) != TARGET_LENGTHS[self.kind]:
+            raise ConfigError(
+                f"'constraint.target' of a {self.kind} constraint holds "
+                f"{len(self.target)} values, needs {TARGET_LENGTHS[self.kind]}")
 
 
 def barycenter_rows(n_points: int) -> np.ndarray:
@@ -93,7 +90,7 @@ def volume_constraint_row(surface: TriSurface, component: str):
     return row, offset
 
 
-def project_volume(clouds, faces, constraint: VolumeConstraint, basis=None,
+def project_volume(clouds, faces, constraint: Constraint, basis=None,
                    weights=None):
     """Volume projection of a (B, M, 3) batch of clouds on closed faces (the
     caller checks closedness) by one step on the x coordinates. With y and z
@@ -129,11 +126,11 @@ def project_volume(clouds, faces, constraint: VolumeConstraint, basis=None,
     return clouds, (rows, p, before, scale)
 
 
-def achieved_value(constraint, vertices, faces) -> np.ndarray:
-    """The constrained quantity of each cloud in an (n, M, 3) stack sharing
+def achieved_value(kind, vertices, faces) -> np.ndarray:
+    """The quantity of the kind for each cloud of an (n, M, 3) stack sharing
     the faces, (n, k): the volume (k = 1, on closed faces) or the barycenter
     (k = 3); each cloud's value is the one it has alone."""
-    if constraint.kind == "volume":
+    if kind == "volume":
         require_closed(faces)
         return volumes(vertices, faces)[:, None]
     return barycenter_of(vertices)
@@ -143,39 +140,10 @@ def constraint_residual(constraint, achieved) -> np.ndarray:
     """Residual of each row of achieved values (n, k) (`achieved_value`),
     (n,): the relative error of the volume or the max absolute error of the
     barycenter."""
-    error = np.abs(achieved - target_value(constraint))
+    error = np.abs(achieved - constraint.target)
     if constraint.kind == "volume":
-        return error[:, 0] / max(abs(constraint.target), 1e-300)
+        return error[:, 0] / max(abs(constraint.target[0]), 1e-300)
     return np.max(error, axis=1)
-
-
-def target_value(constraint) -> np.ndarray:
-    if constraint.kind == "volume":
-        return np.array([constraint.target])
-    return constraint.target
-
-
-def constraint_record(constraint):
-    """The (constraint.kind, constraint.target) record that stores a
-    constraint and that `constraint_from` reads back."""
-    return constraint.kind, target_value(constraint)
-
-
-def constraint_from(kind, target):
-    """The constraint that a stored (constraint.kind, constraint.target)
-    record names. An unknown kind, or a target whose length is not the one
-    its kind needs, raises ConfigError naming the key, the kind and the
-    length."""
-    if kind not in TARGET_LENGTHS:
-        raise ConfigError(f"'constraint.kind' names unknown kind {kind!r}")
-    target = np.asarray(target, dtype=np.float64).reshape(-1)
-    if len(target) != TARGET_LENGTHS[kind]:
-        raise ConfigError(
-            f"'constraint.target' of a {kind} constraint holds {len(target)} "
-            f"values, needs {TARGET_LENGTHS[kind]}")
-    if kind == "volume":
-        return VolumeConstraint(target[0])
-    return BarycenterConstraint(target)
 
 
 # ---------------------------------------------------------------------------

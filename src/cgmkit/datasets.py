@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import (load_tensors, require_faces, require_tensor,
-                         save_tensors)
-from .constraints import constraint_from, constraint_record
+from .checkpoint import (load_tensors, read_key_values, require_faces,
+                         require_tensor, save_tensors)
+from .constraints import Constraint
 from .errors import ConfigError, ContainerError, EmptyInputError
 from .geometry import TriSurface
 from .stl_io import stl_write
@@ -31,13 +31,14 @@ MANIFEST_COLUMNS = ("file", "seed", "constraint", "target", "achieved",
 @dataclass
 class Dataset:
     """The sample stack (n, M, 3), its faces (F, 3), the manifest rows, their
-    constraint, and the stored displacements (n, 3 P) or None."""
+    constraint, the stored displacements (n, 3 P) or None, and n_train."""
 
     vertices: np.ndarray
     faces: np.ndarray
     rows: list
-    constraint: object
+    constraint: Constraint
     displacements: np.ndarray = None
+    n_train: int = None  # meta.txt's training count, None after `sample`
 
 
 def _join_floats(values) -> str:
@@ -58,8 +59,7 @@ def write_dataset(directory, vertices, faces, constraint, achieved, tag,
     n = len(vertices)
     if not n:
         raise EmptyInputError("a dataset needs at least one sample")
-    kind, target = constraint_record(constraint)
-    target = _join_floats(target)
+    kind, target = constraint.kind, _join_floats(constraint.target)
     os.makedirs(directory, exist_ok=True)
     tensors = {"faces": faces, "vertices": vertices}
     norms = np.zeros(n)
@@ -141,14 +141,21 @@ def read_dataset(directory) -> Dataset:
         raise ContainerError(f"{path}: holds {len(vertices)} samples, "
                              f"manifest.tsv lists {len(rows)}")
     try:
-        constraint = constraint_from(kind, target)
+        constraint = Constraint(kind, target)
     except ConfigError as err:
         raise ConfigError(f"{manifest} line 2: {err}") from None
     displacements = None
     if "displacements" in tensors:
         displacements = require_tensor(tensors, path, "displacements",
                                        (len(rows), None))
-    return Dataset(vertices, faces, rows, constraint, displacements)
+    meta = os.path.join(directory, "meta.txt")
+    n_train = read_key_values(meta).get("n_train")
+    if n_train is not None:
+        if not (n_train.isdigit() and 0 < int(n_train) <= len(rows)):
+            raise ConfigError(f"{meta}: n_train {n_train!r} is not a count "
+                              f"in 1..{len(rows)}")
+        n_train = int(n_train)
+    return Dataset(vertices, faces, rows, constraint, displacements, n_train)
 
 
 def export_stl(directory, out) -> int:

@@ -25,11 +25,10 @@ from functools import partial
 
 import numpy as np
 
-from .checkpoint import (load_tensors, require_faces, require_tensor,
-                         save_tensors)
+from .checkpoint import (load_tensors, read_key_values, require_faces,
+                         require_tensor, save_tensors)
 from .config import GmConfig, read_gm_config
-from .constraints import (VolumeConstraint, barycenter_rows, constraint_from,
-                          constraint_record, project_volume)
+from .constraints import Constraint, barycenter_rows, project_volume
 from .errors import ConfigError, ContainerError, DimensionError, DivergenceError
 from .geometry import is_closed, volume_rows_vjp
 from .linalg import jittered_cholesky, min_norm_gain
@@ -81,7 +80,7 @@ class VolumeEnforcer:
     derivative of r contracted with u = s g_x - (g_x . r) / (r . r)
     (x + 2 s r): two cofactor scatters (`geometry.volume_rows_vjp`)."""
 
-    def __init__(self, constraint: VolumeConstraint, faces):
+    def __init__(self, constraint: Constraint, faces):
         self.constraint = constraint
         self.faces = np.asarray(faces, dtype=np.int64)
         # closedness depends only on the connectivity, so it is checked once
@@ -149,7 +148,7 @@ class GenerativeModel:
     config: GmConfig
     pca: PcaBasis
     nets: dict
-    constraint: object
+    constraint: Constraint
     faces: np.ndarray
     sampler_mean: np.ndarray = None   # fitted latent normal (ae only)
     sampler_chol: np.ndarray = None
@@ -536,11 +535,10 @@ def save_model(model: GenerativeModel, path):
     if model.sampler_mean is not None:
         tensors["sampler.mean"] = model.sampler_mean
         tensors["sampler.chol"] = model.sampler_chol
-    constraint_kind, target = constraint_record(model.constraint)
-    tensors["constraint.target"] = target
+    tensors["constraint.target"] = model.constraint.target
     lines = [f"kind={model.kind}"] + [
         f"config.{f.name}={getattr(model.config, f.name)!r}"
-        for f in fields(GmConfig)] + [f"constraint.kind={constraint_kind}"]
+        for f in fields(GmConfig)] + [f"constraint.kind={model.constraint.kind}"]
     save_tensors(path, tensors)
     with open(str(path) + ".txt", "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -550,7 +548,7 @@ def load_model(path) -> GenerativeModel:
     """Read a checkpoint written by `save_model`. A malformed sidecar line,
     a missing sidecar key or tensor, an unknown kind, a config value that
     `config.read_gm_config` rejects, a constraint record
-    that `constraint_from` rejects or a tensor whose shape differs from the
+    that `Constraint` rejects or a tensor whose shape differs from the
     layout raises ContainerError naming the path and key. An older
     checkpoint's `constraint.matrix` tensor is not read."""
     tensors = load_tensors(path)
@@ -558,12 +556,7 @@ def load_model(path) -> GenerativeModel:
     def defect(message):
         return ContainerError(f"{path}: {message}")
 
-    with open(str(path) + ".txt") as fh:
-        lines = [line.strip() for line in fh]
-    for line in lines:
-        if "=" not in line:
-            raise defect(f"sidecar line {line!r} is not key=value")
-    meta = dict(line.split("=", 1) for line in lines)
+    meta = read_key_values(str(path) + ".txt")
 
     def entry(key, known=None):
         if key not in meta:
@@ -586,8 +579,8 @@ def load_model(path) -> GenerativeModel:
                    reconstruction_error=0.0)
     faces = require_faces(tensors, path, dim // 3)
     try:
-        constraint = constraint_from(entry("constraint.kind"),
-                                     tensor("constraint.target", (None,)))
+        constraint = Constraint(entry("constraint.kind"),
+                                tensor("constraint.target", (None,)))
     except ConfigError as err:
         raise defect(str(err)) from None
     nets = _build_nets(kind, config, Rng(0, ("load",)))

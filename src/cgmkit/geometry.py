@@ -25,10 +25,7 @@ class TriSurface:
             raise DimensionError("face index out of range")
         if self.faces.size and (self.faces.min() < 0):
             raise DimensionError("negative face index")
-        degenerate = ((self.faces[:, 0] == self.faces[:, 1])
-                      | (self.faces[:, 1] == self.faces[:, 2])
-                      | (self.faces[:, 0] == self.faces[:, 2]))
-        if np.any(degenerate):
+        if np.any(self.faces == np.roll(self.faces, 1, axis=1)):
             raise DimensionError("face with repeated vertex indices")
 
     @property

@@ -159,7 +159,7 @@ def metric_report(reference, generated, constraint) -> MetricReport:
                             np.histogram(gen_vals, bins=edges)[0])
     rows.append(("var_reference", total_variance(ref_vertices)))
     rows.append(("var_generated", total_variance(gen_vertices)))
-    achieved = achieved_value(constraint, gen_vertices, gen_faces)
+    achieved = achieved_value(constraint.kind, gen_vertices, gen_faces)
     rows.append(("max_constraint_residual", float(np.max(
         constraint_residual(constraint, achieved)))))
     return MetricReport(rows=rows, histograms=histograms)

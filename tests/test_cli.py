@@ -9,7 +9,7 @@ from cgmkit.checkpoint import load_tensors, save_tensors
 from cgmkit.cli import main
 from cgmkit.config import PipelineConfig
 from cgmkit.constraints import barycenter_rows
-from cgmkit.datasets import MANIFEST_COLUMNS, read_manifest
+from cgmkit.datasets import MANIFEST_COLUMNS, read_dataset, read_manifest
 from cgmkit.generative import load_model
 from cgmkit.reduction import as_fit, fd_gradients, load_matrix, save_matrix
 from cgmkit.synthfield import snapshot_of
@@ -32,6 +32,8 @@ gm.hidden_depth = 1
 gm.epochs = 8
 gm.batch_size = 8
 """
+
+DESK_CFG = str(Path(__file__).resolve().parent.parent / "configs" / "desk.cfg")
 
 
 @pytest.fixture()
@@ -397,8 +399,7 @@ def test_resolved_config_reloads_and_regenerates_the_same(
         tmp_path, config_file, monkeypatch):
     # a run's config.resolved.txt is itself a config: given back with a new
     # --out it loads to the same values and regenerates the same dataset
-    for name in [n for n in os.environ if n.startswith("CGM_")]:
-        monkeypatch.delenv(name)
+    _without_cgm_env(monkeypatch)
     first, second = tmp_path / "first", tmp_path / "second"
     assert run(["generate", "--config", config_file, "--seed", "5",
                 "--out", str(first)]) == 0
@@ -422,8 +423,82 @@ def test_train_n_train_above_dataset_size_exits_1_naming_key(
     assert run(["train", "--config", str(trained / "pipeline.cfg"),
                 "--kind", "ae", "--data", data, "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        f"error: dataset.n_train must be at most the 20 samples of {data}, "
-        f"got 500\n")
+        f"error: dataset.n_train must be at most the 16 training samples of "
+        f"{data}, got 500\n")
+    assert not out.exists()
+
+
+def _without_cgm_env(monkeypatch):
+    for name in [n for n in os.environ if n.startswith("CGM_")]:
+        monkeypatch.delenv(name)
+
+
+@pytest.fixture(scope="module")
+def desk_data(tmp_path_factory):
+    """An 80-sample dataset of the shipped desk config: 60 training and 20
+    held-out samples."""
+    data = tmp_path_factory.mktemp("desk") / "data"
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _without_cgm_env(monkeypatch)
+        assert run(["generate", "--config", DESK_CFG, "--out", str(data)]) == 0
+    return data
+
+
+def test_train_never_takes_held_out_samples(tmp_path, desk_data, capsys,
+                                            monkeypatch):
+    # 70 is within the 80 samples but past the dataset's own split of 60
+    _without_cgm_env(monkeypatch)
+    monkeypatch.setenv("CGM_GM_EPOCHS", "1")
+    monkeypatch.setenv("CGM_DATASET_N_TRAIN", "70")
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert run(["train", "--config", DESK_CFG, "--kind", "ae", "--data",
+                str(desk_data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: dataset.n_train must be at most the 60 training samples of "
+        f"{desk_data}, got 70\n")
+    assert not out.exists()
+
+
+def test_sampled_dataset_splits_at_its_sample_count(tmp_path, trained,
+                                                    capsys):
+    # a `sample` output records no split: all 4 of its samples may train
+    assert read_dataset(trained / "data").n_train == 16
+    assert read_dataset(trained / "gen").n_train is None
+    capsys.readouterr()
+    gen = trained / "gen"
+    assert run(["train", "--config", str(trained / "pipeline.cfg"),
+                "--kind", "ae", "--data", str(gen),
+                "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: dataset.n_train must be at most the 4 training samples of "
+        f"{gen}, got 16\n")
+
+
+def test_built_in_defaults_generate_and_train(tmp_path, monkeypatch):
+    # no config file: every setting but the epoch count is its default
+    _without_cgm_env(monkeypatch)
+    monkeypatch.setenv("CGM_GM_EPOCHS", "2")
+    data, out = tmp_path / "d", tmp_path / "t"
+    assert run(["generate", "--out", str(data)]) == 0
+    assert run(["train", "--kind", "ae", "--data", str(data),
+                "--out", str(out)]) == 0
+    assert (out / "model_ae.cgmt").exists()
+
+
+@pytest.mark.parametrize("kind", ["barycenter", "volume"])
+@pytest.mark.parametrize("margin", ["-0.5", "-1"])
+def test_lattice_box_without_base_vertex_exits_1_naming_key(
+        tmp_path, capsys, monkeypatch, kind, margin):
+    # -0.5 shrinks the unit sphere's box inside every vertex, -1 to a point
+    _without_cgm_env(monkeypatch)
+    monkeypatch.setenv("CGM_LATTICE_MARGIN", margin)
+    monkeypatch.setenv("CGM_CONSTRAINT_KIND", kind)
+    out = tmp_path / "x"
+    assert run(["generate", "--config", DESK_CFG, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: lattice.margin must leave a box with sides above 0 that "
+        f"holds a base vertex, got {float(margin)}\n")
     assert not out.exists()
 
 

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from cgmkit.constraints import (BarycenterConstraint, VolumeConstraint,
-                                achieved_value, barycenter_rows,
-                                cffd_correct, constraint_from,
-                                constraint_record,
+from cgmkit.constraints import (Constraint, achieved_value, barycenter_rows,
+                                cffd_correct,
                                 project_volume as project_volume_batch,
                                 sample_cffd_dataset, volume_constraint_row,
                                 volume_gradient)
@@ -35,8 +33,8 @@ def project_cloud(cloud, constraint):
 
 def project_volume(surface, target):
     """VolumeEnforcer on one closed surface."""
-    out, _ = VolumeEnforcer(VolumeConstraint(target), surface.faces).forward(
-        surface.vertices.reshape(1, -1))
+    enforcer = VolumeEnforcer(Constraint("volume", target), surface.faces)
+    out, _ = enforcer.forward(surface.vertices.reshape(1, -1))
     return TriSurface(out.reshape(-1, 3), surface.faces)
 
 
@@ -44,7 +42,7 @@ def project_volume(surface, target):
 
 def test_barycenter_rows():
     assert np.allclose(barycenter_rows(2)[0], [0.5, 0, 0, 0.5, 0, 0])
-    assert BarycenterConstraint((1.0, 2.0, 3.0)).target[0] == 1.0
+    assert Constraint("barycenter", (1.0, 2.0, 3.0)).target[0] == 1.0
     assert np.array_equal(barycenter_rows(1), np.eye(3))
     with pytest.raises(DimensionError, match="need at least one point"):
         barycenter_rows(0)
@@ -58,7 +56,7 @@ def test_barycenter_matrix_recovers_mean(sphere):
 
 def test_enforce_already_feasible_is_noop(sphere):
     target = barycenter_of(sphere.vertices)
-    c = BarycenterConstraint(target)
+    c = Constraint("barycenter", target)
     corrected, delta = project_cloud(sphere.vertices, c)
     assert np.max(np.abs(delta)) < 1e-12
 
@@ -170,7 +168,7 @@ def test_volume_rows_owns_contiguous_rows(sphere, cloud_batch):
 
 
 def test_project_volume_bitwise_equal_full_gradient_kernel(sphere, cloud_batch):
-    constraint = VolumeConstraint(1.05 * volume_of(sphere))
+    constraint = Constraint("volume", 1.05 * volume_of(sphere))
     out, step = project_volume_batch(cloud_batch, sphere.faces, constraint)
     want_out, want_step = project_volume_reference(cloud_batch, sphere.faces,
                                                    constraint)
@@ -185,7 +183,7 @@ def test_degenerate_surface_rejected():
     with pytest.raises(DegenerateSurfaceError):
         volume_constraint_row(flat, "x")
     # the same error from the enforcing layer
-    enforcer = VolumeEnforcer(VolumeConstraint(1.0), flat.faces)
+    enforcer = VolumeEnforcer(Constraint("volume", 1.0), flat.faces)
     with pytest.raises(DegenerateSurfaceError):
         enforcer.forward(flat.vertices.reshape(1, -1))
 
@@ -205,7 +203,7 @@ def test_enforce_mean_zero_hand_case():
 
 def test_barycenter_enforcement_is_rigid_translation(sphere):
     target = np.array([0.3, -0.4, 0.7])
-    c = BarycenterConstraint(target)
+    c = Constraint("barycenter", target)
     shift = target - barycenter_of(sphere.vertices)
     corrected, delta = project_cloud(sphere.vertices, c)
     assert np.max(np.abs(delta - shift)) < 1e-12
@@ -213,7 +211,7 @@ def test_barycenter_enforcement_is_rigid_translation(sphere):
 
 
 def test_projection_idempotent(sphere):
-    c = BarycenterConstraint(np.array([1.0, 2.0, 3.0]))
+    c = Constraint("barycenter", np.array([1.0, 2.0, 3.0]))
     once, _ = project_cloud(sphere.vertices, c)
     twice, delta2 = project_cloud(once, c)
     assert np.max(np.abs(twice - once)) <= 1e-12
@@ -222,7 +220,7 @@ def test_projection_idempotent(sphere):
 
 def test_min_norm_optimality_against_random_feasible(sphere):
     rng = Rng(14)
-    c = BarycenterConstraint(np.array([0.5, 0.0, -0.5]))
+    c = Constraint("barycenter", np.array([0.5, 0.0, -0.5]))
     _, delta = project_cloud(sphere.vertices, c)
     a = barycenter_rows(sphere.n_vertices)
     null_proj = np.eye(a.shape[1]) - np.linalg.pinv(a) @ a
@@ -239,15 +237,13 @@ def test_linear_enforcer_rejects_other_size(sphere):
 
 
 def test_constraint_record_round_trip():
-    for c in (BarycenterConstraint([0.1, -0.2, 0.3]),
-              VolumeConstraint(2.5)):
-        kind, target = constraint_record(c)
-        back = constraint_from(kind, target)
-        assert type(back) is type(c)
-        assert back.kind == c.kind == kind
-        assert constraint_record(back)[1].tobytes() == target.tobytes()
-    assert np.array_equal(back.target, 2.5)
-    assert np.array_equal(constraint_from("barycenter", [1, 2, 3]).target,
+    for c in (Constraint("barycenter", [0.1, -0.2, 0.3]),
+              Constraint("volume", 2.5)):
+        back = Constraint(c.kind, c.target)
+        assert back.kind == c.kind
+        assert back.target.tobytes() == c.target.tobytes()
+    assert np.array_equal(back.target, [2.5])
+    assert np.array_equal(Constraint("barycenter", [1, 2, 3]).target,
                           [1.0, 2.0, 3.0])
 
 
@@ -263,7 +259,7 @@ def test_constraint_record_round_trip():
 def test_constraint_from_rejects_malformed_record_by_name(kind, target,
                                                           match):
     with pytest.raises(ConfigError, match=match):
-        constraint_from(kind, target)
+        Constraint(kind, target)
 
 
 # --- volume enforcement -------------------------------------------------------
@@ -292,7 +288,7 @@ def box_lattice(surface, grid=(2, 2, 2), pad=0.05):
 
 def test_cffd_zero_when_already_satisfied(sphere):
     lattice = box_lattice(sphere)
-    c = BarycenterConstraint(barycenter_of(sphere.vertices))
+    c = Constraint("barycenter", barycenter_of(sphere.vertices))
     delta = cffd_correct(lattice, np.zeros((lattice.n_control, 3)), sphere, c)
     assert np.max(np.abs(delta)) < 1e-9
 
@@ -307,7 +303,7 @@ def test_cffd_uniform_influence_hand_case():
     # a one-point surface (no faces) whose point must move to (0.2, -0.1, 0.3)
     single = TriSurface(point, np.zeros((0, 3)))
     target = np.array([0.2, -0.1, 0.3])
-    c = BarycenterConstraint(target)  # the rows of one point are eye(3)
+    c = Constraint("barycenter", target)  # the rows of one point are eye(3)
     delta = cffd_correct(lattice, np.zeros((lattice.n_control, 3)), single, c)
     assert np.allclose(delta - delta[0], 0.0, atol=1e-12)  # uniform
     assert np.allclose(a @ delta[0], target, atol=1e-9)
@@ -319,7 +315,7 @@ def test_cffd_meets_constraint_and_kkt(sphere):
     rng = Rng(4)
     lattice = box_lattice(sphere)
     target = barycenter_of(sphere.vertices)
-    c = BarycenterConstraint(target)
+    c = Constraint("barycenter", target)
     for trial in range(5):
         dp = 0.05 * rng.derive(trial).normal((lattice.n_control, 3))
         delta = cffd_correct(lattice, dp, sphere, c)
@@ -336,7 +332,7 @@ def test_cffd_meets_constraint_and_kkt(sphere):
 
 def test_cffd_weighted_scaling(sphere):
     lattice = box_lattice(sphere)
-    c = BarycenterConstraint(barycenter_of(sphere.vertices) + 0.1)
+    c = Constraint("barycenter", barycenter_of(sphere.vertices) + 0.1)
     weights = np.ones(lattice.n_control)
     heavy = 7
     weights[heavy] = 1e6
@@ -350,7 +346,7 @@ def test_cffd_weighted_scaling(sphere):
 def test_cffd_weighted_kkt_row_space(sphere):
     rng = Rng(41)
     lattice = box_lattice(sphere)
-    c = BarycenterConstraint(barycenter_of(sphere.vertices) + 0.08)
+    c = Constraint("barycenter", barycenter_of(sphere.vertices) + 0.08)
     weights = 0.5 + rng.uniform(lattice.n_control) * 3.0
     dp = 0.04 * rng.normal((lattice.n_control, 3))
     delta = cffd_correct(lattice, dp, sphere, c, weights=weights)
@@ -371,7 +367,7 @@ def test_cffd_pinned_points_exact_zero(sphere):
     local = lattice.control_points_local()
     pinned = local[:, 0] == 0.0  # cut plane i = 0
     weights[pinned] = 0.0
-    c = BarycenterConstraint(barycenter_of(sphere.vertices) + 0.05)
+    c = Constraint("barycenter", barycenter_of(sphere.vertices) + 0.05)
     delta = cffd_correct(lattice, np.zeros((lattice.n_control, 3)), sphere, c,
                          weights=weights)
     assert np.all(delta[pinned] == 0.0)
@@ -380,7 +376,7 @@ def test_cffd_pinned_points_exact_zero(sphere):
 
 def test_cffd_all_pinned_infeasible(sphere):
     lattice = box_lattice(sphere)
-    c = BarycenterConstraint(np.zeros(3))
+    c = Constraint("barycenter", np.zeros(3))
     with pytest.raises(InfeasibleConstraintError):
         cffd_correct(lattice, np.zeros((lattice.n_control, 3)), sphere, c,
                      weights=np.zeros(lattice.n_control))
@@ -392,7 +388,7 @@ def test_cffd_volume_immovable_infeasible(sphere):
     lattice = FfdLattice.from_box((2, 2, 2), lo, lo + 1.0)
     with pytest.raises(InfeasibleConstraintError):
         cffd_correct(lattice, np.zeros((lattice.n_control, 3)), sphere,
-                     VolumeConstraint(1.1 * volume_of(sphere)))
+                     Constraint("volume", 1.1 * volume_of(sphere)))
 
 
 def test_cffd_volume_pass_on_a_symmetric_free_plane_infeasible(sphere):
@@ -404,7 +400,7 @@ def test_cffd_volume_pass_on_a_symmetric_free_plane_infeasible(sphere):
     local_x = lattice.control_points_local()[:, 0]
     assert np.flatnonzero(local_x == 0.5).tolist() == [4, 5, 6, 7]
     dp = np.zeros((lattice.n_control, 3))
-    constraint = VolumeConstraint(0.94 * volume_of(sphere))
+    constraint = Constraint("volume", 0.94 * volume_of(sphere))
     with pytest.raises(InfeasibleConstraintError, match="component x"):
         cffd_correct(lattice, dp, sphere, constraint,
                      weights=np.where(local_x == 0.5, 1.0, 0.0))
@@ -420,7 +416,7 @@ def test_cffd_volume(sphere):
     rng = Rng(6)
     lattice = box_lattice(sphere)
     v0 = volume_of(sphere)
-    c = VolumeConstraint(v0)
+    c = Constraint("volume", v0)
     for trial in range(3):
         dp = 0.03 * rng.derive(trial).normal((lattice.n_control, 3))
         delta = cffd_correct(lattice, dp, sphere, c)
@@ -441,7 +437,7 @@ def test_cffd_stack_names_first_infeasible_sample(sphere):
     weights = np.ones(lattice.n_control)
     pinned = lattice.control_points_local()[:, 0] == 0.0
     weights[pinned] = 0.0
-    c = BarycenterConstraint(barycenter_of(sphere.vertices))
+    c = Constraint("barycenter", barycenter_of(sphere.vertices))
     stack = np.zeros((2, lattice.n_control, 3))
     stack[1, pinned] = 0.1
     delta = cffd_correct(lattice, stack[0], sphere, c, weights=weights)
@@ -475,8 +471,8 @@ CFFD_CASES = [  # (subdivision, grid, constraint kind, pinned (axis, value))
 def cffd_case(subdivision, grid, kind, pins):
     base = synth_shape("icosphere", subdivision)
     lattice = box_lattice(base, grid)
-    c = (VolumeConstraint(volume_of(base)) if kind == "volume" else
-         BarycenterConstraint(barycenter_of(base.vertices)))
+    c = (Constraint("volume", volume_of(base)) if kind == "volume" else
+         Constraint("barycenter", barycenter_of(base.vertices)))
     return base, lattice, c, pin_weights(lattice, pins)
 
 
@@ -539,7 +535,7 @@ def test_cffd_dataset_setup_runs_once(monkeypatch, kind):
 def test_dataset_deterministic_and_constrained(tmp_path, sphere):
     lattice = box_lattice(sphere)
     v0 = volume_of(sphere)
-    c = VolumeConstraint(v0)
+    c = Constraint("volume", v0)
     vertices1, displacements1 = sample_cffd_dataset(lattice, sphere, c, 3,
                                                     0.03, Rng(77))
     vertices2, displacements2 = sample_cffd_dataset(lattice, sphere, c, 3,
@@ -550,18 +546,18 @@ def test_dataset_deterministic_and_constrained(tmp_path, sphere):
                 <= 1e-9 * v0)
     d1, d2 = tmp_path / "a", tmp_path / "b"
     write_dataset(d1, vertices1, sphere.faces, c,
-                  achieved_value(c, vertices1, sphere.faces), "77:cffd-sample",
-                  displacements1)
+                  achieved_value(c.kind, vertices1, sphere.faces),
+                  "77:cffd-sample", displacements1)
     write_dataset(d2, vertices2, sphere.faces, c,
-                  achieved_value(c, vertices2, sphere.faces), "77:cffd-sample",
-                  displacements2)
+                  achieved_value(c.kind, vertices2, sphere.faces),
+                  "77:cffd-sample", displacements2)
     for name in ("dataset.cgmt", "manifest.tsv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
 def test_dataset_sigma_zero_copies(sphere):
     lattice = box_lattice(sphere)
-    c = BarycenterConstraint(barycenter_of(sphere.vertices))
+    c = Constraint("barycenter", barycenter_of(sphere.vertices))
     vertices, _ = sample_cffd_dataset(lattice, sphere, c, 2, 0.0, Rng(1))
     for cloud in vertices:
         assert np.max(np.abs(cloud - sphere.vertices)) < 1e-12
@@ -571,7 +567,7 @@ def test_constraint_survives_stl_round_trip(tmp_path, sphere):
     from cgmkit.stl_io import stl_read, stl_write
     lattice = box_lattice(sphere)
     target = barycenter_of(sphere.vertices)
-    c = BarycenterConstraint(target)
+    c = Constraint("barycenter", target)
     vertices, _ = sample_cffd_dataset(lattice, sphere, c, 2, 0.05, Rng(9))
     for i, cloud in enumerate(vertices):
         path = tmp_path / f"s{i}.stl"

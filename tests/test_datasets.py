@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cgmkit.checkpoint import MAGIC, load_tensors, save_tensors
 from cgmkit.cli import main
-from cgmkit.constraints import (VolumeConstraint, achieved_value,
+from cgmkit.constraints import (Constraint, achieved_value,
                                 sample_cffd_dataset)
 from cgmkit.datasets import DATASET_FILE, read_dataset, write_dataset
 from cgmkit.errors import (ConfigError, ContainerError, DimensionError,
@@ -26,7 +26,7 @@ def samples():
     base = synth_shape("icosphere", 1)
     lattice = FfdLattice.from_box((2, 2, 2), base.vertices.min(axis=0) - 0.05,
                                   base.vertices.max(axis=0) + 0.05)
-    constraint = VolumeConstraint(volume_of(base))
+    constraint = Constraint("volume", volume_of(base))
     return constraint, base.faces, sample_cffd_dataset(
         lattice, base, constraint, 4, 0.03, Rng(5))
 
@@ -36,8 +36,8 @@ def dataset_dir(tmp_path, samples):
     constraint, faces, (vertices, displacements) = samples
     directory = tmp_path / "data"
     write_dataset(directory, vertices, faces, constraint,
-                  achieved_value(constraint, vertices, faces), "5:cffd-sample",
-                  displacements)
+                  achieved_value(constraint.kind, vertices, faces),
+                  "5:cffd-sample", displacements)
     return directory
 
 
@@ -88,6 +88,23 @@ def test_dataset_rows_must_match_manifest(dataset_dir):
         read_dataset(dataset_dir)
     manifest.write_text(lines[0] + "\n")
     with pytest.raises(EmptyInputError, match="holds no samples"):
+        read_dataset(dataset_dir)
+
+
+def test_dataset_n_train_read_from_meta(dataset_dir):
+    # write_dataset was given no meta, so no split is recorded
+    meta = dataset_dir / "meta.txt"
+    assert read_dataset(dataset_dir).n_train is None
+    for count in (1, 4):
+        meta.write_text(f"n_train={count}\n")
+        assert read_dataset(dataset_dir).n_train == count
+    for bad in ("5", "0", "-1", "2.5", "x"):
+        meta.write_text(f"n_train={bad}\n")
+        with pytest.raises(ConfigError,
+                           match=f"n_train '{bad}' is not a count in 1..4"):
+            read_dataset(dataset_dir)
+    meta.write_text("garbage\n")
+    with pytest.raises(ContainerError, match="'garbage' is not key=value"):
         read_dataset(dataset_dir)
 
 

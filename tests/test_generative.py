@@ -7,8 +7,8 @@ import pytest
 from cgmkit import generative
 from cgmkit.checkpoint import load_tensors
 from cgmkit.config import PipelineConfig
-from cgmkit.constraints import (BarycenterConstraint, VolumeConstraint,
-                                barycenter_rows, sample_cffd_dataset)
+from cgmkit.constraints import (Constraint, barycenter_rows,
+                                sample_cffd_dataset)
 from cgmkit.errors import ConfigError, ContainerError
 from cgmkit.generative import (GmConfig, LinearEnforcer, VolumeEnforcer,
                                began_k_update, kl_normal, load_model,
@@ -27,9 +27,9 @@ def make_dataset(seed=1, n=24, constraint_kind="barycenter", subdivision=1):
                                   base.vertices.min(axis=0) - 0.05,
                                   base.vertices.max(axis=0) + 0.05)
     if constraint_kind == "barycenter":
-        constraint = BarycenterConstraint(barycenter_of(base.vertices))
+        constraint = Constraint("barycenter", barycenter_of(base.vertices))
     else:
-        constraint = VolumeConstraint(volume_of(base))
+        constraint = Constraint("volume", volume_of(base))
     vertices, _ = sample_cffd_dataset(lattice, base, constraint, n, 0.05,
                                       Rng(seed))
     return vertices, constraint, base
@@ -107,7 +107,7 @@ def test_enforcer_backward_maps_zero_to_exact_zeros(kind):
     if kind == "barycenter":
         enforcer = barycenter_enforcer(constraint, base)
     else:
-        constraint = VolumeConstraint(1.1 * volume_of(base))
+        constraint = Constraint("volume", 1.1 * volume_of(base))
         enforcer = VolumeEnforcer(constraint, base.faces)
     clouds = vertices[:4].reshape(4, -1)
     out, cache = enforcer.forward(clouds)
@@ -182,7 +182,7 @@ def test_volume_enforcing_chain_gradient_matches_fd():
     # the exact backward pass: the x row moves with the frozen y and z
     vertices, _, base = make_dataset(n=12, constraint_kind="volume")
     clouds = vertices.reshape(len(vertices), -1)
-    constraint = VolumeConstraint(1.1 * volume_of(base))
+    constraint = Constraint("volume", 1.1 * volume_of(base))
     back, fd = chain_gradients(VolumeEnforcer(constraint, base.faces), clouds)
     assert np.linalg.norm(back - fd) <= 1e-6 * np.linalg.norm(fd)
 
@@ -251,7 +251,7 @@ def test_ae_fits_linear_dataset():
     clouds = mean + rng.normal((n, rank)) @ basis.T
     fake_faces = np.array([[0, 1, 2]])
     target = barycenter_of(clouds[0].reshape(-1, 3))
-    constraint = BarycenterConstraint(target)
+    constraint = Constraint("barycenter", target)
     cfg = GmConfig(latent_dim=rank, pca_modes=rank, hidden_width=32,
                    hidden_depth=2, epochs=500, batch_size=n, dropout=0.0,
                    weight_decay=0.0, seed=5)

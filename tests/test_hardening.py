@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cgmkit.checkpoint import load_tensors
-from cgmkit.constraints import VolumeConstraint
+from cgmkit.constraints import Constraint
 from cgmkit.datasets import read_manifest
 from cgmkit.errors import ConfigError, DimensionError
 from cgmkit.generative import VolumeEnforcer, softplus, train_model
@@ -42,7 +42,7 @@ def test_weld_tolerance_merges_near_duplicates(tmp_path):
 
 def test_volume_enforcer_caches_one_x_step():
     base = synth_shape("icosphere", 1)
-    constraint = VolumeConstraint(volume_of(base) * 1.2)
+    constraint = Constraint("volume", volume_of(base) * 1.2)
     enforcer = VolumeEnforcer(constraint, base.faces)
     rng = Rng(3)
     clouds = np.stack([
@@ -68,7 +68,7 @@ def test_volume_enforcer_rejects_open_connectivity():
     # one open triangle, and no faces at all (a (0, 3) checkpoint tensor)
     for faces in (np.array([[0, 1, 2]]), np.zeros((0, 3), dtype=np.int64)):
         with pytest.raises(ConfigError, match="closed connectivity"):
-            VolumeEnforcer(VolumeConstraint(1.0), faces)
+            VolumeEnforcer(Constraint("volume", 1.0), faces)
 
 
 def test_morph_mesh_shape_mismatch():
@@ -106,7 +106,7 @@ def test_vae_alpha_pulls_posterior_scale_to_one():
     # strong KL weight must pull the posterior scale towards 1 (the mean
     # head ends in a non-affine batch norm, so it stays standardized and
     # cannot collapse); this exercises the assembled KL gradient direction
-    from cgmkit.constraints import BarycenterConstraint, sample_cffd_dataset
+    from cgmkit.constraints import sample_cffd_dataset
     from cgmkit.generative import GmConfig
     from cgmkit.geometry import FfdLattice, barycenter_of
 
@@ -114,7 +114,7 @@ def test_vae_alpha_pulls_posterior_scale_to_one():
     lattice = FfdLattice.from_box((2, 2, 2),
                                   base.vertices.min(axis=0) - 0.05,
                                   base.vertices.max(axis=0) + 0.05)
-    constraint = BarycenterConstraint(barycenter_of(base.vertices))
+    constraint = Constraint("barycenter", barycenter_of(base.vertices))
     vertices, _ = sample_cffd_dataset(lattice, base, constraint, 24, 0.05,
                                       Rng(5))
 

@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from cgmkit.constraints import (BarycenterConstraint, VolumeConstraint,
-                                achieved_value, cffd_correct,
+from cgmkit.constraints import (Constraint, achieved_value, cffd_correct,
                                 constraint_residual, project_volume,
                                 volume_gradient)
 from cgmkit.errors import InfeasibleConstraintError
@@ -74,7 +73,7 @@ def free_row_scale(lattice, pinned, dp):
 def test_cffd_volume_exact_and_pinned_rows_zero(grid, sigma, pins, scale,
                                                 seed):
     lattice, weights, pinned, dp = pinned_setup(grid, pins, sigma, seed)
-    constraint = VolumeConstraint(scale * V0)
+    constraint = Constraint("volume", scale * V0)
     # an x pass whose row vanishes on the free control points (such as with
     # only the middle x-plane of the symmetric shape free) must raise; one
     # whose row is clearly nonzero there must meet the target exactly
@@ -99,7 +98,7 @@ def test_cffd_barycenter_exact_and_pinned_rows_zero(grid, sigma, pins, shift,
                                                     seed):
     lattice, weights, pinned, dp = pinned_setup(grid, pins, sigma, seed)
     target = barycenter_of(BASE.vertices) + np.array(shift)
-    constraint = BarycenterConstraint(target)
+    constraint = Constraint("barycenter", target)
     delta = cffd_correct(lattice, dp, BASE, constraint, weights=weights)
     deformed, _ = ffd_map(lattice, dp + delta, BASE.vertices)
     assert np.max(np.abs(barycenter_of(deformed) - target)) <= 1e-10
@@ -124,7 +123,7 @@ clouds_and_constraint = st.builds(
         np.stack([(BASE.vertices * (1.0 + noise * Rng(seed).derive(i).normal(
             BASE.vertices.shape))).reshape(-1) for i in range(b)]),
         Rng(seed).derive("grad").normal((b, 3 * BASE.n_vertices)),
-        VolumeConstraint(scale * V0)),
+        Constraint("volume", scale * V0)),
     # 50 clouds span two of the blocks the batched volume formulas take
     st.sampled_from((1, 2, 3, 6, 50)), st.floats(0.0, 0.1),
     st.integers(0, 2 ** 16), st.floats(0.8, 1.25))
@@ -176,8 +175,8 @@ DESK = synth_shape("icosphere", 2)
 
 def residual_of(constraint, vertices, faces):
     """The residual check as `generate`, `sample` and `validate` run it."""
-    return constraint_residual(constraint,
-                               achieved_value(constraint, vertices, faces))
+    achieved = achieved_value(constraint.kind, vertices, faces)
+    return constraint_residual(constraint, achieved)
 
 
 @given(b=st.integers(1, 30), noise=st.floats(0.0, 0.1),
@@ -189,10 +188,11 @@ def test_stack_checks_batch_invariant(b, noise, seed):
     rng = Rng(seed)
     stack = DESK.vertices * (1.0 + noise * rng.normal((b, DESK.n_vertices, 3)))
     constraints = (
-        BarycenterConstraint(0.01 * rng.normal(3)),
-        VolumeConstraint(volume_of(DESK)))
-    calls = [partial(fn, constraint) for constraint in constraints
-             for fn in (residual_of, achieved_value)]
+        Constraint("barycenter", 0.01 * rng.normal(3)),
+        Constraint("volume", volume_of(DESK)))
+    calls = [call for constraint in constraints
+             for call in (partial(residual_of, constraint),
+                          partial(achieved_value, constraint.kind))]
     calls.append(lambda vertices, faces: np.stack(
         list(shape_quantities(vertices, faces).values()), axis=-1))
     for call in calls:

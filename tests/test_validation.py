@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cgmkit.config import PipelineConfig
-from cgmkit.constraints import (BarycenterConstraint, barycenter_rows,
+from cgmkit.constraints import (Constraint, barycenter_rows,
                                 sample_cffd_dataset)
 from cgmkit.errors import DegenerateDistributionError, EmptyInputError
 from cgmkit.generative import VolumeEnforcer
@@ -165,7 +165,7 @@ def jiggled_dataset(seed, n=30):
 
 def test_metric_report_self_comparison(tmp_path):
     data = jiggled_dataset(11)
-    c = BarycenterConstraint(np.zeros(3))
+    c = Constraint("barycenter", np.zeros(3))
     report = metric_report(data, data, constraint=c)
     for name, value in report.rows:
         if name.startswith("jsd_"):
@@ -185,7 +185,7 @@ def test_metric_report_constraint_residual():
     target = np.zeros(3)
     from cgmkit.generative import LinearEnforcer
     vertices, faces = data
-    c = BarycenterConstraint(target)
+    c = Constraint("barycenter", target)
     enforcer = LinearEnforcer(barycenter_rows(vertices.shape[1]), target)
     enforced = np.stack([enforcer.forward(v.reshape(1, -1))[0].reshape(-1, 3)
                          for v in vertices])
@@ -195,6 +195,6 @@ def test_metric_report_constraint_residual():
 
 def test_metric_report_empty_dataset_error():
     data = jiggled_dataset(13, n=4)
-    c = BarycenterConstraint(np.zeros(3))
+    c = Constraint("barycenter", np.zeros(3))
     with pytest.raises(EmptyInputError):
         metric_report((data[0][:0], data[1]), data, constraint=c)
