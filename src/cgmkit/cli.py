@@ -89,9 +89,14 @@ def cmd_train(config: PipelineConfig, kind, data_dir=None) -> int:
         raise ConfigError(f"dataset.n_train must be at most the {split} "
                           f"training samples of {data_dir}, got {n_train}",
                           "dataset.n_train")
+    gm = config.gm_config()
+    if gm.batch_size > n_train:
+        raise ConfigError(f"gm.batch_size must be at most the {n_train} "
+                          f"training samples, got {gm.batch_size}",
+                          "gm.batch_size")
     out = _ensure_out(config)
     model = train_model(kind, dataset.vertices[:n_train], dataset.faces,
-                        dataset.constraint, config.gm_config())
+                        dataset.constraint, gm)
     path = os.path.join(out, f"model_{kind}.cgmt")
     save_model(model, path)
     print(f"train: {kind} final epoch loss {model.epoch_losses[-1]:.6g}, "
@@ -102,8 +107,8 @@ def cmd_train(config: PipelineConfig, kind, data_dir=None) -> int:
 def cmd_sample(config: PipelineConfig, checkpoint, n, seed) -> int:
     if n < 1:
         raise ConfigError(f"sample --n must be at least 1, got {n}")
-    out = _ensure_out(config)
     model = load_model(checkpoint)
+    out = _ensure_out(config)
     rng = Rng(seed, ("sample",))
     clouds, latents = model.sample(n, rng)
     achieved = _checked_achieved(model.constraint, clouds, model.faces,
@@ -118,7 +123,6 @@ def cmd_sample(config: PipelineConfig, checkpoint, n, seed) -> int:
 
 
 def cmd_validate(config: PipelineConfig, reference_dir, generated_dir) -> int:
-    out = _ensure_out(config)
     reference = datasets.read_dataset(reference_dir)
     generated = datasets.read_dataset(generated_dir)
     # the constraint travels with the data: both manifests must carry the
@@ -129,6 +133,7 @@ def cmd_validate(config: PipelineConfig, reference_dir, generated_dir) -> int:
             f"constraint mismatch: reference {reference_dir} carries "
             f"{ref.kind} {ref.target.tolist()}, generated {generated_dir} "
             f"carries {gen.kind} {gen.target.tolist()}")
+    out = _ensure_out(config)
     report = metric_report((reference.vertices, reference.faces),
                            (generated.vertices, generated.faces),
                            constraint=reference.constraint)
@@ -163,7 +168,6 @@ def cmd_surrogate(config: PipelineConfig, source, method, seed) -> int:
     """Fit a surrogate either over a checkpoint's latent space (samples are
     drawn from the model) or over a dataset directory (inputs are the
     stored control-point displacements)."""
-    out = _ensure_out(config)
     rng = Rng(seed, ("surrogate",))
     n = config["rom.n_train"] + config["rom.n_test"]
     model = None
@@ -186,6 +190,7 @@ def cmd_surrogate(config: PipelineConfig, source, method, seed) -> int:
     else:
         model = load_model(source)
         clouds, latents = model.sample(n, rng)
+    out = _ensure_out(config)
     spec = config.field_spec()
     snapshots = snapshot_of(clouds, spec)
     save_matrix(os.path.join(out, "snapshots.bin"), snapshots)

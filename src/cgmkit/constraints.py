@@ -7,11 +7,10 @@ matching a C-order reshape of an (M, 3) array. The enclosed volume of a
 closed triangulation is trilinear: linear-homogeneous in each coordinate
 component with the other two fixed. With y and z frozen it is affine in x,
 so volume is enforced exactly by one minimum-norm step on the x
-coordinates. `project_volume` is the one implementation of that projection,
-shared by constrained FFD and the generative models' enforcing layer.
-`cffd_correct` corrects a stack of displacements in one solve, and
-`sample_cffd_dataset` returns a stack (n, M, 3) on the base faces;
-`achieved_value` and `constraint_residual` check one.
+coordinates. `project_volume`, the one implementation of that projection,
+serves constrained FFD: `cffd_correct` corrects a stack of displacements
+in one solve, and `sample_cffd_dataset` returns a stack (n, M, 3) on the
+base faces; `achieved_value` and `constraint_residual` check one.
 
 A constraint is one `Constraint(kind, target)` record, which a config, a
 dataset manifest and a checkpoint build from the (constraint.kind,

@@ -1,24 +1,20 @@
 """Constrained generative models over PCA-compressed point clouds.
 
 Every model trains on a stack of clouds (n, M, 3) on one face array and
-samples such a stack. Four model kinds share the same output path:
-decode a latent, reconstruct the full cloud through the PCA modes, then
-project onto the constraint set with a final enforcing layer. The
-enforcing layer runs in training and in sampling, so every emitted
-sample satisfies the constraint exactly; its backward pass uses the
-projector (I - A^+ A) for the barycenter and the exact
-vector-Jacobian product of the volume projection, including how its x
-volume row moves with the frozen y and z. The volume layer is a batched
-call of the one volume projection, `constraints.project_volume`, which
-constrained FFD also uses; it computes only the x component of the volume
-gradient (`geometry.volume_rows`). `decode_vjp` keeps an eval-mode decode's
-caches, so gradients with respect to the latents take one backward pass.
-Every kind trains in one loop (`_fit`) over nets built from one layout
-table (`net_specs`), supplying only its per-batch step. Each net's
-backward pass returns one gradient laid out like its flat parameter
-buffer, and `nn.AdamW` steps those buffers; a backward pass whose
-parameter gradient no optimizer reads (a frozen net, or a gradient wanted
-only at the input) skips it with `params=False`."""
+samples such a stack. Four model kinds share the same output path: decode
+a latent to PCA coefficients, then a final enforcing layer, in training
+and in sampling, returns clouds that meet the constraint exactly. The
+barycenter layer projects the reconstructed clouds; its backward pass is
+the projector (I - A^+ A). The volume layer steps the coefficients along
+the volume gradient, its length the root of an exact cubic in them, so no
+training step touches the M-sized volume kernel. `decode_vjp` keeps an
+eval-mode decode's caches, so gradients with respect to the latents take
+one backward pass. Every kind trains in one loop (`_fit`) over nets built
+from one layout table (`net_specs`), supplying only its per-batch step.
+Each net's backward pass returns one gradient laid out like its flat
+parameter buffer, and `nn.AdamW` steps those buffers; a backward pass
+whose parameter gradient no optimizer reads (a frozen net, or a gradient
+wanted only at the input) skips it with `params=False`."""
 
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -28,16 +24,18 @@ import numpy as np
 from .checkpoint import (load_tensors, read_key_values, require_faces,
                          require_tensor, save_tensors)
 from .config import GmConfig, read_gm_config
-from .constraints import Constraint, barycenter_rows, project_volume
-from .errors import ConfigError, ContainerError, DimensionError, DivergenceError
-from .geometry import is_closed, volume_rows_vjp
-from .linalg import jittered_cholesky, min_norm_gain
+from .constraints import Constraint, barycenter_rows
+from .errors import (ConfigError, ContainerError, DimensionError,
+                     DivergenceError, InfeasibleConstraintError)
+from .geometry import is_closed, volume_polynomial
+from .linalg import RANK_TOL, jittered_cholesky, min_norm_gain
 from .nn import AdamW, mlp_stack
 from .reduction import PcaBasis, pca_fit
 from .rng import Rng
 
 MODEL_KINDS = ("ae", "vae", "aae", "began")
 _CLAMP = 1e-7  # discriminator outputs are clamped to (eps, 1 - eps) before log
+_NEWTON_STEPS = 5  # the volume layer's Newton steps on its cubic
 
 
 # ---------------------------------------------------------------------------
@@ -68,46 +66,81 @@ class LinearEnforcer:
 
 
 class VolumeEnforcer:
-    """The batched layer of `constraints.project_volume` over a (B, 3M)
-    batch of vectorized clouds: y and z stay frozen and x takes the
-    minimum-norm step onto the exactly affine single-row constraint. The
-    cache is the output cloud (B, M, 3), which the caller must not write
-    to, and the kernel's step.
+    """The volume layer on a (B, K) batch of PCA coefficients w. Over the
+    basis of the scaling mode u and the modes, the volume of mean + basis @ z
+    is the cubic S[h, h, h], h = (1, z) (`geometry.volume_polynomial`).
+    Each row steps from z = (0, w) along g = grad_z V to y = z + t g, t the
+    root near 0 of V(z + t g) = T, and returns mean + basis @ y. u is the
+    mean about its barycenter, orthogonal to the modes, which volume-held
+    data leave nearly tangent to its level set; u always moves the volume
+    (grad V(x) . x = 3 V(x)). The step takes stacks of one-row products, so
+    no row's t depends on the batch (the basis products are plain matrix
+    products, as in `pca.reconstruct`). A g that is zero up to RANK_TOL
+    |grad_h V| raises InfeasibleConstraintError. The backward pass is the
+    exact VJP z_bar = (I + t H)(y_bar - n (g . y_bar) / (n . g)), with
+    H = 6 S[h, ., .] the Hessian at z and n = grad_z V(y); w_bar drops u."""
 
-    The backward pass is the exact vector-Jacobian product. The step maps x
-    to x + s r with s = (T - r . x) / (r . r), and its row r is bilinear in
-    y and z, so the backward pass is the projector on g_x plus the
-    derivative of r contracted with u = s g_x - (g_x . r) / (r . r)
-    (x + 2 s r): two cofactor scatters (`geometry.volume_rows_vjp`)."""
-
-    def __init__(self, constraint: Constraint, faces):
+    def __init__(self, constraint: Constraint, faces, pca: PcaBasis):
         self.constraint = constraint
-        self.faces = np.asarray(faces, dtype=np.int64)
+        self.pca = pca
+        faces = np.asarray(faces, dtype=np.int64)
         # closedness depends only on the connectivity, so it is checked once
-        # here and skipped in the per-batch hot path
-        if not self.faces.size or not is_closed(self.faces):
+        if not faces.size or not is_closed(faces):
             raise ConfigError("volume enforcement needs closed connectivity")
+        mean = pca.mean.reshape(-1, 3)
+        centered = (mean - mean.mean(axis=0)).reshape(-1)
+        scaling = centered - pca.modes @ (centered @ pca.modes)
+        self.basis_t = np.vstack([scaling / np.linalg.norm(scaling),
+                                  pca.modes.T])
+        tensor = volume_polynomial(pca.mean, self.basis_t.T, faces)
+        k = tensor.shape[0]
+        self.tensor = tensor.reshape(k, k * k)
+        self.inner = tensor[1:, 1:, 1:].reshape(k - 1, (k - 1) ** 2)
 
-    def forward(self, clouds):
-        clouds = np.asarray(clouds, dtype=np.float64)
-        out, step = project_volume(
-            clouds.reshape(len(clouds), clouds.shape[1] // 3, 3), self.faces,
-            self.constraint)
-        return out.reshape(clouds.shape), (out, step)
+    def forward(self, coeffs):
+        b, k = len(coeffs), len(self.inner)
+        h = np.zeros((b, k + 1))  # (1, s = 0, w)
+        h[:, 0] = 1.0
+        h[:, 2:] = coeffs
+        sh = np.vecmat(h, self.tensor).reshape(b, k + 1, k + 1)
+        grad_h = 3.0 * np.matvec(sh, h)
+        g = grad_h[:, 1:]
+        g2 = np.vecdot(g, g)
+        weak = ~(g2 > RANK_TOL ** 2 * np.vecdot(grad_h, grad_h))
+        if weak.any():
+            i = int(np.flatnonzero(weak)[0])
+            raise InfeasibleConstraintError(
+                f"row {i}: the volume gradient vanishes on the basis", index=i)
+        hessian = 6.0 * sh[:, 1:, 1:]
+        hg = np.matvec(hessian, g)
+        sgg = np.matvec(np.vecmat(g, self.inner).reshape(b, k, k), g)
+        # V(z + t g) - T = c0 + |g|^2 t + c2 t^2 + c3 t^3; t by Newton from
+        # the linear step (2 or 3 steps on held data reach roundoff)
+        c0 = np.vecdot(grad_h, h) / 3.0 - self.constraint.target
+        c2, c3 = np.vecdot(g, hg) / 2.0, np.vecdot(g, sgg)
+        d2, d3 = 2.0 * c2, 3.0 * c3
+        t = -c0 / g2
+        for _ in range(_NEWTON_STEPS):
+            t -= (((c3 * t + c2) * t + g2) * t + c0) / ((d3 * t + d2) * t + g2)
+        miss = ~(np.abs(((c3 * t + c2) * t + g2) * t + c0)
+                 <= 1e-12 * abs(self.constraint.target[0]))
+        if miss.any():
+            i = int(np.flatnonzero(miss)[0])
+            raise InfeasibleConstraintError(
+                f"row {i}: the volume step does not reach the target in "
+                f"{_NEWTON_STEPS} Newton steps", index=i)
+        normal = g + t[:, None] * hg + 3.0 * t[:, None] ** 2 * sgg
+        y = h[:, 1:] + t[:, None] * g
+        clouds = y @ self.basis_t
+        clouds += self.pca.mean
+        return clouds, (t, g, hessian, normal)
 
     def backward(self, cache, grad):
-        out, (rows, _, before, s) = cache
-        grad = np.array(grad, dtype=np.float64)
-        g = grad.reshape(out.shape)
-        g_x = g[:, :, 0]
-        gr = np.vecdot(rows, g_x) / np.vecdot(rows, rows)
-        u = s[:, None] * g_x - gr[:, None] * (before + 2.0 * s[:, None] * rows)
-        g_x -= gr[:, None] * rows
-        grad_y, grad_z = volume_rows_vjp(u, out[:, :, 1], out[:, :, 2],
-                                         self.faces)
-        g[:, :, 1] += grad_y
-        g[:, :, 2] += grad_z
-        return grad
+        t, g, hessian, normal = cache
+        grad_y = np.asarray(grad, dtype=np.float64) @ self.basis_t.T
+        u = grad_y - normal * (np.vecdot(g, grad_y)
+                               / np.vecdot(normal, g))[:, None]
+        return (u + t[:, None] * np.matvec(hessian, u))[:, 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +190,10 @@ class GenerativeModel:
     enforcer: object = field(init=False, repr=False)
 
     def __post_init__(self):
-        """The enforcing layer of the constraint on the PCA's clouds."""
+        """The constraint's layer: on the coefficients (volume) or clouds."""
         if self.constraint.kind == "volume":
-            self.enforcer = VolumeEnforcer(self.constraint, self.faces)
+            self.enforcer = VolumeEnforcer(self.constraint, self.faces,
+                                           self.pca)
         else:
             self.enforcer = LinearEnforcer(
                 barycenter_rows(self.pca.mean.size // 3),
@@ -172,10 +206,14 @@ class GenerativeModel:
 
     def emit(self, coeffs):
         """PCA coefficients to enforced clouds: (clouds, enforcer cache)."""
+        if self.constraint.kind == "volume":
+            return self.enforcer.forward(coeffs)
         return self.enforcer.forward(self.pca.reconstruct(coeffs))
 
     def emit_backward(self, cache, grad):
         """Gradient w.r.t. the enforced clouds to one w.r.t. the coefficients."""
+        if self.constraint.kind == "volume":
+            return self.enforcer.backward(cache, grad)
         return self.enforcer.backward(cache, grad) @ self.pca.modes
 
     def decode(self, latents) -> np.ndarray:

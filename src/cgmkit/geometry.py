@@ -3,6 +3,7 @@ geometric quantities (volume, barycenter, surface area, inertia)."""
 
 import math
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
@@ -101,72 +102,49 @@ def volumes(vertices, faces) -> np.ndarray:
     return out
 
 
-def _scatter_index(faces, n_vertices) -> np.ndarray:
-    """`np.bincount` indices of the face corners of one full block of clouds,
-    (size, 3, F): entry (b, k, f) is b * M + faces[f, k]. The first n rows
-    serve a block of n clouds, as one contiguous prefix."""
-    size = _block_size(len(faces))
-    return np.arange(size)[:, None, None] * n_vertices + np.ascontiguousarray(
-        faces.T)
-
-
-def _corner_terms(first, second) -> np.ndarray:
-    """(first_k1 second_k2 - second_k1 first_k2) / 6 at each corner k of
-    corner-gathered (n, 3, F) component blocks, k1, k2 the next two corners
-    of the face: corner k's share of one cofactor component."""
-    terms = np.empty(first.shape)
-    for k in range(3):
-        k1, k2 = (k + 1) % 3, (k + 2) % 3
-        terms[:, k] = (first[:, k1] * second[:, k2]
-                       - second[:, k1] * first[:, k2]) / 6.0
-    return terms
-
-
-def _scatter(terms, index, n_vertices) -> np.ndarray:
-    """Per-vertex sums of the corner terms of an (n, 3, F) block, (n, M).
-    bincount adds each vertex's terms one at a time in input order, corner
-    outer and face inner within each cloud, so every sum is bitwise the one
-    a per-corner scatter (np.add.at) makes."""
-    n = len(terms)
-    return np.bincount(index[:n].ravel(), terms.ravel(),
-                       minlength=n * n_vertices).reshape(n, n_vertices)
-
-
 def volume_rows(vertices, faces, c) -> np.ndarray:
     """Component c of the analytic volume gradient of each cloud in a (B, M, 3)
     batch sharing the faces, (B, M): for a face (i, j, k) the corner terms
-    (v_j x v_k)[c] / 6 and cyclic, summed per vertex corner by corner in
-    face order."""
+    (v_j x v_k)[c] / 6 and cyclic, summed per vertex by one `np.bincount`
+    per block of clouds in input order (corner outer, face inner), bitwise
+    as np.add.at sums them."""
     n, m = vertices.shape[:2]
     rows = np.empty((n, m))
     first, second = vertices[..., (c + 1) % 3], vertices[..., (c + 2) % 3]
-    corners = faces.T
-    index = _scatter_index(faces, m)
+    corners = np.ascontiguousarray(faces.T)
+    index = np.arange(_block_size(len(faces)))[:, None, None] * m + corners
     for block in _blocks(n, len(faces)):
-        terms = _corner_terms(first[block][:, corners],
-                              second[block][:, corners])
-        rows[block] = _scatter(terms, index, m)
+        a, b = first[block][:, corners], second[block][:, corners]
+        terms = np.empty(a.shape)
+        for k in range(3):
+            k1, k2 = (k + 1) % 3, (k + 2) % 3
+            terms[:, k] = (a[:, k1] * b[:, k2] - b[:, k1] * a[:, k2]) / 6.0
+        size = len(terms)
+        rows[block] = np.bincount(index[:size].ravel(), terms.ravel(),
+                                  minlength=size * m).reshape(size, m)
     return rows
 
 
-def volume_rows_vjp(u, first, second, faces):
-    """Transpose of the derivative of the volume rows of one component c:
-    the gradients of sum(u * rows) with respect to the two components
-    (first, second) = (x_{c+1}, x_{c+2}) the rows are built from, each
-    (B, M). The rows are bilinear in those components, so both gradients
-    are cofactor rows again, with u in the place of component c:
-    (rows of (second, u), rows of (u, first)). u and both components are
-    gathered once per block."""
-    n, m = u.shape
-    grad_first, grad_second = np.empty((n, m)), np.empty((n, m))
-    corners = faces.T
-    index = _scatter_index(faces, m)
-    for block in _blocks(n, len(faces)):
-        uu = u[block][:, corners]
-        a, b = first[block][:, corners], second[block][:, corners]
-        grad_first[block] = _scatter(_corner_terms(b, uu), index, m)
-        grad_second[block] = _scatter(_corner_terms(uu, a), index, m)
-    return grad_first, grad_second
+def volume_polynomial(mean, modes, faces) -> np.ndarray:
+    """The volume of the clouds mean + modes @ w (mean (3M,), modes (3M, K),
+    vectorized row-wise) as one symmetric tensor S (K+1, K+1, K+1) with
+    V(w) = S[h, h, h], h = (1, w): with the mean and the modes as fields
+    P_i, S symmetrizes the sum over faces (a, b, c) of P_i[a] . (P_j[b] x
+    P_k[c]) / 6, taken a block of faces at a time within the block budget."""
+    fields = np.column_stack([mean, modes]).reshape(-1, 3, modes.shape[1] + 1)
+    n = fields.shape[2]
+    # component k of b x c is b_{k+1} c_{k+2} - b_{k+2} c_{k+1}: one
+    # (n, 2) @ (2, n) product per face and component
+    left = np.stack([fields[:, [1, 2, 0]], -fields[:, [2, 0, 1]]], axis=-1)
+    right = np.stack([fields[:, [2, 0, 1]], fields[:, [1, 2, 0]]], axis=-2)
+    tensor = np.zeros((n, n * n))
+    size = max(1, _BLOCK_BYTES // (24 * n * n))
+    for start in range(0, len(faces), size):
+        a, b, c = faces[start:start + size].T
+        cross = (left[b] @ right[c]).reshape(-1, n * n)
+        tensor += fields[a].transpose(2, 0, 1).reshape(n, -1) @ cross
+    tensor = tensor.reshape(n, n, n)
+    return sum(tensor.transpose(p) for p in permutations(range(3))) / 36.0
 
 
 def volume_of(surface: TriSurface) -> float:

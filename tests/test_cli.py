@@ -460,6 +460,37 @@ def test_train_never_takes_held_out_samples(tmp_path, desk_data, capsys,
     assert not out.exists()
 
 
+def test_train_batch_above_split_exits_1_naming_key(tmp_path, desk_data,
+                                                   capsys, monkeypatch):
+    # 70 samples a batch cannot come from a split of 60, and the check runs
+    # before the output directory is made
+    _without_cgm_env(monkeypatch)
+    monkeypatch.setenv("CGM_GM_BATCH_SIZE", "70")
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert run(["train", "--config", DESK_CFG, "--kind", "ae", "--data",
+                str(desk_data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: gm.batch_size must be at most the 60 training samples, "
+        "got 70\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "validate", "surrogate"])
+def test_missing_input_exits_1_without_output_dir(tmp_path, trained, capsys,
+                                                  command):
+    # the output directory is made only once the inputs have loaded
+    missing, out = str(tmp_path / "nonexist"), tmp_path / "out"
+    argv = {"sample": ["sample", missing + ".cgmt"],
+            "validate": ["validate", str(trained / "data"), missing],
+            "surrogate": ["surrogate", missing, "--method", "rbf"]}[command]
+    capsys.readouterr()
+    assert run(argv + ["--config", str(trained / "pipeline.cfg"),
+                       "--out", str(out)]) == 1
+    assert "No such file or directory" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sampled_dataset_splits_at_its_sample_count(tmp_path, trained,
                                                     capsys):
     # a `sample` output records no split: all 4 of its samples may train

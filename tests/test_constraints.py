@@ -10,7 +10,7 @@ from cgmkit import geometry
 from cgmkit.datasets import write_dataset
 from cgmkit.errors import (ConfigError, DegenerateSurfaceError,
                            DimensionError, InfeasibleConstraintError)
-from cgmkit.generative import LinearEnforcer, VolumeEnforcer
+from cgmkit.generative import LinearEnforcer
 from cgmkit.geometry import (FfdLattice, TriSurface, _blocks, _cross,
                              barycenter_of, ffd_map, synth_shape, volume_of,
                              volume_rows)
@@ -32,10 +32,10 @@ def project_cloud(cloud, constraint):
 
 
 def project_volume(surface, target):
-    """VolumeEnforcer on one closed surface."""
-    enforcer = VolumeEnforcer(Constraint("volume", target), surface.faces)
-    out, _ = enforcer.forward(surface.vertices.reshape(1, -1))
-    return TriSurface(out.reshape(-1, 3), surface.faces)
+    """The volume projection kernel on one closed surface."""
+    out, _ = project_volume_batch(surface.vertices[None], surface.faces,
+                                  Constraint("volume", target))
+    return TriSurface(out[0], surface.faces)
 
 
 # --- barycenter constraint ---------------------------------------------------
@@ -182,10 +182,24 @@ def test_degenerate_surface_rejected():
                       np.array([[0, 1, 2], [0, 2, 1]]))
     with pytest.raises(DegenerateSurfaceError):
         volume_constraint_row(flat, "x")
-    # the same error from the enforcing layer
-    enforcer = VolumeEnforcer(Constraint("volume", 1.0), flat.faces)
+    # the same error from the projection kernel
     with pytest.raises(DegenerateSurfaceError):
-        enforcer.forward(flat.vertices.reshape(1, -1))
+        project_volume_batch(flat.vertices[None], flat.faces,
+                             Constraint("volume", 1.0))
+
+
+def test_project_volume_unreferenced_vertex():
+    # a vertex past the last face index stays put; the other vertices see
+    # the projection as without it
+    base = synth_shape("icosphere", 1)
+    constraint = Constraint("volume", volume_of(base))
+    rng = Rng(6)
+    clouds = base.vertices * (1.0 + 0.05 * rng.normal((2, base.n_vertices, 3)))
+    out, _ = project_volume_batch(clouds, base.faces, constraint)
+    extra = np.concatenate([clouds, rng.normal((2, 1, 3))], axis=1)
+    out_extra, _ = project_volume_batch(extra, base.faces, constraint)
+    assert np.array_equal(out_extra[:, -1], extra[:, -1])
+    assert np.allclose(out_extra[:, :-1], out, rtol=0, atol=1e-14)
 
 
 # --- cloud enforcement --------------------------------------------------------

@@ -9,14 +9,15 @@ from cgmkit.checkpoint import load_tensors
 from cgmkit.config import PipelineConfig
 from cgmkit.constraints import (Constraint, barycenter_rows,
                                 sample_cffd_dataset)
-from cgmkit.errors import ConfigError, ContainerError
+from cgmkit.errors import (ConfigError, ContainerError,
+                           InfeasibleConstraintError)
 from cgmkit.generative import (GmConfig, LinearEnforcer, VolumeEnforcer,
                                began_k_update, kl_normal, load_model,
                                save_model, train_ae, train_model)
 from cgmkit.geometry import (FfdLattice, TriSurface, barycenter_of,
-                             synth_shape, volume_of)
+                             synth_shape, volume_of, volumes)
 from cgmkit.nn import mlp_stack
-from cgmkit.reduction import pca_fit
+from cgmkit.reduction import PcaBasis, pca_fit
 from cgmkit.rng import Rng
 from cgmkit.stl_io import stl_write
 
@@ -74,52 +75,128 @@ def test_linear_enforcer_backward_is_projector():
     assert np.max(np.abs(back @ enforcer.matrix.T)) < 1e-9
 
 
+def volume_layer(scale=1.0, n=24, modes=6):
+    """The volume layer on the PCA of a volume dataset, with the target
+    scaled: (layer, the dataset's PCA coefficients, constraint, base)."""
+    vertices, constraint, base = make_dataset(n=n, constraint_kind="volume")
+    clouds = vertices.reshape(len(vertices), -1)
+    pca = pca_fit(clouds, n_modes=modes)
+    constraint = Constraint("volume", scale * constraint.target)
+    return (VolumeEnforcer(constraint, base.faces, pca), pca.project(clouds),
+            constraint, base)
+
+
 def test_volume_enforcer_batch():
-    vertices, constraint, base = make_dataset(constraint_kind="volume")
-    enforcer = VolumeEnforcer(constraint, base.faces)
+    enforcer, coeffs, constraint, base = volume_layer()
     rng = Rng(4)
-    clouds = vertices[:4].reshape(4, -1)
-    clouds *= 1.0 + 0.02 * rng.normal(clouds.shape)
-    out, cache = enforcer.forward(clouds)
+    w = coeffs[:4] + 0.5 * rng.normal(coeffs[:4].shape)
+    out, cache = enforcer.forward(w)
+    assert out.shape == (4, 3 * base.n_vertices)
     for row_cloud in out:
         v = volume_of(TriSurface(row_cloud.reshape(-1, 3), base.faces))
         assert abs(v - constraint.target) <= 1e-9 * constraint.target
     g = rng.normal(out.shape)
     back = enforcer.backward(cache, g)
-    assert back.shape == g.shape and np.all(np.isfinite(back))
+    assert back.shape == w.shape and np.all(np.isfinite(back))
 
 
 def test_volume_enforcer_empty_batch():
-    _, constraint, base = make_dataset(constraint_kind="volume")
-    enforcer = VolumeEnforcer(constraint, base.faces)
-    out, cache = enforcer.forward(np.empty((0, 3 * base.n_vertices)))
+    enforcer, coeffs, _, base = volume_layer()
+    out, cache = enforcer.forward(np.empty((0, coeffs.shape[1])))
     assert out.shape == (0, 3 * base.n_vertices)
-    rows, step, before, scale = cache[1]
-    assert rows.shape == step.shape == before.shape == (0, base.n_vertices)
-    assert scale.shape == (0,)
-    assert enforcer.backward(cache, out).shape == out.shape
+    t, g, hessian, normal = cache
+    k = coeffs.shape[1] + 1  # the modes and the scaling mode
+    assert t.shape == (0,) and g.shape == normal.shape == (0, k)
+    assert hessian.shape == (0, k, k)
+    assert enforcer.backward(cache, out).shape == (0, coeffs.shape[1])
 
 
 @pytest.mark.parametrize("kind", ["barycenter", "volume"])
 def test_enforcer_backward_maps_zero_to_exact_zeros(kind):
     # BEGAN skips the fake-term backward at k_t = 0 on this property
-    vertices, constraint, base = make_dataset(constraint_kind=kind)
     if kind == "barycenter":
+        vertices, constraint, base = make_dataset()
         enforcer = barycenter_enforcer(constraint, base)
+        inputs = vertices[:4].reshape(4, -1)
     else:
-        constraint = Constraint("volume", 1.1 * volume_of(base))
-        enforcer = VolumeEnforcer(constraint, base.faces)
-    clouds = vertices[:4].reshape(4, -1)
-    out, cache = enforcer.forward(clouds)
+        enforcer, coeffs, _, _ = volume_layer(scale=1.1)
+        inputs = coeffs[:4]
+    out, cache = enforcer.forward(inputs)
     assert np.all(enforcer.backward(cache, np.zeros_like(out)) == 0.0)
 
 
-def chain_gradients(enforcer, clouds, h=1e-6):
-    """Decoder parameter gradients of decode -> PCA reconstruct -> enforce
-    -> half squared error over a batch of 4 latents, from the backward pass
-    and from central differences at 7 entries of each trainable slice:
-    (backward, fd)."""
+def test_volume_enforcer_vjp_matches_central_differences():
+    # per row, the derivative of grad . forward along a random direction is
+    # the backward pass dotted with that direction
+    enforcer, coeffs, _, _ = volume_layer(scale=1.05)
+    rng = Rng(12)
+    w = coeffs[:6] + 0.3 * rng.normal(coeffs[:6].shape)
+    out, cache = enforcer.forward(w)
+    grad = rng.normal(out.shape)
+    direction = rng.normal(w.shape)
+    h = 1e-6
+    fd = (np.vecdot(grad, enforcer.forward(w + h * direction)[0])
+          - np.vecdot(grad, enforcer.forward(w - h * direction)[0])) / (2 * h)
+    back = enforcer.backward(cache, grad)
+    bound = np.linalg.norm(back, axis=1) * np.linalg.norm(direction, axis=1)
+    assert np.all(np.abs(fd - np.vecdot(back, direction)) <= 1e-8 * bound)
+
+
+def test_volume_enforcer_scales_when_the_modes_only_translate():
+    # translations keep the volume, so grad V vanishes on such modes; the
+    # scaling mode (the mean about its barycenter) meets the target alone
+    base = synth_shape("icosphere", 1)
+    modes = np.tile(np.eye(3), (base.n_vertices, 1)) / np.sqrt(base.n_vertices)
+    pca = PcaBasis(modes=modes, mean=base.vertices.reshape(-1),
+                   singular_values=np.ones(3), reconstruction_error=0.0)
+    target = 1.2 * volume_of(base)
+    enforcer = VolumeEnforcer(Constraint("volume", target), base.faces, pca)
+    out, _ = enforcer.forward(np.array([[0.3, -0.2, 0.1]]))
+    cloud = out.reshape(-1, 3)
+    assert abs(volume_of(TriSurface(cloud, base.faces)) - target) <= 1e-9 * target
+    center = barycenter_of(cloud)
+    assert np.allclose(cloud - center, 1.2 ** (1 / 3) * base.vertices,
+                       rtol=0, atol=1e-12)
+
+
+def test_volume_enforcer_infeasible_when_no_mode_moves_the_volume():
+    # a flat two-sided triangle: grad V is zero at every vertex, so neither
+    # the translating modes nor the scaling mode can move the volume
+    flat = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    modes = np.tile(np.eye(3), (3, 1)) / np.sqrt(3)
+    pca = PcaBasis(modes=modes, mean=flat.reshape(-1),
+                   singular_values=np.ones(3), reconstruction_error=0.0)
+    enforcer = VolumeEnforcer(Constraint("volume", 1.0),
+                              np.array([[0, 1, 2], [0, 2, 1]]), pca)
+    with pytest.raises(InfeasibleConstraintError, match="row 0: the volume "
+                       "gradient vanishes"):
+        enforcer.forward(np.array([[0.0, 0.0, 0.0], [0.1, 0.2, 0.3]]))
+
+
+def test_volume_enforcer_names_a_row_newton_leaves_short(monkeypatch):
+    # doubling the volume takes more than three Newton steps from the
+    # linear step; with the cap at three the layer names the row instead of
+    # returning it, and with the cap in place it meets the target
+    enforcer, coeffs, constraint, base = volume_layer(scale=2.0)
+    monkeypatch.setattr(generative, "_NEWTON_STEPS", 3)
+    with pytest.raises(InfeasibleConstraintError, match="row 0: the volume "
+                       "step does not reach the target in 3 Newton steps"):
+        enforcer.forward(coeffs[:2])
+    monkeypatch.undo()
+    out, _ = enforcer.forward(coeffs[:2])
+    v = volumes(out.reshape(2, -1, 3), base.faces)
+    assert np.all(np.abs(v - constraint.target) <= 1e-9 * constraint.target)
+
+
+def chain_gradients(constraint, base, clouds, h=1e-6):
+    """Decoder parameter gradients of decode -> the model's emit (PCA and
+    enforcing layer) -> half squared error over a batch of 4 latents, from
+    the backward pass and from central differences at 7 entries of each
+    trainable slice: (backward, fd)."""
     pca = pca_fit(clouds, n_modes=5)
+    model = generative.GenerativeModel(
+        kind="ae", config=small_config(pca_modes=5), pca=pca, nets={},
+        constraint=constraint, faces=base.faces)
     rng = Rng(7)
     dec = mlp_stack(3, 5, 8, 1, rng.derive("net"), dropout=0.0).eval()
     z = rng.normal((4, 3))
@@ -127,12 +204,12 @@ def chain_gradients(enforcer, clouds, h=1e-6):
 
     def loss():
         y, _ = dec.forward(z)
-        out, _ = enforcer.forward(pca.reconstruct(y))
+        out, _ = model.emit(y)
         return 0.5 * float(np.sum((out - target) ** 2))
 
     y, cache = dec.forward(z)
-    out, enf_cache = enforcer.forward(pca.reconstruct(y))
-    g_y = enforcer.backward(enf_cache, out - target) @ pca.modes
+    out, enf_cache = model.emit(y)
+    g_y = model.emit_backward(enf_cache, out - target)
     grads, _ = dec.backward(cache, g_y)
     back, fd = [], []
     for slot in (sl for slots in dec.slots for sl in slots.values()):
@@ -149,41 +226,20 @@ def chain_gradients(enforcer, clouds, h=1e-6):
     return np.array(back), np.array(fd)
 
 
-def test_volume_enforcer_unreferenced_vertex():
-    # a vertex past the last face index stays put and passes its gradient
-    # through; the other vertices see the layer as without it
-    _, constraint, base = make_dataset(constraint_kind="volume")
-    enforcer = VolumeEnforcer(constraint, base.faces)
-    rng = Rng(6)
-    clouds = (base.vertices * (1.0 + 0.05 * rng.normal((2, base.n_vertices, 3)))
-              ).reshape(2, -1)
-    grad = rng.normal(clouds.shape)
-    out, cache = enforcer.forward(clouds)
-    back = enforcer.backward(cache, grad)
-    extra = np.hstack([clouds, rng.normal((2, 3))])
-    grad_extra = np.hstack([grad, rng.normal((2, 3))])
-    out_extra, cache_extra = enforcer.forward(extra)
-    back_extra = enforcer.backward(cache_extra, grad_extra)
-    assert np.array_equal(out_extra[:, -3:], extra[:, -3:])
-    assert np.array_equal(back_extra[:, -3:], grad_extra[:, -3:])
-    assert np.allclose(out_extra[:, :-3], out, rtol=0, atol=1e-14)
-    assert np.allclose(back_extra[:, :-3], back, rtol=0, atol=1e-12)
-
-
 def test_enforcing_chain_gradient_matches_fd():
     vertices, constraint, base = make_dataset(n=12)
     clouds = vertices.reshape(len(vertices), -1)
-    back, fd = chain_gradients(barycenter_enforcer(constraint, base), clouds)
+    back, fd = chain_gradients(constraint, base, clouds)
     scale = np.maximum(np.maximum(np.abs(fd), np.abs(back)), 1e-3)
     assert np.all(np.abs(fd - back) / scale < 1e-5)
 
 
 def test_volume_enforcing_chain_gradient_matches_fd():
-    # the exact backward pass: the x row moves with the frozen y and z
+    # the exact backward pass of the coefficient step on a fitted PCA
     vertices, _, base = make_dataset(n=12, constraint_kind="volume")
     clouds = vertices.reshape(len(vertices), -1)
     constraint = Constraint("volume", 1.1 * volume_of(base))
-    back, fd = chain_gradients(VolumeEnforcer(constraint, base.faces), clouds)
+    back, fd = chain_gradients(constraint, base, clouds)
     assert np.linalg.norm(back - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
@@ -347,6 +403,20 @@ def test_volume_models_satisfy_volume(kind):
     for cloud in out:
         surf = TriSurface(cloud, model.faces)
         assert abs(volume_of(surf) - constraint.target) <= 1e-9 * constraint.target
+
+
+@pytest.mark.parametrize("kind", ["ae", "vae", "aae", "began"])
+def test_decoded_volumes_meet_target_over_seeds(kind):
+    # the training seeds were fixed before any result was read
+    vertices, constraint, base = make_dataset(constraint_kind="volume")
+    target = constraint.target[0]
+    for seed in (1, 2, 3):
+        model = train_model(kind, vertices, base.faces, constraint,
+                            small_config(epochs=6, seed=seed))
+        latents = Rng(seed).derive("latents").normal((20, 4))
+        clouds = model.decode(latents).reshape(20, -1, 3)
+        assert np.max(np.abs(volumes(clouds, base.faces) - target)) \
+            <= 1e-9 * target
 
 
 @pytest.mark.parametrize("constraint_kind", ["barycenter", "volume"])

@@ -10,7 +10,7 @@ from cgmkit.errors import ConfigError, DimensionError
 from cgmkit.generative import VolumeEnforcer, softplus, train_model
 from cgmkit.geometry import TriSurface, synth_shape, volume_of
 from cgmkit.nn import MlpLayer, Mlp
-from cgmkit.reduction import morph_mesh
+from cgmkit.reduction import PcaBasis, morph_mesh, pca_fit
 from cgmkit.rng import Rng
 from cgmkit.stl_io import stl_read
 
@@ -40,35 +40,35 @@ def test_weld_tolerance_merges_near_duplicates(tmp_path):
     assert surf.n_vertices == 4
 
 
-def test_volume_enforcer_caches_one_x_step():
+def test_volume_enforcer_caches_one_coefficient_step():
     base = synth_shape("icosphere", 1)
     constraint = Constraint("volume", volume_of(base) * 1.2)
-    enforcer = VolumeEnforcer(constraint, base.faces)
     rng = Rng(3)
     clouds = np.stack([
         (base.vertices * (1.0 + 0.05 * rng.derive(i).normal((base.n_vertices, 3)))
          ).reshape(-1) for i in range(3)])
-    out, cache = enforcer.forward(clouds)
+    pca = pca_fit(clouds, n_modes=2)
+    enforcer = VolumeEnforcer(constraint, base.faces, pca)
+    out, cache = enforcer.forward(pca.project(clouds))
     for row in out:
         v = volume_of(TriSurface(row.reshape(-1, 3), base.faces))
         assert abs(v - constraint.target) <= 1e-9 * constraint.target
-    # only x moves; the cache holds the output and the one step, with the
-    # rows, steps, x before the step and scales of every cloud
-    moved = out.reshape(3, -1, 3) - clouds.reshape(3, -1, 3)
-    assert np.any(moved[:, :, 0]) and not np.any(moved[:, :, 1:])
-    clouds_out, (rows, step, before, scale) = cache
-    assert np.array_equal(clouds_out.reshape(out.shape), out)
-    assert rows.shape == step.shape == before.shape == (3, base.n_vertices)
-    assert scale.shape == (3,)
+    # the cache holds each row's step length, its direction over the scaling
+    # mode and the modes, the Hessian there and the gradient at the output
+    t, g, hessian, normal = cache
+    assert t.shape == (3,) and g.shape == normal.shape == (3, 3)
+    assert hessian.shape == (3, 3, 3)
     back = enforcer.backward(cache, rng.normal(out.shape))
-    assert np.all(np.isfinite(back))
+    assert back.shape == (3, 2) and np.all(np.isfinite(back))
 
 
 def test_volume_enforcer_rejects_open_connectivity():
     # one open triangle, and no faces at all (a (0, 3) checkpoint tensor)
+    pca = PcaBasis(modes=np.eye(9)[:, :1], mean=np.arange(9.0),
+                   singular_values=np.ones(1), reconstruction_error=0.0)
     for faces in (np.array([[0, 1, 2]]), np.zeros((0, 3), dtype=np.int64)):
         with pytest.raises(ConfigError, match="closed connectivity"):
-            VolumeEnforcer(Constraint("volume", 1.0), faces)
+            VolumeEnforcer(Constraint("volume", 1.0), faces, pca)
 
 
 def test_morph_mesh_shape_mismatch():

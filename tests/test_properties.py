@@ -2,12 +2,13 @@
 (`constraints.project_volume`): cFFD meets its exactness bound
 and leaves pinned control points exactly still over random lattices,
 weights and displacements, and the batched volume kernel matches
-single-cloud calls bit for bit and a per-sample reference to roundoff;
-its enforcing layer's backward pass matches central differences. The
-constraint checks and validation quantities of a shape stack give each
-cloud the bits it gets alone. The vectorized closedness check gives the
-verdict of an edge-counting reference loop on damaged and random
-connectivity."""
+single-cloud calls bit for bit. The models' volume layer on PCA
+coefficients takes the step length of single-row calls bit for bit and
+matches a per-sample cloud-space reference to roundoff, and its backward
+pass matches central differences. The constraint checks and validation
+quantities of a shape stack give each cloud the bits it gets alone. The
+vectorized closedness check gives the verdict of an edge-counting
+reference loop on damaged and random connectivity."""
 
 from functools import partial
 
@@ -22,6 +23,7 @@ from cgmkit.errors import InfeasibleConstraintError
 from cgmkit.generative import VolumeEnforcer
 from cgmkit.geometry import (FfdLattice, TriSurface, barycenter_of, ffd_map,
                              is_closed, synth_shape, volume_of)
+from cgmkit.reduction import pca_fit
 from cgmkit.rng import Rng
 from cgmkit.validation import shape_quantities
 
@@ -105,16 +107,34 @@ def test_cffd_barycenter_exact_and_pinned_rows_zero(grid, sigma, pins, shift,
     assert np.all(delta[pinned] == 0.0)
 
 
-def reference(clouds, constraint):
-    """The projection written out one cloud at a time, with the volume taken
-    afresh: projected (B, 3M)."""
+# the volume layer's PCA: six modes of sixteen perturbed copies of the base
+PCA = pca_fit(np.stack([
+    (BASE.vertices * (1.0 + 0.05 * Rng(0).derive(i).normal(BASE.vertices.shape))
+     ).reshape(-1) for i in range(16)]), n_modes=6)
+
+
+def reference(coeffs, constraint):
+    """The layer written out one row at a time in cloud space: the step
+    direction is the cloud volume gradient projected on the scaling mode
+    and the modes, and t the real root nearest 0 of the cubic
+    V(x + t d) = V(x) + t grad V(x) . d + t^2 grad V(d) . x + t^3 V(d).
+    Projected clouds (B, 3M)."""
+    mean = PCA.mean.reshape(-1, 3)
+    centered = (mean - mean.mean(axis=0)).reshape(-1)
+    scaling = centered - PCA.modes @ (PCA.modes.T @ centered)
+    basis = np.column_stack([scaling / np.linalg.norm(scaling), PCA.modes])
     out = []
-    for cloud in clouds:
-        v = cloud.reshape(-1, 3).copy()
-        row = volume_gradient(TriSurface(v, BASE.faces))[:, 0].copy()
-        current = volume_of(TriSurface(v, BASE.faces))
-        v[:, 0] += row * (constraint.target - current) / np.dot(row, row)
-        out.append(v.reshape(-1))
+    for w in coeffs:
+        x = PCA.mean + PCA.modes @ w
+        grad = volume_gradient(TriSurface(x.reshape(-1, 3), BASE.faces))
+        d = basis @ (basis.T @ grad.reshape(-1))
+        along = volume_gradient(TriSurface(d.reshape(-1, 3), BASE.faces))
+        roots = np.roots([volume_of(TriSurface(d.reshape(-1, 3), BASE.faces)),
+                          along.reshape(-1) @ x, grad.reshape(-1) @ d,
+                          volume_of(TriSurface(x.reshape(-1, 3), BASE.faces))
+                          - constraint.target[0]])
+        real = roots.real[roots.imag == 0.0]
+        out.append(x + real[np.argmin(np.abs(real))] * d)
     return np.array(out)
 
 
@@ -132,18 +152,23 @@ clouds_and_constraint = st.builds(
 @given(case=clouds_and_constraint)
 def test_enforcer_matches_per_sample_reference(case):
     clouds, grad, constraint = case
-    enforcer = VolumeEnforcer(constraint, BASE.faces)
-    out, cache = enforcer.forward(clouds)
-    want_out = reference(clouds, constraint)
+    coeffs = PCA.project(clouds)
+    enforcer = VolumeEnforcer(constraint, BASE.faces, PCA)
+    out, cache = enforcer.forward(coeffs)
+    want_out = reference(coeffs, constraint)
     assert np.max(np.abs(out - want_out)) <= 1e-14 * np.max(np.abs(want_out))
+    # each row's step length is bitwise the one it gets alone
+    for b in range(len(coeffs)):
+        assert np.array_equal(enforcer.forward(coeffs[b:b + 1])[1][0],
+                              cache[0][b:b + 1])
     # the backward pass is the exact vector-Jacobian product: along a random
-    # direction, each cloud's derivative of grad . forward is the central
+    # direction, each row's derivative of grad . forward is the central
     # difference of the batched forward
     back = enforcer.backward(cache, grad)
     h = 1e-6
-    direction = Rng(len(clouds)).derive("direction").normal(clouds.shape)
-    ahead = np.vecdot(grad, enforcer.forward(clouds + h * direction)[0])
-    behind = np.vecdot(grad, enforcer.forward(clouds - h * direction)[0])
+    direction = Rng(len(coeffs)).derive("direction").normal(coeffs.shape)
+    ahead = np.vecdot(grad, enforcer.forward(coeffs + h * direction)[0])
+    behind = np.vecdot(grad, enforcer.forward(coeffs - h * direction)[0])
     fd = (ahead - behind) / (2 * h)
     bound = np.linalg.norm(back, axis=1) * np.linalg.norm(direction, axis=1)
     assert np.all(np.abs(fd - np.vecdot(back, direction)) <= 1e-8 * bound)

@@ -93,6 +93,29 @@ def test_tensor_difference_reports_largest_change(tmp_path):
     assert tool.tensor_difference(tmp_path, "only.cgmt") == ""
 
 
+def test_table_difference_reports_largest_change(tmp_path):
+    # --against follows each differing text table whose rows and cells
+    # match with the largest absolute difference over its numeric cells,
+    # the entries of a comma-separated vector cell included
+    tool = load(HASHES, "artifact_hashes")
+    tables = {"val/metrics.tsv": ("name\tvalue\njsd\t0.5\n",
+                                  "name\tvalue\njsd\t0.25\n"),
+              "gen/manifest.tsv": ("f\ta\nx.stl\t1.0,2.0\n",
+                                   "f\ta\nx.stl\t1.0,2.001\n"),
+              "grown.csv": ("a,b\n1,2\n", "a,b\n1,2\n3,4\n"),
+              "text.csv": ("a\nyes\n", "a\nno\n")}
+    for path, sides in tables.items():
+        for side, text in zip(("old", "new"), sides):
+            (tmp_path / side / path).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / side / path).write_text(text)
+    assert tool.table_difference(tmp_path, "val/metrics.tsv") == " max|diff| 0.25"
+    assert tool.table_difference(tmp_path, "gen/manifest.tsv") == (
+        " max|diff| 0.001")
+    assert tool.table_difference(tmp_path, "grown.csv") == ""
+    assert tool.table_difference(tmp_path, "text.csv") == " max|diff| 0"
+    assert tool.table_difference(tmp_path, "missing.tsv") == ""
+
+
 def test_benchmark_commands_parse():
     # every command line the benchmark runs must parse with the package's
     # parser; dropping a flag it passes (such as --threads) must fail here

@@ -7,6 +7,7 @@ from cgmkit.constraints import (Constraint, barycenter_rows,
 from cgmkit.errors import DegenerateDistributionError, EmptyInputError
 from cgmkit.generative import VolumeEnforcer
 from cgmkit.geometry import synth_shape, volumes
+from cgmkit.reduction import pca_fit
 from cgmkit.rng import Rng
 from cgmkit.validation import jsd, kde_fit, metric_report, total_variance
 
@@ -105,8 +106,9 @@ def test_jsd_of_held_volume_is_zero_whatever_its_roundoff():
     reference, _ = sample_cffd_dataset(config.lattice(base), base, constraint,
                                        20, 0.05, Rng(1))
     noisy = reference[::-1] * (1.0 + 0.01 * Rng(2).normal(reference.shape))
-    generated = VolumeEnforcer(constraint, base.faces).forward(
-        noisy.reshape(len(noisy), -1))[0].reshape(noisy.shape)
+    pca = pca_fit(reference.reshape(len(reference), -1), n_modes=10)
+    generated = VolumeEnforcer(constraint, base.faces, pca).forward(
+        pca.project(noisy.reshape(len(noisy), -1)))[0].reshape(noisy.shape)
     report = metric_report((reference, base.faces), (generated, base.faces),
                            constraint=constraint)
     assert report.value("jsd_volume") == 0.0

@@ -17,7 +17,9 @@ missing file) and exits 1 if there is any. A tensor container (`.cgmt`,
 `.bin`) that both runs wrote also gets the tensor names only one run
 wrote, the shapes that changed and the largest absolute difference over
 the tensors of one name and shape in both (`removed constraint.matrix
-max|diff| 0`):
+max|diff| 0`). A text table (`.tsv`, `.csv`) that both runs wrote with
+the same rows and the same cells per row gets the largest absolute
+difference over the cells both read as numbers (`max|diff| 1.2e-12`):
 
     python3 tools/artifact_hashes.py desk-volume /tmp/cmp --against OLD/src"""
 
@@ -25,6 +27,7 @@ import argparse
 import hashlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 
@@ -111,6 +114,35 @@ def tensor_difference(workdir, path):
     return "".join(notes)
 
 
+def read_lines(path):
+    with open(path) as fh:
+        return fh.read().splitlines()
+
+
+def table_difference(workdir, path):
+    """How a text table (.tsv, .csv) under both WORKDIR/old and WORKDIR/new
+    changed: ' max|diff| D', the largest absolute difference over the cells
+    that both sides read as numbers, when both have the same rows and the
+    same cells per row (cells split at tabs and commas, so a vector cell of
+    a manifest counts one cell per entry); '' for any other path."""
+    old, new = (os.path.join(workdir, side, path) for side in ("old", "new"))
+    if not (path.endswith((".tsv", ".csv")) and os.path.exists(old)
+            and os.path.exists(new)):
+        return ""
+    old, new = ([re.split("[\t,]", line) for line in read_lines(p)]
+                for p in (old, new))
+    if [len(row) for row in old] != [len(row) for row in new]:
+        return ""
+    largest = 0.0
+    for a, b in zip((c for row in old for c in row),
+                    (c for row in new for c in row)):
+        try:
+            largest = max(largest, abs(float(a) - float(b)))
+        except ValueError:
+            pass
+    return f" max|diff| {largest:.3g}"
+
+
 def main(argv=None):
     workloads = load_workloads()
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
@@ -138,7 +170,9 @@ def main(argv=None):
         new = artifact_hashes(os.path.join(args.workdir, "new"))
         lines = differences(old, new)
         for line in lines:
-            print(line + tensor_difference(args.workdir, line.split()[0]))
+            path = line.split()[0]
+            print(line + tensor_difference(args.workdir, path)
+                  + table_difference(args.workdir, path))
         print(f"{len(lines)} of {len(dict(old) | dict(new))} files differ",
               file=sys.stderr)
         return 1 if lines else 0
