@@ -83,21 +83,22 @@ def cmd_train(config: PipelineConfig, kind, data_dir=None) -> int:
     data_dir = data_dir or config["pipeline.out"]
     dataset = datasets.read_dataset(data_dir)
     n_train = config["dataset.n_train"]
-    # samples past the recorded split are held out; `sample` records none
-    split = dataset.n_train or len(dataset.vertices)
-    if n_train > split:
-        raise ConfigError(f"dataset.n_train must be at most the {split} "
-                          f"training samples of {data_dir}, got {n_train}",
-                          "dataset.n_train")
     gm = config.gm_config()
-    if gm.batch_size > n_train:
-        raise ConfigError(f"gm.batch_size must be at most the {n_train} "
-                          f"training samples, got {gm.batch_size}",
-                          "gm.batch_size")
-    out = _ensure_out(config)
+    # samples past the recorded split are held out (`sample` records none);
+    # a PCA of the split keeps at most one mode per sample or coordinate
+    for key, value, limit, what in (
+            ("dataset.n_train", n_train, dataset.n_train or len(dataset.vertices),
+             f"training samples of {data_dir}"),
+            ("gm.batch_size", gm.batch_size, n_train, "training samples"),
+            ("gm.pca_modes", gm.pca_modes,
+             min(n_train, dataset.vertices[0].size), "modes of the split")):
+        if value > limit:
+            raise ConfigError(f"{key} must be at most the {limit} {what}, "
+                              f"got {value}", key)
+    # a setting that training itself rejects leaves no output directory
     model = train_model(kind, dataset.vertices[:n_train], dataset.faces,
                         dataset.constraint, gm)
-    path = os.path.join(out, f"model_{kind}.cgmt")
+    path = os.path.join(_ensure_out(config), f"model_{kind}.cgmt")
     save_model(model, path)
     print(f"train: {kind} final epoch loss {model.epoch_losses[-1]:.6g}, "
           f"checkpoint {path}")
@@ -156,7 +157,7 @@ def _surrogate_errors(model, inputs, snapshots):
 
 def _as_gradients(model, latents, spec):
     """Adjoint gradient of each latent's mean field value: one eval-mode
-    decode and one backward pass through enforcer, PCA and decoder. The
+    decode and one backward pass through basis, enforcer and decoder. The
     decode caches are released on return."""
     clouds, vjp = model.decode_vjp(latents)
     field_grads = snapshot_mean_gradient(clouds.reshape(len(clouds), -1, 3),

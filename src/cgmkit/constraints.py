@@ -17,7 +17,7 @@ dataset manifest and a checkpoint build from the (constraint.kind,
 constraint.target) pair they store and store as its two fields. How a kind
 is measured is written once, in `achieved_value` and `constraint_residual`.
 The barycenter's (3, 3M) rows are built by `barycenter_rows` only where
-they are projected: in `cffd_correct` and in the linear enforcing layer.
+they are projected on clouds, in `cffd_correct`.
 """
 
 from dataclasses import dataclass
@@ -40,8 +40,8 @@ TARGET_LENGTHS = {"barycenter": 3, "volume": 1}  # the kinds a record can name
 class Constraint:
     """A constraint kind and its target, a float64 vector of
     `TARGET_LENGTHS[kind]` values: the barycenter (3,) or the enclosed
-    volume (1,). An unknown kind, or a target of another length, raises
-    ConfigError naming the key, the kind and the length."""
+    volume (1,). An unknown kind, a target of another length or a volume
+    target not positive and finite raises ConfigError naming the key."""
 
     kind: str
     target: np.ndarray
@@ -55,6 +55,10 @@ class Constraint:
             raise ConfigError(
                 f"'constraint.target' of a {self.kind} constraint holds "
                 f"{len(self.target)} values, needs {TARGET_LENGTHS[self.kind]}")
+        if self.kind == "volume" and not 0.0 < self.target[0] < np.inf:
+            raise ConfigError(
+                f"'constraint.target' of a volume constraint must be positive "
+                f"and finite, got {self.target[0]}")
 
 
 def barycenter_rows(n_points: int) -> np.ndarray:
@@ -91,19 +95,17 @@ def volume_constraint_row(surface: TriSurface, component: str):
 
 def project_volume(clouds, faces, constraint: Constraint, basis=None,
                    weights=None):
-    """Volume projection of a (B, M, 3) batch of clouds on closed faces (the
-    caller checks closedness) by one step on the x coordinates. With y and z
-    frozen the volume is affine in x with row r (`geometry.volume_rows`),
-    and the current volume is V = r . x exactly, because the volume is
-    linear-homogeneous in x. The deficit d = T - V is closed by the
-    minimum-norm step: x moves by r s with s = d / (r . r), or with a basis
-    (M, F) by basis @ p, p = (a / w^2) s with s = d / (a . a / w^2),
-    a = r @ basis. An a that is zero up to RANK_TOL * |r| * |basis| cannot
-    move the volume (its step would scale with 1 / roundoff) and raises
-    InfeasibleConstraintError. Returns (clouds, (rows (B, M), p, x before
-    the step (B, M), s (B,))), p being the vertex step r s without a
-    basis."""
-    clouds = np.array(clouds, dtype=np.float64)
+    """The volume projection's step p (B, F) for a (B, M, 3) batch of clouds
+    on closed faces (the caller checks closedness): one step on the x
+    coordinates. With y and z frozen the volume is affine in x with row r
+    (`geometry.volume_rows`), and the current volume is V = r . x exactly,
+    because the volume is linear-homogeneous in x. The deficit d = T - V is
+    closed by the minimum-norm step: x moves by p = r s with
+    s = d / (r . r), or with a basis (M, F) by basis @ p, p = (a / w^2) s
+    with s = d / (a . a / w^2), a = r @ basis. An a that is zero up to
+    RANK_TOL * |r| * |basis| cannot move the volume (its step would scale
+    with 1 / roundoff) and raises InfeasibleConstraintError."""
+    clouds = np.asarray(clouds, dtype=np.float64)
     rows = volume_rows(clouds, faces, 0)
     if not np.all(np.any(rows, axis=1)):
         raise DegenerateSurfaceError("all-zero volume row (degenerate surface)")
@@ -119,10 +121,7 @@ def project_volume(clouds, faces, constraint: Constraint, basis=None,
         raise InfeasibleConstraintError(
             "volume row of component x is zero on every free control point")
     scale = (constraint.target - current) / norm
-    p = aw * scale[:, None]
-    before = clouds[:, :, 0].copy()
-    clouds[:, :, 0] += p if basis is None else (p[:, None] @ basis.T)[:, 0]
-    return clouds, (rows, p, before, scale)
+    return aw * scale[:, None]
 
 
 def achieved_value(kind, vertices, faces) -> np.ndarray:
@@ -194,7 +193,7 @@ def cffd_correct(lattice: FfdLattice, displacement, surface: TriSurface,
         require_closed(surface.faces)
         # deformed x coordinates are affine in the x displacements of the
         # free control points: x += influence @ (a_xx * delta_x)
-        _, (_, p, _, _) = project_volume(
+        p = project_volume(
             deformed, surface.faces, constraint, basis=influence,
             weights=None if weights is None else weights[free])
         delta[:, free, 0] += p / lattice.a_phi[0, 0]

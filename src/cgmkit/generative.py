@@ -1,20 +1,17 @@
 """Constrained generative models over PCA-compressed point clouds.
 
 Every model trains on a stack of clouds (n, M, 3) on one face array and
-samples such a stack. Four model kinds share the same output path: decode
-a latent to PCA coefficients, then a final enforcing layer, in training
-and in sampling, returns clouds that meet the constraint exactly. The
-barycenter layer projects the reconstructed clouds; its backward pass is
-the projector (I - A^+ A). The volume layer steps the coefficients along
-the volume gradient, its length the root of an exact cubic in them, so no
-training step touches the M-sized volume kernel. `decode_vjp` keeps an
-eval-mode decode's caches, so gradients with respect to the latents take
-one backward pass. Every kind trains in one loop (`_fit`) over nets built
-from one layout table (`net_specs`), supplying only its per-batch step.
-Each net's backward pass returns one gradient laid out like its flat
-parameter buffer, and `nn.AdamW` steps those buffers; a backward pass
-whose parameter gradient no optimizer reads (a frozen net, or a gradient
-wanted only at the input) skips it with `params=False`."""
+samples such a stack. Four model kinds share one path: a net decodes a
+latent to PCA coefficients, and the constraint's enforcing layer maps them
+to coordinates over an orthonormal basis, its extra modes stacked on the
+PCA modes, whose clouds meet the constraint exactly. Clouds are formed
+only in `decode`, `decode_vjp` and `sample`; a training cloud enters once
+per fit as its basis coordinates and its squared distance off the basis,
+so every loss is taken on (B, e + K) coordinates and no training step
+touches an M-sized array. Every kind trains in one loop (`_fit`) over nets
+built from one layout table (`_build_nets`), supplying only its per-batch
+step; a backward pass whose parameter gradient no optimizer reads skips it
+with `params=False`."""
 
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -24,10 +21,10 @@ import numpy as np
 from .checkpoint import (load_tensors, read_key_values, require_faces,
                          require_tensor, save_tensors)
 from .config import GmConfig, read_gm_config
-from .constraints import Constraint, barycenter_rows
+from .constraints import Constraint
 from .errors import (ConfigError, ContainerError, DimensionError,
                      DivergenceError, InfeasibleConstraintError)
-from .geometry import is_closed, volume_polynomial
+from .geometry import barycenter_of, is_closed, volume_polynomial
 from .linalg import RANK_TOL, jittered_cholesky, min_norm_gain
 from .nn import AdamW, mlp_stack
 from .reduction import PcaBasis, pca_fit
@@ -41,67 +38,73 @@ _NEWTON_STEPS = 5  # the volume layer's Newton steps on its cubic
 # ---------------------------------------------------------------------------
 # Enforcing layers (batched, with manual backward)
 
+def enforcer_basis(kind, mean, modes) -> np.ndarray:
+    """A constraint kind's orthonormal basis (e + K, 3M) on a PCA (mean,
+    modes (3M, K)): e extra fields orthonormalized against the modes and
+    stacked on them, the three translations (barycenter) or the scaling
+    mode, the mean about its barycenter (volume: grad V(x) . x = 3 V(x)).
+    K > 3M - e raises ConfigError naming 'gm.pca_modes'."""
+    points = mean.reshape(-1, 3)
+    extra = ((points - points.mean(axis=0)).reshape(-1, 1) if kind == "volume"
+             else np.tile(np.eye(3), (len(points), 1)))
+    room = len(modes) - extra.shape[1]
+    if modes.shape[1] > room:
+        raise ConfigError(f"gm.pca_modes must be at most {room} under a "
+                          f"{kind} constraint on {len(points)} points, got "
+                          f"{modes.shape[1]}", "gm.pca_modes")
+    extra = extra - modes @ (modes.T @ extra)
+    return np.vstack([np.linalg.qr(extra)[0].T, modes.T])
+
+
 class LinearEnforcer:
     """x -> x + A^+ (c - A x), the minimum-norm projection of each row of a
-    (B, 3M) batch of vectorized clouds onto A x = c, with A^+ from
-    `linalg.min_norm_gain`. On the barycenter rows this is a translation;
-    the dense rows and SVD gain stay because the exact translation
-    x + (c - mean x) rounds differently, and `test_ae_fits_linear_dataset`
-    then misses its 1e-3 bound at its seed (1.31e-3 against 0.97e-3)."""
+    (B, n) batch onto A x = c, with A^+ from `linalg.min_norm_gain`; the
+    backward pass is the projector (I - A^+ A). A model builds it on the
+    barycenter's rows (3, 3 + K) over its basis coordinates."""
 
     def __init__(self, matrix, target):
         self.matrix = np.asarray(matrix, dtype=np.float64)
         self.target = np.asarray(target, dtype=np.float64)
         self.gain, _ = min_norm_gain(self.matrix)
 
-    def forward(self, clouds):
-        if np.shape(clouds)[-1] != self.matrix.shape[1]:
+    def forward(self, x):
+        if np.shape(x)[-1] != self.matrix.shape[1]:
             raise DimensionError(f"constraint dim {self.matrix.shape[1]} != "
-                                 f"cloud size {np.shape(clouds)[-1]}")
-        residual = clouds @ self.matrix.T - self.target
-        return clouds - residual @ self.gain.T, None
+                                 f"input size {np.shape(x)[-1]}")
+        residual = x @ self.matrix.T - self.target
+        return x - residual @ self.gain.T, None
 
     def backward(self, cache, grad):
         return grad - (grad @ self.gain) @ self.matrix
 
 
 class VolumeEnforcer:
-    """The volume layer on a (B, K) batch of PCA coefficients w. Over the
-    basis of the scaling mode u and the modes, the volume of mean + basis @ z
-    is the cubic S[h, h, h], h = (1, z) (`geometry.volume_polynomial`).
-    Each row steps from z = (0, w) along g = grad_z V to y = z + t g, t the
-    root near 0 of V(z + t g) = T, and returns mean + basis @ y. u is the
-    mean about its barycenter, orthogonal to the modes, which volume-held
-    data leave nearly tangent to its level set; u always moves the volume
-    (grad V(x) . x = 3 V(x)). The step takes stacks of one-row products, so
-    no row's t depends on the batch (the basis products are plain matrix
-    products, as in `pca.reconstruct`). A g that is zero up to RANK_TOL
-    |grad_h V| raises InfeasibleConstraintError. The backward pass is the
-    exact VJP z_bar = (I + t H)(y_bar - n (g . y_bar) / (n . g)), with
-    H = 6 S[h, ., .] the Hessian at z and n = grad_z V(y); w_bar drops u."""
+    """The volume layer on a (B, 1 + K) batch z of coordinates over a mean
+    (3M,) and its basis (`enforcer_basis`, rows (1 + K, 3M)). The volume of
+    mean + z @ basis is the cubic S[h, h, h], h = (1, z)
+    (`geometry.volume_polynomial`). Each row steps along g = grad_z V to
+    y = z + t g, t the root near 0 of V(z + t g) = T, by stacks of one-row
+    products, so no row's t depends on the batch. A g that is zero up to
+    RANK_TOL |grad_h V| raises InfeasibleConstraintError. The backward pass
+    is the exact VJP z_bar = (I + t H)(y_bar - n (g . y_bar) / (n . g)), with
+    H = 6 S[h, ., .] the Hessian at z and n = grad_z V(y)."""
 
-    def __init__(self, constraint: Constraint, faces, pca: PcaBasis):
+    def __init__(self, constraint: Constraint, faces, mean, basis):
         self.constraint = constraint
-        self.pca = pca
         faces = np.asarray(faces, dtype=np.int64)
         # closedness depends only on the connectivity, so it is checked once
         if not faces.size or not is_closed(faces):
             raise ConfigError("volume enforcement needs closed connectivity")
-        mean = pca.mean.reshape(-1, 3)
-        centered = (mean - mean.mean(axis=0)).reshape(-1)
-        scaling = centered - pca.modes @ (centered @ pca.modes)
-        self.basis_t = np.vstack([scaling / np.linalg.norm(scaling),
-                                  pca.modes.T])
-        tensor = volume_polynomial(pca.mean, self.basis_t.T, faces)
+        tensor = volume_polynomial(mean, basis.T, faces)
         k = tensor.shape[0]
         self.tensor = tensor.reshape(k, k * k)
         self.inner = tensor[1:, 1:, 1:].reshape(k - 1, (k - 1) ** 2)
 
-    def forward(self, coeffs):
-        b, k = len(coeffs), len(self.inner)
-        h = np.zeros((b, k + 1))  # (1, s = 0, w)
+    def forward(self, coords):
+        b, k = len(coords), len(self.inner)
+        h = np.empty((b, k + 1))  # (1, z)
         h[:, 0] = 1.0
-        h[:, 2:] = coeffs
+        h[:, 1:] = coords
         sh = np.vecmat(h, self.tensor).reshape(b, k + 1, k + 1)
         grad_h = 3.0 * np.matvec(sh, h)
         g = grad_h[:, 1:]
@@ -130,24 +133,19 @@ class VolumeEnforcer:
                 f"row {i}: the volume step does not reach the target in "
                 f"{_NEWTON_STEPS} Newton steps", index=i)
         normal = g + t[:, None] * hg + 3.0 * t[:, None] ** 2 * sgg
-        y = h[:, 1:] + t[:, None] * g
-        clouds = y @ self.basis_t
-        clouds += self.pca.mean
-        return clouds, (t, g, hessian, normal)
+        return h[:, 1:] + t[:, None] * g, (t, g, hessian, normal)
 
     def backward(self, cache, grad):
         t, g, hessian, normal = cache
-        grad_y = np.asarray(grad, dtype=np.float64) @ self.basis_t.T
-        u = grad_y - normal * (np.vecdot(g, grad_y)
-                               / np.vecdot(normal, g))[:, None]
-        return (u + t[:, None] * np.matvec(hessian, u))[:, 1:]
+        u = grad - normal * (np.vecdot(g, grad) / np.vecdot(normal, g))[:, None]
+        return u + t[:, None] * np.matvec(hessian, u)
 
 
 # ---------------------------------------------------------------------------
 # Architecture table and model container
 
-def net_specs(kind, config: GmConfig) -> dict:
-    """Net name -> `mlp_stack` keyword arguments for one model kind: the one
+def _build_nets(kind, config: GmConfig, rng: Rng) -> dict:
+    """Fresh nets of a kind, each drawn from its own derived stream: the one
     place a layout is written, read by training and by `load_model`."""
     r, w, d, latent = (config.pca_modes, config.hidden_width,
                        config.hidden_depth, config.latent_dim)
@@ -164,15 +162,8 @@ def net_specs(kind, config: GmConfig) -> dict:
                              final_activation="sigmoid")},
         "began": {"disc_enc": enc, "disc_dec": dec, "gen": dec},
     }
-    if kind not in specs:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    return specs[kind]
-
-
-def _build_nets(kind, config: GmConfig, rng: Rng) -> dict:
-    """Fresh nets of a kind, each drawn from its own derived stream."""
     return {name: mlp_stack(rng=rng.derive(name.replace("_", "-")), **spec)
-            for name, spec in net_specs(kind, config).items()}
+            for name, spec in specs[kind].items()}
 
 
 @dataclass
@@ -188,33 +179,41 @@ class GenerativeModel:
     epoch_losses: list = field(default_factory=list)
     k_final: float = None             # last equilibrium k (trained began only)
     enforcer: object = field(init=False, repr=False)
+    basis_t: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        """The constraint's layer: on the coefficients (volume) or clouds."""
-        if self.constraint.kind == "volume":
-            self.enforcer = VolumeEnforcer(self.constraint, self.faces,
-                                           self.pca)
-        else:
-            self.enforcer = LinearEnforcer(
-                barycenter_rows(self.pca.mean.size // 3),
-                self.constraint.target)
+        """The constraint's basis, and its layer on the basis coordinates."""
+        mean, kind = self.pca.mean, self.constraint.kind
+        self.basis_t = enforcer_basis(kind, mean, self.pca.modes)
+        if kind == "volume":
+            self.enforcer = VolumeEnforcer(self.constraint, self.faces, mean,
+                                           self.basis_t)
+            return
+        rows = barycenter_of(self.basis_t.reshape(len(self.basis_t), -1, 3))
+        self.enforcer = LinearEnforcer(
+            rows.T, self.constraint.target - barycenter_of(mean.reshape(-1, 3)))
 
     def eval(self):
         for net in self.nets.values():
             net.eval()
         return self
 
-    def emit(self, coeffs):
-        """PCA coefficients to enforced clouds: (clouds, enforcer cache)."""
-        if self.constraint.kind == "volume":
-            return self.enforcer.forward(coeffs)
-        return self.enforcer.forward(self.pca.reconstruct(coeffs))
+    def coordinates(self, clouds):
+        """Basis coordinates (n, e + K) of clouds (n, 3M), and the squared
+        distance (n,) of each cloud from the basis's span."""
+        centered = clouds - self.pca.mean
+        coords = centered @ self.basis_t.T
+        perp = centered - coords @ self.basis_t
+        return coords, np.vecdot(perp, perp)
 
-    def emit_backward(self, cache, grad):
-        """Gradient w.r.t. the enforced clouds to one w.r.t. the coefficients."""
-        if self.constraint.kind == "volume":
-            return self.enforcer.backward(cache, grad)
-        return self.enforcer.backward(cache, grad) @ self.pca.modes
+    def emit(self, coeffs):
+        """PCA coefficients (B, K), lifted with zero extra coordinates, to
+        enforced basis coordinates (B, e + K), and the VJP back to coeffs."""
+        k = coeffs.shape[1]
+        lifted = np.zeros((len(coeffs), len(self.basis_t)))
+        lifted[:, -k:] = coeffs
+        out, cache = self.enforcer.forward(lifted)
+        return out, lambda grad: self.enforcer.backward(cache, grad)[:, -k:]
 
     def decode(self, latents) -> np.ndarray:
         """Latent batch to enforced cloud batch, eval mode."""
@@ -229,10 +228,12 @@ class GenerativeModel:
         self.eval()
         net = self.nets["gen"] if self.kind == "began" else self.nets["dec"]
         y, net_cache = net.forward(np.atleast_2d(latents))
-        clouds, enf_cache = self.emit(y)
+        coords, emit_vjp = self.emit(y)
+        clouds = coords @ self.basis_t
+        clouds += self.pca.mean
 
         def vjp(grad):
-            grad_y = self.emit_backward(enf_cache, grad)
+            grad_y = emit_vjp(grad @ self.basis_t.T)
             return net.backward(net_cache, grad_y, params=False)[1]
         return clouds, vjp
 
@@ -242,16 +243,12 @@ class GenerativeModel:
         key = {"vae": "enc_mean", "began": "disc_enc"}.get(self.kind, "enc")
         return self.nets[key].forward(coords)[0]
 
-    def draw_latents(self, n, rng: Rng) -> np.ndarray:
-        eps = rng.normal((n, self.config.latent_dim))
-        if self.kind == "ae":
-            return self.sampler_mean + eps @ self.sampler_chol.T
-        return eps
-
     def sample(self, n, rng: Rng):
         """n constraint-feasible clouds (n, M, 3) on `faces`, plus their
         latent records."""
-        latents = self.draw_latents(n, rng.derive("latents"))
+        latents = rng.derive("latents").normal((n, self.config.latent_dim))
+        if self.kind == "ae":
+            latents = self.sampler_mean + latents @ self.sampler_chol.T
         return self.decode(latents).reshape(n, -1, 3), latents
 
 
@@ -262,10 +259,10 @@ def _fit(kind, vertices, faces, constraint, config,
          make_step) -> GenerativeModel:
     """Fit the PCA basis to the training stack (n, M, 3) on the faces, build
     the nets and run every epoch's batches.
-    `make_step(model, rng)` returns `step(x, coords, drop, tag)`, which
-    trains on one batch (clouds x and their PCA coordinates, dropout masks
-    from drop, other streams derived with tag) and returns the batch loss
-    followed by any further value that must stay finite."""
+    `make_step(model, rng)` returns `step(x, perp2, drop, tag)`: on one
+    batch (basis coordinates x, the last K the PCA coordinates; squared
+    distances perp2 off the basis; dropout masks from drop, other streams
+    derived with tag) it returns the loss, then any value to keep finite."""
     clouds = np.reshape(vertices, (len(vertices), -1))
     n = len(clouds)
     if n < config.batch_size:
@@ -276,12 +273,12 @@ def _fit(kind, vertices, faces, constraint, config,
                             nets=_build_nets(kind, config, rng),
                             constraint=constraint, faces=faces)
     step = make_step(model, rng)
-    coords = pca.project(clouds)
+    x, perp2 = model.coordinates(clouds)
     for epoch in range(config.epochs):
         losses = []
         for idx in _batches(n, config.batch_size, rng.derive("shuffle", epoch)):
             tag = (epoch, int(idx[0]))
-            values = step(clouds[idx], coords[idx], rng.derive("drop", *tag), tag)
+            values = step(x[idx], perp2[idx], rng.derive("drop", *tag), tag)
             for value in values:
                 if not np.isfinite(value):
                     raise DivergenceError(f"loss became {value}", epoch=epoch)
@@ -306,10 +303,20 @@ def _optimizer(config: GmConfig, *nets) -> AdamW:
                  weight_decay=config.weight_decay)
 
 
-def _gaussian_term(resid, sigma):
-    """sum ||resid||^2 / (2 sigma^2 B) over a (B, D) batch, and its gradient."""
+def _gaussian_term(resid, perp2, sigma):
+    """sum ||(resid, perp)||^2 / (2 sigma^2 B) over (B, D) residuals on the
+    basis with squared norms perp2 (B,) off it, and its gradient in resid."""
     b = len(resid)
-    return float(np.sum(resid ** 2) / (2.0 * sigma ** 2 * b)), resid / (sigma ** 2 * b)
+    value = (np.sum(resid ** 2) + np.sum(perp2)) / (2.0 * sigma ** 2 * b)
+    return float(value), resid / (sigma ** 2 * b)
+
+
+def _norm_term(resid, perp2):
+    """Rowwise ||(resid, perp)|| over (B, D) residuals on the basis with
+    squared norms perp2 (B,) off it, and the gradient of their mean in resid."""
+    norms = np.sqrt(np.vecdot(resid, resid) + perp2)
+    safe = np.maximum(norms, 1e-300)[:, None]
+    return norms, np.where(norms[:, None] > 0, resid / safe, 0.0) / len(resid)
 
 
 def softplus(x):
@@ -322,13 +329,6 @@ def kl_normal(mean, scale) -> np.ndarray:
                         axis=-1)
 
 
-def _fit_latent_normal(latents):
-    mean = latents.mean(axis=0)
-    centered = latents - mean
-    cov = centered.T @ centered / max(len(latents) - 1, 1)
-    return mean, jittered_cholesky(cov)[0]
-
-
 def train_ae(vertices, faces, constraint,
              config: GmConfig) -> GenerativeModel:
     """Plain autoencoder on the L2 reconstruction loss, with the enforcing
@@ -339,16 +339,12 @@ def train_ae(vertices, faces, constraint,
         enc, dec = model.nets.values()
         opt = _optimizer(config, enc, dec)
 
-        def step(x, coords, drop, tag):
-            z, enc_cache = enc.forward(coords, rng=drop)
+        def step(x, perp2, drop, tag):
+            z, enc_cache = enc.forward(x[:, -config.pca_modes:], rng=drop)
             y, dec_cache = dec.forward(z, rng=drop)
-            out, enf_cache = model.emit(y)
-            resid = out - x
-            norms = np.linalg.norm(resid, axis=1)
-            safe = np.maximum(norms, 1e-300)[:, None]
-            g_out = np.where(norms[:, None] > 0, resid / safe, 0.0) / len(x)
-            dec_grads, g_z = dec.backward(dec_cache,
-                                          model.emit_backward(enf_cache, g_out))
+            out, emit_vjp = model.emit(y)
+            norms, g_out = _norm_term(out - x, perp2)
+            dec_grads, g_z = dec.backward(dec_cache, emit_vjp(g_out))
             enc_grads, _ = enc.backward(enc_cache, g_z)
             opt.step([enc_grads, dec_grads])
             enc.note_update()
@@ -358,7 +354,10 @@ def train_ae(vertices, faces, constraint,
 
     model = _fit("ae", vertices, faces, constraint, config, make_step)
     latents = model.encode(np.reshape(vertices, (len(vertices), -1)))
-    model.sampler_mean, model.sampler_chol = _fit_latent_normal(latents)
+    model.sampler_mean = latents.mean(axis=0)
+    centered = latents - model.sampler_mean
+    cov = centered.T @ centered / max(len(latents) - 1, 1)
+    model.sampler_chol = jittered_cholesky(cov)[0]
     return model
 
 
@@ -372,19 +371,19 @@ def train_vae(vertices, faces, constraint,
         enc_mean, enc_scale, dec = model.nets.values()
         opt = _optimizer(config, enc_mean, enc_scale, dec)
 
-        def step(x, coords, drop, tag):
+        def step(x, perp2, drop, tag):
             b = len(x)
+            coords = x[:, -config.pca_modes:]
             a, a_cache = enc_mean.forward(coords, rng=drop)
             raw, raw_cache = enc_scale.forward(coords, rng=drop)
             scale = softplus(raw) + 1e-12  # floor keeps log and 1/scale finite
             eps = rng.derive("reparam", *tag).normal(a.shape)
             z = a + scale * eps
             y, dec_cache = dec.forward(z, rng=drop)
-            out, enf_cache = model.emit(y)
-            recon, g_out = _gaussian_term(out - x, config.sigma)
+            out, emit_vjp = model.emit(y)
+            recon, g_out = _gaussian_term(out - x, perp2, config.sigma)
             kl = float(kl_normal(a, scale).mean())
-            dec_grads, g_z = dec.backward(dec_cache,
-                                          model.emit_backward(enf_cache, g_out))
+            dec_grads, g_z = dec.backward(dec_cache, emit_vjp(g_out))
             g_a = g_z + config.alpha * a / b
             g_scale = g_z * eps + config.alpha * (scale - 1.0 / scale) / b
             g_raw = g_scale / (1.0 + np.exp(-raw))
@@ -419,8 +418,9 @@ def train_aae(vertices, faces, constraint,
         opt_ae = _optimizer(config, enc, dec)
         opt_disc = _optimizer(config, disc)
 
-        def step(x, coords, drop, tag):
+        def step(x, perp2, drop, tag):
             b = len(x)
+            coords = x[:, -config.pca_modes:]
             # discriminator step: real = prior draws, fake = encodings
             z_fake, _ = enc.forward(coords, rng=drop)
             z_real = rng.derive("prior", *tag).normal(z_fake.shape)
@@ -433,12 +433,11 @@ def train_aae(vertices, faces, constraint,
             # reconstruction + adversarial step for encoder/decoder
             z, enc_cache = enc.forward(coords, rng=drop)
             y, dec_cache = dec.forward(z, rng=drop)
-            out, enf_cache = model.emit(y)
-            recon, g_out = _gaussian_term(out - x, config.sigma)
+            out, emit_vjp = model.emit(y)
+            recon, g_out = _gaussian_term(out - x, perp2, config.sigma)
             d_adv, adv_cache = disc.forward(z, rng=drop)
             adv = float(-np.log(np.clip(d_adv, _CLAMP, 1.0 - _CLAMP)).mean())
-            dec_grads, g_z = dec.backward(dec_cache,
-                                          model.emit_backward(enf_cache, g_out))
+            dec_grads, g_z = dec.backward(dec_cache, emit_vjp(g_out))
             _, g_z_adv = disc.backward(adv_cache, _bce_grad(d_adv, True, b),
                                        params=False)
             enc_grads, _ = enc.backward(enc_cache, g_z + g_z_adv)
@@ -473,70 +472,70 @@ def train_began(vertices, faces, constraint,
     exactly as at k_t > 0."""
 
     def make_step(model, rng):
-        pca = model.pca
         disc_enc, disc_dec, gen = model.nets.values()
         opt_disc = _optimizer(config, disc_enc, disc_dec)
         opt_gen = _optimizer(config, gen)
         model.k_final = float(config.k0)
+        pcs = np.s_[:, -config.pca_modes:]  # the PCA coordinates
 
-        def disc_f(u, drop):
-            """f(u) = ||u - D(u)|| rowwise plus everything backward needs,
-            and the discriminator's encoding of u."""
-            h, ce = disc_enc.forward(pca.project(u), rng=drop)
+        def disc_f(u, perp2, drop):
+            """f(u) = ||u - D(u)|| rowwise from u's basis coordinates and
+            squared norm off the basis; the gradient of mean f w.r.t. u, the
+            caches and D's encoding of u."""
+            h, ce = disc_enc.forward(u[pcs], rng=drop)
             w, cd = disc_dec.forward(h, rng=drop)
-            resid = u - pca.reconstruct(w)
-            norms = np.maximum(np.linalg.norm(resid, axis=1), 1e-300)
-            unit = resid / norms[:, None]
-            return norms, unit, ce, cd, h
+            resid = u.copy()
+            resid[pcs] -= w
+            norms, grad = _norm_term(resid, perp2)
+            return norms, grad, ce, cd, h
 
-        def f_input_grad(unit, ce, cd, coeff, params):
-            """Gradient of coeff * mean f w.r.t. the f input, and the
-            discriminator's (encoder, decoder) parameter gradients, which
-            are None with params False."""
-            b = len(unit)
-            dd_grads, g_h = disc_dec.backward(
-                cd, (-coeff * unit / b) @ pca.modes, params=params)
+        def f_input_grad(grad, ce, cd, coeff, params):
+            """Gradient of coeff * mean f w.r.t. the f input's basis
+            coordinates, and the discriminator's (encoder, decoder)
+            parameter gradients, which are None with params False."""
+            dd_grads, g_h = disc_dec.backward(cd, -coeff * grad[pcs],
+                                              params=params)
             de_grads, g_pu = disc_enc.backward(ce, g_h, params=params)
-            return coeff * unit / b + g_pu @ pca.modes.T, de_grads, dd_grads
+            g_u = coeff * grad
+            g_u[pcs] += g_pu
+            return g_u, de_grads, dd_grads
 
-        def step(x, coords, drop, tag):
+        def step(x, perp2, drop, tag):
             k = model.k_final
             b = len(x)
             # one encoder pass feeds both the real reconstruction and the
             # generator's fake input G(Enc(x)), run through the enforcer
-            norms_x, unit_x, ce, cd, h = disc_f(x, drop)
+            norms_x, grad_x, ce, cd, h = disc_f(x, perp2, drop)
             f_real = float(norms_x.mean())
             yg, cg = gen.forward(h, rng=drop)
-            fake, enf_cache = model.emit(yg)
-            norms_g, unit_g, ce2, cd2, _ = disc_f(fake, drop)
+            fake, fake_vjp = model.emit(yg)  # on the basis: no part off it
+            norms_g, grad_g, ce2, cd2, _ = disc_f(fake, 0.0, drop)
             f_fake = float(norms_g.mean())
             loss_d = f_real - k * f_fake
             # discriminator gradients: real term output path
-            dec_grads, g_h = disc_dec.backward(cd, (-unit_x / b) @ pca.modes)
+            dec_grads, g_h = disc_dec.backward(cd, -grad_x[pcs])
+            fake_enc_grads = 0.0
             if k != 0.0:
                 # fake term: -k * mean f(fake), both through D and through Enc
                 g_fake_input, fake_enc_grads, fake_dec_grads = f_input_grad(
-                    unit_g, ce2, cd2, -k, True)
-                g_yg = model.emit_backward(enf_cache, g_fake_input)
+                    grad_g, ce2, cd2, -k, True)
+                g_yg = fake_vjp(g_fake_input)
                 # generator frozen here
                 _, g_h_fake = gen.backward(cg, g_yg, params=False)
                 dec_grads += fake_dec_grads
                 g_h += g_h_fake
             enc_grads, _ = disc_enc.backward(ce, g_h)
-            if k != 0.0:
-                enc_grads += fake_enc_grads
-            opt_disc.step([enc_grads, dec_grads])
+            opt_disc.step([enc_grads + fake_enc_grads, dec_grads])
             disc_enc.note_update()
             disc_dec.note_update()
             # generator step on fresh prior draws
             z = rng.derive("prior", *tag).normal((b, config.latent_dim))
             yg2, cg2 = gen.forward(z, rng=drop)
-            gen_out, enf_cache2 = model.emit(yg2)
-            norms_z, unit_z, ce3, cd3, _ = disc_f(gen_out, drop)
+            gen_out, gen_vjp = model.emit(yg2)
+            norms_z, grad_z, ce3, cd3, _ = disc_f(gen_out, 0.0, drop)
             f_gen = float(norms_z.mean())
-            g_gen_input = f_input_grad(unit_z, ce3, cd3, 1.0, False)[0]
-            gen_grads, _ = gen.backward(cg2, model.emit_backward(enf_cache2,
-                                                                 g_gen_input))
+            g_gen_input = f_input_grad(grad_z, ce3, cd3, 1.0, False)[0]
+            gen_grads, _ = gen.backward(cg2, gen_vjp(g_gen_input))
             opt_gen.step([gen_grads])
             gen.note_update()
             model.k_final = began_k_update(k, config.k_gain, config.gamma,
@@ -585,10 +584,10 @@ def save_model(model: GenerativeModel, path):
 def load_model(path) -> GenerativeModel:
     """Read a checkpoint written by `save_model`. A malformed sidecar line,
     a missing sidecar key or tensor, an unknown kind, a config value that
-    `config.read_gm_config` rejects, a constraint record
-    that `Constraint` rejects or a tensor whose shape differs from the
-    layout raises ContainerError naming the path and key. An older
-    checkpoint's `constraint.matrix` tensor is not read."""
+    `config.read_gm_config` rejects, a constraint record that `Constraint`
+    rejects, more modes than `enforcer_basis` has room for or a tensor
+    whose shape differs from the layout raises ContainerError naming the
+    path and key. An older checkpoint's `constraint.matrix` is not read."""
     tensors = load_tensors(path)
 
     def defect(message):
@@ -616,18 +615,18 @@ def load_model(path) -> GenerativeModel:
                    singular_values=tensor("pca.singular_values", (None,)),
                    reconstruction_error=0.0)
     faces = require_faces(tensors, path, dim // 3)
-    try:
-        constraint = Constraint(entry("constraint.kind"),
-                                tensor("constraint.target", (None,)))
-    except ConfigError as err:
-        raise defect(str(err)) from None
     nets = _build_nets(kind, config, Rng(0, ("load",)))
     for net_name, net in nets.items():
         for tensor_name, arr in net.state_tensors():
             arr[...] = tensor(f"net.{net_name}.{tensor_name}", arr.shape)
         net.eval()
-    model = GenerativeModel(kind=kind, config=config, pca=pca, nets=nets,
-                            constraint=constraint, faces=faces)
+    try:
+        constraint = Constraint(entry("constraint.kind"),
+                                tensor("constraint.target", (None,)))
+        model = GenerativeModel(kind=kind, config=config, pca=pca, nets=nets,
+                                constraint=constraint, faces=faces)
+    except ConfigError as err:
+        raise defect(str(err)) from None
     if kind == "ae":
         model.sampler_mean = tensor("sampler.mean", (config.latent_dim,))
         model.sampler_chol = tensor("sampler.chol", (config.latent_dim,) * 2)

@@ -161,6 +161,25 @@ def test_malformed_config_constraint_exits_1_naming_key(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target, message", [
+    ("-1", "'constraint.target' of a volume constraint must be positive and "
+           "finite, got -1.0"),
+    ("0", "'constraint.target' of a volume constraint must be positive and "
+          "finite, got 0.0"),
+    ("inf", "config key constraint.target must be a finite number, got 'inf'"),
+])
+def test_volume_target_not_positive_finite_exits_1_naming_key(
+        tmp_path, capsys, monkeypatch, target, message):
+    # a negative target made generate write inside-out samples and exit 0,
+    # and a zero one failed on a relative residual of 1.5e+284
+    monkeypatch.setenv("CGM_CONSTRAINT_KIND", "volume")
+    monkeypatch.setenv("CGM_CONSTRAINT_TARGET", target)
+    out = tmp_path / "x"
+    assert run(["generate", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_singular_lattice_nonzero_exit(tmp_path):
     bad = tmp_path / "bad.cfg"
     # a flat shape with zero margin would collapse the lattice box to zero
@@ -476,6 +495,43 @@ def test_train_batch_above_split_exits_1_naming_key(tmp_path, desk_data,
     assert not out.exists()
 
 
+def test_train_pca_modes_above_split_exits_1_naming_key(tmp_path, desk_data,
+                                                        capsys, monkeypatch):
+    # a PCA of 60 samples keeps at most 60 modes; the check names the key
+    # before the output directory is made
+    _without_cgm_env(monkeypatch)
+    monkeypatch.setenv("CGM_GM_PCA_MODES", "70")
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert run(["train", "--config", DESK_CFG, "--kind", "ae", "--data",
+                str(desk_data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: gm.pca_modes must be at most the 60 modes of the split, "
+        "got 70\n")
+    assert not out.exists()
+
+
+def test_train_pca_modes_without_room_for_the_volume_mode_exits_1(
+        tmp_path, capsys, monkeypatch):
+    # 12 points: a split of 36 allows 36 PCA modes, but the volume's scaling
+    # mode leaves room for 35 on the 36 coordinates; training rejects them
+    # by key, and no output directory is made
+    _without_cgm_env(monkeypatch)
+    config = tmp_path / "small.cfg"
+    config.write_text("shape.subdivision = 0\nconstraint.kind = volume\n"
+                      "dataset.n_train = 36\ndataset.n_test = 4\n"
+                      "gm.pca_modes = 36\ngm.batch_size = 36\n")
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert run(["generate", "--config", str(config), "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert run(["train", "--config", str(config), "--kind", "ae", "--data",
+                str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: gm.pca_modes must be at most 35 under a volume constraint on "
+        "12 points, got 36\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["sample", "validate", "surrogate"])
 def test_missing_input_exits_1_without_output_dir(tmp_path, trained, capsys,
                                                   command):
@@ -756,6 +812,10 @@ MANIFEST_DEFECTS = {
         "volume", _target_and_achieved(lambda c: c + ",1"),
         "line 2: 'constraint.target' of a volume constraint holds 2 values, "
         "needs 1"),
+    "volume-target-negative": (
+        "volume", _target_and_achieved(lambda c: "-1"),
+        "line 2: 'constraint.target' of a volume constraint must be positive "
+        "and finite, got -1.0"),
     "row-differs": (
         "barycenter", _cell("target", lambda c: "0,0,0", rows={3}),
         "line 5: constraint differs from line 2"),

@@ -7,10 +7,11 @@ from cgmkit.checkpoint import load_tensors
 from cgmkit.constraints import Constraint
 from cgmkit.datasets import read_manifest
 from cgmkit.errors import ConfigError, DimensionError
-from cgmkit.generative import VolumeEnforcer, softplus, train_model
+from cgmkit.generative import (VolumeEnforcer, enforcer_basis, softplus,
+                               train_model)
 from cgmkit.geometry import TriSurface, synth_shape, volume_of
 from cgmkit.nn import MlpLayer, Mlp
-from cgmkit.reduction import PcaBasis, morph_mesh, pca_fit
+from cgmkit.reduction import morph_mesh, pca_fit
 from cgmkit.rng import Rng
 from cgmkit.stl_io import stl_read
 
@@ -48,9 +49,12 @@ def test_volume_enforcer_caches_one_coefficient_step():
         (base.vertices * (1.0 + 0.05 * rng.derive(i).normal((base.n_vertices, 3)))
          ).reshape(-1) for i in range(3)])
     pca = pca_fit(clouds, n_modes=2)
-    enforcer = VolumeEnforcer(constraint, base.faces, pca)
-    out, cache = enforcer.forward(pca.project(clouds))
-    for row in out:
+    basis = enforcer_basis("volume", pca.mean, pca.modes)
+    enforcer = VolumeEnforcer(constraint, base.faces, pca.mean, basis)
+    # the coefficients lifted with a zero scaling coordinate, as a model does
+    coords = np.column_stack([np.zeros(3), pca.project(clouds)])
+    out, cache = enforcer.forward(coords)
+    for row in pca.mean + out @ basis:
         v = volume_of(TriSurface(row.reshape(-1, 3), base.faces))
         assert abs(v - constraint.target) <= 1e-9 * constraint.target
     # the cache holds each row's step length, its direction over the scaling
@@ -59,16 +63,15 @@ def test_volume_enforcer_caches_one_coefficient_step():
     assert t.shape == (3,) and g.shape == normal.shape == (3, 3)
     assert hessian.shape == (3, 3, 3)
     back = enforcer.backward(cache, rng.normal(out.shape))
-    assert back.shape == (3, 2) and np.all(np.isfinite(back))
+    assert back.shape == (3, 3) and np.all(np.isfinite(back))
 
 
 def test_volume_enforcer_rejects_open_connectivity():
     # one open triangle, and no faces at all (a (0, 3) checkpoint tensor)
-    pca = PcaBasis(modes=np.eye(9)[:, :1], mean=np.arange(9.0),
-                   singular_values=np.ones(1), reconstruction_error=0.0)
     for faces in (np.array([[0, 1, 2]]), np.zeros((0, 3), dtype=np.int64)):
         with pytest.raises(ConfigError, match="closed connectivity"):
-            VolumeEnforcer(Constraint("volume", 1.0), faces, pca)
+            VolumeEnforcer(Constraint("volume", 1.0), faces, np.arange(9.0),
+                           np.eye(9)[:2])
 
 
 def test_morph_mesh_shape_mismatch():

@@ -2,8 +2,8 @@
 (`constraints.project_volume`): cFFD meets its exactness bound
 and leaves pinned control points exactly still over random lattices,
 weights and displacements, and the batched volume kernel matches
-single-cloud calls bit for bit. The models' volume layer on PCA
-coefficients takes the step length of single-row calls bit for bit and
+single-cloud calls bit for bit. The models' volume layer on basis
+coordinates takes the step length of single-row calls bit for bit and
 matches a per-sample cloud-space reference to roundoff, and its backward
 pass matches central differences. The constraint checks and validation
 quantities of a shape stack give each cloud the bits it gets alone. The
@@ -20,9 +20,9 @@ from cgmkit.constraints import (Constraint, achieved_value, cffd_correct,
                                 constraint_residual, project_volume,
                                 volume_gradient)
 from cgmkit.errors import InfeasibleConstraintError
-from cgmkit.generative import VolumeEnforcer
+from cgmkit.generative import VolumeEnforcer, enforcer_basis
 from cgmkit.geometry import (FfdLattice, TriSurface, barycenter_of, ffd_map,
-                             is_closed, synth_shape, volume_of)
+                             is_closed, synth_shape, volume_of, volume_rows)
 from cgmkit.reduction import pca_fit
 from cgmkit.rng import Rng
 from cgmkit.validation import shape_quantities
@@ -153,22 +153,28 @@ clouds_and_constraint = st.builds(
 def test_enforcer_matches_per_sample_reference(case):
     clouds, grad, constraint = case
     coeffs = PCA.project(clouds)
-    enforcer = VolumeEnforcer(constraint, BASE.faces, PCA)
-    out, cache = enforcer.forward(coeffs)
+    basis = enforcer_basis("volume", PCA.mean, PCA.modes)
+    enforcer = VolumeEnforcer(constraint, BASE.faces, PCA.mean, basis)
+    # the coefficients lifted with a zero scaling coordinate, as a model does
+    coords = np.column_stack([np.zeros(len(coeffs)), coeffs])
+    out, cache = enforcer.forward(coords)
     want_out = reference(coeffs, constraint)
-    assert np.max(np.abs(out - want_out)) <= 1e-14 * np.max(np.abs(want_out))
+    got_out = PCA.mean + out @ basis
+    assert np.max(np.abs(got_out - want_out)) <= 1e-14 * np.max(np.abs(want_out))
     # each row's step length is bitwise the one it gets alone
-    for b in range(len(coeffs)):
-        assert np.array_equal(enforcer.forward(coeffs[b:b + 1])[1][0],
+    for b in range(len(coords)):
+        assert np.array_equal(enforcer.forward(coords[b:b + 1])[1][0],
                               cache[0][b:b + 1])
     # the backward pass is the exact vector-Jacobian product: along a random
     # direction, each row's derivative of grad . forward is the central
-    # difference of the batched forward
+    # difference of the batched forward, for a cloud-space gradient taken
+    # onto the basis
+    grad = grad @ basis.T
     back = enforcer.backward(cache, grad)
     h = 1e-6
-    direction = Rng(len(coeffs)).derive("direction").normal(coeffs.shape)
-    ahead = np.vecdot(grad, enforcer.forward(coeffs + h * direction)[0])
-    behind = np.vecdot(grad, enforcer.forward(coeffs - h * direction)[0])
+    direction = Rng(len(coords)).derive("direction").normal(coords.shape)
+    ahead = np.vecdot(grad, enforcer.forward(coords + h * direction)[0])
+    behind = np.vecdot(grad, enforcer.forward(coords - h * direction)[0])
     fd = (ahead - behind) / (2 * h)
     bound = np.linalg.norm(back, axis=1) * np.linalg.norm(direction, axis=1)
     assert np.all(np.abs(fd - np.vecdot(back, direction)) <= 1e-8 * bound)
@@ -183,15 +189,15 @@ def test_kernel_batch_invariant(case, with_basis):
         rng = Rng(len(clouds))
         basis = rng.derive("basis").uniform((BASE.n_vertices, 5))
         weights = 0.5 + rng.derive("weights").uniform(5)
-    batched, step = project_volume(clouds, BASE.faces, constraint,
-                                   basis=basis, weights=weights)
+    batched = project_volume(clouds, BASE.faces, constraint, basis=basis,
+                             weights=weights)
+    rows = volume_rows(clouds, BASE.faces, 0)
     for b in range(len(clouds)):
-        single, single_step = project_volume(
-            clouds[b:b + 1], BASE.faces, constraint, basis=basis,
-            weights=weights)
+        single = project_volume(clouds[b:b + 1], BASE.faces, constraint,
+                                basis=basis, weights=weights)
         assert np.array_equal(batched[b], single[0])
-        for array, single_array in zip(step, single_step, strict=True):
-            assert np.array_equal(array[b], single_array[0])
+        assert np.array_equal(rows[b],
+                              volume_rows(clouds[b:b + 1], BASE.faces, 0)[0])
 
 
 # 320 faces: the batched volume and area formulas take 11 clouds a block

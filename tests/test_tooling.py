@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,34 @@ def test_tracer_layers_resolve_on_package():
             if not callable(scope.get(attr)):
                 missing.append(f"{module_name}.{qualname}")
     assert not missing, f"bench/tracer.py LAYERS names missing: {missing}"
+
+
+def test_numpy_names_in_src_predate_the_declared_floor():
+    # every np.<name> the package uses must exist at the numpy floor that
+    # pyproject.toml and README declare: no function-level `versionadded` tag
+    # (one before the docstring's Parameters section) of the installed numpy
+    # may be newer than the floor
+    floor = re.search(r'"numpy>=([\d.]+)"',
+                      (ROOT / "pyproject.toml").read_text()).group(1)
+    assert f"numpy >= {floor}" in (ROOT / "README.md").read_text()
+
+    def version(text):
+        return tuple(int(part) for part in (text.split(".") + ["0"] * 3)[:3])
+
+    names = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        names |= set(re.findall(r"\bnp\.([A-Za-z_][\w.]*)", path.read_text()))
+    assert {"matvec", "vecmat", "linalg.qr"} <= names
+    newer = {}
+    for name in sorted(names):
+        obj = np
+        for part in name.split("."):
+            obj = getattr(obj, part)
+        head = re.split(r"\n\s*Parameters\n\s*-{3,}", obj.__doc__ or "")[0]
+        tags = re.findall(r"versionadded::\s*([\d.]+)", head)
+        if any(version(tag) > version(floor) for tag in tags):
+            newer[name] = tags
+    assert not newer, f"newer than numpy {floor}: {newer}"
 
 
 def test_artifact_hashes_lists_every_file(tmp_path):

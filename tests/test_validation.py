@@ -5,7 +5,7 @@ from cgmkit.config import PipelineConfig
 from cgmkit.constraints import (Constraint, barycenter_rows,
                                 sample_cffd_dataset)
 from cgmkit.errors import DegenerateDistributionError, EmptyInputError
-from cgmkit.generative import VolumeEnforcer
+from cgmkit.generative import VolumeEnforcer, enforcer_basis
 from cgmkit.geometry import synth_shape, volumes
 from cgmkit.reduction import pca_fit
 from cgmkit.rng import Rng
@@ -107,8 +107,11 @@ def test_jsd_of_held_volume_is_zero_whatever_its_roundoff():
                                        20, 0.05, Rng(1))
     noisy = reference[::-1] * (1.0 + 0.01 * Rng(2).normal(reference.shape))
     pca = pca_fit(reference.reshape(len(reference), -1), n_modes=10)
-    generated = VolumeEnforcer(constraint, base.faces, pca).forward(
-        pca.project(noisy.reshape(len(noisy), -1)))[0].reshape(noisy.shape)
+    basis = enforcer_basis("volume", pca.mean, pca.modes)
+    enforcer = VolumeEnforcer(constraint, base.faces, pca.mean, basis)
+    coords = pca.project(noisy.reshape(len(noisy), -1))
+    out, _ = enforcer.forward(np.column_stack([np.zeros(len(coords)), coords]))
+    generated = (pca.mean + out @ basis).reshape(noisy.shape)
     report = metric_report((reference, base.faces), (generated, base.faces),
                            constraint=constraint)
     assert report.value("jsd_volume") == 0.0
