@@ -51,6 +51,16 @@ def _checked_achieved(constraint, vertices, faces, label):
     return achieved
 
 
+def _check_bounds(bounds):
+    """Raise ConfigError naming the key of the first (key, value, word,
+    limit, what) bound that a setting breaks: its value must be at most
+    (word "most") or at least (word "least") the limit."""
+    for key, value, word, limit, what in bounds:
+        if (value > limit) if word == "most" else (value < limit):
+            raise ConfigError(f"{key} must be at {word} the {limit} {what}, "
+                              f"got {value}", key)
+
+
 def cmd_generate(config: PipelineConfig) -> int:
     base = config.base_shape()
     lattice = config.lattice(base)
@@ -86,15 +96,13 @@ def cmd_train(config: PipelineConfig, kind, data_dir=None) -> int:
     gm = config.gm_config()
     # samples past the recorded split are held out (`sample` records none);
     # a PCA of the split keeps at most one mode per sample or coordinate
-    for key, value, limit, what in (
-            ("dataset.n_train", n_train, dataset.n_train or len(dataset.vertices),
-             f"training samples of {data_dir}"),
-            ("gm.batch_size", gm.batch_size, n_train, "training samples"),
-            ("gm.pca_modes", gm.pca_modes,
-             min(n_train, dataset.vertices[0].size), "modes of the split")):
-        if value > limit:
-            raise ConfigError(f"{key} must be at most the {limit} {what}, "
-                              f"got {value}", key)
+    _check_bounds([
+        ("dataset.n_train", n_train, "most",
+         dataset.n_train or len(dataset.vertices),
+         f"training samples of {data_dir}"),
+        ("gm.batch_size", gm.batch_size, "most", n_train, "training samples"),
+        ("gm.pca_modes", gm.pca_modes, "most",
+         min(n_train, dataset.vertices[0].size), "modes of the split")])
     # a setting that training itself rejects leaves no output directory
     model = train_model(kind, dataset.vertices[:n_train], dataset.faces,
                         dataset.constraint, gm)
@@ -191,12 +199,22 @@ def cmd_surrogate(config: PipelineConfig, source, method, seed) -> int:
     else:
         model = load_model(source)
         clouds, latents = model.sample(n, rng)
+    # a POD of the split keeps at most one mode per sample or vertex, the
+    # rbf tail needs d + 1 sites on d inputs, and the active subspace lies
+    # in the latent space
+    split, d = config["rom.n_train"], latents.shape[1]
+    pod = ("rom.pod_modes", config["rom.pod_modes"], "most",
+           min(split, clouds.shape[1]), "modes of the training split")
+    _check_bounds({
+        "rbf": [pod, ("rom.n_train", split, "least", d + 1,
+                      f"sites rbf needs on {d} inputs")],
+        "as": [("rom.as_dim", config["rom.as_dim"], "most", d,
+                "latent dimensions of the checkpoint")]}.get(method, [pod]))
     out = _ensure_out(config)
     spec = config.field_spec()
     snapshots = snapshot_of(clouds, spec)
     save_matrix(os.path.join(out, "snapshots.bin"), snapshots)
     save_matrix(os.path.join(out, "inputs.bin"), latents)
-    split = config["rom.n_train"]
     mu_train, mu_test = latents[:split], latents[split:]
     s_train, s_test = snapshots[:split], snapshots[split:]
     lines = ["method\ttrain_error\ttest_error"]

@@ -6,18 +6,17 @@ Clouds are vectorized row-wise: vec(cloud) = (x1, y1, z1, x2, y2, z2, ...),
 matching a C-order reshape of an (M, 3) array. The enclosed volume of a
 closed triangulation is trilinear: linear-homogeneous in each coordinate
 component with the other two fixed. With y and z frozen it is affine in x,
-so volume is enforced exactly by one minimum-norm step on the x
-coordinates. `project_volume`, the one implementation of that projection,
-serves constrained FFD: `cffd_correct` corrects a stack of displacements
-in one solve, and `sample_cffd_dataset` returns a stack (n, M, 3) on the
-base faces; `achieved_value` and `constraint_residual` check one.
+so each kind is exact along one row over the vertices, and constrained FFD
+takes one weighted minimum-norm step along it: `cffd_correct` corrects a
+stack of displacements in closed form, on any lattice placement, and
+`sample_cffd_dataset` returns a stack (n, M, 3) on the base faces;
+`achieved_value` and `constraint_residual` check one. The tests check the
+barycenter step against the composite system's `linalg.lstsq_min_norm`.
 
 A constraint is one `Constraint(kind, target)` record, which a config, a
 dataset manifest and a checkpoint build from the (constraint.kind,
 constraint.target) pair they store and store as its two fields. How a kind
 is measured is written once, in `achieved_value` and `constraint_residual`.
-The barycenter's (3, 3M) rows are built by `barycenter_rows` only where
-they are projected on clouds, in `cffd_correct`.
 """
 
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ from .errors import (ConfigError, DegenerateSurfaceError, DimensionError,
                      InfeasibleConstraintError)
 from .geometry import (FfdLattice, TriSurface, barycenter_of, ffd_map,
                        require_closed, volume_of, volume_rows, volumes)
-from .linalg import RANK_TOL, lstsq_min_norm
+from .linalg import RANK_TOL
 from .rng import Rng
 
 _COMPONENTS = {"x": 0, "y": 1, "z": 2}
@@ -61,17 +60,6 @@ class Constraint:
                 f"and finite, got {self.target[0]}")
 
 
-def barycenter_rows(n_points: int) -> np.ndarray:
-    """The barycenter's rows A_c (3, 3M) on a vectorized cloud of M points:
-    three rows of weight 1/M, one per coordinate component."""
-    if n_points < 1:
-        raise DimensionError("need at least one point")
-    matrix = np.zeros((3, 3 * n_points))
-    for c in range(3):
-        matrix[c, c::3] = 1.0 / n_points
-    return matrix
-
-
 def volume_gradient(surface: TriSurface) -> np.ndarray:
     """Analytic d(volume)/d(vertex coordinates) of one surface, (M, 3): the
     three `volume_rows` stacked."""
@@ -91,37 +79,6 @@ def volume_constraint_row(surface: TriSurface, component: str):
         raise DegenerateSurfaceError("all-zero volume row (degenerate surface)")
     offset = volume_of(surface) - row @ surface.vertices[:, c]
     return row, offset
-
-
-def project_volume(clouds, faces, constraint: Constraint, basis=None,
-                   weights=None):
-    """The volume projection's step p (B, F) for a (B, M, 3) batch of clouds
-    on closed faces (the caller checks closedness): one step on the x
-    coordinates. With y and z frozen the volume is affine in x with row r
-    (`geometry.volume_rows`), and the current volume is V = r . x exactly,
-    because the volume is linear-homogeneous in x. The deficit d = T - V is
-    closed by the minimum-norm step: x moves by p = r s with
-    s = d / (r . r), or with a basis (M, F) by basis @ p, p = (a / w^2) s
-    with s = d / (a . a / w^2), a = r @ basis. An a that is zero up to
-    RANK_TOL * |r| * |basis| cannot move the volume (its step would scale
-    with 1 / roundoff) and raises InfeasibleConstraintError."""
-    clouds = np.asarray(clouds, dtype=np.float64)
-    rows = volume_rows(clouds, faces, 0)
-    if not np.all(np.any(rows, axis=1)):
-        raise DegenerateSurfaceError("all-zero volume row (degenerate surface)")
-    current = np.vecdot(rows, clouds[:, :, 0])
-    # per-cloud products (a stack of 1-row matmuls) keep each cloud's result
-    # independent of the batch size
-    a = rows if basis is None else (rows[:, None] @ basis)[:, 0]
-    aw = a if weights is None else a / weights ** 2
-    norm = np.vecdot(a, aw)
-    if basis is not None and not np.all(
-            np.linalg.norm(a, axis=1)
-            > RANK_TOL * np.linalg.norm(basis) * np.linalg.norm(rows, axis=1)):
-        raise InfeasibleConstraintError(
-            "volume row of component x is zero on every free control point")
-    scale = (constraint.target - current) / norm
-    return aw * scale[:, None]
 
 
 def achieved_value(kind, vertices, faces) -> np.ndarray:
@@ -169,10 +126,17 @@ def cffd_correct(lattice: FfdLattice, displacement, surface: TriSurface,
     (P, 3), or of each of a stack (..., P, 3), so the constraint holds
     exactly on the deformed cloud; each is bitwise the one it gets alone.
 
-    The correction minimizes ||diag(weights) vec(delta_d)|| subject to the
-    constraint composed with the Bernstein influence of the lattice over the
-    full cloud (the given influence, else `lattice.influence(points)`). An
-    infeasible linear system names the first failing sample."""
+    Each kind is exact along one row r over the vertices: the barycenter's
+    1/M, per component, or the volume's x row (`geometry.volume_rows`) with
+    y and z frozen, as the volume is then r . x. With a = r @ B on the free
+    control points (B the Bernstein influence: the given one, else
+    `lattice.influence(points)`) and the deficit d as a vertex-space vector
+    (target - barycenter, or (T - r . x) e_x), the correction of least
+    ||diag(weights) delta_d|| is delta_d = (a / w^2) (a_phi^-1 d)^T /
+    (a . a / w^2), for any placement a_phi: the cloud moves by u d^T with
+    r . u = 1. A row a that is zero up to RANK_TOL * |r| * |B| moves
+    nothing, and a sample whose deficit it so leaves beyond RESIDUAL_BOUND
+    raises InfeasibleConstraintError naming the sample and the component."""
     points = surface.vertices
     if influence is None:
         influence = lattice.influence(points)
@@ -184,39 +148,38 @@ def cffd_correct(lattice: FfdLattice, displacement, surface: TriSurface,
         raise InfeasibleConstraintError("all control points pinned")
 
     influence = influence[:, free]  # (M, F)
-    delta = np.zeros((len(deformed), lattice.n_control, 3))
-
     if constraint.kind == "volume":
-        if not np.allclose(lattice.a_phi, np.diag(np.diag(lattice.a_phi))):
-            raise DimensionError(
-                "component-wise volume enforcement needs an axis-aligned lattice")
         require_closed(surface.faces)
-        # deformed x coordinates are affine in the x displacements of the
-        # free control points: x += influence @ (a_xx * delta_x)
-        p = project_volume(
-            deformed, surface.faces, constraint, basis=influence,
-            weights=None if weights is None else weights[free])
-        delta[:, free, 0] += p / lattice.a_phi[0, 0]
-        return delta.reshape(np.shape(displacement))
-
-    matrix = barycenter_rows(len(points))
-    # a stack of one-column products, so each sample's rhs is its own
-    rhs = constraint.target - (
-        matrix @ deformed.reshape(len(deformed), -1, 1))[..., 0]
-    # composite matrix A_c B over the free control-point displacements:
-    # point displacement l = sum_p w_lp a_phi(delta_p)
-    a_rows = matrix.reshape(3, len(points), 3)
-    # (F, M) @ (3, M, 3) @ (3, 3) -> (3, F, 3)
-    composite = (influence.T @ a_rows) @ lattice.a_phi
-    composite = composite.reshape(3, -1)
-    w = None if weights is None else np.repeat(weights[free], 3)
-    try:
-        delta_free = lstsq_min_norm(composite, rhs, weights=w)
-    except InfeasibleConstraintError as err:
+        rows = volume_rows(deformed, surface.faces, 0)
+        if not np.all(np.any(rows, axis=1)):
+            raise DegenerateSurfaceError(
+                "all-zero volume row (degenerate surface)")
+        current = np.vecdot(rows, deformed[:, :, 0])[:, None]
+        deficit = np.zeros((len(deformed), 3))
+        deficit[:, 0] = constraint.target[0] - current[:, 0]
+    else:
+        rows = np.full((1, len(points)), 1.0 / len(points))
+        current = barycenter_of(deformed)
+        deficit = constraint.target - current
+    # per-sample one-row products keep each sample's result its own
+    a = (rows[:, None] @ influence)[:, 0]
+    aw = a if weights is None else a / weights[free] ** 2
+    moves = (np.linalg.norm(a, axis=1) > RANK_TOL * np.linalg.norm(influence)
+             * np.linalg.norm(rows, axis=1))
+    stuck = ~moves & ~(constraint_residual(constraint, current)
+                       <= RESIDUAL_BOUND)
+    if stuck.any():
+        i = int(np.argmax(stuck))
+        component = "xyz"[int(np.argmax(np.abs(deficit[i])))]
         raise InfeasibleConstraintError(
-            f"sample {err.index}: constrained FFD correction infeasible "
-            f"({err})", index=err.index) from None
-    delta[:, free] = delta_free.reshape(len(deformed), -1, 3)
+            f"sample {i}: constrained FFD correction infeasible: the "
+            f"{constraint.kind} row of component {component} is zero on "
+            f"every free control point", index=i)
+    step = np.linalg.solve(lattice.a_phi, deficit[..., None])[..., 0]
+    step = np.divide(step, np.vecdot(a, aw)[:, None],
+                     out=np.zeros_like(step), where=moves[:, None])
+    delta = np.zeros((len(deformed), lattice.n_control, 3))
+    delta[:, free] = aw[:, :, None] * step[:, None, :]
     return delta.reshape(np.shape(displacement))
 
 

@@ -65,8 +65,13 @@ def write_dataset(directory, vertices, faces, constraint, achieved, tag,
     norms = np.zeros(n)
     if displacements is not None:
         flat = tensors["displacements"] = np.reshape(displacements, (n, -1))
-        # a dot product per row: the bits np.linalg.norm gives one sample
-        norms = np.sqrt(np.vecdot(flat, flat))
+        # a dot product per row: the bits np.linalg.norm gives one sample;
+        # a row whose squares overflow is scaled by its largest entry first
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(np.vecdot(flat, flat))
+        for i in np.flatnonzero(np.isinf(norms)):
+            top = np.max(np.abs(flat[i]))
+            norms[i] = top * np.sqrt(np.vecdot(flat[i] / top, flat[i] / top))
     save_tensors(os.path.join(directory, DATASET_FILE), tensors)
     rows = ["\t".join([
         f"sample_{i:05d}.stl",

@@ -1,8 +1,8 @@
 """Dense linear algebra, each kernel once: symmetric eigendecomposition,
-the weighted minimum-norm gain of every linear projection (cFFD and the
-linear enforcing layer) and Cholesky with escalating jitter (GPR and the
-latent sampler). All floating point is 64-bit. Singular values at or below
-RANK_TOL times the largest are treated as zero.
+the weighted minimum-norm gain of the linear enforcing layer (with
+`lstsq_min_norm` on it, the tests' reference for the cFFD correction) and
+Cholesky with escalating jitter (GPR and the latent sampler), in float64.
+Singular values at or below RANK_TOL times the largest count as zero.
 """
 
 import numpy as np

@@ -1,4 +1,5 @@
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,11 +9,12 @@ from cgmkit import cli
 from cgmkit.checkpoint import load_tensors, save_tensors
 from cgmkit.cli import main
 from cgmkit.config import PipelineConfig
-from cgmkit.constraints import barycenter_rows
 from cgmkit.datasets import MANIFEST_COLUMNS, read_dataset, read_manifest
 from cgmkit.generative import load_model
 from cgmkit.reduction import as_fit, fd_gradients, load_matrix, save_matrix
 from cgmkit.synthfield import snapshot_of
+
+from references import barycenter_rows
 
 DESK_CONFIG = """
 # small pipeline for tests
@@ -178,6 +180,49 @@ def test_volume_target_not_positive_finite_exits_1_naming_key(
     assert run(["generate", "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("subdivision", ["1", "2"])
+def test_huge_barycenter_target_ends_without_warning(
+        tmp_path, config_file, capsys, monkeypatch, subdivision):
+    # neither the correction's feasibility check nor the manifest's
+    # displacement norm may overflow. Whether the samples meet the target
+    # or miss it by roundoff on 1e300 depends on the arithmetic; on x86-64
+    # with OpenBLAS they meet it at subdivision 1, with displacement norms
+    # of about 2.5e+300, and miss it at 2, failing by name
+    monkeypatch.setenv("CGM_CONSTRAINT_TARGET", "1e300 0 0")
+    monkeypatch.setenv("CGM_SHAPE_SUBDIVISION", subdivision)
+    out = tmp_path / "x"
+    code = run(["generate", "--config", config_file, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 1)
+    if code:
+        match = re.fullmatch(r"error: generated sample 0: constraint "
+                             r"residual (\S+) exceeds 1e-09\n", err)
+        assert match and float(match[1]) > 1e-9
+        return
+    assert err == ""
+    norms = [row["displacement_norm"] for row in read_manifest(out)]
+    assert np.all(np.isfinite(norms)) and min(norms) > 1e300
+
+
+@pytest.mark.parametrize("key, value", [("lattice.margin", "1e6"),
+                                        ("dataset.sigma_d", "1e3")])
+def test_cffd_stress_case_exits_1_naming_sample_and_residual(
+        tmp_path, capsys, monkeypatch, key, value):
+    # with a lattice a million times the shape's size, or displacements a
+    # thousand times it, the correction's roundoff at that scale leaves the
+    # volume of a corrected sample beyond the bound: generate fails by name
+    _without_cgm_env(monkeypatch)
+    monkeypatch.setenv("CGM_CONSTRAINT_KIND", "volume")
+    monkeypatch.setenv("CGM_SHAPE_SUBDIVISION", "1")
+    monkeypatch.setenv("CGM_" + key.replace(".", "_").upper(), value)
+    assert run(["generate", "--config", DESK_CFG,
+                "--out", str(tmp_path / "x")]) == 1
+    match = re.fullmatch(r"error: generated sample \d+: constraint residual "
+                         r"(\S+) exceeds 1e-09\n", capsys.readouterr().err)
+    assert match and float(match[1]) > 1e-9
 
 
 def test_singular_lattice_nonzero_exit(tmp_path):
@@ -379,6 +424,42 @@ def test_surrogate_from_dataset_displacements(tmp_path, config_file):
     # the interpolating regressor needs at least dim + 2 training sites
     assert run(["surrogate", data, "--config", config_file, "--seed", "4",
                 "--method", "rbf", "--out", str(tmp_path / "y")]) == 1
+
+
+@pytest.mark.parametrize("as_checkpoint", ["volume"], indirect=True)
+@pytest.mark.parametrize("key, value, method, message", [
+    ("rom.as_dim", "4", "as",
+     "rom.as_dim must be at most the 3 latent dimensions of the checkpoint, "
+     "got 4"),
+    ("rom.pod_modes", "13", "gpr",
+     "rom.pod_modes must be at most the 12 modes of the training split, "
+     "got 13"),
+])
+def test_surrogate_setting_beyond_its_inputs_exits_1_naming_key(
+        tmp_path, as_checkpoint, capsys, monkeypatch, key, value, method,
+        message):
+    cfg, ckpt = as_checkpoint
+    monkeypatch.setenv("CGM_" + key.replace(".", "_").upper(), value)
+    out = tmp_path / "sur"
+    capsys.readouterr()
+    assert run(["surrogate", ckpt, "--config", cfg, "--method", method,
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_surrogate_rbf_with_too_few_sites_exits_1_naming_key(tmp_path,
+                                                             trained, capsys):
+    # 81 displacement inputs need 82 training sites
+    out = tmp_path / "sur"
+    capsys.readouterr()
+    assert run(["surrogate", str(trained / "data"), "--config",
+                str(trained / "pipeline.cfg"), "--method", "rbf",
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: rom.n_train must be at least the 82 sites rbf needs on 81 "
+        "inputs, got 12\n")
+    assert not out.exists()
 
 
 def test_unknown_model_kind_usage_error(tmp_path, config_file):

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from cgmkit.constraints import (Constraint, achieved_value, barycenter_rows,
-                                cffd_correct,
-                                project_volume as project_volume_batch,
+from cgmkit.constraints import (Constraint, achieved_value, cffd_correct,
                                 sample_cffd_dataset, volume_constraint_row,
                                 volume_gradient)
 from cgmkit import geometry
@@ -15,6 +13,8 @@ from cgmkit.geometry import (FfdLattice, TriSurface, _blocks, _cross,
                              barycenter_of, ffd_map, synth_shape, volume_of,
                              volume_rows)
 from cgmkit.rng import Rng
+
+from references import barycenter_rows
 
 
 @pytest.fixture(scope="module")
@@ -31,12 +31,14 @@ def project_cloud(cloud, constraint):
     return out.reshape(-1, 3), (out - cloud).reshape(-1, 3)
 
 
-def project_volume(surface, target):
-    """One closed surface moved by the volume projection kernel's x step."""
-    vertices = surface.vertices.copy()
-    vertices[:, 0] += project_volume_batch(vertices[None], surface.faces,
-                                           Constraint("volume", target))[0]
-    return TriSurface(vertices, surface.faces)
+def cffd_volume(surface, target):
+    """One closed surface deformed by the cFFD volume correction of a zero
+    displacement on a box lattice around it."""
+    lattice = box_lattice(surface)
+    delta = cffd_correct(lattice, np.zeros((lattice.n_control, 3)), surface,
+                         Constraint("volume", target))
+    return TriSurface(ffd_map(lattice, delta, surface.vertices)[0],
+                      surface.faces)
 
 
 # --- barycenter constraint ---------------------------------------------------
@@ -127,13 +129,18 @@ def full_gradient_reference(vertices, faces):
     return grad
 
 
-def project_volume_reference(clouds, faces, constraint):
-    """`project_volume` without a basis as it was on the full gradient, with
-    the volume taken as r . x from the x row r: (rows r, step)."""
-    rows = np.ascontiguousarray(full_gradient_reference(clouds, faces)[:, :, 0])
-    scale = ((constraint.target - np.vecdot(rows, clouds[:, :, 0]))
-             / np.vecdot(rows, rows))
-    return rows, rows * scale[:, None]
+def cffd_volume_reference(lattice, cloud, faces, constraint):
+    """`cffd_correct`'s volume correction of a zero displacement of one
+    cloud, written out in its order of operations on the full-gradient x
+    row r, with the volume taken as r . x: (r, correction)."""
+    row = full_gradient_reference(cloud[None], faces)[:, :, 0]
+    # the free columns as the kernel takes them, in their memory order
+    free = np.ones(lattice.n_control, dtype=bool)
+    a = (row[:, None] @ lattice.influence(cloud)[:, free])[:, 0]
+    deficit = np.zeros((1, 3))
+    deficit[:, 0] = constraint.target[0] - np.vecdot(row, cloud[:, 0])
+    step = np.linalg.solve(lattice.a_phi, deficit[..., None])[..., 0]
+    return row[0], a[0, :, None] * (step / np.vecdot(a, a)[:, None])
 
 
 @pytest.fixture(scope="module")
@@ -164,13 +171,20 @@ def test_volume_rows_owns_contiguous_rows(sphere, cloud_batch):
     assert rows.flags.c_contiguous and rows.flags.owndata
 
 
-def test_project_volume_bitwise_equal_full_gradient_kernel(sphere, cloud_batch):
+def test_cffd_volume_bitwise_equal_full_gradient_kernel(sphere, cloud_batch):
     constraint = Constraint("volume", 1.05 * volume_of(sphere))
-    step = project_volume_batch(cloud_batch, sphere.faces, constraint)
-    want_rows, want_step = project_volume_reference(cloud_batch, sphere.faces,
-                                                    constraint)
-    assert np.array_equal(volume_rows(cloud_batch, sphere.faces, 0), want_rows)
-    assert np.array_equal(step, want_step)
+    lattice = FfdLattice.from_box((2, 2, 2),
+                                  cloud_batch.min(axis=(0, 1)) - 0.05,
+                                  cloud_batch.max(axis=(0, 1)) + 0.05)
+    zero = np.zeros((lattice.n_control, 3))
+    rows = volume_rows(cloud_batch, sphere.faces, 0)
+    for cloud, row in zip(cloud_batch, rows):
+        delta = cffd_correct(lattice, zero, TriSurface(cloud, sphere.faces),
+                             constraint)
+        want_row, want_delta = cffd_volume_reference(lattice, cloud,
+                                                     sphere.faces, constraint)
+        assert np.array_equal(row, want_row)
+        assert np.array_equal(delta, want_delta)
 
 
 def test_degenerate_surface_rejected():
@@ -178,24 +192,33 @@ def test_degenerate_surface_rejected():
                       np.array([[0, 1, 2], [0, 2, 1]]))
     with pytest.raises(DegenerateSurfaceError):
         volume_constraint_row(flat, "x")
-    # the same error from the projection kernel
+    # the same error from the cFFD volume correction
+    lattice = box_lattice(flat)
     with pytest.raises(DegenerateSurfaceError):
-        project_volume_batch(flat.vertices[None], flat.faces,
-                             Constraint("volume", 1.0))
+        cffd_correct(lattice, np.zeros((lattice.n_control, 3)), flat,
+                     Constraint("volume", 1.0))
 
 
-def test_project_volume_unreferenced_vertex():
-    # a vertex past the last face index stays put; the other vertices see
-    # the projection as without it
+def test_cffd_volume_unreferenced_vertex():
+    # a vertex past the last face index has a zero volume row, so the
+    # correction and the other vertices' deformation are as without it
     base = synth_shape("icosphere", 1)
     constraint = Constraint("volume", volume_of(base))
     rng = Rng(6)
     clouds = base.vertices * (1.0 + 0.05 * rng.normal((2, base.n_vertices, 3)))
-    step = project_volume_batch(clouds, base.faces, constraint)
     extra = np.concatenate([clouds, rng.normal((2, 1, 3))], axis=1)
-    step_extra = project_volume_batch(extra, base.faces, constraint)
-    assert np.all(step_extra[:, -1] == 0.0)
-    assert np.allclose(step_extra[:, :-1], step, rtol=0, atol=1e-14)
+    lattice = box_lattice(base, pad=0.3)
+    zero = np.zeros((lattice.n_control, 3))
+    for cloud, cloud_extra in zip(clouds, extra):
+        delta = cffd_correct(lattice, zero, TriSurface(cloud, base.faces),
+                             constraint)
+        delta_extra = cffd_correct(lattice, zero,
+                                   TriSurface(cloud_extra, base.faces),
+                                   constraint)
+        assert np.allclose(delta_extra, delta, rtol=0, atol=1e-14)
+        moved = ffd_map(lattice, delta_extra, cloud_extra)[0]
+        assert np.allclose(moved[:-1], ffd_map(lattice, delta, cloud)[0],
+                           rtol=0, atol=1e-14)
 
 
 # --- cloud enforcement --------------------------------------------------------
@@ -276,13 +299,13 @@ def test_constraint_from_rejects_malformed_record_by_name(kind, target,
 
 def test_enforce_volume_noop_at_target(sphere):
     v0 = volume_of(sphere)
-    out = project_volume(sphere, v0)
+    out = cffd_volume(sphere, v0)
     assert np.max(np.abs(out.vertices - sphere.vertices)) <= 1e-12
 
 
 def test_enforce_volume_first_pass(sphere):
     v0 = volume_of(sphere)
-    out = project_volume(sphere, 1.1 * v0)
+    out = cffd_volume(sphere, 1.1 * v0)
     assert abs(volume_of(out) - 1.1 * v0) <= 1e-9 * 1.1 * v0
     # only x coordinates moved
     assert np.allclose(out.vertices[:, 1:], sphere.vertices[:, 1:])

@@ -56,6 +56,25 @@ def test_dataset_round_trip_bit_exact(dataset_dir, samples):
     assert "weld_tol" not in (dataset_dir / "meta.txt").read_text()
 
 
+@pytest.mark.filterwarnings("error")
+def test_displacement_norm_of_a_row_whose_squares_overflow(tmp_path,
+                                                           samples):
+    # such a row's norm is taken on the row scaled by its largest entry, so
+    # the manifest holds no inf and numpy warns of no overflow; every other
+    # row keeps the bits np.linalg.norm gives it
+    constraint, faces, (vertices, displacements) = samples
+    flat = displacements.reshape(len(displacements), -1).copy()
+    flat[1] *= 1e300 / np.max(np.abs(flat[1]))
+    write_dataset(tmp_path, vertices, faces, constraint,
+                  achieved_value(constraint.kind, vertices, faces),
+                  "5:cffd-sample", flat.reshape(displacements.shape))
+    norms = [row["displacement_norm"] for row in read_dataset(tmp_path).rows]
+    for i in (0, 2, 3):
+        assert norms[i] == np.linalg.norm(flat[i])
+    assert math.isclose(norms[1], 1e300 * np.linalg.norm(flat[1] / 1e300),
+                        rel_tol=1e-15)
+
+
 def test_export_stl_reads_back_container_arrays(dataset_dir, tmp_path):
     out = tmp_path / "stl"
     assert main(["export-stl", str(dataset_dir), "--out", str(out)]) == 0

@@ -7,8 +7,7 @@ import pytest
 from cgmkit import generative
 from cgmkit.checkpoint import load_tensors, save_tensors
 from cgmkit.config import PipelineConfig
-from cgmkit.constraints import (Constraint, barycenter_rows,
-                                sample_cffd_dataset)
+from cgmkit.constraints import Constraint, sample_cffd_dataset
 from cgmkit.errors import (ConfigError, ContainerError,
                            InfeasibleConstraintError)
 from cgmkit.generative import (GmConfig, LinearEnforcer, VolumeEnforcer,
@@ -20,6 +19,8 @@ from cgmkit.nn import mlp_stack
 from cgmkit.reduction import PcaBasis, pca_fit
 from cgmkit.rng import Rng
 from cgmkit.stl_io import stl_write
+
+from references import barycenter_rows
 
 
 def make_dataset(seed=1, n=24, constraint_kind="barycenter", subdivision=1):

@@ -1,8 +1,9 @@
-"""Property tests of constrained FFD and of the one volume projection
-(`constraints.project_volume`): cFFD meets its exactness bound
-and leaves pinned control points exactly still over random lattices,
-weights and displacements, and the batched volume kernel matches
-single-cloud calls bit for bit. The models' volume layer on basis
+"""Property tests of constrained FFD (`constraints.cffd_correct`): over
+random lattices, axis-aligned or rotated and sheared, weights and
+displacements it meets its exactness bound, leaves pinned control points
+exactly still, gives the barycenter the composite system's weighted
+minimum-norm solution (`linalg.lstsq_min_norm`), and gives each sample of a
+stack the bits of its single call. The models' volume layer on basis
 coordinates takes the step length of single-row calls bit for bit and
 matches a per-sample cloud-space reference to roundoff, and its backward
 pass matches central differences. The constraint checks and validation
@@ -17,21 +18,24 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from cgmkit.constraints import (Constraint, achieved_value, cffd_correct,
-                                constraint_residual, project_volume,
-                                volume_gradient)
+                                constraint_residual, volume_gradient)
 from cgmkit.errors import InfeasibleConstraintError
 from cgmkit.generative import VolumeEnforcer, enforcer_basis
 from cgmkit.geometry import (FfdLattice, TriSurface, barycenter_of, ffd_map,
-                             is_closed, synth_shape, volume_of, volume_rows)
+                             is_closed, synth_shape, volume_of)
+from cgmkit.linalg import lstsq_min_norm
 from cgmkit.reduction import pca_fit
 from cgmkit.rng import Rng
 from cgmkit.validation import shape_quantities
+
+from references import barycenter_rows
 
 BASE = synth_shape("icosphere", 1)
 V0 = volume_of(BASE)
 
 
 lattices = st.tuples(*[st.integers(1, 3)] * 3)
+placements = st.sampled_from(("axis-aligned", "sheared"))
 pin_lists = st.lists(st.sampled_from(("free", "free", "zero", "inf")),
                      min_size=64, max_size=64)
 # on a (2, 1, 1) lattice: only the middle x-plane, whose x move keeps the
@@ -39,16 +43,28 @@ pin_lists = st.lists(st.sampled_from(("free", "free", "zero", "inf")),
 MIDDLE_X_PLANE_FREE = ["zero"] * 4 + ["free"] * 4 + ["zero"] * 56
 
 
-def pinned_setup(grid, pins, sigma, seed):
+def lattice_around_base(grid, placement, rng):
+    """A lattice whose box holds the base shape with a 0.05 margin, placed
+    axis-aligned or by a drawn rotation of a drawn unit shear."""
+    a_phi = np.eye(3)
+    if placement == "sheared":
+        rotation = np.linalg.qr(rng.derive("rotation").normal((3, 3)))[0]
+        shear = np.triu(rng.derive("shear").uniform((3, 3)) - 0.5, 1)
+        a_phi = rotation @ (np.eye(3) + shear)
+    local = BASE.vertices @ np.linalg.inv(a_phi).T
+    lower, upper = local.min(axis=0) - 0.05, local.max(axis=0) + 0.05
+    return FfdLattice(grid, a_phi @ np.diag(upper - lower), a_phi @ lower)
+
+
+def pinned_setup(grid, pins, sigma, seed, placement):
     """Lattice around the base shape, weights with pinned control points
     (weight 0 or +inf), the pinned mask and a displacement that leaves the
     pinned points still."""
-    lattice = FfdLattice.from_box(grid, BASE.vertices.min(axis=0) - 0.05,
-                                  BASE.vertices.max(axis=0) + 0.05)
+    rng = Rng(seed)
+    lattice = lattice_around_base(grid, placement, rng)
     pins = np.array(pins[:lattice.n_control])
     pinned = pins != "free"
     assume(not pinned.all())
-    rng = Rng(seed)
     weights = 0.5 + 2.0 * rng.derive("weights").uniform(lattice.n_control)
     weights[pins == "zero"] = 0.0
     weights[pins == "inf"] = np.inf
@@ -69,22 +85,35 @@ def free_row_scale(lattice, pinned, dp):
 
 
 @given(grid=lattices, sigma=st.floats(0.0, 0.08), pins=pin_lists,
-       scale=st.floats(0.9, 1.1), seed=st.integers(0, 2 ** 16))
+       scale=st.floats(0.9, 1.1), seed=st.integers(0, 2 ** 16),
+       placement=placements)
 @example(grid=(2, 1, 1), sigma=0.0, pins=MIDDLE_X_PLANE_FREE, scale=0.9375,
-         seed=0)
+         seed=0, placement="axis-aligned")
+@example(grid=(2, 1, 1), sigma=0.0, pins=MIDDLE_X_PLANE_FREE, scale=1.0,
+         seed=0, placement="axis-aligned")
 def test_cffd_volume_exact_and_pinned_rows_zero(grid, sigma, pins, scale,
-                                                seed):
-    lattice, weights, pinned, dp = pinned_setup(grid, pins, sigma, seed)
+                                                seed, placement):
+    lattice, weights, pinned, dp = pinned_setup(grid, pins, sigma, seed,
+                                                placement)
     constraint = Constraint("volume", scale * V0)
-    # an x pass whose row vanishes on the free control points (such as with
-    # only the middle x-plane of the symmetric shape free) must raise; one
+    # an x row that vanishes on the free control points (such as with only
+    # the middle x-plane of the symmetric shape free) moves nothing, so the
+    # correction raises if and only if the deficit is not met already; one
     # whose row is clearly nonzero there must meet the target exactly
     scale_of_row = free_row_scale(lattice, pinned, dp)
     assume(scale_of_row <= 1e-14 or scale_of_row >= 1e-6)
     if scale_of_row <= 1e-14:
-        with pytest.raises(InfeasibleConstraintError,
-                           match="is zero on every free control point"):
-            cffd_correct(lattice, dp, BASE, constraint, weights=weights)
+        deformed, _ = ffd_map(lattice, dp, BASE.vertices)
+        error = abs(volume_of(TriSurface(deformed, BASE.faces))
+                    - constraint.target[0])
+        if error > 1e-9 * constraint.target[0]:
+            with pytest.raises(InfeasibleConstraintError,
+                               match="is zero on every free control point"):
+                cffd_correct(lattice, dp, BASE, constraint, weights=weights)
+        else:
+            delta = cffd_correct(lattice, dp, BASE, constraint,
+                                 weights=weights)
+            assert np.all(delta == 0.0)
         return
     delta = cffd_correct(lattice, dp, BASE, constraint, weights=weights)
     deformed, _ = ffd_map(lattice, dp + delta, BASE.vertices)
@@ -93,18 +122,37 @@ def test_cffd_volume_exact_and_pinned_rows_zero(grid, sigma, pins, scale,
     assert np.all(delta[pinned] == 0.0)
 
 
+def composite_solution(lattice, weights, pinned, dp, target):
+    """The barycenter correction of the free control points (F, 3) as the
+    weighted minimum-norm solution of the composite system A_c B a_phi
+    (3, 3F) on the free displacements, for the deficit of the displaced
+    base shape."""
+    deformed, _ = ffd_map(lattice, dp, BASE.vertices)
+    rows = barycenter_rows(BASE.n_vertices).reshape(3, -1, 3)
+    influence = lattice.influence(BASE.vertices)[:, ~pinned]
+    composite = ((influence.T @ rows) @ lattice.a_phi).reshape(3, -1)
+    x = lstsq_min_norm(composite, target - barycenter_of(deformed),
+                       weights=np.repeat(weights[~pinned], 3))
+    return x.reshape(-1, 3)
+
+
 @given(grid=lattices, sigma=st.floats(0.0, 0.08), pins=pin_lists,
        shift=st.tuples(*[st.floats(-0.05, 0.05)] * 3),
-       seed=st.integers(0, 2 ** 16))
+       seed=st.integers(0, 2 ** 16), placement=placements)
 def test_cffd_barycenter_exact_and_pinned_rows_zero(grid, sigma, pins, shift,
-                                                    seed):
-    lattice, weights, pinned, dp = pinned_setup(grid, pins, sigma, seed)
+                                                    seed, placement):
+    lattice, weights, pinned, dp = pinned_setup(grid, pins, sigma, seed,
+                                                placement)
     target = barycenter_of(BASE.vertices) + np.array(shift)
     constraint = Constraint("barycenter", target)
     delta = cffd_correct(lattice, dp, BASE, constraint, weights=weights)
     deformed, _ = ffd_map(lattice, dp + delta, BASE.vertices)
     assert np.max(np.abs(barycenter_of(deformed) - target)) <= 1e-10
     assert np.all(delta[pinned] == 0.0)
+    # the closed form is the composite system's SVD solution
+    want = composite_solution(lattice, weights, pinned, dp, target)
+    assert (np.linalg.norm(delta[~pinned] - want)
+            <= 1e-12 * np.linalg.norm(want))
 
 
 # the volume layer's PCA: six modes of sixteen perturbed copies of the base
@@ -180,24 +228,38 @@ def test_enforcer_matches_per_sample_reference(case):
     assert np.all(np.abs(fd - np.vecdot(back, direction)) <= 1e-8 * bound)
 
 
-@given(case=clouds_and_constraint, with_basis=st.booleans())
-def test_kernel_batch_invariant(case, with_basis):
-    clouds, _, constraint = case
-    clouds = clouds.reshape(len(clouds), -1, 3)
-    basis = weights = None
-    if with_basis:
-        rng = Rng(len(clouds))
-        basis = rng.derive("basis").uniform((BASE.n_vertices, 5))
-        weights = 0.5 + rng.derive("weights").uniform(5)
-    batched = project_volume(clouds, BASE.faces, constraint, basis=basis,
-                             weights=weights)
-    rows = volume_rows(clouds, BASE.faces, 0)
-    for b in range(len(clouds)):
-        single = project_volume(clouds[b:b + 1], BASE.faces, constraint,
-                                basis=basis, weights=weights)
-        assert np.array_equal(batched[b], single[0])
-        assert np.array_equal(rows[b],
-                              volume_rows(clouds[b:b + 1], BASE.faces, 0)[0])
+@given(grid=lattices, size=st.sampled_from((1, 2, 3, 6, 50)),
+       sigma=st.floats(0.0, 0.08), pins=pin_lists, scale=st.floats(0.8, 1.25),
+       kind=st.sampled_from(("barycenter", "volume")),
+       seed=st.integers(0, 2 ** 16), placement=placements)
+def test_kernel_batch_invariant(grid, size, sigma, pins, scale, kind, seed,
+                                placement):
+    # each sample of a corrected stack is bitwise its single call, and a
+    # stack with an infeasible sample names the first one
+    lattice, weights, pinned, _ = pinned_setup(grid, pins, sigma, seed,
+                                               placement)
+    stack = sigma * Rng(seed).derive("stack").normal(
+        (size, lattice.n_control, 3))
+    stack[:, pinned] = 0.0
+    constraint = (Constraint("volume", scale * V0) if kind == "volume" else
+                  Constraint("barycenter", barycenter_of(BASE.vertices)
+                             + (scale - 1.0)))
+    singles = []
+    for dp in stack:
+        try:
+            singles.append(cffd_correct(lattice, dp, BASE, constraint,
+                                        weights=weights))
+        except InfeasibleConstraintError:
+            singles.append(None)
+    failing = [i for i, single in enumerate(singles) if single is None]
+    if failing:
+        with pytest.raises(InfeasibleConstraintError) as err:
+            cffd_correct(lattice, stack, BASE, constraint, weights=weights)
+        assert err.value.index == failing[0]
+        return
+    batched = cffd_correct(lattice, stack, BASE, constraint, weights=weights)
+    for b in range(size):
+        assert np.array_equal(batched[b], singles[b])
 
 
 # 320 faces: the batched volume and area formulas take 11 clouds a block

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from cgmkit.config import PipelineConfig
-from cgmkit.constraints import (Constraint, barycenter_rows,
-                                sample_cffd_dataset)
+from cgmkit.constraints import Constraint, sample_cffd_dataset
 from cgmkit.errors import DegenerateDistributionError, EmptyInputError
 from cgmkit.generative import VolumeEnforcer, enforcer_basis
 from cgmkit.geometry import synth_shape, volumes
 from cgmkit.reduction import pca_fit
 from cgmkit.rng import Rng
 from cgmkit.validation import jsd, kde_fit, metric_report, total_variance
+
+from references import barycenter_rows
 
 
 # --- KDE ----------------------------------------------------------------------
